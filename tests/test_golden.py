@@ -1,0 +1,59 @@
+"""Golden outputs: pinned digests of whole CLI runs.
+
+Each case runs one command at a fixed seed and hashes its exit code and
+every file it writes except ``manifest.json``, which carries wall-clock
+times.  A change that moves any simulated number, or the format it is
+written in, changes a digest.  A refactor must leave every digest as it is;
+a change that means to move the numbers must say so and re-pin them.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from chaincap.cli import main
+
+CASES = {
+    "simulate-write-poisson": (
+        ["simulate", "--kind", "write", "--lambda", "1400", "--duration", "30",
+         "--seed", "3"],
+        "6c58aa3c57a8930e6be079b723288c031923697a557a648679be32bb3fb7668a"),
+    "simulate-read-poisson": (
+        ["simulate", "--kind", "read", "--lambda", "15000", "--duration", "20",
+         "--seed", "2"],
+        "b6fbd0a11cb1fcd4df065f90ef7c5a3d6ba5b93c3f7ea4ffa2ae6f87ca7314ae"),
+    "simulate-write-deterministic": (
+        ["simulate", "--kind", "write", "--lambda", "1200", "--arrival", "deterministic",
+         "--duration", "30"],
+        "ac52ccbfd9b38c03d0214345895bf0824a9b6403d247599834f445150d0ea707"),
+    "simulate-zero-rate": (
+        ["simulate", "--kind", "write", "--lambda", "0", "--duration", "10"],
+        "9dca89678a027cebc516edf9a33f78613d15b21f2fca69ea5abf69c21718acb6"),
+    "campaign-write": (
+        ["campaign", "--kind", "write", "--rates", "400,800,1200,1400,2800", "--seed", "0"],
+        "1598e506cb9a7643f4639c3f5aeb2f9a5b9256dd318bac8513d8ab8073310c6d"),
+    "capacity-write": (
+        ["capacity", "--kind", "write", "--seed", "0"],
+        "6d0cf8db2e121a80e5f92edb887c1f69598af9001b636172d1a8eb2058e4d6e7"),
+    "capacity-both-nodes": (
+        ["capacity", "--kind", "both", "--nodes", "4,5", "--duration", "20", "--seed", "0"],
+        "fab53fe61a622ea92999fbcd1aa931517838f4528610209809189be0f8f9ac4d"),
+}
+
+
+def output_digest(code: int, out: Path) -> str:
+    h = hashlib.sha256(f"exit={code}\n".encode())
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    argv, expected = CASES[name]
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out)])
+    assert code == 0
+    assert output_digest(code, out) == expected
