@@ -5,13 +5,12 @@ __version__ = "0.1.0"
 from .arrival import (  # noqa: F401
     ArrivalKind,
     ArrivalProcess,
-    TxEvent,
+    EventStream,
     TxKind,
     WorkloadMultiplicity,
     generate_events,
     lambda_read,
     lambda_write,
-    sample_interarrival,
 )
 from .assess import Remediation, Verdict, assess, methodology_report  # noqa: F401
 from .bench import (  # noqa: F401

@@ -90,35 +90,21 @@ class ArrivalProcess:
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 
-@dataclass(frozen=True, slots=True)
-class TxEvent:
-    """One transaction arrival.
+@dataclass(frozen=True)
+class EventStream:
+    """A transaction arrival stream as columns, one entry per transaction.
 
-    ``seq`` is a monotone sequence number breaking timestamp ties.
+    ``times`` are seconds since stream start, non-decreasing; ``is_write``
+    marks writes (the rest are reads); ``payload_bytes`` is each
+    transaction's payload size.
     """
 
-    timestamp: float  # seconds since stream start
-    kind: TxKind
-    payload_bytes: int = 0
-    scenario_tag: str = ""
-    seq: int = 0
+    times: np.ndarray
+    is_write: np.ndarray
+    payload_bytes: np.ndarray
 
-
-def sample_interarrival(rate: float, rng: np.random.Generator) -> float:
-    """Draw one exponential interarrival time via inverse transform.
-
-    Uses t = -log(1 - u) / rate for u uniform on [0, 1), i.e. the inverse of
-    the exponential CDF F(t) = 1 - exp(-rate * t).  Advances ``rng`` by one
-    uniform per accepted draw.
-    """
-    rate = check_rate(rate, "rate")
-    if rate == 0.0:
-        raise DomainError("rate must be > 0 for interarrival sampling, got 0.0")
-    while True:
-        u = rng.random()
-        t = -math.log1p(-u) / rate
-        if t > 0.0:
-            return t
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 def _check_horizon(horizon: float) -> float:
@@ -131,9 +117,10 @@ def _check_horizon(horizon: float) -> float:
 def generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
     """Arrival timestamps in (0, horizon], non-decreasing.
 
-    Poisson streams consume uniforms in the same order as repeated
-    ``sample_interarrival`` calls on the process's generator, so the first
-    timestamp equals the first scalar draw exactly.
+    Poisson interarrivals are ``-log1p(-u) / rate`` over the process's
+    uniforms, taken in order.  Each timestamp is the running sum of those
+    draws, but numpy's vector ``log1p`` may differ from ``math.log1p`` in the
+    last bit, so a scalar replay agrees to within a few ulp, not exactly.
     """
     horizon = _check_horizon(horizon)
     rate = process.rate
@@ -167,14 +154,13 @@ def generate_events(
     kind: TxKind,
     horizon: float,
     payload_bytes: int = 0,
-    scenario_tag: str = "",
-) -> list[TxEvent]:
-    """Materialize the arrival stream as an ordered list of transactions."""
+) -> EventStream:
+    """The arrival stream of one transaction kind, as columns."""
     if payload_bytes < 0:
         raise DomainError(f"payload_bytes must be >= 0, got {payload_bytes}")
     times = generate_times(process, horizon)
-    return [
-        TxEvent(timestamp=float(t), kind=kind, payload_bytes=payload_bytes,
-                scenario_tag=scenario_tag, seq=i)
-        for i, t in enumerate(times)
-    ]
+    return EventStream(
+        times=times,
+        is_write=np.full(times.size, kind is TxKind.WRITE),
+        payload_bytes=np.full(times.size, payload_bytes, dtype=np.int64),
+    )

@@ -152,9 +152,8 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
         raise DomainError("trial rate must be > 0")
     payload = DEFAULT_WRITE_PAYLOAD_BYTES if kind is TxKind.WRITE else 0
     process = ArrivalProcess(kind=arrival_kind, rate=lam, seed=seed)
-    events = generate_events(process, kind, duration_s, payload_bytes=payload,
-                             scenario_tag="bench")
-    timeline = run(cluster, events, horizon=duration_s, seed=seed, window_s=window_s)
+    events = generate_events(process, kind, duration_s, payload_bytes=payload)
+    timeline = run(cluster, events, horizon=duration_s, window_s=window_s)
     skip = int(timeline.n_windows * warmup_fraction)
     if kind is TxKind.WRITE:
         mean_tps = timeline.mean_committed_write_tps(skip)
@@ -261,7 +260,7 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int], kind: TxKin
     """Run the capacity search per node count; output ordered by node count."""
     for n in node_counts:
         if n < 4:
-            raise DomainError(f"node counts must be >= 4, got {n}")
+            raise DomainError(f"node counts must be >= 4 (BFT minimum), got {n}")
     profiles = []
     for n in sorted(node_counts):
         cluster = replace(base_cluster, node_count=n)

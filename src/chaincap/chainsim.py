@@ -22,11 +22,10 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 
-from .arrival import TxEvent, TxKind
+from .arrival import EventStream
 from .errors import ConfigError, ContractError, SchemaError
 
 CONFIG_SCHEMA_VERSION = 1
@@ -60,15 +59,15 @@ class ClusterConfig:
             raise ConfigError(f"node_count must be >= 4 for BFT (f >= 1), got {self.node_count}")
         if self.block_tx_capacity < 1:
             raise ConfigError(f"block_tx_capacity must be >= 1, got {self.block_tx_capacity}")
-        if self.block_interval_ms <= 0:
-            raise ConfigError(f"block_interval_ms must be > 0, got {self.block_interval_ms}")
+        for name in ("block_interval_ms", "node_cpu_capacity"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("rtt_ms", "write_exec_us", "read_service_us", "msg_proc_us",
                      "pool_scan_cost_us_per_tx"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.node_cpu_capacity <= 0:
-            raise ConfigError(f"node_cpu_capacity must be > 0, got {self.node_cpu_capacity}")
         if self.node_mem_bytes < 0 or self.empty_block_bytes < 0:
             raise ConfigError("memory and block overhead sizes must be >= 0")
         if self.read_mode not in ("multi", "single"):
@@ -77,8 +76,8 @@ class ClusterConfig:
             n = self.node_count
             if len(self.rtt_matrix_ms) != n or any(len(row) != n for row in self.rtt_matrix_ms):
                 raise ConfigError(f"rtt_matrix_ms must be {n}x{n}")
-            if any(v < 0 for row in self.rtt_matrix_ms for v in row):
-                raise ConfigError("rtt_matrix_ms entries must be >= 0")
+            if any(not math.isfinite(v) or v < 0 for row in self.rtt_matrix_ms for v in row):
+                raise ConfigError("rtt_matrix_ms entries must be finite and >= 0")
 
     def one_way_ms(self, a: int, b: int) -> float:
         if self.rtt_matrix_ms is not None:
@@ -93,8 +92,6 @@ class ConsensusParams:
     node_count: int
     f: int
     quorum: int
-
-    PHASES = ("pre_prepare", "prepare", "commit")
 
     @classmethod
     def for_cluster(cls, cluster: ClusterConfig) -> "ConsensusParams":
@@ -128,32 +125,6 @@ def consensus_round_latency(cluster: ClusterConfig, params: ConsensusParams,
     exec_ms = cluster.write_exec_us * block_fill / 1000.0
     scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
     return network_ms + msg_ms + exec_ms + scan_ms
-
-
-class ReadServer:
-    """FIFO read queues, one per node, constant service time per read."""
-
-    def __init__(self, cluster: ClusterConfig):
-        cluster.validate()
-        self._service_s = cluster.read_service_us * 1e-6
-        self._busy_until = [0.0] * cluster.node_count
-        self._n = cluster.node_count
-
-    def serve_read(self, node_id: int, arrival_s: float) -> float:
-        """Queue one read at a node; returns its completion time in seconds."""
-        if not 0 <= node_id < self._n:
-            raise ContractError(f"node_id {node_id} out of range for {self._n} nodes")
-        done = max(arrival_s, self._busy_until[node_id]) + self._service_s
-        self._busy_until[node_id] = done
-        return done
-
-
-def serve_read(cluster: ClusterConfig, node_id: int, read_event: TxEvent,
-               server: ReadServer | None = None) -> float:
-    """One-shot convenience wrapper around :class:`ReadServer`."""
-    if server is None:
-        server = ReadServer(cluster)
-    return server.serve_read(node_id, read_event.timestamp)
 
 
 def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
@@ -222,43 +193,33 @@ class MetricsTimeline:
             writer.writerow(row)
 
 
-def _check_sorted(events: Sequence[TxEvent]) -> None:
-    prev = (-math.inf, -1)
-    for e in events:
-        key = (e.timestamp, e.seq)
-        if key < prev:
-            raise ContractError("events must be sorted by (timestamp, seq)")
-        prev = key
-
-
-def run(cluster: ClusterConfig, events: Sequence[TxEvent], horizon: float,
-        seed: int = 0, window_s: float = 1.0, produce_blocks: bool = True,
+def run(cluster: ClusterConfig, events: EventStream, horizon: float,
+        window_s: float = 1.0, produce_blocks: bool = True,
         keep_detail: bool = False) -> MetricsTimeline:
     """Simulate the cluster against a merged read/write event stream.
 
-    ``events`` must be sorted by (timestamp, seq) and fit within ``horizon``.
+    ``events`` must be sorted by time and fit within ``horizon``.
     ``produce_blocks=False`` disables consensus entirely (read-only runs).
-    ``seed`` is recorded for reproducibility bookkeeping; the simulation
-    itself is deterministic and draws no randomness.
+    The simulation is deterministic and draws no randomness.
     """
-    del seed  # the simulation is deterministic; seeds only label runs
     cluster.validate()
     if not math.isfinite(horizon) or horizon <= 0:
         raise ContractError(f"horizon must be finite and > 0, got {horizon!r}")
     if window_s <= 0:
         raise ContractError(f"window_s must be > 0, got {window_s}")
-    _check_sorted(events)
-    if events and events[-1].timestamp > horizon:
+    times = events.times
+    if not np.all(np.diff(times) >= 0):
+        raise ContractError("events must be sorted by time")
+    if times.size and times[-1] > horizon:
         raise ContractError("horizon must cover the last event timestamp")
 
     params = ConsensusParams.for_cluster(cluster)
     n_nodes = cluster.node_count
     n_windows = max(1, int(math.ceil(horizon / window_s - 1e-9)))
 
-    write_ts = np.array([e.timestamp for e in events if e.kind is TxKind.WRITE])
-    write_payload = np.array(
-        [e.payload_bytes for e in events if e.kind is TxKind.WRITE], dtype=np.int64)
-    read_ts = np.array([e.timestamp for e in events if e.kind is TxKind.READ])
+    write_ts = times[events.is_write]
+    write_payload = events.payload_bytes[events.is_write]
+    read_ts = times[~events.is_write]
 
     committed_count = np.zeros(n_windows)
     committed_latency_sum = np.zeros(n_windows)
@@ -286,13 +247,13 @@ def run(cluster: ClusterConfig, events: Sequence[TxEvent], horizon: float,
         in_run = completions <= horizon
         done = completions[in_run]
         widx = np.minimum((done / window_s).astype(np.int64), n_windows - 1)
-        np.add.at(served_count, widx, 1.0)
-        np.add.at(served_latency_sum, widx, (done - read_ts[in_run]) * 1000.0)
-        for node in range(n_nodes):
-            mask = in_run & (assignment == node)
-            if mask.any():
-                nw = np.minimum((completions[mask] / window_s).astype(np.int64), n_windows - 1)
-                np.add.at(work_us[node], nw, cluster.read_service_us)
+        # bincount adds each bin's weights in array order, one at a time
+        served_count += np.bincount(widx, minlength=n_windows)
+        served_latency_sum += np.bincount(widx, weights=(done - read_ts[in_run]) * 1000.0,
+                                          minlength=n_windows)
+        work_us += np.bincount(assignment[in_run] * n_windows + widx,
+                               weights=np.full(widx.size, cluster.read_service_us),
+                               minlength=n_nodes * n_windows).reshape(n_nodes, n_windows)
         served_reads = int(in_run.sum())
         read_completions = completions if keep_detail else None
     else:

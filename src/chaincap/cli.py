@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,6 +50,7 @@ from .errors import (
     SchemaError,
 )
 from .scenarios import (
+    DEFAULT_WRITE_PAYLOAD_BYTES,
     ScenarioId,
     builtin_scenarios,
     load_scenarios,
@@ -138,6 +140,17 @@ def _resolve_out(args) -> Path:
     return Path(out)
 
 
+def _parse_list(raw: str | None, conv, flag: str) -> list:
+    """A comma-separated option value as a list of ``conv`` values."""
+    if not raw:
+        return []
+    try:
+        return [conv(v) for v in raw.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} must be comma-separated {conv.__name__} values, "
+                         f"got {raw!r}") from None
+
+
 def _parse_scenario_id(raw: str) -> ScenarioId:
     try:
         return ScenarioId(raw)
@@ -211,15 +224,11 @@ def cmd_simulate(args) -> int:
     arrival_kind = ArrivalKind(args.arrival)
     if args.rate < 0:
         raise DomainError(f"--lambda must be >= 0, got {args.rate}")
-    if args.rate > 0:
-        process = ArrivalProcess(kind=arrival_kind, rate=args.rate, seed=args.seed)
-        events = generate_events(process, kind, args.duration,
-                                 payload_bytes=256 if kind is TxKind.WRITE else 0,
-                                 scenario_tag="cli")
-    else:
-        events = []
-    timeline = run(cluster, events, horizon=args.duration, seed=args.seed,
-                   window_s=args.window)
+    process = ArrivalProcess(kind=arrival_kind, rate=args.rate, seed=args.seed)
+    events = generate_events(
+        process, kind, args.duration,
+        payload_bytes=DEFAULT_WRITE_PAYLOAD_BYTES if kind is TxKind.WRITE else 0)
+    timeline = run(cluster, events, horizon=args.duration, window_s=args.window)
     import io
 
     buf = io.StringIO()
@@ -235,11 +244,7 @@ def cmd_simulate(args) -> int:
 # --- capacity --------------------------------------------------------------
 
 def cmd_capacity(args) -> int:
-    node_counts = [int(v) for v in args.nodes.split(",")] if args.nodes else None
-    if node_counts:
-        for n in node_counts:
-            if n < 4:
-                raise ConfigError(f"node counts must be >= 4 (BFT minimum), got {n}")
+    node_counts = _parse_list(args.nodes, int, "--nodes")
     manifest = None
     if args.out or os.environ.get("CHAINCAP_OUT"):
         manifest = OutputDir(_resolve_out(args),
@@ -247,27 +252,15 @@ def cmd_capacity(args) -> int:
                              seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     kinds = [TxKind.READ, TxKind.WRITE] if args.kind == "both" else [TxKind(args.kind)]
-
-    def search(cluster_n, node_count) -> CapacityProfile:
-        read_max = math.inf
-        write_max = math.inf
-        for kind in kinds:
-            lam = find_max_lambda(cluster_n, kind, ArrivalKind(args.arrival),
-                                  tolerance=args.tolerance, duration_s=args.duration,
-                                  base_seed=args.seed, start=args.start)
-            if kind is TxKind.READ:
-                read_max = lam
-            else:
-                write_max = lam
-        return CapacityProfile(node_count=node_count, max_lambda_read=read_max,
-                               max_lambda_write=write_max,
-                               search_tolerance=args.tolerance)
-
-    if node_counts:
-        profiles = [search(default_cluster(n) if not args.cluster else
-                           _rescope(cluster, n), n) for n in sorted(node_counts)]
-    else:
-        profiles = [search(cluster, cluster.node_count)]
+    sweeps = [sweep_nodes(cluster, node_counts or [cluster.node_count], kind,
+                          ArrivalKind(args.arrival), tolerance=args.tolerance,
+                          duration_s=args.duration, base_seed=args.seed, start=args.start)
+              for kind in kinds]
+    # each sweep leaves the axis it did not search at inf
+    profiles = [replace(same_n[0],
+                        max_lambda_read=min(p.max_lambda_read for p in same_n),
+                        max_lambda_write=min(p.max_lambda_write for p in same_n))
+                for same_n in zip(*sweeps)]
 
     csv_lines = ["node_count,max_lambda_read,max_lambda_write,search_tolerance"]
     for p in profiles:
@@ -289,14 +282,6 @@ def cmd_capacity(args) -> int:
     return 0
 
 
-def _rescope(cluster, node_count):
-    from dataclasses import replace
-
-    rescoped = replace(cluster, node_count=node_count)
-    rescoped.validate()
-    return rescoped
-
-
 # --- campaign --------------------------------------------------------------
 
 def cmd_campaign(args) -> int:
@@ -304,7 +289,7 @@ def cmd_campaign(args) -> int:
     manifest = OutputDir(out, sys.argv[1:] if args.argv is None else args.argv,
                          seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
-    rates = tuple(float(v) for v in args.rates.split(",")) if args.rates else ()
+    rates = tuple(_parse_list(args.rates, float, "--rates"))
     trials = PAPER_TRIALS if args.paper else args.trials
     duration = PAPER_DURATION_S if args.paper else args.duration
     spec = CampaignSpec(cluster=cluster, kind=TxKind(args.kind), rates=rates,

@@ -1,22 +1,42 @@
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chaincap.arrival import ArrivalKind, ArrivalProcess, TxEvent, TxKind, generate_events
+from chaincap.arrival import ArrivalKind, ArrivalProcess, EventStream, TxKind, generate_events
 from chaincap.chainsim import (
     ClusterConfig,
     ConsensusParams,
-    ReadServer,
     consensus_round_latency,
     cpu_utilization,
     default_cluster,
     load_cluster,
     run,
-    serve_read,
 )
 from chaincap.errors import ConfigError, ContractError, SchemaError
+
+
+class ReadServer:
+    """Scalar oracle: FIFO read queues, one per node, constant service time."""
+
+    def __init__(self, cluster: ClusterConfig):
+        self._service_s = cluster.read_service_us * 1e-6
+        self._busy_until = [0.0] * cluster.node_count
+
+    def serve_read(self, node_id: int, arrival_s: float) -> float:
+        """Queue one read at a node; returns its completion time in seconds."""
+        done = max(arrival_s, self._busy_until[node_id]) + self._service_s
+        self._busy_until[node_id] = done
+        return done
+
+
+def stream(times, write=True, payload=0):
+    """A hand-made single-kind event stream."""
+    times = np.asarray(times, dtype=np.float64)
+    return EventStream(times=times, is_write=np.full(times.size, write),
+                       payload_bytes=np.full(times.size, payload, dtype=np.int64))
 
 
 def det_writes(rate, horizon, payload=256):
@@ -67,6 +87,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             cluster.validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("knob", ["block_interval_ms", "node_cpu_capacity", "rtt_matrix_ms"])
+    def test_non_finite_knob_rejected(self, knob, bad):
+        if knob == "rtt_matrix_ms":
+            matrix = [[0.0 if i == j else 30.0 for j in range(4)] for i in range(4)]
+            matrix[0][1] = bad
+            value = tuple(map(tuple, matrix))
+            section = "[cluster]\nnode_count = 4\n[rtt_matrix]\n" + "".join(
+                f"node{i} = {','.join(map(str, row))}\n" for i, row in enumerate(matrix))
+        else:
+            value = bad
+            section = f"[cluster]\n{knob} = {bad}\n"
+        with pytest.raises(ConfigError, match=knob):
+            replace(default_cluster(), **{knob: value}).validate()
+        with pytest.raises(ConfigError, match=knob):
+            load_cluster("[config]\nschema_version = 1\n" + section)
+
     def test_rtt_matrix_round_latency(self):
         n = 4
         matrix = tuple(tuple(0.0 if i == j else 10.0 * max(i, j) for j in range(n))
@@ -81,7 +118,7 @@ class TestConfigValidation:
 class TestRunBasics:
     def test_empty_stream(self):
         cluster = default_cluster()
-        tl = run(cluster, [], horizon=10.0)
+        tl = run(cluster, stream([]), horizon=10.0)
         assert tl.committed_write_tps.sum() == 0
         assert tl.served_read_tps.sum() == 0
         assert tl.arrived_writes == tl.committed_writes == 0
@@ -94,8 +131,7 @@ class TestRunBasics:
 
     def test_single_write_first_block(self):
         cluster = default_cluster()
-        ev = [TxEvent(timestamp=0.0, kind=TxKind.WRITE, payload_bytes=256, seq=0)]
-        tl = run(cluster, ev, horizon=5.0, keep_detail=True)
+        tl = run(cluster, stream([0.0], payload=256), horizon=5.0, keep_detail=True)
         assert tl.committed_writes == 1
         latency = float(tl.write_latencies_ms[0])
         assert latency >= cluster.block_interval_ms / 2
@@ -112,7 +148,7 @@ class TestRunBasics:
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 1200.0, 11),
                                  TxKind.WRITE, 30.0, payload_bytes=256)
         tl = run(cluster, events, horizon=30.0)
-        ts = np.array([e.timestamp for e in events])
+        ts = events.times
         committed = np.cumsum(tl.committed_write_tps * tl.window_s)
         for w in range(tl.n_windows):
             boundary = (w + 1) * tl.window_s
@@ -124,27 +160,24 @@ class TestRunBasics:
         cluster = default_cluster()
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 800.0, 3),
                                  TxKind.WRITE, 20.0, payload_bytes=256)
-        a = run(cluster, events, horizon=20.0, seed=5)
-        b = run(cluster, events, horizon=20.0, seed=5)
+        a = run(cluster, events, horizon=20.0)
+        b = run(cluster, events, horizon=20.0)
         buf_a, buf_b = io.StringIO(), io.StringIO()
         a.to_csv(buf_a)
         b.to_csv(buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_unsorted_events_rejected(self):
-        ev = [TxEvent(timestamp=1.0, kind=TxKind.WRITE, seq=0),
-              TxEvent(timestamp=0.5, kind=TxKind.WRITE, seq=1)]
         with pytest.raises(ContractError):
-            run(default_cluster(), ev, horizon=5.0)
+            run(default_cluster(), stream([1.0, 0.5]), horizon=5.0)
 
     def test_horizon_must_cover_events(self):
-        ev = [TxEvent(timestamp=9.0, kind=TxKind.WRITE, seq=0)]
         with pytest.raises(ContractError):
-            run(default_cluster(), ev, horizon=5.0)
+            run(default_cluster(), stream([9.0]), horizon=5.0)
 
     def test_invalid_config_fails_before_simulation(self):
         with pytest.raises(ConfigError):
-            run(replace(default_cluster(), node_count=2), [], horizon=5.0)
+            run(replace(default_cluster(), node_count=2), stream([]), horizon=5.0)
 
     def test_ledger_identity(self):
         cluster = default_cluster()
@@ -184,10 +217,8 @@ class TestReads:
     def test_serve_read_fifo(self):
         cluster = default_cluster()
         server = ReadServer(cluster)
-        e1 = TxEvent(timestamp=0.0, kind=TxKind.READ, seq=0)
-        e2 = TxEvent(timestamp=0.0, kind=TxKind.READ, seq=1)
-        first = serve_read(cluster, 0, e1, server)
-        second = serve_read(cluster, 0, e2, server)
+        first = server.serve_read(0, 0.0)
+        second = server.serve_read(0, 0.0)
         assert second == pytest.approx(first + cluster.read_service_us * 1e-6)
 
     def test_multi_node_scales_read_throughput(self):
@@ -209,8 +240,27 @@ class TestReads:
                       keep_detail=True)
         assert np.array_equal(with_blocks.read_completions_s, without.read_completions_s)
 
+    def test_merged_stream_splits_by_kind(self):
+        cluster = default_cluster()
+        writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, 800.0, 4),
+                                 TxKind.WRITE, 15.0, payload_bytes=256)
+        reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 4000.0, 5),
+                                TxKind.READ, 15.0)
+        order = np.argsort(np.concatenate([writes.times, reads.times]), kind="stable")
+        merged = EventStream(
+            *(np.concatenate([getattr(writes, c), getattr(reads, c)])[order]
+              for c in ("times", "is_write", "payload_bytes")))
+        both = run(cluster, merged, horizon=15.0)
+        write_only = run(cluster, writes, horizon=15.0)
+        read_only = run(cluster, reads, horizon=15.0)
+        assert np.array_equal(both.committed_write_tps, write_only.committed_write_tps)
+        assert np.array_equal(both.ledger_bytes, write_only.ledger_bytes)
+        assert np.array_equal(both.served_read_tps, read_only.served_read_tps)
+        assert np.array_equal(both.mean_read_latency_ms, read_only.mean_read_latency_ms)
+        assert (both.arrived_writes, both.arrived_reads) == (len(writes), len(reads))
+
     def test_zero_reads(self):
-        tl = run(default_cluster(), [], horizon=5.0)
+        tl = run(default_cluster(), stream([]), horizon=5.0)
         assert tl.served_reads == 0
         assert tl.served_read_tps.sum() == 0
 
@@ -220,9 +270,7 @@ class TestReads:
         arrivals = np.sort(rng.random(500) * 5.0)
         server = ReadServer(cluster)
         scalar = [server.serve_read(0, float(t)) for t in arrivals]
-        events = [TxEvent(timestamp=float(t), kind=TxKind.READ, seq=i)
-                  for i, t in enumerate(arrivals)]
-        tl = run(cluster, events, horizon=10.0, keep_detail=True)
+        tl = run(cluster, stream(arrivals, write=False), horizon=10.0, keep_detail=True)
         assert np.allclose(tl.read_completions_s, scalar, rtol=0, atol=1e-9)
 
 

@@ -90,6 +90,11 @@ class TestCapacityCommand:
         assert main(["capacity", "--kind", "write", "--nodes", "3"]) == 2
         assert "4" in capsys.readouterr().err
 
+    def test_malformed_nodes_exit_2(self, capsys):
+        assert main(["capacity", "--kind", "write", "--nodes", "4,x"]) == 2
+        err = capsys.readouterr().err
+        assert "--nodes" in err and len(err.strip().split("\n")) == 1
+
     def test_write_search_prints_json(self, capsys, small_cluster_file):
         assert main(["capacity", "--kind", "write", "--cluster",
                      str(small_cluster_file), "--duration", "20",
@@ -158,6 +163,12 @@ class TestCampaignCommand:
                      str(small_cluster_file), "--trials", "1", "--duration", "20",
                      "--out", str(tmp_path / "c")]) == 0
         assert "vacuous" in capsys.readouterr().err
+
+    def test_malformed_rates_exit_2(self, tmp_path, capsys):
+        assert main(["campaign", "--kind", "write", "--rates", "1,abc",
+                     "--out", str(tmp_path / "c")]) == 2
+        err = capsys.readouterr().err
+        assert "--rates" in err and len(err.strip().split("\n")) == 1
 
 
 @pytest.fixture
