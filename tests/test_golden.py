@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from chaincap.cli import main
+from chaincap.cli import PAPER_CAPACITY_PATH, main
 
 CASES = {
     "simulate-write-poisson": (
@@ -39,6 +39,17 @@ CASES = {
     "capacity-both-nodes": (
         ["capacity", "--kind", "both", "--nodes", "4,5", "--duration", "20", "--seed", "0"],
         "fab53fe61a622ea92999fbcd1aa931517838f4528610209809189be0f8f9ac4d"),
+    "assess-all": (
+        ["assess", "--scenario", "all", "--capacity", str(PAPER_CAPACITY_PATH)],
+        "b3ef252f23cff76b85caa8cfe572260221944d948575b16c67b30f3c1e156cd3"),
+    "assess-explicit-eta": (
+        ["assess", "--scenario", "resource_sharing", "--eta", "50",
+         "--capacity", str(PAPER_CAPACITY_PATH)],
+        "02df43ae1682f1d762d936dc62ec14cd910afeab19262e21a69ba7e8dcaa6f65"),
+    # zero demand: both headrooms are written as "inf"
+    "assess-zero-eta": (
+        ["assess", "--scenario", "aaa", "--eta", "0", "--capacity", str(PAPER_CAPACITY_PATH)],
+        "3e31b95e3930af5f1b80ec7914c283348693ec39e47615c823391e5fdba4c939"),
 }
 
 
