@@ -8,20 +8,21 @@ exponential bracketing plus bisection, and node-count sweeps.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import statistics
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .arrival import ArrivalKind, ArrivalProcess, TxKind, check_rate, generate_events
-from .chainsim import ClusterConfig, MetricsTimeline, run
-from .errors import CalibrationError, ContractError, DomainError
+from .chainsim import ClusterConfig, run
+from .errors import CalibrationError, DomainError, InputError
 from .scenarios import DEFAULT_WRITE_PAYLOAD_BYTES
 
-DEFAULT_STEADY_TOLERANCE = 0.02   # relative; the source experiments report none
-DEFAULT_WARMUP_FRACTION = 0.1
+# trial policy: every trial uses 1 s metric windows, drops the first 10% of
+# them as warm-up, and is steady when throughput is within 2% of the offered
+# rate (relative; the source experiments report no tolerance)
+WINDOW_S = 1.0
+WARMUP_FRACTION = 0.1
+STEADY_TOLERANCE = 0.02
 DEFAULT_SEARCH_TOLERANCE = 0.01
 
 # full-protocol experiment shape: 5 trials of 10 minutes each
@@ -43,14 +44,11 @@ class CampaignSpec:
     trials: int = PAPER_TRIALS
     duration_s: float = PAPER_DURATION_S
     base_seed: int = 0
-    window_s: float = 1.0
-    warmup_fraction: float = DEFAULT_WARMUP_FRACTION
-    steady_tolerance: float = DEFAULT_STEADY_TOLERANCE
 
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.duration_s < 10 * self.window_s:
+        if self.duration_s < 10 * WINDOW_S:
             raise DomainError("duration_s must cover at least 10 windows")
         for r in self.rates:
             check_rate(r, "rate")
@@ -116,36 +114,37 @@ class CapacityProfile:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CapacityProfile":
+        if not isinstance(doc, dict):
+            raise InputError(f"a capacity profile must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema_version") != 1:
             raise DomainError(f"unsupported capacity schema_version {doc.get('schema_version')!r}")
         read = doc.get("max_lambda_read")
         write = doc.get("max_lambda_write")
-        profile = cls(
-            node_count=int(doc["node_count"]),
-            max_lambda_read=float(read) if read is not None else math.inf,
-            max_lambda_write=float(write) if write is not None else math.inf,
-            search_tolerance=float(doc.get("search_tolerance", 0.0)),
-            source=str(doc.get("source", "file")),
-        )
+        try:
+            profile = cls(
+                node_count=int(doc["node_count"]),
+                max_lambda_read=float(read) if read is not None else math.inf,
+                max_lambda_write=float(write) if write is not None else math.inf,
+                search_tolerance=float(doc.get("search_tolerance", 0.0)),
+                source=str(doc.get("source", "file")),
+            )
+        except KeyError as exc:
+            raise InputError(f"capacity profile lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed capacity profile: {exc}") from None
         profile.validate()
         return profile
 
 
-def detect_steady_state(lambda_offered: float, mean_tps: float,
-                        tolerance: float = DEFAULT_STEADY_TOLERANCE) -> bool:
-    """Steady iff throughput matches the offered rate within tolerance."""
+def detect_steady_state(lambda_offered: float, mean_tps: float) -> bool:
+    """Steady iff throughput matches the offered rate within STEADY_TOLERANCE."""
     if lambda_offered <= 0:
         raise DomainError(f"lambda_offered must be > 0, got {lambda_offered}")
-    if not 0 < tolerance <= 0.1:
-        raise DomainError(f"steady tolerance must be in (0, 0.1], got {tolerance}")
-    return abs(mean_tps - lambda_offered) <= tolerance * lambda_offered
+    return abs(mean_tps - lambda_offered) <= STEADY_TOLERANCE * lambda_offered
 
 
 def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
-              lam: float, duration_s: float, seed: int,
-              window_s: float = 1.0,
-              warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-              steady_tolerance: float = DEFAULT_STEADY_TOLERANCE) -> TrialSummary:
+              lam: float, duration_s: float, seed: int) -> TrialSummary:
     """One simulation at one offered rate; means exclude the warm-up prefix."""
     check_rate(lam, "lambda")
     if lam <= 0:
@@ -153,8 +152,8 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
     payload = DEFAULT_WRITE_PAYLOAD_BYTES if kind is TxKind.WRITE else 0
     process = ArrivalProcess(kind=arrival_kind, rate=lam, seed=seed)
     events = generate_events(process, kind, duration_s, payload_bytes=payload)
-    timeline = run(cluster, events, horizon=duration_s, window_s=window_s)
-    skip = int(timeline.n_windows * warmup_fraction)
+    timeline = run(cluster, events, horizon=duration_s, window_s=WINDOW_S)
+    skip = int(timeline.n_windows * WARMUP_FRACTION)
     if kind is TxKind.WRITE:
         mean_tps = timeline.mean_committed_write_tps(skip)
         lat = timeline.mean_write_latency_ms[skip:]
@@ -171,7 +170,7 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
         mean_tps=mean_tps,
         mean_latency_ms=mean_latency,
         mean_cpu=mean_cpu,
-        steady=detect_steady_state(lam, mean_tps, steady_tolerance),
+        steady=detect_steady_state(lam, mean_tps),
         seed=seed,
     )
 
@@ -184,11 +183,8 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         rate_trials = []
         for i in range(spec.trials):
             try:
-                summary = run_trial(
-                    spec.cluster, spec.kind, spec.arrival_kind, rate,
-                    spec.duration_s, seed=spec.base_seed + i,
-                    window_s=spec.window_s, warmup_fraction=spec.warmup_fraction,
-                    steady_tolerance=spec.steady_tolerance)
+                summary = run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
+                                    spec.duration_s, seed=spec.base_seed + i)
             except Exception as exc:
                 raise CalibrationError(
                     f"trial failed at rate={rate} trial={i}: {exc}") from exc
@@ -214,8 +210,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                     tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                     duration_s: float = DESK_DURATION_S,
                     base_seed: int = 0,
-                    start: float = 100.0,
-                    steady_tolerance: float = DEFAULT_STEADY_TOLERANCE) -> float:
+                    start: float = 100.0) -> float:
     """Largest steady arrival rate, by exponential bracketing then bisection.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
@@ -227,9 +222,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     cluster.validate()
 
     def steady(lam: float) -> bool:
-        summary = run_trial(cluster, kind, arrival_kind, lam, duration_s,
-                            seed=base_seed, steady_tolerance=steady_tolerance)
-        return summary.steady
+        return run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed).steady
 
     lo = check_rate(start, "start")
     if lo <= 0:
@@ -251,29 +244,31 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     return lo
 
 
-def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int], kind: TxKind,
+def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
+                kinds: tuple[TxKind, ...],
                 arrival_kind: ArrivalKind = ArrivalKind.POISSON,
                 tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                 duration_s: float = DESK_DURATION_S,
                 base_seed: int = 0,
                 start: float = 100.0) -> list[CapacityProfile]:
-    """Run the capacity search per node count; output ordered by node count."""
+    """Run the capacity search per node count and kind, ordered by node count.
+
+    The axis of a kind not in ``kinds`` is left at inf.
+    """
     for n in node_counts:
         if n < 4:
             raise DomainError(f"node counts must be >= 4 (BFT minimum), got {n}")
     profiles = []
     for n in sorted(node_counts):
         cluster = replace(base_cluster, node_count=n)
-        lam = find_max_lambda(cluster, kind, arrival_kind, tolerance=tolerance,
-                              duration_s=duration_s, base_seed=base_seed, start=start)
-        if kind is TxKind.WRITE:
-            profiles.append(CapacityProfile(node_count=n, max_lambda_read=math.inf,
-                                            max_lambda_write=lam,
-                                            search_tolerance=tolerance))
-        else:
-            profiles.append(CapacityProfile(node_count=n, max_lambda_read=lam,
-                                            max_lambda_write=math.inf,
-                                            search_tolerance=tolerance))
+        found = {kind: find_max_lambda(cluster, kind, arrival_kind, tolerance=tolerance,
+                                       duration_s=duration_s, base_seed=base_seed,
+                                       start=start)
+                 for kind in kinds}
+        profiles.append(CapacityProfile(node_count=n,
+                                        max_lambda_read=found.get(TxKind.READ, math.inf),
+                                        max_lambda_write=found.get(TxKind.WRITE, math.inf),
+                                        search_tolerance=tolerance))
     return profiles
 
 
@@ -302,7 +297,7 @@ def campaign_json_dict(result: CampaignResult) -> dict:
         "trials": spec.trials,
         "duration_s": spec.duration_s,
         "base_seed": spec.base_seed,
-        "steady_tolerance": spec.steady_tolerance,
+        "steady_tolerance": STEADY_TOLERANCE,
         "aggregates": [
             {
                 "lambda_offered": a.lambda_offered,

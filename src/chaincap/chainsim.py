@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -50,7 +50,6 @@ class ClusterConfig:
     msg_proc_us: float = 2000.0               # per consensus message
     pool_scan_cost_us_per_tx: float = 20.0    # proposer backlog penalty
     node_cpu_capacity: float = 2_000_000.0    # work units (us) per second per node
-    node_mem_bytes: int = 17_179_869_184
     empty_block_bytes: int = 1024
     read_mode: str = "multi"                  # "multi" or "single"
 
@@ -68,8 +67,8 @@ class ClusterConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.node_mem_bytes < 0 or self.empty_block_bytes < 0:
-            raise ConfigError("memory and block overhead sizes must be >= 0")
+        if self.empty_block_bytes < 0:
+            raise ConfigError(f"empty_block_bytes must be >= 0, got {self.empty_block_bytes}")
         if self.read_mode not in ("multi", "single"):
             raise ConfigError(f"read_mode must be 'multi' or 'single', got {self.read_mode!r}")
         if self.rtt_matrix_ms is not None:
@@ -362,7 +361,7 @@ _CLUSTER_KEYS = {
     "msg_proc_us": float,
     "pool_scan_cost_us_per_tx": float,
     "node_cpu_capacity": float,
-    "node_mem_bytes": int,
+    "node_mem_bytes": int,        # schema-1 key; checked as an int, then discarded
     "empty_block_bytes": int,
     "read_mode": str,
 }
@@ -395,6 +394,7 @@ def load_cluster(document: str) -> ClusterConfig:
             kwargs[key] = conv(raw) if conv is not str else raw.strip()
         except ValueError:
             raise SchemaError(f"[cluster] {key}: expected {conv.__name__}, got {raw!r}") from None
+    kwargs.pop("node_mem_bytes", None)
 
     if "rtt_matrix" in sections:
         n = kwargs.get("node_count", ClusterConfig.node_count)

@@ -14,17 +14,17 @@ from __future__ import annotations
 import argparse
 import difflib
 import hashlib
+import io
 import json
 import math
 import os
 import sys
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
-from .assess import assess, methodology_report, render_report_text, resolve_eta
+from .assess import methodology_report, render_report_text
 from .bench import (
     CampaignSpec,
     CapacityProfile,
@@ -33,7 +33,7 @@ from .bench import (
     PAPER_DURATION_S,
     PAPER_TRIALS,
     campaign_json_dict,
-    find_max_lambda,
+    find_max_lambda,  # unused here; perfbench/spans.py patches this name
     run_campaign,
     sweep_nodes,
     write_campaign_csv,
@@ -54,7 +54,7 @@ from .scenarios import (
     ScenarioId,
     builtin_scenarios,
     load_scenarios,
-    workload_for,
+    scenario_by_id,
 )
 
 PAPER_CAPACITY_PATH = Path(__file__).parent / "data" / "paper.json"
@@ -71,11 +71,14 @@ def _utc_now() -> str:
 
 
 class OutputDir:
-    """Collects produced files and writes the run manifest on close."""
+    """Collects produced files and writes the run manifest on close.
+
+    The directory is created by the first write, so a command that fails
+    before writing anything leaves no directory behind.
+    """
 
     def __init__(self, out_dir: Path, argv: list[str], seeds: dict):
         self.dir = out_dir
-        self.dir.mkdir(parents=True, exist_ok=True)
         self.argv = argv
         self.seeds = seeds
         self.inputs: dict[str, str] = {}
@@ -85,8 +88,12 @@ class OutputDir:
     def record_input(self, path: Path) -> None:
         self.inputs[str(path)] = _sha256(path)
 
+    def _create(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / name
+
     def write_text(self, name: str, text: str) -> Path:
-        path = self.dir / name
+        path = self._create(name)
         path.write_text(text)
         self.outputs.append(name)
         return path
@@ -106,38 +113,44 @@ class OutputDir:
             "started_utc": self.started,
             "finished_utc": _utc_now(),
         }
-        (self.dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        self._create("manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 # --- shared option handling ------------------------------------------------
 
+def _read_input(path: str, what: str, manifest: OutputDir | None) -> str:
+    """The text of an input file, recorded in the manifest when there is one."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"{what} not found: {path}")
+    if manifest:
+        manifest.record_input(path)
+    return path.read_text()
+
+
 def _load_cluster_arg(args, manifest: OutputDir | None = None):
     if getattr(args, "cluster", None):
-        path = Path(args.cluster)
-        if not path.is_file():
-            raise InputError(f"cluster profile not found: {path}")
-        if manifest:
-            manifest.record_input(path)
-        return load_cluster(path.read_text())
+        return load_cluster(_read_input(args.cluster, "cluster profile", manifest))
     return default_cluster()
 
 
 def _load_catalog_arg(args, manifest: OutputDir | None = None):
     if getattr(args, "overrides", None):
-        path = Path(args.overrides)
-        if not path.is_file():
-            raise InputError(f"scenario override file not found: {path}")
-        if manifest:
-            manifest.record_input(path)
-        return load_scenarios(path.read_text())
+        return load_scenarios(_read_input(args.overrides, "scenario override file", manifest))
     return builtin_scenarios()
 
 
-def _resolve_out(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("CHAINCAP_OUT")
-    if not out:
+def _output_dir(args, seeds: dict) -> OutputDir | None:
+    """The OutputDir named by --out or CHAINCAP_OUT, or None if neither is set."""
+    out = args.out or os.environ.get("CHAINCAP_OUT")
+    return OutputDir(Path(out), args.argv, seeds) if out else None
+
+
+def _required_output_dir(args, seeds: dict) -> OutputDir:
+    manifest = _output_dir(args, seeds)
+    if manifest is None:
         raise InputError("an output directory is required (--out or CHAINCAP_OUT)")
-    return Path(out)
+    return manifest
 
 
 def _parse_list(raw: str | None, conv, flag: str) -> list:
@@ -195,8 +208,7 @@ def cmd_scenarios(args) -> int:
                 print(f"{s.id.value:<22} {s.reads_per_event:>8} {s.writes_per_event:>9} "
                       f"{eta:>10}  {', '.join(uc.name for uc in s.use_cases)}")
         return 0
-    sid = _parse_scenario_id(args.id)
-    spec = next(s for s in catalog if s.id is sid)
+    spec = scenario_by_id(_parse_scenario_id(args.id), catalog)
     if args.json:
         print(json.dumps(_scenario_dict(spec), indent=2))
     else:
@@ -216,9 +228,7 @@ def cmd_scenarios(args) -> int:
 # --- simulate --------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    out = _resolve_out(args)
-    manifest = OutputDir(out, sys.argv[1:] if args.argv is None else args.argv,
-                         seeds={"seed": args.seed})
+    manifest = _required_output_dir(args, seeds={"seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     kind = TxKind(args.kind)
     arrival_kind = ArrivalKind(args.arrival)
@@ -229,13 +239,11 @@ def cmd_simulate(args) -> int:
         process, kind, args.duration,
         payload_bytes=DEFAULT_WRITE_PAYLOAD_BYTES if kind is TxKind.WRITE else 0)
     timeline = run(cluster, events, horizon=args.duration, window_s=args.window)
-    import io
-
     buf = io.StringIO()
     timeline.to_csv(buf)
-    manifest.write_text("timeline.csv", buf.getvalue())
+    path = manifest.write_text("timeline.csv", buf.getvalue())
     manifest.finish()
-    print(f"wrote {out / 'timeline.csv'} "
+    print(f"wrote {path} "
           f"({timeline.committed_writes} writes committed, "
           f"{timeline.served_reads} reads served)")
     return 0
@@ -245,22 +253,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_capacity(args) -> int:
     node_counts = _parse_list(args.nodes, int, "--nodes")
-    manifest = None
-    if args.out or os.environ.get("CHAINCAP_OUT"):
-        manifest = OutputDir(_resolve_out(args),
-                             sys.argv[1:] if args.argv is None else args.argv,
-                             seeds={"base_seed": args.seed})
+    manifest = _output_dir(args, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
-    kinds = [TxKind.READ, TxKind.WRITE] if args.kind == "both" else [TxKind(args.kind)]
-    sweeps = [sweep_nodes(cluster, node_counts or [cluster.node_count], kind,
-                          ArrivalKind(args.arrival), tolerance=args.tolerance,
-                          duration_s=args.duration, base_seed=args.seed, start=args.start)
-              for kind in kinds]
-    # each sweep leaves the axis it did not search at inf
-    profiles = [replace(same_n[0],
-                        max_lambda_read=min(p.max_lambda_read for p in same_n),
-                        max_lambda_write=min(p.max_lambda_write for p in same_n))
-                for same_n in zip(*sweeps)]
+    if cluster.rtt_matrix_ms is not None and set(node_counts) - {cluster.node_count}:
+        raise InputError(f"--nodes {args.nodes} cannot rescope the profile's "
+                         f"{cluster.node_count}x{cluster.node_count} [rtt_matrix]; "
+                         "give one profile per node count instead")
+    kinds = (TxKind.READ, TxKind.WRITE) if args.kind == "both" else (TxKind(args.kind),)
+    profiles = sweep_nodes(cluster, node_counts or [cluster.node_count], kinds,
+                           ArrivalKind(args.arrival), tolerance=args.tolerance,
+                           duration_s=args.duration, base_seed=args.seed, start=args.start)
 
     csv_lines = ["node_count,max_lambda_read,max_lambda_write,search_tolerance"]
     for p in profiles:
@@ -285,9 +287,7 @@ def cmd_capacity(args) -> int:
 # --- campaign --------------------------------------------------------------
 
 def cmd_campaign(args) -> int:
-    out = _resolve_out(args)
-    manifest = OutputDir(out, sys.argv[1:] if args.argv is None else args.argv,
-                         seeds={"base_seed": args.seed})
+    manifest = _required_output_dir(args, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     rates = tuple(_parse_list(args.rates, float, "--rates"))
     trials = PAPER_TRIALS if args.paper else args.trials
@@ -298,8 +298,6 @@ def cmd_campaign(args) -> int:
     result = run_campaign(spec)
     if not rates:
         print("warning: empty rate list, vacuous campaign", file=sys.stderr)
-    import io
-
     buf = io.StringIO()
     write_campaign_csv(result, buf)
     manifest.write_text("campaign.csv", buf.getvalue())
@@ -308,7 +306,7 @@ def cmd_campaign(args) -> int:
     write_plot_data_csv(result, buf)
     manifest.write_text(f"fig_{args.kind}_{cluster.node_count}nodes.csv", buf.getvalue())
     manifest.finish()
-    print(f"wrote campaign results to {out}")
+    print(f"wrote campaign results to {manifest.dir}")
     return 0
 
 
@@ -316,24 +314,20 @@ def cmd_campaign(args) -> int:
 
 def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
     if args.capacity:
-        path = Path(args.capacity)
-        if not path.is_file():
-            raise InputError(f"capacity file not found: {path}")
-        if manifest:
-            manifest.record_input(path)
-        return CapacityProfile.from_json_dict(json.loads(path.read_text()))
+        text = _read_input(args.capacity, "capacity file", manifest)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"capacity file {args.capacity} is not JSON: {exc}") from None
+        return CapacityProfile.from_json_dict(doc)
     # fall back to a simulator-driven search on the configured cluster
     cluster = _load_cluster_arg(args, manifest)
-    read_max = find_max_lambda(cluster, TxKind.READ, base_seed=args.seed)
-    write_max = find_max_lambda(cluster, TxKind.WRITE, base_seed=args.seed)
-    return CapacityProfile(node_count=cluster.node_count, max_lambda_read=read_max,
-                           max_lambda_write=write_max, search_tolerance=0.01)
+    return sweep_nodes(cluster, [cluster.node_count], (TxKind.READ, TxKind.WRITE),
+                       base_seed=args.seed)[0]
 
 
 def cmd_assess(args) -> int:
-    out = _resolve_out(args)
-    manifest = OutputDir(out, sys.argv[1:] if args.argv is None else args.argv,
-                         seeds={"base_seed": args.seed})
+    manifest = _required_output_dir(args, seeds={"base_seed": args.seed})
     catalog = _load_catalog_arg(args, manifest)
     capacity = _load_capacity(args, manifest)
 
@@ -346,26 +340,23 @@ def cmd_assess(args) -> int:
                 continue
             specs.append(spec)
     else:
-        sid = _parse_scenario_id(args.scenario)
-        specs = [next(s for s in catalog if s.id is sid)]
+        specs = [scenario_by_id(_parse_scenario_id(args.scenario), catalog)]
 
     summary_rows = ["scenario,use_case,lambda_read,lambda_write,read_ok,write_ok,"
                     "headroom_read,headroom_write"]
     for spec in specs:
-        eta = resolve_eta(spec, args.eta)
-        report = methodology_report(spec, eta, capacity)
+        report = methodology_report(spec, args.eta, capacity)
         manifest.write_json(f"verdict_{spec.id.value}.json", report)
         if args.text:
             print(render_report_text(report))
-        verdict = assess(workload_for(spec, eta), capacity)
-        hr = "inf" if math.isinf(verdict.headroom_read) else repr(verdict.headroom_read)
-        hw = "inf" if math.isinf(verdict.headroom_write) else repr(verdict.headroom_write)
+        # floats format as their repr; an infinite headroom is already "inf"
+        v = report["comparison"]
         summary_rows.append(
-            f"{spec.id.value},,{repr(verdict.lambda_read)},{repr(verdict.lambda_write)},"
-            f"{int(verdict.read_ok)},{int(verdict.write_ok)},{hr},{hw}")
-        label = "suitable" if verdict.suitable else "unsuitable"
+            f"{spec.id.value},,{v['lambda_read']},{v['lambda_write']},"
+            f"{int(v['read_ok'])},{int(v['write_ok'])},{v['headroom_read']},{v['headroom_write']}")
+        label = "suitable" if v["suitable"] else "unsuitable"
         print(f"{spec.id.value}: {label} "
-              f"(lambda_read={verdict.lambda_read}, lambda_write={verdict.lambda_write})")
+              f"(lambda_read={v['lambda_read']}, lambda_write={v['lambda_write']})")
     manifest.write_text("summary.csv", "\n".join(summary_rows) + "\n")
     manifest.finish()
     return 0
@@ -443,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.argv = argv
+    args.argv = sys.argv[1:] if argv is None else argv
     if args.command == "scenarios" and args.action == "show" and not args.id:
         parser.error("scenarios show requires an id")
     try:

@@ -55,7 +55,7 @@ def report(criterion: int, label: str, ok: bool) -> None:
 @pytest.fixture(scope="session")
 def write_capacity_sweep():
     # one search per node count, reused by criteria 3, 4, and 5
-    return sweep_nodes(default_cluster(), [4, 5, 6, 7], TxKind.WRITE,
+    return sweep_nodes(default_cluster(), [4, 5, 6, 7], (TxKind.WRITE,),
                        arrival_kind=ArrivalKind.DETERMINISTIC, duration_s=60.0,
                        start=100.0)
 

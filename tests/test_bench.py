@@ -24,19 +24,17 @@ def small_cluster():
 
 class TestDetectSteadyState:
     def test_exact_equality(self):
-        assert detect_steady_state(1000, 1000, 0.02)
+        assert detect_steady_state(1000, 1000)
 
     def test_seven_percent_gap(self):
-        assert not detect_steady_state(1500, 1400, 0.02)
+        assert not detect_steady_state(1500, 1400)
 
     def test_within_tolerance(self):
-        assert detect_steady_state(1000, 985, 0.02)
+        assert detect_steady_state(1000, 985)
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
-            detect_steady_state(0, 10, 0.02)
-        with pytest.raises(DomainError):
-            detect_steady_state(10, 10, 0.5)
+            detect_steady_state(0, 10)
 
 
 class TestRunTrial:
@@ -115,19 +113,20 @@ class TestSweepNodes:
     def test_singleton_matches_direct_search(self):
         direct = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0,
                                  start=100.0)
-        profiles = sweep_nodes(small_cluster(), [4], TxKind.WRITE,
+        profiles = sweep_nodes(small_cluster(), [4], (TxKind.WRITE,),
                                duration_s=20.0, start=100.0)
         assert len(profiles) == 1
         assert profiles[0].max_lambda_write == direct
+        assert profiles[0].max_lambda_read == math.inf
 
     def test_idempotence(self):
-        profiles = sweep_nodes(small_cluster(), [4, 4], TxKind.WRITE,
+        profiles = sweep_nodes(small_cluster(), [4, 4], (TxKind.WRITE,),
                                duration_s=20.0, start=100.0)
         assert profiles[0] == profiles[1]
 
     def test_rejects_small_clusters(self):
         with pytest.raises(DomainError):
-            sweep_nodes(small_cluster(), [3, 4], TxKind.WRITE)
+            sweep_nodes(small_cluster(), [3, 4], (TxKind.WRITE,))
 
 
 class TestPoissonVsDeterministic:

@@ -330,6 +330,13 @@ read_mode = single
         with pytest.raises(SchemaError):
             load_cluster("[cluster]\nnode_count = 4\n")
 
+    def test_node_mem_bytes_is_parsed_and_discarded(self):
+        # schema-1 profiles written before the key was dropped still load
+        doc = "[config]\nschema_version = 1\n\n[cluster]\nnode_mem_bytes = {}\n"
+        assert load_cluster(doc.format(17179869184)) == load_cluster(doc.format(1))
+        with pytest.raises(SchemaError, match="node_mem_bytes"):
+            load_cluster(doc.format("16GiB"))
+
     def test_timeline_csv_shape(self):
         tl = run(default_cluster(), det_writes(300.0, 10.0), horizon=10.0)
         buf = io.StringIO()

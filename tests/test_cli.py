@@ -95,6 +95,17 @@ class TestCapacityCommand:
         err = capsys.readouterr().err
         assert "--nodes" in err and len(err.strip().split("\n")) == 1
 
+    def test_nodes_with_rtt_matrix_rejected_before_search(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr("chaincap.cli.sweep_nodes", _no_search)
+        path = tmp_path / "matrix.ini"
+        path.write_text(RTT_MATRIX_PROFILE)
+        assert main(["capacity", "--kind", "write", "--cluster", str(path),
+                     "--nodes", "4,5"]) == 2
+        err = capsys.readouterr().err
+        assert "--nodes" in err and "[rtt_matrix]" in err
+        assert len(err.strip().split("\n")) == 1
+
     def test_write_search_prints_json(self, capsys, small_cluster_file):
         assert main(["capacity", "--kind", "write", "--cluster",
                      str(small_cluster_file), "--duration", "20",
@@ -138,6 +149,25 @@ class TestAssessCommand:
         summary = (out / "summary.csv").read_text().strip().split("\n")
         assert len(summary) == 3  # header + public_key_mgmt + aaa
 
+    @pytest.mark.parametrize("document", [
+        "{not json",
+        '{"schema_version": 1}',
+        "[1, 2]",
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": "abc", '
+        '"max_lambda_write": 1400}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": NaN, '
+        '"max_lambda_write": 1400}',
+    ])
+    def test_malformed_capacity_file_exits_2(self, tmp_path, capsys, document):
+        path = tmp_path / "capacity.json"
+        path.write_text(document)
+        out = tmp_path / "a"
+        assert main(["assess", "--scenario", "aaa", "--capacity", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().split("\n")) == 1
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH)]
         a, b = tmp_path / "a", tmp_path / "b"
@@ -169,6 +199,26 @@ class TestCampaignCommand:
                      "--out", str(tmp_path / "c")]) == 2
         err = capsys.readouterr().err
         assert "--rates" in err and len(err.strip().split("\n")) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--kind", "write", "--rates", "1,abc"],
+    ["simulate", "--kind", "write", "--lambda", "10", "--cluster", "no/such/cluster.ini"],
+    ["assess", "--scenario", "aaa", "--capacity", "no/such/capacity.json"],
+])
+def test_failed_command_leaves_no_output_dir(tmp_path, argv):
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+RTT_MATRIX_PROFILE = (
+    "[config]\nschema_version = 1\n\n[cluster]\nnode_count = 4\n\n[rtt_matrix]\n"
+    "node0 = 0,30,30,30\nnode1 = 30,0,30,30\nnode2 = 30,30,0,30\nnode3 = 30,30,30,0\n")
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the capacity search must not start")
 
 
 @pytest.fixture
