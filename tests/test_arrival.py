@@ -34,6 +34,54 @@ def sample_interarrival(rate: float, rng: np.random.Generator) -> float:
             return t
 
 
+def reference_generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
+    """Oracle of the Poisson stream: out-of-place deltas, running sum, masked cut."""
+    rate = process.rate
+    rng = process.rng()
+    mean = rate * horizon
+    chunk = max(1024, int(mean + 10.0 * math.sqrt(mean) + 64))
+    pieces, t = [], 0.0
+    while True:
+        times = t + np.cumsum(-np.log1p(-rng.random(chunk)) / rate)
+        if times[-1] > horizon:
+            pieces.append(times[times <= horizon])
+            return np.concatenate(pieces)
+        pieces.append(times)
+        t = float(times[-1])
+
+
+class ShrunkUniforms:
+    """Uniforms scaled towards 0, so one chunk of draws spans a short time."""
+
+    def __init__(self, seed: int, scale: float):
+        self._rng = np.random.Generator(np.random.Philox(key=seed))
+        self._scale = scale
+
+    def random(self, n: int) -> np.ndarray:
+        return self._rng.random(n) * self._scale
+
+
+class TestGenerateTimesMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    @pytest.mark.parametrize("horizon", [1.0, 7.3, 60.0])
+    @pytest.mark.parametrize("rate", [0.5, 3.0, 100.0, 1400.0, 25000.0])
+    def test_bit_identical(self, rate, horizon, seed):
+        process = ArrivalProcess(ArrivalKind.POISSON, rate, seed)
+        got = generate_times(process, horizon)
+        want = reference_generate_times(process, horizon)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_bit_identical_over_many_chunks(self, seed, monkeypatch):
+        monkeypatch.setattr(ArrivalProcess, "rng",
+                            lambda self: ShrunkUniforms(self.seed, 0.2))
+        process = ArrivalProcess(ArrivalKind.POISSON, 10.0, seed)
+        got = generate_times(process, 100.0)
+        assert got.size > 5 * 1380  # several chunks of mean + 10 sigma + 64 draws
+        assert np.array_equal(got, reference_generate_times(process, 100.0))
+
+
 class TestSampleInterarrival:
     def test_mean_at_rate_one(self):
         rng = np.random.Generator(np.random.Philox(key=1))

@@ -9,8 +9,9 @@ from chaincap.arrival import ArrivalKind, ArrivalProcess, EventStream, TxKind, g
 from chaincap.chainsim import (
     ClusterConfig,
     ConsensusParams,
+    MetricsTimeline,
+    _fifo_completions,
     consensus_round_latency,
-    cpu_utilization,
     default_cluster,
     load_cluster,
     run,
@@ -30,6 +31,120 @@ class ReadServer:
         done = max(arrival_s, self._busy_until[node_id]) + self._service_s
         self._busy_until[node_id] = done
         return done
+
+
+def cpu_utilization(work_us: float, node_cpu_capacity: float, window_s: float) -> float:
+    """Scalar oracle: fraction of one node's capacity used by ``work_us`` in a window."""
+    if window_s <= 0:
+        raise ContractError(f"window must be > 0, got {window_s}")
+    return min(1.0, work_us / (node_cpu_capacity * window_s * 1.0))
+
+
+def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
+                  window_s: float = 1.0, produce_blocks: bool = True) -> MetricsTimeline:
+    """Scalar oracle of ``run`` with ``keep_detail=True``: one round per loop pass.
+
+    Each block calls ``consensus_round_latency`` and adds its counts, latency
+    sum, bytes and cpu work into the window of its commit, in block order.
+    """
+    params = ConsensusParams.for_cluster(cluster)
+    n_nodes = cluster.node_count
+    n_windows = max(1, int(math.ceil(horizon / window_s - 1e-9)))
+    write_ts = events.times[events.is_write]
+    write_payload = events.payload_bytes[events.is_write]
+    read_ts = events.times[~events.is_write]
+
+    def window_of(t: float) -> int:
+        return min(n_windows - 1, int(t / window_s))
+
+    committed_count = np.zeros(n_windows)
+    committed_latency_sum = np.zeros(n_windows)
+    served_count = np.zeros(n_windows)
+    served_latency_sum = np.zeros(n_windows)
+    work_us = np.zeros((n_nodes, n_windows))
+
+    if cluster.read_mode == "single":
+        assignment = np.zeros(read_ts.size, dtype=np.int64)
+    else:
+        assignment = np.arange(read_ts.size, dtype=np.int64) % n_nodes
+    completions = np.empty(read_ts.size)
+    for node in range(n_nodes):
+        mask = assignment == node
+        completions[mask] = _fifo_completions(read_ts[mask], cluster.read_service_us * 1e-6)
+    served_reads = 0
+    for node, arrival, done in zip(assignment, read_ts, completions):
+        if done <= horizon:
+            w = window_of(done)
+            served_count[w] += 1
+            served_latency_sum[w] += (done - arrival) * 1000.0
+            work_us[node, w] += cluster.read_service_us
+            served_reads += 1
+
+    i_commit = blocks = proposer = 0
+    ledger: list[tuple[float, int]] = []    # (commit time, block bytes)
+    committed: list[tuple[float, int]] = []  # (commit time, committed total)
+    latencies = [np.empty(0)]
+    t_prop = cluster.block_interval_ms / 1000.0
+    while produce_blocks and t_prop <= horizon + 1e-12:
+        pool_depth = int(np.searchsorted(write_ts, t_prop, side="right")) - i_commit
+        fill = min(cluster.block_tx_capacity, pool_depth)
+        latency_ms = consensus_round_latency(cluster, params, fill, pool_depth, proposer)
+        t_commit = t_prop + latency_ms / 1000.0
+        if t_commit > horizon:
+            break
+        blocks += 1
+        ledger.append((t_commit, cluster.empty_block_bytes
+                       + int(write_payload[i_commit:i_commit + fill].sum())))
+        w = window_of(t_commit)
+        if fill:
+            lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
+            committed_count[w] += fill
+            committed_latency_sum[w] += float(lat.sum())
+            latencies.append(lat)
+            i_commit += fill
+        work_us[:, w] += cluster.write_exec_us * fill + cluster.msg_proc_us * 2 * n_nodes
+        work_us[proposer, w] += cluster.pool_scan_cost_us_per_tx * pool_depth
+        committed.append((t_commit, i_commit))
+        proposer = (proposer + 1) % n_nodes
+        t_prop = max(t_commit, t_prop + cluster.block_interval_ms / 1000.0)
+
+    def at_window_ends(points):
+        # the running total of the last point at or before each window end
+        series, total, k = [], 0, 0
+        for w in range(n_windows):
+            while k < len(points) and points[k][0] <= (w + 1) * window_s:
+                total = points[k][1]
+                k += 1
+            series.append(total)
+        return np.array(series, dtype=np.int64)
+
+    ledger_cum, running = [], 0
+    for t, size in ledger:
+        running += size
+        ledger_cum.append((t, running))
+    arrived_by = [int(np.searchsorted(write_ts, (w + 1) * window_s, side="right"))
+                  for w in range(n_windows)]
+    return MetricsTimeline(
+        window_s=window_s,
+        committed_write_tps=committed_count / window_s,
+        served_read_tps=served_count / window_s,
+        mean_write_latency_ms=np.array([s / c if c else 0.0 for s, c in
+                                        zip(committed_latency_sum, committed_count)]),
+        mean_read_latency_ms=np.array([s / c if c else 0.0 for s, c in
+                                       zip(served_latency_sum, served_count)]),
+        cpu_utilization=np.array([[cpu_utilization(work, cluster.node_cpu_capacity, window_s)
+                                   for work in row] for row in work_us]),
+        pool_depth=np.array(arrived_by, dtype=np.int64) - at_window_ends(committed),
+        ledger_bytes=at_window_ends(ledger_cum),
+        arrived_writes=int(write_ts.size),
+        committed_writes=i_commit,
+        pending_writes=int(write_ts.size) - i_commit,
+        arrived_reads=int(read_ts.size),
+        served_reads=served_reads,
+        blocks_produced=blocks,
+        read_completions_s=completions,
+        write_latencies_ms=np.concatenate(latencies),
+    )
 
 
 def stream(times, write=True, payload=0):
@@ -272,6 +387,72 @@ class TestReads:
         scalar = [server.serve_read(0, float(t)) for t in arrivals]
         tl = run(cluster, stream(arrivals, write=False), horizon=10.0, keep_detail=True)
         assert np.allclose(tl.read_completions_s, scalar, rtol=0, atol=1e-9)
+
+
+def asymmetric_cluster(n: int, capacity: int) -> ClusterConfig:
+    """Non-integer costs and a per-pair RTT matrix where a->b differs from b->a."""
+    matrix = tuple(tuple(0.0 if a == b else 7.3 + 3.1 * a + 11.7 * b + 0.37 * (a * b % 3)
+                         for b in range(n)) for a in range(n))
+    return ClusterConfig(node_count=n, rtt_matrix_ms=matrix, block_interval_ms=97.3,
+                         block_tx_capacity=capacity, write_exec_us=537.3,
+                         read_service_us=195.7, msg_proc_us=1987.61,
+                         pool_scan_cost_us_per_tx=19.73, node_cpu_capacity=1_999_999.7)
+
+
+def merged_stream(write_rate, read_rate, horizon, seed):
+    """Uniformly scattered writes with varied payloads, merged with reads."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n_writes, n_reads = int(write_rate * horizon), int(read_rate * horizon)
+    times = np.concatenate([rng.random(n_writes), rng.random(n_reads)]) * horizon
+    is_write = np.arange(times.size) < n_writes
+    payload = np.where(is_write, rng.integers(0, 2000, times.size), 0)
+    order = np.argsort(times, kind="stable")
+    return EventStream(times[order], is_write[order], payload[order].astype(np.int64))
+
+
+def assert_same_timeline(got: MetricsTimeline, want: MetricsTimeline) -> None:
+    for name in MetricsTimeline.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        else:
+            assert type(a) is type(b) and a == b, name
+
+
+class TestRunMatchesScalarReference:
+    """``run`` must reproduce the one-round-per-pass oracle bit for bit."""
+
+    @pytest.mark.parametrize("write_rate", [300.0, 1500.0])
+    @pytest.mark.parametrize("capacity", [1, 7, 700])
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_asymmetric_rtt_non_integer_costs(self, n, capacity, write_rate):
+        cluster = asymmetric_cluster(n, capacity)
+        events = merged_stream(write_rate, 900.0, 12.0, seed=n * capacity)
+        got = run(cluster, events, horizon=12.0, window_s=0.7, keep_detail=True)
+        assert_same_timeline(got, reference_run(cluster, events, 12.0, window_s=0.7))
+        assert got.blocks_produced > 0 and got.committed_writes > 0
+
+    def test_default_profile_poisson_writes(self):
+        cluster = default_cluster()
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 1400.0, 8),
+                                 TxKind.WRITE, 20.0, payload_bytes=256)
+        got = run(cluster, events, horizon=20.0, keep_detail=True)
+        assert_same_timeline(got, reference_run(cluster, events, 20.0))
+
+    @pytest.mark.parametrize("read_mode", ["multi", "single"])
+    def test_without_blocks(self, read_mode):
+        cluster = replace(asymmetric_cluster(4, 700), read_mode=read_mode)
+        events = merged_stream(500.0, 2000.0, 5.0, seed=1)
+        got = run(cluster, events, horizon=5.0, window_s=0.3, produce_blocks=False,
+                  keep_detail=True)
+        assert_same_timeline(got, reference_run(cluster, events, 5.0, window_s=0.3,
+                                                produce_blocks=False))
+
+    def test_empty_stream(self):
+        cluster = asymmetric_cluster(7, 7)
+        got = run(cluster, stream([]), horizon=3.3, window_s=0.7, keep_detail=True)
+        assert_same_timeline(got, reference_run(cluster, stream([]), 3.3, window_s=0.7))
 
 
 class TestCpuProxy:

@@ -14,6 +14,11 @@ import pytest
 
 from chaincap.cli import PAPER_CAPACITY_PATH, main
 
+# per-pair RTTs and non-integer costs: the shipped profile's integer-valued
+# costs add up to the same cpu work in any order, so only this case pins the
+# order of those additions
+ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
+
 CASES = {
     "simulate-write-poisson": (
         ["simulate", "--kind", "write", "--lambda", "1400", "--duration", "30",
@@ -27,6 +32,10 @@ CASES = {
         ["simulate", "--kind", "write", "--lambda", "1200", "--arrival", "deterministic",
          "--duration", "30"],
         "ac52ccbfd9b38c03d0214345895bf0824a9b6403d247599834f445150d0ea707"),
+    "simulate-write-asymmetric": (
+        ["simulate", "--kind", "write", "--cluster", str(ASYMMETRIC_CLUSTER),
+         "--lambda", "1500", "--window", "0.7"],
+        "3022b0ecb77e5ac00a5300f22c07c9cc1a2bf72a45772e36d3cd424b62697b33"),
     "simulate-zero-rate": (
         ["simulate", "--kind", "write", "--lambda", "0", "--duration", "10"],
         "9dca89678a027cebc516edf9a33f78613d15b21f2fca69ea5abf69c21718acb6"),
