@@ -25,6 +25,16 @@ import numpy as np
 from .errors import DomainError
 
 
+# Largest expected event count (rate x horizon) of one stream.  A trial holds
+# its stream several times over (the arrival buffer, the three columns and the
+# simulator's per-kind copies): a 4M-event trial peaked 36 bytes per event
+# above the interpreter's own memory for writes and 55 for reads, so this caps
+# one trial near 1.7 GB, and a rate that would exhaust memory is rejected
+# before anything is allocated.  The paper protocol's longest trial, 20k
+# reads/s for 600 s, expects 12M events.
+MAX_EXPECTED_EVENTS = 30_000_000
+
+
 class ArrivalKind(Enum):
     POISSON = "poisson"
     DETERMINISTIC = "deterministic"
@@ -114,6 +124,16 @@ def _check_horizon(horizon: float) -> float:
     return horizon
 
 
+def check_event_count(rate: float, horizon: float) -> float:
+    """The expected event count ``rate * horizon``, if within MAX_EXPECTED_EVENTS."""
+    expected = rate * horizon
+    if expected > MAX_EXPECTED_EVENTS:
+        raise DomainError(
+            f"rate {rate!r}/s over {horizon!r} s expects {expected:.4g} events, more than "
+            f"the {MAX_EXPECTED_EVENTS:,} one trial may hold; lower the rate or the duration")
+    return expected
+
+
 def generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
     """Arrival timestamps in (0, horizon], non-decreasing.
 
@@ -121,9 +141,11 @@ def generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
     uniforms, taken in order.  Each timestamp is the running sum of those
     draws, but numpy's vector ``log1p`` may differ from ``math.log1p`` in the
     last bit, so a scalar replay agrees to within a few ulp, not exactly.
+    Raises :class:`DomainError` if ``check_event_count`` rejects the stream.
     """
     horizon = _check_horizon(horizon)
     rate = process.rate
+    expected = check_event_count(rate, horizon)
     if rate == 0.0:
         return np.empty(0, dtype=np.float64)
 
@@ -133,16 +155,21 @@ def generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
         return times[times <= horizon]
 
     rng = process.rng()
-    mean = rate * horizon
-    chunk = max(1024, int(mean + 10.0 * math.sqrt(mean) + 64))
+    chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
     pieces = []
     t = 0.0
     while True:
-        u = rng.random(chunk)
-        deltas = -np.log1p(-u) / rate
-        times = t + np.cumsum(deltas)
+        # one buffer: uniforms -> interarrivals -> timestamps, in place
+        times = rng.random(chunk)
+        np.negative(times, out=times)
+        np.log1p(times, out=times)
+        np.negative(times, out=times)
+        np.divide(times, rate, out=times)
+        np.cumsum(times, out=times)
+        if pieces:
+            times += t
         if times[-1] > horizon:
-            pieces.append(times[times <= horizon])
+            pieces.append(times[:times.searchsorted(horizon, side="right")])
             break
         pieces.append(times)
         t = float(times[-1])

@@ -12,7 +12,14 @@ import math
 import statistics
 from dataclasses import dataclass, replace
 
-from .arrival import ArrivalKind, ArrivalProcess, TxKind, check_rate, generate_events
+from .arrival import (
+    ArrivalKind,
+    ArrivalProcess,
+    TxKind,
+    check_event_count,
+    check_rate,
+    generate_events,
+)
 from .chainsim import ClusterConfig, run
 from .errors import CalibrationError, DomainError, InputError
 from .scenarios import DEFAULT_WRITE_PAYLOAD_BYTES
@@ -51,7 +58,7 @@ class CampaignSpec:
         if self.duration_s < 10 * WINDOW_S:
             raise DomainError("duration_s must cover at least 10 windows")
         for r in self.rates:
-            check_rate(r, "rate")
+            check_event_count(check_rate(r, "rate"), self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,12 @@ class CapacityProfile:
     source: str = "simulated"
 
     def validate(self) -> None:
-        if self.max_lambda_read <= 0 or self.max_lambda_write <= 0:
-            raise DomainError("capacity maxima must be > 0")
+        # inf marks an axis not searched; NaN fails both comparisons
+        if not (self.max_lambda_read > 0 and self.max_lambda_write > 0):
+            raise DomainError(f"capacity maxima must be > 0 or inf, got read="
+                              f"{self.max_lambda_read!r}, write={self.max_lambda_write!r}")
+        if self.node_count < 4:
+            raise DomainError(f"node_count must be >= 4 (BFT minimum), got {self.node_count}")
 
     def to_json_dict(self) -> dict:
         # an axis never searched (inf) serializes as null

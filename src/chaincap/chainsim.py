@@ -104,26 +104,39 @@ def consensus_message_count(n: int) -> int:
     return 2 * n * n + n
 
 
+def round_base_ms(cluster: ClusterConfig, params: ConsensusParams, proposer: int) -> float:
+    """The part of a round that depends only on the proposer, in milliseconds.
+
+    Three one-way hops at the quorum-th smallest peer latency, plus handling
+    of the round's messages.
+    """
+    peers = sorted(cluster.one_way_ms(proposer, b)
+                   for b in range(cluster.node_count) if b != proposer)
+    hop_ms = peers[params.quorum - 1]
+    msg_ms = cluster.msg_proc_us * consensus_message_count(cluster.node_count) / 1000.0
+    return 3.0 * hop_ms + msg_ms
+
+
+def _round_ms(cluster: ClusterConfig, base_ms: float, block_fill: int,
+              pool_depth: int) -> float:
+    """A round's milliseconds given its ``round_base_ms``."""
+    exec_ms = cluster.write_exec_us * block_fill / 1000.0
+    scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
+    return base_ms + exec_ms + scan_ms
+
+
 def consensus_round_latency(cluster: ClusterConfig, params: ConsensusParams,
                             block_fill: int, pool_depth: int,
                             proposer: int = 0) -> float:
     """Wall-clock milliseconds for one three-phase round.
 
-    Three one-way hops at the quorum-th smallest peer latency, plus message
-    handling, block execution, and the proposer's pool scan.  Monotone
-    non-decreasing in block_fill and pool_depth.
+    ``round_base_ms`` plus block execution and the proposer's pool scan.
+    Monotone non-decreasing in block_fill and pool_depth.
     """
     if block_fill > cluster.block_tx_capacity:
         raise ContractError(
             f"block_fill {block_fill} exceeds block_tx_capacity {cluster.block_tx_capacity}")
-    peers = sorted(cluster.one_way_ms(proposer, b)
-                   for b in range(cluster.node_count) if b != proposer)
-    hop_ms = peers[params.quorum - 1]
-    network_ms = 3.0 * hop_ms
-    msg_ms = cluster.msg_proc_us * consensus_message_count(cluster.node_count) / 1000.0
-    exec_ms = cluster.write_exec_us * block_fill / 1000.0
-    scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
-    return network_ms + msg_ms + exec_ms + scan_ms
+    return _round_ms(cluster, round_base_ms(cluster, params, proposer), block_fill, pool_depth)
 
 
 def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
@@ -132,13 +145,6 @@ def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
         return arrivals.copy()
     i = np.arange(arrivals.size, dtype=np.float64)
     return service_s * (i + 1.0) + np.maximum.accumulate(arrivals - service_s * i)
-
-
-def cpu_utilization(work_us: float, node_cpu_capacity: float, window_s: float) -> float:
-    """Fraction of one node's capacity used by ``work_us`` within a window."""
-    if window_s <= 0:
-        raise ContractError(f"window must be > 0, got {window_s}")
-    return min(1.0, work_us / (node_cpu_capacity * window_s * 1.0))
 
 
 @dataclass
@@ -220,15 +226,9 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     write_payload = events.payload_bytes[events.is_write]
     read_ts = times[~events.is_write]
 
-    committed_count = np.zeros(n_windows)
-    committed_latency_sum = np.zeros(n_windows)
     served_count = np.zeros(n_windows)
     served_latency_sum = np.zeros(n_windows)
     work_us = np.zeros((n_nodes, n_windows))
-    ledger_events: list[tuple[float, int]] = []  # (commit time, block bytes)
-
-    def window_of(t: float) -> int:
-        return min(n_windows - 1, int(t / window_s))
 
     # --- reads: FIFO queues, no consensus involvement ---
     if read_ts.size:
@@ -260,64 +260,72 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         read_completions = np.empty(0) if keep_detail else None
 
     # --- writes: sequential proposer-rotating block production ---
-    interval_s = cluster.block_interval_ms / 1000.0
-    i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
-    blocks_produced = 0
-    total_tx_bytes = 0
-    proposer = 0
+    # one entry per block: commit time, fill, window of the commit, and the
+    # sum of its writes' latencies
+    commit_times: list[float] = []
+    fills: list[int] = []
+    windows: list[int] = []
+    latency_sums: list[float] = []
     write_latencies: list[np.ndarray] = []
-    commit_boundaries: list[tuple[float, int]] = []  # (commit time, committed total)
-    if produce_blocks and n_windows:
+    i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
+    if produce_blocks:
+        base_ms = [round_base_ms(cluster, params, p) for p in range(n_nodes)]
+        interval_s = cluster.block_interval_ms / 1000.0
+        # every node validates the block and handles ~2N messages
+        msg_node_us = cluster.msg_proc_us * 2 * n_nodes
+        # per-cell work as Python floats, added block by block: every node's
+        # share, then the proposer's scan (a float sum depends on its order)
+        work = work_us.tolist()
+        proposer = 0
         t_prop = interval_s
         while t_prop <= horizon + 1e-12:
-            arrived = int(np.searchsorted(write_ts, t_prop, side="right"))
-            pool_depth = arrived - i_commit
+            pool_depth = int(write_ts.searchsorted(t_prop, side="right")) - i_commit
             fill = min(cluster.block_tx_capacity, pool_depth)
-            latency_ms = consensus_round_latency(cluster, params, fill, pool_depth, proposer)
-            t_commit = t_prop + latency_ms / 1000.0
+            t_commit = t_prop + _round_ms(cluster, base_ms[proposer], fill, pool_depth) / 1000.0
             if t_commit > horizon:
                 break
-            blocks_produced += 1
-            block_bytes = cluster.empty_block_bytes + int(
-                write_payload[i_commit:i_commit + fill].sum())
-            total_tx_bytes += block_bytes - cluster.empty_block_bytes
-            ledger_events.append((t_commit, block_bytes))
-            w = window_of(t_commit)
+            w = min(n_windows - 1, int(t_commit / window_s))
             if fill:
                 lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
-                committed_count[w] += fill
-                committed_latency_sum[w] += float(lat.sum())
+                latency_sums.append(float(lat.sum()))
                 if keep_detail:
                     write_latencies.append(lat)
                 i_commit += fill
-            # every node validates the block and handles ~2N messages
-            per_node_us = (cluster.write_exec_us * fill
-                           + cluster.msg_proc_us * 2 * n_nodes)
-            work_us[:, w] += per_node_us
-            work_us[proposer, w] += cluster.pool_scan_cost_us_per_tx * pool_depth
-            commit_boundaries.append((t_commit, i_commit))
+            else:
+                latency_sums.append(0.0)
+            commit_times.append(t_commit)
+            fills.append(fill)
+            windows.append(w)
+            per_node_us = cluster.write_exec_us * fill + msg_node_us
+            for node_work in work:
+                node_work[w] += per_node_us
+            work[proposer][w] += cluster.pool_scan_cost_us_per_tx * pool_depth
             proposer = (proposer + 1) % n_nodes
             t_prop = max(t_commit, t_prop + interval_s)
+        work_us = np.array(work)
+
+    # bincount adds each bin's weights in array order, so a window sums its
+    # blocks' latencies in commit order
+    windows_arr = np.array(windows, dtype=np.int64)
+    fills_arr = np.array(fills, dtype=np.int64)
+    totals_arr = np.cumsum(fills_arr)  # writes committed by each block
+    committed_count = np.bincount(windows_arr, weights=fills_arr, minlength=n_windows)
+    committed_latency_sum = np.bincount(windows_arr, weights=latency_sums, minlength=n_windows)
+    block_bytes = np.full(fills_arr.size, cluster.empty_block_bytes, dtype=np.int64)
+    if i_commit:
+        # non-empty blocks are consecutive slices of the committed prefix
+        nonempty = fills_arr > 0
+        block_bytes[nonempty] += np.add.reduceat(
+            write_payload[:i_commit], totals_arr[nonempty] - fills_arr[nonempty],
+            dtype=np.int64)
 
     # --- per-window series ---
     boundaries = (np.arange(1, n_windows + 1)) * window_s
     arrived_by = np.searchsorted(write_ts, boundaries, side="right")
-    if commit_boundaries:
-        commit_times = np.array([t for t, _ in commit_boundaries])
-        commit_totals = np.array([c for _, c in commit_boundaries])
-        idx = np.searchsorted(commit_times, boundaries, side="right")
-        committed_by = np.where(idx > 0, commit_totals[np.maximum(idx - 1, 0)], 0)
-    else:
-        committed_by = np.zeros(n_windows, dtype=np.int64)
-    pool_series = arrived_by - committed_by
-
-    if ledger_events:
-        ledger_times = np.array([t for t, _ in ledger_events])
-        ledger_cum = np.cumsum([b for _, b in ledger_events])
-        idx = np.searchsorted(ledger_times, boundaries, side="right")
-        ledger_series = np.where(idx > 0, ledger_cum[np.maximum(idx - 1, 0)], 0)
-    else:
-        ledger_series = np.zeros(n_windows, dtype=np.int64)
+    # blocks committed by each window end; index 0 stands for none yet
+    blocks_by = np.searchsorted(np.array(commit_times), boundaries, side="right")
+    pool_series = arrived_by - np.concatenate(([0], totals_arr))[blocks_by]
+    ledger_series = np.concatenate(([0], np.cumsum(block_bytes)))[blocks_by]
 
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_write_lat = np.where(committed_count > 0,
@@ -341,7 +349,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         pending_writes=int(write_ts.size - i_commit),
         arrived_reads=int(read_ts.size),
         served_reads=served_reads,
-        blocks_produced=blocks_produced,
+        blocks_produced=len(commit_times),
         read_completions_s=read_completions,
         write_latencies_ms=(np.concatenate(write_latencies)
                             if keep_detail and write_latencies else

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chaincap.arrival import (
+    MAX_EXPECTED_EVENTS,
     ArrivalKind,
     ArrivalProcess,
     TxKind,
     WorkloadMultiplicity,
+    check_event_count,
     check_rate,
     generate_events,
     generate_times,
@@ -199,6 +201,15 @@ class TestGenerateEvents:
                                 TxKind.READ, 10.0)
         assert not reads.is_write.any()
         assert np.array_equal(reads.times, events.times)
+
+    def test_event_count_guard(self, monkeypatch):
+        assert check_event_count(MAX_EXPECTED_EVENTS / 60.0, 60.0) == MAX_EXPECTED_EVENTS
+        with pytest.raises(DomainError, match="expects"):
+            check_event_count(MAX_EXPECTED_EVENTS / 60.0, 60.001)
+        monkeypatch.setattr(ArrivalProcess, "rng", lambda self: pytest.fail("drew uniforms"))
+        for kind in ArrivalKind:
+            with pytest.raises(DomainError, match="expects"):
+                generate_times(ArrivalProcess(kind, 1e12, 0), 60.0)
 
     def test_rejects_bad_horizon(self):
         process = ArrivalProcess(ArrivalKind.POISSON, 1.0, 0)

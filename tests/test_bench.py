@@ -151,6 +151,19 @@ class TestCapacityProfile:
         assert doc["max_lambda_read"] is None
         assert CapacityProfile.from_json_dict(doc).max_lambda_read == math.inf
 
+    @pytest.mark.parametrize("axis", ["max_lambda_read", "max_lambda_write"])
+    def test_nan_maximum_rejected(self, axis):
+        doc = {"schema_version": 1, "node_count": 4, "max_lambda_read": 20500.0,
+               "max_lambda_write": 1400.0, axis: math.nan}
+        with pytest.raises(DomainError, match="maxima"):
+            CapacityProfile.from_json_dict(doc)
+
+    def test_node_count_below_bft_minimum_rejected(self):
+        p = CapacityProfile(node_count=3, max_lambda_read=20500.0,
+                            max_lambda_write=1400.0, search_tolerance=0.01)
+        with pytest.raises(DomainError, match="node_count"):
+            p.validate()
+
     def test_schema_version_checked(self):
         with pytest.raises(DomainError):
             CapacityProfile.from_json_dict({"schema_version": 2, "node_count": 4,

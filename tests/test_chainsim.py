@@ -14,6 +14,7 @@ from chaincap.chainsim import (
     consensus_round_latency,
     default_cluster,
     load_cluster,
+    round_base_ms,
     run,
 )
 from chaincap.errors import ConfigError, ContractError, SchemaError
@@ -180,6 +181,13 @@ class TestConsensusParams:
         base = consensus_round_latency(cluster, params, 10, 10)
         assert consensus_round_latency(cluster, params, 20, 10) >= base
         assert consensus_round_latency(cluster, params, 10, 50) >= base
+
+    def test_round_base_is_the_empty_round(self):
+        cluster = asymmetric_cluster(7, 700)
+        params = ConsensusParams.for_cluster(cluster)
+        bases = [round_base_ms(cluster, params, p) for p in range(7)]
+        assert bases == [consensus_round_latency(cluster, params, 0, 0, p) for p in range(7)]
+        assert len(set(bases)) > 1  # the quorum-th peer latency depends on the proposer
 
     def test_fill_beyond_capacity_rejected(self):
         cluster = default_cluster()

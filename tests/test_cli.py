@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from chaincap.arrival import ArrivalProcess
 from chaincap.cli import PAPER_CAPACITY_PATH, main
 
 
@@ -157,6 +158,8 @@ class TestAssessCommand:
         '"max_lambda_write": 1400}',
         '{"schema_version": 1, "node_count": 4, "max_lambda_read": NaN, '
         '"max_lambda_write": 1400}',
+        '{"schema_version": 1, "node_count": 2, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400}',
     ])
     def test_malformed_capacity_file_exits_2(self, tmp_path, capsys, document):
         path = tmp_path / "capacity.json"
@@ -209,6 +212,26 @@ class TestCampaignCommand:
 def test_failed_command_leaves_no_output_dir(tmp_path, argv):
     out = tmp_path / "d"
     assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _no_draws(self):
+    raise AssertionError("no uniforms may be drawn for a rejected rate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "write", "--lambda", "1e12"],
+    ["simulate", "--kind", "read", "--lambda", "1e12", "--duration", "1e-3"],
+    ["campaign", "--kind", "write", "--rates", "400,1e12"],
+    ["capacity", "--kind", "write", "--start", "1e12"],
+])
+def test_event_count_guard_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv):
+    # a missing guard fails on the first draw, before allocating a stream
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "expects" in err and len(err.strip().split("\n")) == 1
     assert not out.exists()
 
 
