@@ -26,13 +26,15 @@ from .errors import DomainError
 
 
 # Largest expected event count (rate x horizon) of one stream.  A trial holds
-# its stream several times over (the arrival buffer, the three columns and the
-# simulator's per-kind copies): a 4M-event trial peaked 36 bytes per event
-# above the interpreter's own memory for writes and 55 for reads, so this caps
-# one trial near 1.7 GB, and a rate that would exhaust memory is rejected
-# before anything is allocated.  The paper protocol's longest trial, 20k
+# its arrival buffer plus, for reads, the completion times and their
+# per-window temporaries: a 4M-event trial at a sustainable rate peaked 11
+# bytes per event above the interpreter's own memory for writes and 54 for
+# reads, so this caps one trial near 1.6 GB, and a rate that would exhaust
+# memory is rejected before anything is allocated.  The paper protocol's longest trial, 20k
 # reads/s for 600 s, expects 12M events.
 MAX_EXPECTED_EVENTS = 30_000_000
+
+DEFAULT_WRITE_PAYLOAD_BYTES = 256  # hash-plus-signature class record
 
 
 class ArrivalKind(Enum):
@@ -102,19 +104,18 @@ class ArrivalProcess:
 
 @dataclass(frozen=True)
 class EventStream:
-    """A transaction arrival stream as columns, one entry per transaction.
+    """A transaction arrival stream: write and read arrival times.
 
-    ``times`` are seconds since stream start, non-decreasing; ``is_write``
-    marks writes (the rest are reads); ``payload_bytes`` is each
-    transaction's payload size.
+    Both arrays are seconds since stream start, sorted, float64; every write
+    carries ``payload_bytes``.
     """
 
-    times: np.ndarray
-    is_write: np.ndarray
-    payload_bytes: np.ndarray
+    write_times: np.ndarray
+    read_times: np.ndarray
+    payload_bytes: int = DEFAULT_WRITE_PAYLOAD_BYTES
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.write_times) + len(self.read_times)
 
 
 def _check_horizon(horizon: float) -> float:
@@ -180,14 +181,13 @@ def generate_events(
     process: ArrivalProcess,
     kind: TxKind,
     horizon: float,
-    payload_bytes: int = 0,
+    payload_bytes: int = DEFAULT_WRITE_PAYLOAD_BYTES,
 ) -> EventStream:
-    """The arrival stream of one transaction kind, as columns."""
+    """The arrival stream of one transaction kind; the other kind's array is empty."""
     if payload_bytes < 0:
         raise DomainError(f"payload_bytes must be >= 0, got {payload_bytes}")
     times = generate_times(process, horizon)
-    return EventStream(
-        times=times,
-        is_write=np.full(times.size, kind is TxKind.WRITE),
-        payload_bytes=np.full(times.size, payload_bytes, dtype=np.int64),
-    )
+    none = np.empty(0)
+    if kind is TxKind.WRITE:
+        return EventStream(write_times=times, read_times=none, payload_bytes=payload_bytes)
+    return EventStream(write_times=none, read_times=times, payload_bytes=payload_bytes)

@@ -22,7 +22,6 @@ from .arrival import (
 )
 from .chainsim import ClusterConfig, run
 from .errors import CalibrationError, DomainError, InputError
-from .scenarios import DEFAULT_WRITE_PAYLOAD_BYTES
 
 # trial policy: every trial uses 1 s metric windows, drops the first 10% of
 # them as warm-up, and is steady when throughput is within 2% of the offered
@@ -40,6 +39,13 @@ DESK_TRIALS = 3
 DESK_DURATION_S = 60
 
 
+def check_duration(duration_s: float) -> None:
+    """Validate a trial duration: finite and at least 10 windows long."""
+    if not (math.isfinite(duration_s) and duration_s >= 10 * WINDOW_S):
+        raise DomainError(f"duration must cover at least 10 windows of {WINDOW_S} s, "
+                          f"got {duration_s!r}")
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """A grid of (rate x trial) simulations on one cluster."""
@@ -55,8 +61,7 @@ class CampaignSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        if self.duration_s < 10 * WINDOW_S:
-            raise DomainError("duration_s must cover at least 10 windows")
+        check_duration(self.duration_s)
         for r in self.rates:
             check_event_count(check_rate(r, "rate"), self.duration_s)
 
@@ -160,9 +165,8 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
     check_rate(lam, "lambda")
     if lam <= 0:
         raise DomainError("trial rate must be > 0")
-    payload = DEFAULT_WRITE_PAYLOAD_BYTES if kind is TxKind.WRITE else 0
     process = ArrivalProcess(kind=arrival_kind, rate=lam, seed=seed)
-    events = generate_events(process, kind, duration_s, payload_bytes=payload)
+    events = generate_events(process, kind, duration_s)
     timeline = run(cluster, events, horizon=duration_s, window_s=WINDOW_S)
     skip = int(timeline.n_windows * WARMUP_FRACTION)
     if kind is TxKind.WRITE:
@@ -230,6 +234,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     """
     if not 0 < tolerance <= 0.05:
         raise DomainError(f"search tolerance must be in (0, 0.05], got {tolerance}")
+    check_duration(duration_s)
     cluster.validate()
 
     def steady(lam: float) -> bool:

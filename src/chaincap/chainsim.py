@@ -30,6 +30,13 @@ from .errors import ConfigError, ContractError, SchemaError
 
 CONFIG_SCHEMA_VERSION = 1
 
+# Largest number of metric windows in one run.  A run keeps several arrays and
+# a Python float per node per window, and simulate writes one CSV row per
+# window: a 4-node simulate at 1M windows peaked 334 bytes per window above the
+# interpreter's own memory and wrote a 64 MB timeline.  A window far below the
+# horizon is rejected before any of that is allocated.
+MAX_WINDOWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -198,66 +205,68 @@ class MetricsTimeline:
             writer.writerow(row)
 
 
-def run(cluster: ClusterConfig, events: EventStream, horizon: float,
-        window_s: float = 1.0, produce_blocks: bool = True,
-        keep_detail: bool = False) -> MetricsTimeline:
-    """Simulate the cluster against a merged read/write event stream.
+def window_count(horizon: float, window_s: float) -> int:
+    """Metric windows covering ``horizon``; the last one may be partial.
 
-    ``events`` must be sorted by time and fit within ``horizon``.
-    ``produce_blocks=False`` disables consensus entirely (read-only runs).
+    Raises :class:`ContractError` for a non-finite or non-positive horizon or
+    window, and for more than MAX_WINDOWS windows.
+    """
+    if not math.isfinite(horizon) or horizon <= 0:
+        raise ContractError(f"horizon must be finite and > 0, got {horizon!r}")
+    if not math.isfinite(window_s) or window_s <= 0:
+        raise ContractError(f"window must be finite and > 0, got {window_s!r}")
+    # the slack keeps a horizon that is a whole number of windows from
+    # gaining an extra one by rounding
+    windows = horizon / window_s - 1e-9
+    if windows > MAX_WINDOWS:
+        raise ContractError(
+            f"a {window_s!r} s window over {horizon!r} s makes {windows:.4g} windows, more "
+            f"than the {MAX_WINDOWS:,} one run may hold; widen the window")
+    return max(1, math.ceil(windows))
+
+
+def run(cluster: ClusterConfig, events: EventStream, horizon: float,
+        window_s: float = 1.0, keep_detail: bool = False) -> MetricsTimeline:
+    """Simulate the cluster against the writes and reads of ``events``.
+
+    Each of its arrays must be sorted by time and fit within ``horizon``.
     The simulation is deterministic and draws no randomness.
     """
     cluster.validate()
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise ContractError(f"horizon must be finite and > 0, got {horizon!r}")
-    if window_s <= 0:
-        raise ContractError(f"window_s must be > 0, got {window_s}")
-    times = events.times
-    if not np.all(np.diff(times) >= 0):
-        raise ContractError("events must be sorted by time")
-    if times.size and times[-1] > horizon:
-        raise ContractError("horizon must cover the last event timestamp")
+    n_windows = window_count(horizon, window_s)
+    write_ts, read_ts = events.write_times, events.read_times
+    for times in (write_ts, read_ts):
+        if not np.all(times[1:] >= times[:-1]):
+            raise ContractError("events must be sorted by time")
+        if times.size and times[-1] > horizon:
+            raise ContractError("horizon must cover the last event timestamp")
 
     params = ConsensusParams.for_cluster(cluster)
     n_nodes = cluster.node_count
-    n_windows = max(1, int(math.ceil(horizon / window_s - 1e-9)))
 
-    write_ts = times[events.is_write]
-    write_payload = events.payload_bytes[events.is_write]
-    read_ts = times[~events.is_write]
-
-    served_count = np.zeros(n_windows)
-    served_latency_sum = np.zeros(n_windows)
-    work_us = np.zeros((n_nodes, n_windows))
+    def window_of(t: np.ndarray) -> np.ndarray:
+        return np.minimum((t / window_s).astype(np.int64), n_windows - 1)
 
     # --- reads: FIFO queues, no consensus involvement ---
-    if read_ts.size:
-        if cluster.read_mode == "single":
-            assignment = np.zeros(read_ts.size, dtype=np.int64)
-        else:
-            assignment = np.arange(read_ts.size, dtype=np.int64) % n_nodes
-        service_s = cluster.read_service_us * 1e-6
-        completions = np.empty(read_ts.size)
-        for node in range(n_nodes):
-            mask = assignment == node
-            if not mask.any():
-                continue
-            completions[mask] = _fifo_completions(read_ts[mask], service_s)
-        in_run = completions <= horizon
-        done = completions[in_run]
-        widx = np.minimum((done / window_s).astype(np.int64), n_windows - 1)
+    # round-robin assignment makes each node's reads a strided view
+    stride = n_nodes if cluster.read_mode == "multi" else 1
+    service_s = cluster.read_service_us * 1e-6
+    completions = np.empty(read_ts.size)
+    work_us = np.zeros((n_nodes, n_windows))
+    for node in range(stride):
+        done = _fifo_completions(read_ts[node::stride], service_s)
+        completions[node::stride] = done
+        # a node's completions are sorted, so those in the run are a prefix;
         # bincount adds each bin's weights in array order, one at a time
-        served_count += np.bincount(widx, minlength=n_windows)
-        served_latency_sum += np.bincount(widx, weights=(done - read_ts[in_run]) * 1000.0,
-                                          minlength=n_windows)
-        work_us += np.bincount(assignment[in_run] * n_windows + widx,
-                               weights=np.full(widx.size, cluster.read_service_us),
-                               minlength=n_nodes * n_windows).reshape(n_nodes, n_windows)
-        served_reads = int(in_run.sum())
-        read_completions = completions if keep_detail else None
-    else:
-        served_reads = 0
-        read_completions = np.empty(0) if keep_detail else None
+        widx = window_of(done[:done.searchsorted(horizon, side="right")])
+        work_us[node] = np.bincount(widx, weights=np.full(widx.size, cluster.read_service_us),
+                                    minlength=n_windows)
+    in_run = completions <= horizon
+    done = completions[in_run]
+    widx = window_of(done)
+    served_count = np.bincount(widx, minlength=n_windows)
+    served_latency_sum = np.bincount(widx, weights=(done - read_ts[in_run]) * 1000.0,
+                                     minlength=n_windows)
 
     # --- writes: sequential proposer-rotating block production ---
     # one entry per block: commit time, fill, window of the commit, and the
@@ -266,43 +275,42 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     fills: list[int] = []
     windows: list[int] = []
     latency_sums: list[float] = []
-    write_latencies: list[np.ndarray] = []
+    write_latencies: list[np.ndarray] = [np.empty(0)]
     i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
-    if produce_blocks:
-        base_ms = [round_base_ms(cluster, params, p) for p in range(n_nodes)]
-        interval_s = cluster.block_interval_ms / 1000.0
-        # every node validates the block and handles ~2N messages
-        msg_node_us = cluster.msg_proc_us * 2 * n_nodes
-        # per-cell work as Python floats, added block by block: every node's
-        # share, then the proposer's scan (a float sum depends on its order)
-        work = work_us.tolist()
-        proposer = 0
-        t_prop = interval_s
-        while t_prop <= horizon + 1e-12:
-            pool_depth = int(write_ts.searchsorted(t_prop, side="right")) - i_commit
-            fill = min(cluster.block_tx_capacity, pool_depth)
-            t_commit = t_prop + _round_ms(cluster, base_ms[proposer], fill, pool_depth) / 1000.0
-            if t_commit > horizon:
-                break
-            w = min(n_windows - 1, int(t_commit / window_s))
-            if fill:
-                lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
-                latency_sums.append(float(lat.sum()))
-                if keep_detail:
-                    write_latencies.append(lat)
-                i_commit += fill
-            else:
-                latency_sums.append(0.0)
-            commit_times.append(t_commit)
-            fills.append(fill)
-            windows.append(w)
-            per_node_us = cluster.write_exec_us * fill + msg_node_us
-            for node_work in work:
-                node_work[w] += per_node_us
-            work[proposer][w] += cluster.pool_scan_cost_us_per_tx * pool_depth
-            proposer = (proposer + 1) % n_nodes
-            t_prop = max(t_commit, t_prop + interval_s)
-        work_us = np.array(work)
+    base_ms = [round_base_ms(cluster, params, p) for p in range(n_nodes)]
+    interval_s = cluster.block_interval_ms / 1000.0
+    # every node validates the block and handles ~2N messages
+    msg_node_us = cluster.msg_proc_us * 2 * n_nodes
+    # per-cell work as Python floats, added block by block: every node's
+    # share, then the proposer's scan (a float sum depends on its order)
+    work = work_us.tolist()
+    proposer = 0
+    t_prop = interval_s
+    while t_prop <= horizon + 1e-12:
+        pool_depth = int(write_ts.searchsorted(t_prop, side="right")) - i_commit
+        fill = min(cluster.block_tx_capacity, pool_depth)
+        t_commit = t_prop + _round_ms(cluster, base_ms[proposer], fill, pool_depth) / 1000.0
+        if t_commit > horizon:
+            break
+        w = min(n_windows - 1, int(t_commit / window_s))
+        if fill:
+            lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
+            latency_sums.append(float(lat.sum()))
+            if keep_detail:
+                write_latencies.append(lat)
+            i_commit += fill
+        else:
+            latency_sums.append(0.0)
+        commit_times.append(t_commit)
+        fills.append(fill)
+        windows.append(w)
+        per_node_us = cluster.write_exec_us * fill + msg_node_us
+        for node_work in work:
+            node_work[w] += per_node_us
+        work[proposer][w] += cluster.pool_scan_cost_us_per_tx * pool_depth
+        proposer = (proposer + 1) % n_nodes
+        t_prop = max(t_commit, t_prop + interval_s)
+    work_us = np.array(work)
 
     # bincount adds each bin's weights in array order, so a window sums its
     # blocks' latencies in commit order
@@ -311,13 +319,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     totals_arr = np.cumsum(fills_arr)  # writes committed by each block
     committed_count = np.bincount(windows_arr, weights=fills_arr, minlength=n_windows)
     committed_latency_sum = np.bincount(windows_arr, weights=latency_sums, minlength=n_windows)
-    block_bytes = np.full(fills_arr.size, cluster.empty_block_bytes, dtype=np.int64)
-    if i_commit:
-        # non-empty blocks are consecutive slices of the committed prefix
-        nonempty = fills_arr > 0
-        block_bytes[nonempty] += np.add.reduceat(
-            write_payload[:i_commit], totals_arr[nonempty] - fills_arr[nonempty],
-            dtype=np.int64)
+    block_bytes = cluster.empty_block_bytes + events.payload_bytes * fills_arr
 
     # --- per-window series ---
     boundaries = (np.arange(1, n_windows + 1)) * window_s
@@ -348,12 +350,10 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         committed_writes=int(i_commit),
         pending_writes=int(write_ts.size - i_commit),
         arrived_reads=int(read_ts.size),
-        served_reads=served_reads,
+        served_reads=done.size,
         blocks_produced=len(commit_times),
-        read_completions_s=read_completions,
-        write_latencies_ms=(np.concatenate(write_latencies)
-                            if keep_detail and write_latencies else
-                            (np.empty(0) if keep_detail else None)),
+        read_completions_s=completions if keep_detail else None,
+        write_latencies_ms=np.concatenate(write_latencies) if keep_detail else None,
     )
 
 

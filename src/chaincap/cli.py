@@ -39,7 +39,7 @@ from .bench import (
     write_campaign_csv,
     write_plot_data_csv,
 )
-from .chainsim import default_cluster, load_cluster, run
+from .chainsim import default_cluster, load_cluster, run, window_count
 from .errors import (
     CalibrationError,
     ChaincapError,
@@ -50,7 +50,6 @@ from .errors import (
     SchemaError,
 )
 from .scenarios import (
-    DEFAULT_WRITE_PAYLOAD_BYTES,
     ScenarioId,
     builtin_scenarios,
     load_scenarios,
@@ -235,9 +234,8 @@ def cmd_simulate(args) -> int:
     if args.rate < 0:
         raise DomainError(f"--lambda must be >= 0, got {args.rate}")
     process = ArrivalProcess(kind=arrival_kind, rate=args.rate, seed=args.seed)
-    events = generate_events(
-        process, kind, args.duration,
-        payload_bytes=DEFAULT_WRITE_PAYLOAD_BYTES if kind is TxKind.WRITE else 0)
+    window_count(args.duration, args.window)  # reject a bad window before drawing
+    events = generate_events(process, kind, args.duration)
     timeline = run(cluster, events, horizon=args.duration, window_s=args.window)
     buf = io.StringIO()
     timeline.to_csv(buf)

@@ -18,11 +18,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import arrival
-from .arrival import WorkloadMultiplicity, check_rate
+from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, WorkloadMultiplicity, check_rate
 from .errors import ConflictError, DomainError, SchemaError
 
 SCHEMA_VERSION = 1
-DEFAULT_WRITE_PAYLOAD_BYTES = 256  # hash-plus-signature class record
 
 
 class ScenarioId(Enum):

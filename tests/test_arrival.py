@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chaincap.arrival import (
+    DEFAULT_WRITE_PAYLOAD_BYTES,
     MAX_EXPECTED_EVENTS,
     ArrivalKind,
     ArrivalProcess,
@@ -176,14 +177,15 @@ class TestGenerateEvents:
         process = ArrivalProcess(ArrivalKind.DETERMINISTIC, 10.0, 0)
         events = generate_events(process, TxKind.WRITE, 1.0)
         assert len(events) == 10
-        assert list(events.times) == pytest.approx(
+        assert list(events.write_times) == pytest.approx(
             [0.1 * (k + 1) for k in range(10)])
 
     def test_determinism(self):
         a = generate_events(ArrivalProcess(ArrivalKind.POISSON, 50.0, 9), TxKind.READ, 5.0)
         b = generate_events(ArrivalProcess(ArrivalKind.POISSON, 50.0, 9), TxKind.READ, 5.0)
-        for column in ("times", "is_write", "payload_bytes"):
+        for column in ("write_times", "read_times"):
             assert np.array_equal(getattr(a, column), getattr(b, column))
+        assert a.payload_bytes == b.payload_bytes
 
     def test_different_seeds_differ(self):
         a = generate_times(ArrivalProcess(ArrivalKind.POISSON, 50.0, 1), 5.0)
@@ -192,15 +194,16 @@ class TestGenerateEvents:
 
     def test_timestamps_sorted_with_constant_columns(self):
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 200.0, 5),
-                                 TxKind.WRITE, 10.0, payload_bytes=256)
-        assert np.all(np.diff(events.times) >= 0)
-        assert len(events.is_write) == len(events.payload_bytes) == len(events)
-        assert events.is_write.all()
-        assert np.all(events.payload_bytes == 256)
+                                 TxKind.WRITE, 10.0, payload_bytes=300)
+        assert np.all(np.diff(events.write_times) >= 0)
+        assert events.write_times.dtype == np.float64
+        assert len(events.write_times) == len(events) and events.read_times.size == 0
+        assert events.payload_bytes == 300
         reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 200.0, 5),
                                 TxKind.READ, 10.0)
-        assert not reads.is_write.any()
-        assert np.array_equal(reads.times, events.times)
+        assert reads.write_times.size == 0
+        assert np.array_equal(reads.read_times, events.write_times)
+        assert reads.payload_bytes == DEFAULT_WRITE_PAYLOAD_BYTES == 256
 
     def test_event_count_guard(self, monkeypatch):
         assert check_event_count(MAX_EXPECTED_EVENTS / 60.0, 60.0) == MAX_EXPECTED_EVENTS

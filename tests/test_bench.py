@@ -7,6 +7,7 @@ from chaincap.arrival import ArrivalKind, TxKind
 from chaincap.bench import (
     CampaignSpec,
     CapacityProfile,
+    check_duration,
     detect_steady_state,
     find_max_lambda,
     run_campaign,
@@ -35,6 +36,22 @@ class TestDetectSteadyState:
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
             detect_steady_state(0, 10)
+
+
+class TestCheckDuration:
+    def test_ten_windows_is_the_minimum(self):
+        check_duration(10.0)
+        for bad in (9.999, 0.0, -10.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="at least 10 windows"):
+                check_duration(bad)
+
+    @pytest.mark.parametrize("bad", [5.0, math.nan])
+    def test_campaign_and_search_share_it(self, bad):
+        with pytest.raises(DomainError, match="at least 10 windows"):
+            CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=(40.0,),
+                         trials=1, duration_s=bad)
+        with pytest.raises(DomainError, match="at least 10 windows"):
+            find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=bad)
 
 
 class TestRunTrial:

@@ -7,6 +7,7 @@ import pytest
 
 from chaincap.arrival import ArrivalKind, ArrivalProcess, EventStream, TxKind, generate_events
 from chaincap.chainsim import (
+    MAX_WINDOWS,
     ClusterConfig,
     ConsensusParams,
     MetricsTimeline,
@@ -16,6 +17,7 @@ from chaincap.chainsim import (
     load_cluster,
     round_base_ms,
     run,
+    window_count,
 )
 from chaincap.errors import ConfigError, ContractError, SchemaError
 
@@ -42,7 +44,7 @@ def cpu_utilization(work_us: float, node_cpu_capacity: float, window_s: float) -
 
 
 def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
-                  window_s: float = 1.0, produce_blocks: bool = True) -> MetricsTimeline:
+                  window_s: float = 1.0) -> MetricsTimeline:
     """Scalar oracle of ``run`` with ``keep_detail=True``: one round per loop pass.
 
     Each block calls ``consensus_round_latency`` and adds its counts, latency
@@ -51,9 +53,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     params = ConsensusParams.for_cluster(cluster)
     n_nodes = cluster.node_count
     n_windows = max(1, int(math.ceil(horizon / window_s - 1e-9)))
-    write_ts = events.times[events.is_write]
-    write_payload = events.payload_bytes[events.is_write]
-    read_ts = events.times[~events.is_write]
+    write_ts, read_ts = events.write_times, events.read_times
 
     def window_of(t: float) -> int:
         return min(n_windows - 1, int(t / window_s))
@@ -86,7 +86,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     committed: list[tuple[float, int]] = []  # (commit time, committed total)
     latencies = [np.empty(0)]
     t_prop = cluster.block_interval_ms / 1000.0
-    while produce_blocks and t_prop <= horizon + 1e-12:
+    while t_prop <= horizon + 1e-12:
         pool_depth = int(np.searchsorted(write_ts, t_prop, side="right")) - i_commit
         fill = min(cluster.block_tx_capacity, pool_depth)
         latency_ms = consensus_round_latency(cluster, params, fill, pool_depth, proposer)
@@ -94,8 +94,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         if t_commit > horizon:
             break
         blocks += 1
-        ledger.append((t_commit, cluster.empty_block_bytes
-                       + int(write_payload[i_commit:i_commit + fill].sum())))
+        ledger.append((t_commit, cluster.empty_block_bytes + events.payload_bytes * fill))
         w = window_of(t_commit)
         if fill:
             lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
@@ -151,8 +150,16 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
 def stream(times, write=True, payload=0):
     """A hand-made single-kind event stream."""
     times = np.asarray(times, dtype=np.float64)
-    return EventStream(times=times, is_write=np.full(times.size, write),
-                       payload_bytes=np.full(times.size, payload, dtype=np.int64))
+    none = np.empty(0)
+    return EventStream(write_times=times if write else none,
+                       read_times=none if write else times, payload_bytes=payload)
+
+
+def with_writes(events, horizon, rate=1400.0, seed=0):
+    """``events`` with its writes replaced by a Poisson write stream at ``rate``."""
+    writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed), TxKind.WRITE,
+                             horizon)
+    return replace(events, write_times=writes.write_times)
 
 
 def det_writes(rate, horizon, payload=256):
@@ -271,7 +278,7 @@ class TestRunBasics:
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 1200.0, 11),
                                  TxKind.WRITE, 30.0, payload_bytes=256)
         tl = run(cluster, events, horizon=30.0)
-        ts = events.times
+        ts = events.write_times
         committed = np.cumsum(tl.committed_write_tps * tl.window_s)
         for w in range(tl.n_windows):
             boundary = (w + 1) * tl.window_s
@@ -293,10 +300,14 @@ class TestRunBasics:
     def test_unsorted_events_rejected(self):
         with pytest.raises(ContractError):
             run(default_cluster(), stream([1.0, 0.5]), horizon=5.0)
+        with pytest.raises(ContractError):
+            run(default_cluster(), stream([1.0, 0.5], write=False), horizon=5.0)
 
     def test_horizon_must_cover_events(self):
         with pytest.raises(ContractError):
             run(default_cluster(), stream([9.0]), horizon=5.0)
+        with pytest.raises(ContractError):
+            run(default_cluster(), stream([9.0], write=False), horizon=5.0)
 
     def test_invalid_config_fails_before_simulation(self):
         with pytest.raises(ConfigError):
@@ -356,11 +367,12 @@ class TestReads:
         assert single.mean_served_read_tps(2) == pytest.approx(ceiling, rel=0.05)
 
     def test_reads_independent_of_consensus(self):
-        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 4000.0, 6),
-                                 TxKind.READ, 15.0)
-        with_blocks = run(default_cluster(), events, horizon=15.0, keep_detail=True)
-        without = run(default_cluster(), events, horizon=15.0, produce_blocks=False,
-                      keep_detail=True)
+        reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 4000.0, 6),
+                                TxKind.READ, 15.0)
+        with_blocks = run(default_cluster(), with_writes(reads, 15.0), horizon=15.0,
+                          keep_detail=True)
+        without = run(default_cluster(), reads, horizon=15.0, keep_detail=True)
+        assert with_blocks.committed_writes > 0 and without.committed_writes == 0
         assert np.array_equal(with_blocks.read_completions_s, without.read_completions_s)
 
     def test_merged_stream_splits_by_kind(self):
@@ -369,10 +381,8 @@ class TestReads:
                                  TxKind.WRITE, 15.0, payload_bytes=256)
         reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 4000.0, 5),
                                 TxKind.READ, 15.0)
-        order = np.argsort(np.concatenate([writes.times, reads.times]), kind="stable")
-        merged = EventStream(
-            *(np.concatenate([getattr(writes, c), getattr(reads, c)])[order]
-              for c in ("times", "is_write", "payload_bytes")))
+        merged = EventStream(write_times=writes.write_times, read_times=reads.read_times,
+                             payload_bytes=256)
         both = run(cluster, merged, horizon=15.0)
         write_only = run(cluster, writes, horizon=15.0)
         read_only = run(cluster, reads, horizon=15.0)
@@ -408,14 +418,12 @@ def asymmetric_cluster(n: int, capacity: int) -> ClusterConfig:
 
 
 def merged_stream(write_rate, read_rate, horizon, seed):
-    """Uniformly scattered writes with varied payloads, merged with reads."""
+    """Uniformly scattered writes and reads; the writes share one payload size."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_writes, n_reads = int(write_rate * horizon), int(read_rate * horizon)
     times = np.concatenate([rng.random(n_writes), rng.random(n_reads)]) * horizon
-    is_write = np.arange(times.size) < n_writes
-    payload = np.where(is_write, rng.integers(0, 2000, times.size), 0)
-    order = np.argsort(times, kind="stable")
-    return EventStream(times[order], is_write[order], payload[order].astype(np.int64))
+    payload = int(rng.integers(0, 2000))
+    return EventStream(np.sort(times[:n_writes]), np.sort(times[n_writes:]), payload)
 
 
 def assert_same_timeline(got: MetricsTimeline, want: MetricsTimeline) -> None:
@@ -450,17 +458,63 @@ class TestRunMatchesScalarReference:
 
     @pytest.mark.parametrize("read_mode", ["multi", "single"])
     def test_without_blocks(self, read_mode):
+        # reads alone, so only empty blocks, then the same reads under write load
         cluster = replace(asymmetric_cluster(4, 700), read_mode=read_mode)
-        events = merged_stream(500.0, 2000.0, 5.0, seed=1)
-        got = run(cluster, events, horizon=5.0, window_s=0.3, produce_blocks=False,
-                  keep_detail=True)
-        assert_same_timeline(got, reference_run(cluster, events, 5.0, window_s=0.3,
-                                                produce_blocks=False))
+        reads = merged_stream(0.0, 2000.0, 5.0, seed=1)
+        alone = run(cluster, reads, horizon=5.0, window_s=0.3, keep_detail=True)
+        assert_same_timeline(alone, reference_run(cluster, reads, 5.0, window_s=0.3))
+        loaded = with_writes(reads, 5.0)
+        got = run(cluster, loaded, horizon=5.0, window_s=0.3, keep_detail=True)
+        assert_same_timeline(got, reference_run(cluster, loaded, 5.0, window_s=0.3))
+        for name in ("served_read_tps", "mean_read_latency_ms", "read_completions_s"):
+            assert np.array_equal(getattr(got, name), getattr(alone, name)), name
 
     def test_empty_stream(self):
         cluster = asymmetric_cluster(7, 7)
         got = run(cluster, stream([]), horizon=3.3, window_s=0.7, keep_detail=True)
         assert_same_timeline(got, reference_run(cluster, stream([]), 3.3, window_s=0.7))
+
+
+class TestWindows:
+    def test_window_cap(self):
+        assert window_count(float(MAX_WINDOWS), 1.0) == MAX_WINDOWS
+        with pytest.raises(ContractError, match="windows"):
+            window_count(MAX_WINDOWS + 1e-3, 1.0)
+        with pytest.raises(ContractError, match="windows"):
+            window_count(10.0, 1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_window_rejected(self, bad):
+        with pytest.raises(ContractError, match="window"):
+            window_count(10.0, bad)
+        with pytest.raises(ContractError, match="window"):
+            run(default_cluster(), stream([1.0]), horizon=10.0, window_s=bad)
+
+    @pytest.mark.parametrize("horizon,window_s,n_windows", [
+        (0.9, 0.3, 3),    # 0.9 / 0.3 rounds above 3; the slack keeps it at 3
+        (10.0, 0.3, 34),  # the last window, [9.9, 10], is partial
+    ])
+    def test_window_count_rounding(self, horizon, window_s, n_windows):
+        cluster = default_cluster()
+        events = merged_stream(300.0, 900.0, horizon, seed=3)
+        tl = run(cluster, events, horizon=horizon, window_s=window_s, keep_detail=True)
+        assert window_count(horizon, window_s) == tl.n_windows == n_windows
+        assert tl.cpu_utilization.shape == (cluster.node_count, n_windows)
+        # served reads: the scalar FIFO's completions within the horizon
+        server = ReadServer(cluster)
+        done = np.array([server.serve_read(i % cluster.node_count, float(t))
+                         for i, t in enumerate(events.read_times)])
+        served = np.rint(tl.served_read_tps * window_s).astype(np.int64)
+        assert served.sum() == tl.served_reads == np.count_nonzero(done <= horizon)
+        last = (n_windows - 1) * window_s
+        assert served[-1] == np.count_nonzero((done >= last) & (done <= horizon))
+        committed = np.rint(tl.committed_write_tps * window_s).astype(np.int64)
+        assert committed.sum() == tl.committed_writes > 0
+        assert tl.arrived_writes == events.write_times.size
+        assert tl.arrived_reads == events.read_times.size
+        assert tl.pool_depth[-1] == tl.pending_writes == tl.arrived_writes - tl.committed_writes
+        assert tl.ledger_bytes[-1] == (tl.blocks_produced * cluster.empty_block_bytes
+                                       + tl.committed_writes * events.payload_bytes)
 
 
 class TestCpuProxy:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from chaincap.arrival import ArrivalProcess
+from chaincap.chainsim import MAX_WINDOWS
 from chaincap.cli import PAPER_CAPACITY_PATH, main
 
 
@@ -232,6 +233,36 @@ def test_event_count_guard_exits_2_before_drawing(tmp_path, capsys, monkeypatch,
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "expects" in err and len(err.strip().split("\n")) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration,window", [
+    ("10", "nan"), ("10", "inf"), ("10", "1e-9"),
+    (str(MAX_WINDOWS + 1), "1"),  # one window above the cap
+])
+def test_bad_window_exits_2_before_drawing(tmp_path, capsys, monkeypatch, duration, window):
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(["simulate", "--kind", "write", "--lambda", "1", "--duration", duration,
+                 "--window", window, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "window" in err and len(err.strip().split("\n")) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--kind", "write", "--duration", "5"],
+    ["capacity", "--kind", "read", "--duration", "inf"],
+    ["campaign", "--kind", "write", "--rates", "400", "--duration", "nan"],
+    ["campaign", "--kind", "write", "--rates", "400", "--duration", "9.99"],
+])
+def test_short_or_non_finite_duration_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "duration must cover at least 10 windows" in err
+    assert len(err.strip().split("\n")) == 1
     assert not out.exists()
 
 
