@@ -22,16 +22,17 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 
 
 # Largest expected event count (rate x horizon) of one stream.  A trial holds
-# its arrival buffer plus, for reads, the completion times and their
-# per-window temporaries: a 4M-event trial at a sustainable rate peaked 11
-# bytes per event above the interpreter's own memory for writes and 54 for
-# reads, so this caps one trial near 1.6 GB, and a rate that would exhaust
-# memory is rejected before anything is allocated.  The paper protocol's longest trial, 20k
-# reads/s for 600 s, expects 12M events.
+# its arrival buffer plus, for writes, the latency of every committed write
+# and, for reads, the completion times and their per-window temporaries: a
+# 4M-event trial at a sustainable rate peaked 18 bytes per event above the
+# interpreter's own memory for writes and 52 for reads, so this caps one trial
+# near 1.6 GB, and a rate that would exhaust memory is rejected before
+# anything is allocated.  The paper protocol's longest trial, 20k reads/s for
+# 600 s, expects 12M events.
 MAX_EXPECTED_EVENTS = 30_000_000
 
 DEFAULT_WRITE_PAYLOAD_BYTES = 256  # hash-plus-signature class record
@@ -135,14 +136,51 @@ def check_event_count(rate: float, horizon: float) -> float:
     return expected
 
 
-def generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
+class UnitDraws:
+    """Unit-rate exponential draws ``-log1p(-u)`` of one seed's uniforms.
+
+    Draw ``i`` divided by a rate is interarrival ``i`` of that seed's Poisson
+    stream at that rate, so the probes of a capacity search, which all use
+    one seed, can share one buffer and each divide it by their own rate.
+    The generator is created at the first draw, and the buffer grows, in
+    stream order, when a call needs more draws than it holds.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self._rng: np.random.Generator | None = None
+        self._draws = np.empty(0)
+
+    def take(self, start: int, stop: int) -> np.ndarray:
+        """Draws ``start`` to ``stop`` of the stream, as a view of the buffer."""
+        held = self._draws.size
+        if stop > held:
+            if self._rng is None:
+                self._rng = ArrivalProcess(ArrivalKind.POISSON, 0.0, self.seed).rng()
+            grown = np.empty(stop)
+            grown[:held] = self._draws
+            more = grown[held:]
+            self._rng.random(out=more)
+            np.negative(more, out=more)
+            np.log1p(more, out=more)
+            np.negative(more, out=more)
+            self._draws = grown
+        return self._draws[start:stop]
+
+
+def generate_times(process: ArrivalProcess, horizon: float,
+                   draws: UnitDraws | None = None) -> np.ndarray:
     """Arrival timestamps in (0, horizon], non-decreasing.
 
     Poisson interarrivals are ``-log1p(-u) / rate`` over the process's
-    uniforms, taken in order.  Each timestamp is the running sum of those
-    draws, but numpy's vector ``log1p`` may differ from ``math.log1p`` in the
-    last bit, so a scalar replay agrees to within a few ulp, not exactly.
-    Raises :class:`DomainError` if ``check_event_count`` rejects the stream.
+    uniforms, taken in order from ``draws`` (one seed's :class:`UnitDraws`,
+    which a capacity search shares across its probes) or, without it, from
+    draws made for this call alone and divided in place.  Each timestamp is
+    the running sum of those interarrivals, but numpy's vector ``log1p`` may
+    differ from ``math.log1p`` in the last bit, so a scalar replay agrees to
+    within a few ulp, not exactly.  Raises :class:`DomainError` if
+    ``check_event_count`` rejects the stream, and :class:`ContractError` if
+    ``draws`` is of another seed.
     """
     horizon = _check_horizon(horizon)
     rate = process.rate
@@ -155,17 +193,21 @@ def generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
         times = np.arange(1, n + 1, dtype=np.float64) / rate
         return times[times <= horizon]
 
-    rng = process.rng()
+    shared = draws is not None
+    if not shared:
+        draws = UnitDraws(process.seed)
+    elif draws.seed != process.seed:
+        raise ContractError(f"draws of seed {draws.seed} cannot feed a process of seed "
+                            f"{process.seed}")
     chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
     pieces = []
+    start = 0
     t = 0.0
     while True:
-        # one buffer: uniforms -> interarrivals -> timestamps, in place
-        times = rng.random(chunk)
-        np.negative(times, out=times)
-        np.log1p(times, out=times)
-        np.negative(times, out=times)
-        np.divide(times, rate, out=times)
+        # interarrivals -> timestamps in one array; draws made for this call
+        # alone are never read again, so they are overwritten
+        unit = draws.take(start, start + chunk)
+        times = np.divide(unit, rate, out=None if shared else unit)
         np.cumsum(times, out=times)
         if pieces:
             times += t
@@ -174,6 +216,7 @@ def generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
             break
         pieces.append(times)
         t = float(times[-1])
+        start += chunk
     return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
 
 
@@ -182,11 +225,15 @@ def generate_events(
     kind: TxKind,
     horizon: float,
     payload_bytes: int = DEFAULT_WRITE_PAYLOAD_BYTES,
+    draws: UnitDraws | None = None,
 ) -> EventStream:
-    """The arrival stream of one transaction kind; the other kind's array is empty."""
+    """The arrival stream of one transaction kind; the other kind's array is empty.
+
+    ``draws``, if given, is passed on to :func:`generate_times`.
+    """
     if payload_bytes < 0:
         raise DomainError(f"payload_bytes must be >= 0, got {payload_bytes}")
-    times = generate_times(process, horizon)
+    times = generate_times(process, horizon, draws)
     none = np.empty(0)
     if kind is TxKind.WRITE:
         return EventStream(write_times=times, read_times=none, payload_bytes=payload_bytes)

@@ -16,6 +16,7 @@ from .arrival import (
     ArrivalKind,
     ArrivalProcess,
     TxKind,
+    UnitDraws,
     check_event_count,
     check_rate,
     generate_events,
@@ -160,13 +161,17 @@ def detect_steady_state(lambda_offered: float, mean_tps: float) -> bool:
 
 
 def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
-              lam: float, duration_s: float, seed: int) -> TrialSummary:
-    """One simulation at one offered rate; means exclude the warm-up prefix."""
+              lam: float, duration_s: float, seed: int,
+              draws: UnitDraws | None = None) -> TrialSummary:
+    """One simulation at one offered rate; means exclude the warm-up prefix.
+
+    ``draws``, if given, holds ``seed``'s unit draws shared with other trials.
+    """
     check_rate(lam, "lambda")
     if lam <= 0:
         raise DomainError("trial rate must be > 0")
     process = ArrivalProcess(kind=arrival_kind, rate=lam, seed=seed)
-    events = generate_events(process, kind, duration_s)
+    events = generate_events(process, kind, duration_s, draws=draws)
     timeline = run(cluster, events, horizon=duration_s, window_s=WINDOW_S)
     skip = int(timeline.n_windows * WARMUP_FRACTION)
     if kind is TxKind.WRITE:
@@ -229,24 +234,35 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     """Largest steady arrival rate, by exponential bracketing then bisection.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
-    function of the rate.  Raises :class:`CalibrationError` when even the
-    smallest probe is unsteady.
+    function of the rate; the probes share that seed's unit draws, so the
+    search draws its uniforms once.  Raises :class:`CalibrationError` when
+    even the smallest probe is unsteady.
     """
     if not 0 < tolerance <= 0.05:
         raise DomainError(f"search tolerance must be in (0, 0.05], got {tolerance}")
     check_duration(duration_s)
     cluster.validate()
 
+    draws = UnitDraws(base_seed)
+
+    def probe(lam: float) -> TrialSummary:
+        return run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
+                         draws=draws)
+
     def steady(lam: float) -> bool:
-        return run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed).steady
+        return probe(lam).steady
 
     lo = check_rate(start, "start")
     if lo <= 0:
         raise DomainError("start rate must be > 0")
-    if not steady(lo):
+    first = probe(lo)
+    if not first.steady:
         raise CalibrationError(
             f"no steady operating point at the smallest probe rate {lo}; "
-            "the cluster profile looks miscalibrated")
+            "the cluster profile looks miscalibrated: its mean throughput "
+            f"{first.mean_tps:.2f} tps is outside {lo} ±{STEADY_TOLERANCE:.0%} "
+            f"[{lo * (1 - STEADY_TOLERANCE):.2f}, {lo * (1 + STEADY_TOLERANCE):.2f}] "
+            f"at seed {base_seed}")
     hi = lo * 2.0
     while steady(hi):
         lo = hi

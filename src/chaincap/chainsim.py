@@ -30,11 +30,12 @@ from .errors import ConfigError, ContractError, SchemaError
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Largest number of metric windows in one run.  A run keeps several arrays and
-# a Python float per node per window, and simulate writes one CSV row per
-# window: a 4-node simulate at 1M windows peaked 334 bytes per window above the
-# interpreter's own memory and wrote a 64 MB timeline.  A window far below the
-# horizon is rejected before any of that is allocated.
+# Largest number of metric windows in one run.  A run keeps about a dozen
+# arrays with one entry per window (per node and window for cpu work), and
+# simulate writes one CSV row per window: a 4-node simulate at 1M windows
+# peaked 220 bytes per window above the interpreter's own memory and wrote a
+# 64 MB timeline.  A window far below the horizon is rejected before any of
+# that is allocated.
 MAX_WINDOWS = 1_000_000
 
 
@@ -269,21 +270,13 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
                                      minlength=n_windows)
 
     # --- writes: sequential proposer-rotating block production ---
-    # one entry per block: commit time, fill, window of the commit, and the
-    # sum of its writes' latencies
+    # the loop runs the recurrence only; one entry per block
     commit_times: list[float] = []
     fills: list[int] = []
-    windows: list[int] = []
-    latency_sums: list[float] = []
-    write_latencies: list[np.ndarray] = [np.empty(0)]
+    depths: list[int] = []  # pool depth at each proposal
     i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
     base_ms = [round_base_ms(cluster, params, p) for p in range(n_nodes)]
     interval_s = cluster.block_interval_ms / 1000.0
-    # every node validates the block and handles ~2N messages
-    msg_node_us = cluster.msg_proc_us * 2 * n_nodes
-    # per-cell work as Python floats, added block by block: every node's
-    # share, then the proposer's scan (a float sum depends on its order)
-    work = work_us.tolist()
     proposer = 0
     t_prop = interval_s
     while t_prop <= horizon + 1e-12:
@@ -292,31 +285,41 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         t_commit = t_prop + _round_ms(cluster, base_ms[proposer], fill, pool_depth) / 1000.0
         if t_commit > horizon:
             break
-        w = min(n_windows - 1, int(t_commit / window_s))
-        if fill:
-            lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
-            latency_sums.append(float(lat.sum()))
-            if keep_detail:
-                write_latencies.append(lat)
-            i_commit += fill
-        else:
-            latency_sums.append(0.0)
+        i_commit += fill
         commit_times.append(t_commit)
         fills.append(fill)
-        windows.append(w)
-        per_node_us = cluster.write_exec_us * fill + msg_node_us
-        for node_work in work:
-            node_work[w] += per_node_us
-        work[proposer][w] += cluster.pool_scan_cost_us_per_tx * pool_depth
+        depths.append(pool_depth)
         proposer = (proposer + 1) % n_nodes
         t_prop = max(t_commit, t_prop + interval_s)
-    work_us = np.array(work)
+
+    commit_arr = np.array(commit_times)
+    fills_arr = np.array(fills, dtype=np.int64)
+    depths_arr = np.array(depths, dtype=np.int64)
+    totals_arr = np.cumsum(fills_arr)  # writes committed by each block
+    windows_arr = window_of(commit_arr)
+    # each committed write's latency, block after block; a block sums its
+    # slice pairwise, as a sum over its own array would (reduceat would not)
+    latencies = np.repeat(commit_arr, fills_arr)
+    np.subtract(latencies, write_ts[:i_commit], out=latencies)
+    latencies *= 1000.0
+    starts = totals_arr - fills_arr
+    latency_sums = [np.add.reduce(latencies[i:j]) for i, j in zip(starts.tolist(),
+                                                                  totals_arr.tolist())]
+    # every node validates each block and handles ~2N messages; the proposer
+    # also scans the pool.  add.at adds in index order, so each cell sums its
+    # blocks' work in commit order, a block's share before its scan.
+    block_us = cluster.write_exec_us * fills_arr + cluster.msg_proc_us * 2 * n_nodes
+    scan_us = cluster.pool_scan_cost_us_per_tx * depths_arr
+    pair_windows = np.repeat(windows_arr, 2)
+    pair_us = np.column_stack((block_us, scan_us)).ravel()
+    proposers = np.arange(fills_arr.size) % n_nodes
+    keep = np.ones(pair_us.size, dtype=bool)
+    for node in range(n_nodes):
+        keep[1::2] = proposers == node
+        np.add.at(work_us[node], pair_windows[keep], pair_us[keep])
 
     # bincount adds each bin's weights in array order, so a window sums its
     # blocks' latencies in commit order
-    windows_arr = np.array(windows, dtype=np.int64)
-    fills_arr = np.array(fills, dtype=np.int64)
-    totals_arr = np.cumsum(fills_arr)  # writes committed by each block
     committed_count = np.bincount(windows_arr, weights=fills_arr, minlength=n_windows)
     committed_latency_sum = np.bincount(windows_arr, weights=latency_sums, minlength=n_windows)
     block_bytes = cluster.empty_block_bytes + events.payload_bytes * fills_arr
@@ -325,7 +328,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     boundaries = (np.arange(1, n_windows + 1)) * window_s
     arrived_by = np.searchsorted(write_ts, boundaries, side="right")
     # blocks committed by each window end; index 0 stands for none yet
-    blocks_by = np.searchsorted(np.array(commit_times), boundaries, side="right")
+    blocks_by = np.searchsorted(commit_arr, boundaries, side="right")
     pool_series = arrived_by - np.concatenate(([0], totals_arr))[blocks_by]
     ledger_series = np.concatenate(([0], np.cumsum(block_bytes)))[blocks_by]
 
@@ -353,7 +356,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         served_reads=done.size,
         blocks_produced=len(commit_times),
         read_completions_s=completions if keep_detail else None,
-        write_latencies_ms=np.concatenate(write_latencies) if keep_detail else None,
+        write_latencies_ms=latencies if keep_detail else None,
     )
 
 

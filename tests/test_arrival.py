@@ -10,6 +10,7 @@ from chaincap.arrival import (
     ArrivalKind,
     ArrivalProcess,
     TxKind,
+    UnitDraws,
     WorkloadMultiplicity,
     check_event_count,
     check_rate,
@@ -18,7 +19,7 @@ from chaincap.arrival import (
     lambda_read,
     lambda_write,
 )
-from chaincap.errors import DomainError
+from chaincap.errors import ContractError, DomainError
 
 
 def sample_interarrival(rate: float, rng: np.random.Generator) -> float:
@@ -60,8 +61,12 @@ class ShrunkUniforms:
         self._rng = np.random.Generator(np.random.Philox(key=seed))
         self._scale = scale
 
-    def random(self, n: int) -> np.ndarray:
-        return self._rng.random(n) * self._scale
+    def random(self, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            return self._rng.random(n) * self._scale
+        self._rng.random(out=out)
+        out *= self._scale
+        return out
 
 
 class TestGenerateTimesMatchesReference:
@@ -83,6 +88,62 @@ class TestGenerateTimesMatchesReference:
         got = generate_times(process, 100.0)
         assert got.size > 5 * 1380  # several chunks of mean + 10 sigma + 64 draws
         assert np.array_equal(got, reference_generate_times(process, 100.0))
+
+
+class TestUnitDraws:
+    # rising, falling and repeated rates, as the probes of a search come
+    RATES = [100.0, 1400.0, 25000.0, 3.0, 1400.0, 1400.0, 0.5, 3200.0]
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_shared_draws_match_fresh_streams(self, seed):
+        draws = UnitDraws(seed)
+        for rate in self.RATES:
+            process = ArrivalProcess(ArrivalKind.POISSON, rate, seed)
+            got = generate_times(process, 60.0, draws)
+            assert np.array_equal(got, generate_times(process, 60.0))
+            assert np.array_equal(got, reference_generate_times(process, 60.0))
+
+    def test_shared_draws_over_many_chunks(self, monkeypatch):
+        monkeypatch.setattr(ArrivalProcess, "rng",
+                            lambda self: ShrunkUniforms(self.seed, 0.2))
+        draws = UnitDraws(2)
+        for rate in (10.0, 5.0, 20.0, 10.0, 7.5):
+            process = ArrivalProcess(ArrivalKind.POISSON, rate, 2)
+            got = generate_times(process, 100.0, draws)
+            assert got.size > 5 * (rate * 100.0 + 10.0 * math.sqrt(rate * 100.0) + 64)
+            assert np.array_equal(got, reference_generate_times(process, 100.0))
+
+    def test_generator_made_at_first_draw(self, monkeypatch):
+        made = []
+        make = ArrivalProcess.rng
+        monkeypatch.setattr(ArrivalProcess, "rng", lambda self: made.append(1) or make(self))
+        draws = UnitDraws(3)
+        generate_times(ArrivalProcess(ArrivalKind.DETERMINISTIC, 50.0, 3), 10.0, draws)
+        generate_times(ArrivalProcess(ArrivalKind.POISSON, 0.0, 3), 10.0, draws)
+        assert made == []
+        generate_times(ArrivalProcess(ArrivalKind.POISSON, 50.0, 3), 10.0, draws)
+        generate_times(ArrivalProcess(ArrivalKind.POISSON, 500.0, 3), 10.0, draws)
+        assert made == [1]
+
+    def test_take_is_stream_order(self):
+        draws = UnitDraws(5)
+        head = draws.take(10, 20).copy()
+        u = ArrivalProcess(ArrivalKind.POISSON, 1.0, 5).rng().random(40)
+        assert np.array_equal(draws.take(0, 40), -np.log1p(-u))
+        assert np.array_equal(draws.take(10, 20), head)
+
+    def test_draws_of_another_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed 1"):
+            generate_times(ArrivalProcess(ArrivalKind.POISSON, 5.0, 2), 10.0, UnitDraws(1))
+
+    def test_events_pass_draws_on(self, monkeypatch):
+        draws = UnitDraws(8)
+        process = ArrivalProcess(ArrivalKind.POISSON, 40.0, 8)
+        events = generate_events(process, TxKind.WRITE, 10.0, draws=draws)
+        assert np.array_equal(events.write_times, generate_times(process, 10.0))
+        # the stream's draws are in the buffer now
+        monkeypatch.setattr(ArrivalProcess, "rng", lambda self: pytest.fail("drew uniforms"))
+        assert np.array_equal(generate_times(process, 10.0, draws), events.write_times)
 
 
 class TestSampleInterarrival:

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from chaincap.arrival import ArrivalKind, TxKind
+from chaincap import bench
+from chaincap.arrival import ArrivalKind, ArrivalProcess, TxKind
 from chaincap.bench import (
     CampaignSpec,
     CapacityProfile,
@@ -124,6 +125,63 @@ class TestFindMaxLambda:
     def test_tolerance_domain(self):
         with pytest.raises(DomainError):
             find_max_lambda(small_cluster(), TxKind.WRITE, tolerance=0.5)
+
+    def test_calibration_error_names_the_failing_probe(self):
+        # seed 5 of the shipped profile commits too much at the first probe
+        first = run_trial(default_cluster(), TxKind.WRITE, ArrivalKind.POISSON, 100.0,
+                          60.0, seed=5)
+        assert f"{first.mean_tps:.2f}" == "102.28"
+        with pytest.raises(CalibrationError) as err:
+            find_max_lambda(default_cluster(), TxKind.WRITE, base_seed=5)
+        assert str(err.value) == (
+            "no steady operating point at the smallest probe rate 100.0; the cluster "
+            "profile looks miscalibrated: its mean throughput 102.28 tps is outside "
+            "100.0 ±2% [98.00, 102.00] at seed 5")
+
+
+class TestSharedDraws:
+    def count_generators(self, monkeypatch):
+        seeds = []
+        make = ArrivalProcess.rng
+
+        def counted(process):
+            seeds.append(process.seed)
+            return make(process)
+
+        monkeypatch.setattr(ArrivalProcess, "rng", counted)
+        return seeds
+
+    def test_one_generator_per_search(self, monkeypatch):
+        seeds = self.count_generators(monkeypatch)
+        find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=7)
+        assert seeds == [7]
+        # a search that stops at its first probe makes one as well
+        with pytest.raises(CalibrationError):
+            find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=1)
+        assert seeds == [7, 1]
+
+    def test_deterministic_search_draws_nothing(self, monkeypatch):
+        seeds = self.count_generators(monkeypatch)
+        find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
+                        duration_s=20.0)
+        assert seeds == []
+
+    def test_probes_match_trials_of_their_own(self, monkeypatch):
+        probes = []
+        trial = bench.run_trial
+
+        def recorded(*args, **kwargs):
+            summary = trial(*args, **kwargs)
+            probes.append((args, summary))
+            return summary
+
+        monkeypatch.setattr(bench, "run_trial", recorded)
+        find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=8)
+        assert len(probes) > 5
+        rates = [args[3] for args, _ in probes]
+        assert max(rates) > rates[-1]  # some probes after a larger one
+        for args, summary in probes:
+            assert trial(*args, seed=8) == summary
 
 
 class TestSweepNodes:
