@@ -27,11 +27,11 @@ from .errors import ContractError, DomainError
 
 # Largest expected event count (rate x horizon) of one stream.  A trial holds
 # its arrival buffer plus, for writes, the latency of every committed write
-# and, for reads, the completion times and their per-window temporaries: a
-# 4M-event trial at a sustainable rate peaked 18 bytes per event above the
-# interpreter's own memory for writes and 52 for reads, so this caps one trial
-# near 1.6 GB, and a rate that would exhaust memory is rejected before
-# anything is allocated.  The paper protocol's longest trial, 20k reads/s for
+# (a capacity probe computes none) and, for reads, the completion times and
+# their per-window temporaries: a 4M-event trial at a sustainable rate peaked
+# 17 bytes per event above the interpreter's own memory for writes (9 as a
+# probe) and 39 for reads, so this caps one trial near 1.2 GB, and a rate that
+# would exhaust memory is rejected before anything is allocated.  The paper protocol's longest trial, 20k reads/s for
 # 600 s, expects 12M events.
 MAX_EXPECTED_EVENTS = 30_000_000
 

@@ -11,6 +11,7 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .arrival import (
     ArrivalKind,
@@ -21,7 +22,7 @@ from .arrival import (
     check_rate,
     generate_events,
 )
-from .chainsim import ClusterConfig, run
+from .chainsim import ClusterConfig, MetricsTimeline, run
 from .errors import CalibrationError, DomainError, InputError
 
 # trial policy: every trial uses 1 s metric windows, drops the first 10% of
@@ -31,6 +32,10 @@ WINDOW_S = 1.0
 WARMUP_FRACTION = 0.1
 STEADY_TOLERANCE = 0.02
 DEFAULT_SEARCH_TOLERANCE = 0.01
+# hi / lo - 1 cannot fall below one ulp (about 2.2e-16), and near it the
+# geometric midpoint rounds to an endpoint, so a finer tolerance never ends
+MIN_SEARCH_TOLERANCE = 1e-9
+MAX_SEARCH_TOLERANCE = 0.05
 
 # full-protocol experiment shape: 5 trials of 10 minutes each
 PAPER_TRIALS = 5
@@ -160,9 +165,57 @@ def detect_steady_state(lambda_offered: float, mean_tps: float) -> bool:
     return abs(mean_tps - lambda_offered) <= STEADY_TOLERANCE * lambda_offered
 
 
+class Trial:
+    """One trial's throughput verdict; its latency and cpu means are computed
+    from the timeline on first access.
+
+    A capacity probe reads only ``mean_tps`` and ``steady``.  ``summary``
+    turns the trial into a plain record that no longer holds the timeline.
+    """
+
+    def __init__(self, kind: TxKind, lam: float, seed: int, timeline: MetricsTimeline):
+        self.lambda_offered = lam
+        self.seed = seed
+        self._kind = kind
+        self._timeline = timeline
+        self._skip = int(timeline.n_windows * WARMUP_FRACTION)
+        if kind is TxKind.WRITE:
+            self.mean_tps = timeline.mean_committed_write_tps(self._skip)
+        else:
+            self.mean_tps = timeline.mean_served_read_tps(self._skip)
+        self.steady = detect_steady_state(lam, self.mean_tps)
+
+    @cached_property
+    def mean_latency_ms(self) -> float:
+        """Mean latency over the post-warm-up windows, weighted by throughput."""
+        skip, timeline = self._skip, self._timeline
+        if self._kind is TxKind.WRITE:
+            lat = timeline.mean_write_latency_ms[skip:]
+            counts = timeline.committed_write_tps[skip:]
+        else:
+            lat = timeline.mean_read_latency_ms[skip:]
+            counts = timeline.served_read_tps[skip:]
+        total = counts.sum()
+        return float((lat * counts).sum() / total) if total > 0 else 0.0
+
+    @cached_property
+    def mean_cpu(self) -> float:
+        return float(self._timeline.cpu_utilization[:, self._skip:].mean())
+
+    def summary(self) -> TrialSummary:
+        return TrialSummary(
+            lambda_offered=self.lambda_offered,
+            mean_tps=self.mean_tps,
+            mean_latency_ms=self.mean_latency_ms,
+            mean_cpu=self.mean_cpu,
+            steady=self.steady,
+            seed=self.seed,
+        )
+
+
 def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
               lam: float, duration_s: float, seed: int,
-              draws: UnitDraws | None = None) -> TrialSummary:
+              draws: UnitDraws | None = None) -> Trial:
     """One simulation at one offered rate; means exclude the warm-up prefix.
 
     ``draws``, if given, holds ``seed``'s unit draws shared with other trials.
@@ -172,27 +225,7 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
         raise DomainError("trial rate must be > 0")
     process = ArrivalProcess(kind=arrival_kind, rate=lam, seed=seed)
     events = generate_events(process, kind, duration_s, draws=draws)
-    timeline = run(cluster, events, horizon=duration_s, window_s=WINDOW_S)
-    skip = int(timeline.n_windows * WARMUP_FRACTION)
-    if kind is TxKind.WRITE:
-        mean_tps = timeline.mean_committed_write_tps(skip)
-        lat = timeline.mean_write_latency_ms[skip:]
-        counts = timeline.committed_write_tps[skip:]
-    else:
-        mean_tps = timeline.mean_served_read_tps(skip)
-        lat = timeline.mean_read_latency_ms[skip:]
-        counts = timeline.served_read_tps[skip:]
-    total = counts.sum()
-    mean_latency = float((lat * counts).sum() / total) if total > 0 else 0.0
-    mean_cpu = float(timeline.cpu_utilization[:, skip:].mean())
-    return TrialSummary(
-        lambda_offered=lam,
-        mean_tps=mean_tps,
-        mean_latency_ms=mean_latency,
-        mean_cpu=mean_cpu,
-        steady=detect_steady_state(lam, mean_tps),
-        seed=seed,
-    )
+    return Trial(kind, lam, seed, run(cluster, events, horizon=duration_s, window_s=WINDOW_S))
 
 
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
@@ -203,8 +236,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
         rate_trials = []
         for i in range(spec.trials):
             try:
+                # the summary drops the trial's timeline before the next trial
                 summary = run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
-                                    spec.duration_s, seed=spec.base_seed + i)
+                                    spec.duration_s, seed=spec.base_seed + i).summary()
             except Exception as exc:
                 raise CalibrationError(
                     f"trial failed at rate={rate} trial={i}: {exc}") from exc
@@ -238,14 +272,15 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     search draws its uniforms once.  Raises :class:`CalibrationError` when
     even the smallest probe is unsteady.
     """
-    if not 0 < tolerance <= 0.05:
-        raise DomainError(f"search tolerance must be in (0, 0.05], got {tolerance}")
+    if not MIN_SEARCH_TOLERANCE <= tolerance <= MAX_SEARCH_TOLERANCE:
+        raise DomainError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
+                          f"{MAX_SEARCH_TOLERANCE}], got {tolerance!r}")
     check_duration(duration_s)
     cluster.validate()
 
     draws = UnitDraws(base_seed)
 
-    def probe(lam: float) -> TrialSummary:
+    def probe(lam: float) -> Trial:
         return run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
                          draws=draws)
 

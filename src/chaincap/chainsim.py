@@ -21,6 +21,7 @@ import configparser
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -155,30 +156,135 @@ def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
     return service_s * (i + 1.0) + np.maximum.accumulate(arrivals - service_s * i)
 
 
-@dataclass
-class MetricsTimeline:
-    """Per-window metrics of one simulation run plus end-of-run totals."""
+def _mean_per_window(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``total / count`` per window; 0 where a window counts nothing."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
-    window_s: float
-    committed_write_tps: np.ndarray
-    served_read_tps: np.ndarray
-    mean_write_latency_ms: np.ndarray
-    mean_read_latency_ms: np.ndarray
-    cpu_utilization: np.ndarray       # shape (node_count, n_windows)
-    pool_depth: np.ndarray            # pending writes at each window end
-    ledger_bytes: np.ndarray          # cumulative at each window end
-    arrived_writes: int
-    committed_writes: int
-    pending_writes: int
-    arrived_reads: int
-    served_reads: int
-    blocks_produced: int
-    read_completions_s: np.ndarray | None = None
-    write_latencies_ms: np.ndarray | None = None
+
+class MetricsTimeline:
+    """Per-window metrics of one simulation run plus end-of-run totals.
+
+    ``run`` builds it from the read completions and the blocks, one entry
+    per block in commit order; the per-window committed and served counts
+    and the six totals are computed at once.  Every other series is derived
+    on first access and then kept, so a caller that reads only throughput
+    computes no latency, cpu, pool or ledger series.
+    """
+
+    def __init__(self, cluster: ClusterConfig, events: EventStream, horizon: float,
+                 window_s: float, n_windows: int, read_completions_s: np.ndarray,
+                 commit_s: np.ndarray, fills: np.ndarray, depths: np.ndarray):
+        self.window_s = window_s
+        self.read_completions_s = read_completions_s
+        self._cluster, self._events, self._horizon = cluster, events, horizon
+        self._n_windows = n_windows
+        self._commit_s, self._fills, self._depths = commit_s, fills, depths
+        self._block_windows = self._window_of(commit_s)
+        # bincount adds each bin's weights in array order
+        self._committed_count = np.bincount(self._block_windows, weights=fills,
+                                            minlength=self._n_windows)
+        _, read_windows = self._served()
+        self._served_count = np.bincount(read_windows, minlength=self._n_windows)
+        self.committed_write_tps = self._committed_count / window_s
+        self.served_read_tps = self._served_count / window_s
+        self.arrived_writes = int(events.write_times.size)
+        self.committed_writes = int(fills.sum())
+        self.pending_writes = self.arrived_writes - self.committed_writes
+        self.arrived_reads = int(events.read_times.size)
+        self.served_reads = read_windows.size
+        self.blocks_produced = commit_s.size
+
+    def _window_of(self, t: np.ndarray) -> np.ndarray:
+        return np.minimum((t / self.window_s).astype(np.int64), self._n_windows - 1)
+
+    def _served(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which reads complete within the run, and the window of each that does."""
+        in_run = self.read_completions_s <= self._horizon
+        return in_run, self._window_of(self.read_completions_s[in_run])
 
     @property
     def n_windows(self) -> int:
-        return len(self.committed_write_tps)
+        return self._n_windows
+
+    @cached_property
+    def write_latencies_ms(self) -> np.ndarray:
+        """Each committed write's latency, block after block."""
+        latencies = np.repeat(self._commit_s, self._fills)
+        np.subtract(latencies, self._events.write_times[:latencies.size], out=latencies)
+        latencies *= 1000.0
+        return latencies
+
+    @cached_property
+    def mean_write_latency_ms(self) -> np.ndarray:
+        # a block sums its slice pairwise, as a sum over its own array would
+        # (reduceat would not); bincount then sums a window's blocks in
+        # commit order
+        latencies = self.write_latencies_ms
+        ends = np.cumsum(self._fills)
+        starts = ends - self._fills
+        latency_sums = [np.add.reduce(latencies[i:j])
+                        for i, j in zip(starts.tolist(), ends.tolist())]
+        latency_sum = np.bincount(self._block_windows, weights=latency_sums,
+                                  minlength=self._n_windows)
+        return _mean_per_window(latency_sum, self._committed_count)
+
+    @cached_property
+    def mean_read_latency_ms(self) -> np.ndarray:
+        in_run, windows = self._served()
+        latency_ms = (self.read_completions_s[in_run] - self._events.read_times[in_run]) * 1000.0
+        latency_sum = np.bincount(windows, weights=latency_ms, minlength=self._n_windows)
+        return _mean_per_window(latency_sum, self._served_count)
+
+    @cached_property
+    def cpu_utilization(self) -> np.ndarray:
+        """Share of each node's capacity used, shape (node_count, n_windows)."""
+        cluster = self._cluster
+        n_nodes = cluster.node_count
+        work_us = np.zeros((n_nodes, self._n_windows))
+        # each node serves a strided view of the reads; its completions are
+        # sorted, so those in the run are a prefix
+        stride = n_nodes if cluster.read_mode == "multi" else 1
+        for node in range(stride):
+            done = self.read_completions_s[node::stride]
+            windows = self._window_of(done[:done.searchsorted(self._horizon, side="right")])
+            work_us[node] = np.bincount(windows,
+                                        weights=np.full(windows.size, cluster.read_service_us),
+                                        minlength=self._n_windows)
+        # every node validates each block and handles ~2N messages; the proposer
+        # also scans the pool.  add.at adds in index order, so each cell sums its
+        # blocks' work in commit order, a block's share before its scan.
+        block_us = cluster.write_exec_us * self._fills + cluster.msg_proc_us * 2 * n_nodes
+        scan_us = cluster.pool_scan_cost_us_per_tx * self._depths
+        pair_windows = np.repeat(self._block_windows, 2)
+        pair_us = np.column_stack((block_us, scan_us)).ravel()
+        proposers = np.arange(self._fills.size) % n_nodes
+        keep = np.ones(pair_us.size, dtype=bool)
+        for node in range(n_nodes):
+            keep[1::2] = proposers == node
+            np.add.at(work_us[node], pair_windows[keep], pair_us[keep])
+        return np.minimum(1.0, work_us / (cluster.node_cpu_capacity * self.window_s))
+
+    def _at_window_ends(self, running: np.ndarray) -> np.ndarray:
+        """``running`` (one value per block) after the last block committed by
+        each window end; 0 before the first."""
+        blocks_by = np.searchsorted(self._commit_s, self._window_ends(), side="right")
+        return np.concatenate(([0], running))[blocks_by]
+
+    def _window_ends(self) -> np.ndarray:
+        return np.arange(1, self._n_windows + 1) * self.window_s
+
+    @cached_property
+    def pool_depth(self) -> np.ndarray:
+        """Pending writes at each window end."""
+        arrived_by = np.searchsorted(self._events.write_times, self._window_ends(), side="right")
+        return (arrived_by - self._at_window_ends(np.cumsum(self._fills))).astype(np.int64)
+
+    @cached_property
+    def ledger_bytes(self) -> np.ndarray:
+        """Ledger size at each window end."""
+        block_bytes = self._cluster.empty_block_bytes + self._events.payload_bytes * self._fills
+        return self._at_window_ends(np.cumsum(block_bytes)).astype(np.int64)
 
     def mean_committed_write_tps(self, skip_windows: int = 0) -> float:
         return float(np.mean(self.committed_write_tps[skip_windows:]))
@@ -227,7 +333,7 @@ def window_count(horizon: float, window_s: float) -> int:
 
 
 def run(cluster: ClusterConfig, events: EventStream, horizon: float,
-        window_s: float = 1.0, keep_detail: bool = False) -> MetricsTimeline:
+        window_s: float = 1.0) -> MetricsTimeline:
     """Simulate the cluster against the writes and reads of ``events``.
 
     Each of its arrays must be sorted by time and fit within ``horizon``.
@@ -245,29 +351,13 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     params = ConsensusParams.for_cluster(cluster)
     n_nodes = cluster.node_count
 
-    def window_of(t: np.ndarray) -> np.ndarray:
-        return np.minimum((t / window_s).astype(np.int64), n_windows - 1)
-
     # --- reads: FIFO queues, no consensus involvement ---
     # round-robin assignment makes each node's reads a strided view
     stride = n_nodes if cluster.read_mode == "multi" else 1
     service_s = cluster.read_service_us * 1e-6
     completions = np.empty(read_ts.size)
-    work_us = np.zeros((n_nodes, n_windows))
     for node in range(stride):
-        done = _fifo_completions(read_ts[node::stride], service_s)
-        completions[node::stride] = done
-        # a node's completions are sorted, so those in the run are a prefix;
-        # bincount adds each bin's weights in array order, one at a time
-        widx = window_of(done[:done.searchsorted(horizon, side="right")])
-        work_us[node] = np.bincount(widx, weights=np.full(widx.size, cluster.read_service_us),
-                                    minlength=n_windows)
-    in_run = completions <= horizon
-    done = completions[in_run]
-    widx = window_of(done)
-    served_count = np.bincount(widx, minlength=n_windows)
-    served_latency_sum = np.bincount(widx, weights=(done - read_ts[in_run]) * 1000.0,
-                                     minlength=n_windows)
+        completions[node::stride] = _fifo_completions(read_ts[node::stride], service_s)
 
     # --- writes: sequential proposer-rotating block production ---
     # the loop runs the recurrence only; one entry per block
@@ -292,72 +382,9 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         proposer = (proposer + 1) % n_nodes
         t_prop = max(t_commit, t_prop + interval_s)
 
-    commit_arr = np.array(commit_times)
-    fills_arr = np.array(fills, dtype=np.int64)
-    depths_arr = np.array(depths, dtype=np.int64)
-    totals_arr = np.cumsum(fills_arr)  # writes committed by each block
-    windows_arr = window_of(commit_arr)
-    # each committed write's latency, block after block; a block sums its
-    # slice pairwise, as a sum over its own array would (reduceat would not)
-    latencies = np.repeat(commit_arr, fills_arr)
-    np.subtract(latencies, write_ts[:i_commit], out=latencies)
-    latencies *= 1000.0
-    starts = totals_arr - fills_arr
-    latency_sums = [np.add.reduce(latencies[i:j]) for i, j in zip(starts.tolist(),
-                                                                  totals_arr.tolist())]
-    # every node validates each block and handles ~2N messages; the proposer
-    # also scans the pool.  add.at adds in index order, so each cell sums its
-    # blocks' work in commit order, a block's share before its scan.
-    block_us = cluster.write_exec_us * fills_arr + cluster.msg_proc_us * 2 * n_nodes
-    scan_us = cluster.pool_scan_cost_us_per_tx * depths_arr
-    pair_windows = np.repeat(windows_arr, 2)
-    pair_us = np.column_stack((block_us, scan_us)).ravel()
-    proposers = np.arange(fills_arr.size) % n_nodes
-    keep = np.ones(pair_us.size, dtype=bool)
-    for node in range(n_nodes):
-        keep[1::2] = proposers == node
-        np.add.at(work_us[node], pair_windows[keep], pair_us[keep])
-
-    # bincount adds each bin's weights in array order, so a window sums its
-    # blocks' latencies in commit order
-    committed_count = np.bincount(windows_arr, weights=fills_arr, minlength=n_windows)
-    committed_latency_sum = np.bincount(windows_arr, weights=latency_sums, minlength=n_windows)
-    block_bytes = cluster.empty_block_bytes + events.payload_bytes * fills_arr
-
-    # --- per-window series ---
-    boundaries = (np.arange(1, n_windows + 1)) * window_s
-    arrived_by = np.searchsorted(write_ts, boundaries, side="right")
-    # blocks committed by each window end; index 0 stands for none yet
-    blocks_by = np.searchsorted(commit_arr, boundaries, side="right")
-    pool_series = arrived_by - np.concatenate(([0], totals_arr))[blocks_by]
-    ledger_series = np.concatenate(([0], np.cumsum(block_bytes)))[blocks_by]
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_write_lat = np.where(committed_count > 0,
-                                  committed_latency_sum / np.maximum(committed_count, 1), 0.0)
-        mean_read_lat = np.where(served_count > 0,
-                                 served_latency_sum / np.maximum(served_count, 1), 0.0)
-
-    util = np.minimum(1.0, work_us / (cluster.node_cpu_capacity * window_s))
-
-    return MetricsTimeline(
-        window_s=window_s,
-        committed_write_tps=committed_count / window_s,
-        served_read_tps=served_count / window_s,
-        mean_write_latency_ms=mean_write_lat,
-        mean_read_latency_ms=mean_read_lat,
-        cpu_utilization=util,
-        pool_depth=pool_series.astype(np.int64),
-        ledger_bytes=ledger_series.astype(np.int64),
-        arrived_writes=int(write_ts.size),
-        committed_writes=int(i_commit),
-        pending_writes=int(write_ts.size - i_commit),
-        arrived_reads=int(read_ts.size),
-        served_reads=done.size,
-        blocks_produced=len(commit_times),
-        read_completions_s=completions if keep_detail else None,
-        write_latencies_ms=latencies if keep_detail else None,
-    )
+    return MetricsTimeline(cluster, events, horizon, window_s, n_windows, completions,
+                           np.array(commit_times), np.array(fills, dtype=np.int64),
+                           np.array(depths, dtype=np.int64))
 
 
 # --- cluster profile files -------------------------------------------------

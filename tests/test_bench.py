@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,7 @@ from chaincap.bench import (
     run_trial,
     sweep_nodes,
 )
-from chaincap.chainsim import default_cluster
+from chaincap.chainsim import MetricsTimeline, default_cluster
 from chaincap.errors import CalibrationError, DomainError
 
 
@@ -98,6 +100,33 @@ class TestRunCampaign:
                             rates=(60.0, 80.0), trials=2, duration_s=20.0, base_seed=5)
         assert run_campaign(spec) == run_campaign(spec)
 
+    @pytest.mark.parametrize("kind,rates", [(TxKind.WRITE, (60.0, 900.0)),
+                                            (TxKind.READ, (3000.0, 30000.0))])
+    def test_trials_are_python_scalars(self, kind, rates):
+        spec = CampaignSpec(cluster=small_cluster(), kind=kind, rates=rates, trials=2,
+                            duration_s=20.0)
+        for trial in run_campaign(spec).trials:
+            for field in dataclasses.fields(trial):
+                value = getattr(trial, field.name)
+                assert type(value) in (int, float, bool), (field.name, type(value))
+
+    def test_no_timeline_outlives_its_trial(self, monkeypatch):
+        timelines = []
+        simulate = bench.run
+
+        def recorded(*args, **kwargs):
+            # every earlier trial's timeline is gone by the time the next one runs
+            assert all(ref() is None for ref in timelines)
+            timeline = simulate(*args, **kwargs)
+            timelines.append(weakref.ref(timeline))
+            return timeline
+
+        monkeypatch.setattr(bench, "run", recorded)
+        spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                            rates=(60.0, 80.0), trials=2, duration_s=20.0)
+        run_campaign(spec)
+        assert len(timelines) == 4 and all(ref() is None for ref in timelines)
+
 
 class TestFindMaxLambda:
     def test_search_converges_on_small_cluster(self):
@@ -123,8 +152,17 @@ class TestFindMaxLambda:
                             start=1e6)
 
     def test_tolerance_domain(self):
-        with pytest.raises(DomainError):
-            find_max_lambda(small_cluster(), TxKind.WRITE, tolerance=0.5)
+        for bad in (0.5, 0.0, 9.99e-10, 1e-17, math.nan):
+            with pytest.raises(DomainError, match="search tolerance"):
+                find_max_lambda(small_cluster(), TxKind.WRITE, tolerance=bad)
+
+    def test_finest_tolerance_ends(self):
+        # the bisection narrows its bracket to 1e-9 before rounding stalls it
+        coarse = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
+                                 duration_s=20.0)
+        fine = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
+                               tolerance=1e-9, duration_s=20.0)
+        assert coarse <= fine <= coarse * 1.01
 
     def test_calibration_error_names_the_failing_probe(self):
         # seed 5 of the shipped profile commits too much at the first probe
@@ -171,17 +209,33 @@ class TestSharedDraws:
         trial = bench.run_trial
 
         def recorded(*args, **kwargs):
-            summary = trial(*args, **kwargs)
-            probes.append((args, summary))
-            return summary
+            result = trial(*args, **kwargs)
+            probes.append((args, result))
+            return result
 
         monkeypatch.setattr(bench, "run_trial", recorded)
         find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=8)
         assert len(probes) > 5
         rates = [args[3] for args, _ in probes]
         assert max(rates) > rates[-1]  # some probes after a larger one
-        for args, summary in probes:
-            assert trial(*args, seed=8) == summary
+        for args, result in probes:
+            assert trial(*args, seed=8).summary() == result.summary()
+
+
+class TestProbesReadOnlyThroughput:
+    """A probe's verdict reads throughput only; latency and cpu stay uncomputed."""
+
+    @pytest.mark.parametrize("kind", [TxKind.WRITE, TxKind.READ])
+    def test_capacity_unchanged_when_unread_series_raise(self, monkeypatch, kind):
+        want = find_max_lambda(small_cluster(), kind, duration_s=20.0)
+
+        def unread(timeline):
+            raise AssertionError("a capacity probe computed a series its verdict never reads")
+
+        for name in ("mean_write_latency_ms", "mean_read_latency_ms", "cpu_utilization",
+                     "pool_depth", "ledger_bytes", "write_latencies_ms"):
+            monkeypatch.setattr(MetricsTimeline, name, property(unread))
+        assert find_max_lambda(small_cluster(), kind, duration_s=20.0) == want
 
 
 class TestSweepNodes:

@@ -1,6 +1,8 @@
 import io
 import math
 from dataclasses import replace
+from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,8 +46,8 @@ def cpu_utilization(work_us: float, node_cpu_capacity: float, window_s: float) -
 
 
 def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
-                  window_s: float = 1.0) -> MetricsTimeline:
-    """Scalar oracle of ``run`` with ``keep_detail=True``: one round per loop pass.
+                  window_s: float = 1.0) -> SimpleNamespace:
+    """Scalar oracle of ``run``, every series and total: one round per loop pass.
 
     Each block calls ``consensus_round_latency`` and adds its counts, latency
     sum, bytes and cpu work into the window of its commit, in block order.
@@ -124,7 +126,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         ledger_cum.append((t, running))
     arrived_by = [int(np.searchsorted(write_ts, (w + 1) * window_s, side="right"))
                   for w in range(n_windows)]
-    return MetricsTimeline(
+    return SimpleNamespace(
         window_s=window_s,
         committed_write_tps=committed_count / window_s,
         served_read_tps=served_count / window_s,
@@ -261,7 +263,7 @@ class TestRunBasics:
 
     def test_single_write_first_block(self):
         cluster = default_cluster()
-        tl = run(cluster, stream([0.0], payload=256), horizon=5.0, keep_detail=True)
+        tl = run(cluster, stream([0.0], payload=256), horizon=5.0)
         assert tl.committed_writes == 1
         latency = float(tl.write_latencies_ms[0])
         assert latency >= cluster.block_interval_ms / 2
@@ -369,9 +371,8 @@ class TestReads:
     def test_reads_independent_of_consensus(self):
         reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 4000.0, 6),
                                 TxKind.READ, 15.0)
-        with_blocks = run(default_cluster(), with_writes(reads, 15.0), horizon=15.0,
-                          keep_detail=True)
-        without = run(default_cluster(), reads, horizon=15.0, keep_detail=True)
+        with_blocks = run(default_cluster(), with_writes(reads, 15.0), horizon=15.0)
+        without = run(default_cluster(), reads, horizon=15.0)
         assert with_blocks.committed_writes > 0 and without.committed_writes == 0
         assert np.array_equal(with_blocks.read_completions_s, without.read_completions_s)
 
@@ -403,7 +404,7 @@ class TestReads:
         arrivals = np.sort(rng.random(500) * 5.0)
         server = ReadServer(cluster)
         scalar = [server.serve_read(0, float(t)) for t in arrivals]
-        tl = run(cluster, stream(arrivals, write=False), horizon=10.0, keep_detail=True)
+        tl = run(cluster, stream(arrivals, write=False), horizon=10.0)
         assert np.allclose(tl.read_completions_s, scalar, rtol=0, atol=1e-9)
 
 
@@ -426,8 +427,17 @@ def merged_stream(write_rate, read_rate, horizon, seed):
     return EventStream(np.sort(times[:n_writes]), np.sort(times[n_writes:]), payload)
 
 
-def assert_same_timeline(got: MetricsTimeline, want: MetricsTimeline) -> None:
-    for name in MetricsTimeline.__dataclass_fields__:
+# every series and count a run reports; the lazily derived ones included
+TIMELINE_FIELDS = (
+    "window_s", "committed_write_tps", "served_read_tps", "mean_write_latency_ms",
+    "mean_read_latency_ms", "cpu_utilization", "pool_depth", "ledger_bytes",
+    "arrived_writes", "committed_writes", "pending_writes", "arrived_reads",
+    "served_reads", "blocks_produced", "read_completions_s", "write_latencies_ms",
+)
+
+
+def assert_same_timeline(got: MetricsTimeline, want: SimpleNamespace) -> None:
+    for name in TIMELINE_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         if isinstance(b, np.ndarray):
             assert a.dtype == b.dtype, name
@@ -439,13 +449,31 @@ def assert_same_timeline(got: MetricsTimeline, want: MetricsTimeline) -> None:
 class TestRunMatchesScalarReference:
     """``run`` must reproduce the one-round-per-pass oracle bit for bit."""
 
+    def test_field_list_covers_the_timeline(self):
+        tl = run(default_cluster(), stream([0.5]), horizon=10.0)
+        public = {name for name in vars(tl) if not name.startswith("_")}
+        lazy = {name for name, value in vars(MetricsTimeline).items()
+                if isinstance(value, cached_property)}
+        assert public | lazy == set(TIMELINE_FIELDS)
+        assert set(vars(reference_run(default_cluster(), stream([0.5]), 10.0))) == public | lazy
+
+    def test_lazy_series_do_not_depend_on_access_order(self):
+        cluster = asymmetric_cluster(4, 7)
+        events = merged_stream(1500.0, 900.0, 12.0, seed=2)
+        want = reference_run(cluster, events, 12.0, window_s=0.7)
+        for order in (TIMELINE_FIELDS, TIMELINE_FIELDS[::-1]):
+            got = run(cluster, events, horizon=12.0, window_s=0.7)
+            for name in order:
+                getattr(got, name)
+            assert_same_timeline(got, want)
+
     @pytest.mark.parametrize("write_rate", [300.0, 1500.0])
     @pytest.mark.parametrize("capacity", [1, 7, 700])
     @pytest.mark.parametrize("n", [4, 7])
     def test_asymmetric_rtt_non_integer_costs(self, n, capacity, write_rate):
         cluster = asymmetric_cluster(n, capacity)
         events = merged_stream(write_rate, 900.0, 12.0, seed=n * capacity)
-        got = run(cluster, events, horizon=12.0, window_s=0.7, keep_detail=True)
+        got = run(cluster, events, horizon=12.0, window_s=0.7)
         assert_same_timeline(got, reference_run(cluster, events, 12.0, window_s=0.7))
         assert got.blocks_produced > 0 and got.committed_writes > 0
 
@@ -453,7 +481,7 @@ class TestRunMatchesScalarReference:
         cluster = default_cluster()
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 1400.0, 8),
                                  TxKind.WRITE, 20.0, payload_bytes=256)
-        got = run(cluster, events, horizon=20.0, keep_detail=True)
+        got = run(cluster, events, horizon=20.0)
         assert_same_timeline(got, reference_run(cluster, events, 20.0))
 
     @pytest.mark.parametrize("read_mode", ["multi", "single"])
@@ -461,17 +489,17 @@ class TestRunMatchesScalarReference:
         # reads alone, so only empty blocks, then the same reads under write load
         cluster = replace(asymmetric_cluster(4, 700), read_mode=read_mode)
         reads = merged_stream(0.0, 2000.0, 5.0, seed=1)
-        alone = run(cluster, reads, horizon=5.0, window_s=0.3, keep_detail=True)
+        alone = run(cluster, reads, horizon=5.0, window_s=0.3)
         assert_same_timeline(alone, reference_run(cluster, reads, 5.0, window_s=0.3))
         loaded = with_writes(reads, 5.0)
-        got = run(cluster, loaded, horizon=5.0, window_s=0.3, keep_detail=True)
+        got = run(cluster, loaded, horizon=5.0, window_s=0.3)
         assert_same_timeline(got, reference_run(cluster, loaded, 5.0, window_s=0.3))
         for name in ("served_read_tps", "mean_read_latency_ms", "read_completions_s"):
             assert np.array_equal(getattr(got, name), getattr(alone, name)), name
 
     def test_empty_stream(self):
         cluster = asymmetric_cluster(7, 7)
-        got = run(cluster, stream([]), horizon=3.3, window_s=0.7, keep_detail=True)
+        got = run(cluster, stream([]), horizon=3.3, window_s=0.7)
         assert_same_timeline(got, reference_run(cluster, stream([]), 3.3, window_s=0.7))
 
 
@@ -497,7 +525,7 @@ class TestWindows:
     def test_window_count_rounding(self, horizon, window_s, n_windows):
         cluster = default_cluster()
         events = merged_stream(300.0, 900.0, horizon, seed=3)
-        tl = run(cluster, events, horizon=horizon, window_s=window_s, keep_detail=True)
+        tl = run(cluster, events, horizon=horizon, window_s=window_s)
         assert window_count(horizon, window_s) == tl.n_windows == n_windows
         assert tl.cpu_utilization.shape == (cluster.node_count, n_windows)
         # served reads: the scalar FIFO's completions within the horizon

@@ -217,7 +217,7 @@ def test_failed_command_leaves_no_output_dir(tmp_path, argv):
 
 
 def _no_draws(self):
-    raise AssertionError("no uniforms may be drawn for a rejected rate")
+    raise AssertionError("no uniforms may be drawn for rejected input")
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,6 +262,19 @@ def test_short_or_non_finite_duration_exits_2(tmp_path, capsys, monkeypatch, arg
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "duration must cover at least 10 windows" in err
+    assert len(err.strip().split("\n")) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["1e-17", "9.99e-10", "0", "nan", "0.06"])
+def test_search_tolerance_out_of_range_exits_2(tmp_path, capsys, monkeypatch, tolerance):
+    # below 1e-9 the bisection's bracket stops narrowing and the search never ends
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(["capacity", "--kind", "write", "--duration", "20", "--tolerance", tolerance,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "search tolerance must be in [1e-09, 0.05]" in err
     assert len(err.strip().split("\n")) == 1
     assert not out.exists()
 
