@@ -7,10 +7,7 @@ from .arrival import (  # noqa: F401
     ArrivalProcess,
     EventStream,
     TxKind,
-    WorkloadMultiplicity,
     generate_events,
-    lambda_read,
-    lambda_write,
 )
 from .assess import Remediation, Verdict, assess, methodology_report  # noqa: F401
 from .bench import (  # noqa: F401
@@ -24,11 +21,11 @@ from .bench import (  # noqa: F401
 )
 from .chainsim import (  # noqa: F401
     ClusterConfig,
-    ConsensusParams,
     MetricsTimeline,
     consensus_round_latency,
     default_cluster,
     load_cluster,
+    quorum,
     run,
 )
 from .scenarios import (  # noqa: F401

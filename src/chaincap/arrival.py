@@ -3,11 +3,7 @@
 Transactions reach the blockchain as a stream of read/write events.  The
 stream is either a Poisson process (exponential interarrivals at rate
 ``lambda``) or a deterministic comb at spacing ``1/lambda`` used as a
-calibration baseline.  Rates are derived from a workload's concurrent-event
-rate ``eta`` and its per-event read/write multiplicities ``alpha``/``beta``:
-
-    lambda_read  = eta * alpha
-    lambda_write = eta * beta
+calibration baseline.
 
 Streams are generated with a counter-based PRNG (Philox) so that identical
 (kind, rate, seed) always reproduce the identical stream, and independent
@@ -37,6 +33,9 @@ MAX_EXPECTED_EVENTS = 30_000_000
 
 DEFAULT_WRITE_PAYLOAD_BYTES = 256  # hash-plus-signature class record
 
+# a Philox key is 128 bits, so seeds are integers in [0, SEED_LIMIT)
+SEED_LIMIT = 2**128
+
 
 class ArrivalKind(Enum):
     POISSON = "poisson"
@@ -56,32 +55,10 @@ def check_rate(value: float, name: str = "rate") -> float:
     return value
 
 
-@dataclass(frozen=True)
-class WorkloadMultiplicity:
-    """Concurrent-event rate plus per-event read/write transaction counts."""
-
-    eta: float  # concurrent events per second
-    alpha: int  # read transactions per event
-    beta: int   # write transactions per event
-
-    def __post_init__(self):
-        check_rate(self.eta, "eta")
-        if self.alpha < 0:
-            raise DomainError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if self.alpha + self.beta < 1:
-            raise DomainError("a usable workload needs at least one read or write per event")
-
-
-def lambda_write(m: WorkloadMultiplicity) -> float:
-    """Write-transaction arrival rate: eta * beta, exact."""
-    return m.eta * m.beta
-
-
-def lambda_read(m: WorkloadMultiplicity) -> float:
-    """Read-transaction arrival rate: eta * alpha, exact."""
-    return m.eta * m.alpha
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Validate a stream seed: an integer key of the Philox generator."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise DomainError(f"{name} must be in [0, 2**128), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +74,7 @@ class ArrivalProcess:
 
     def __post_init__(self):
         check_rate(self.rate, "rate")
+        check_seed(self.seed)
 
     def rng(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this process's stream."""

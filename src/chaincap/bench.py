@@ -20,6 +20,7 @@ from .arrival import (
     UnitDraws,
     check_event_count,
     check_rate,
+    check_seed,
     generate_events,
 )
 from .chainsim import ClusterConfig, MetricsTimeline, run
@@ -68,6 +69,9 @@ class CampaignSpec:
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         check_duration(self.duration_s)
+        # trial i runs at seed base_seed + i
+        check_seed(self.base_seed, "base_seed")
+        check_seed(self.base_seed + self.trials - 1, "base_seed + trials - 1")
         for r in self.rates:
             check_event_count(check_rate(r, "rate"), self.duration_s)
 
@@ -235,14 +239,9 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
     for rate in spec.rates:
         rate_trials = []
         for i in range(spec.trials):
-            try:
-                # the summary drops the trial's timeline before the next trial
-                summary = run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
-                                    spec.duration_s, seed=spec.base_seed + i).summary()
-            except Exception as exc:
-                raise CalibrationError(
-                    f"trial failed at rate={rate} trial={i}: {exc}") from exc
-            rate_trials.append(summary)
+            # the summary drops the trial's timeline before the next trial
+            rate_trials.append(run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
+                                         spec.duration_s, seed=spec.base_seed + i).summary())
         trials.extend(rate_trials)
         tps = [t.mean_tps for t in rate_trials]
         lats = [t.mean_latency_ms for t in rate_trials]

@@ -93,36 +93,22 @@ class ClusterConfig:
         return self.rtt_ms / 2.0
 
 
-@dataclass(frozen=True)
-class ConsensusParams:
-    """BFT quorum parameters: f = floor((N-1)/3), quorum = 2f + 1."""
-
-    node_count: int
-    f: int
-    quorum: int
-
-    @classmethod
-    def for_cluster(cls, cluster: ClusterConfig) -> "ConsensusParams":
-        n = cluster.node_count
-        f = (n - 1) // 3
-        return cls(node_count=n, f=f, quorum=2 * f + 1)
+def quorum(node_count: int) -> int:
+    """BFT quorum 2f + 1 of N validators, with f = floor((N-1)/3) faulty."""
+    return 2 * ((node_count - 1) // 3) + 1
 
 
-def consensus_message_count(n: int) -> int:
-    # one pre-prepare broadcast (N) plus all-to-all prepare and commit (N^2 each)
-    return 2 * n * n + n
-
-
-def round_base_ms(cluster: ClusterConfig, params: ConsensusParams, proposer: int) -> float:
+def round_base_ms(cluster: ClusterConfig, proposer: int) -> float:
     """The part of a round that depends only on the proposer, in milliseconds.
 
     Three one-way hops at the quorum-th smallest peer latency, plus handling
     of the round's messages.
     """
-    peers = sorted(cluster.one_way_ms(proposer, b)
-                   for b in range(cluster.node_count) if b != proposer)
-    hop_ms = peers[params.quorum - 1]
-    msg_ms = cluster.msg_proc_us * consensus_message_count(cluster.node_count) / 1000.0
+    n = cluster.node_count
+    peers = sorted(cluster.one_way_ms(proposer, b) for b in range(n) if b != proposer)
+    hop_ms = peers[quorum(n) - 1]
+    # one pre-prepare broadcast (N) plus all-to-all prepare and commit (N^2 each)
+    msg_ms = cluster.msg_proc_us * (2 * n * n + n) / 1000.0
     return 3.0 * hop_ms + msg_ms
 
 
@@ -134,8 +120,7 @@ def _round_ms(cluster: ClusterConfig, base_ms: float, block_fill: int,
     return base_ms + exec_ms + scan_ms
 
 
-def consensus_round_latency(cluster: ClusterConfig, params: ConsensusParams,
-                            block_fill: int, pool_depth: int,
+def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth: int,
                             proposer: int = 0) -> float:
     """Wall-clock milliseconds for one three-phase round.
 
@@ -145,13 +130,11 @@ def consensus_round_latency(cluster: ClusterConfig, params: ConsensusParams,
     if block_fill > cluster.block_tx_capacity:
         raise ContractError(
             f"block_fill {block_fill} exceeds block_tx_capacity {cluster.block_tx_capacity}")
-    return _round_ms(cluster, round_base_ms(cluster, params, proposer), block_fill, pool_depth)
+    return _round_ms(cluster, round_base_ms(cluster, proposer), block_fill, pool_depth)
 
 
 def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
     """Vectorized FIFO recurrence c_i = max(a_i, c_{i-1}) + s for one node."""
-    if arrivals.size == 0:
-        return arrivals.copy()
     i = np.arange(arrivals.size, dtype=np.float64)
     return service_s * (i + 1.0) + np.maximum.accumulate(arrivals - service_s * i)
 
@@ -348,7 +331,6 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         if times.size and times[-1] > horizon:
             raise ContractError("horizon must cover the last event timestamp")
 
-    params = ConsensusParams.for_cluster(cluster)
     n_nodes = cluster.node_count
 
     # --- reads: FIFO queues, no consensus involvement ---
@@ -365,7 +347,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     fills: list[int] = []
     depths: list[int] = []  # pool depth at each proposal
     i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
-    base_ms = [round_base_ms(cluster, params, p) for p in range(n_nodes)]
+    base_ms = [round_base_ms(cluster, p) for p in range(n_nodes)]
     interval_s = cluster.block_interval_ms / 1000.0
     proposer = 0
     t_prop = interval_s

@@ -16,7 +16,6 @@ import difflib
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -88,7 +87,11 @@ class OutputDir:
         self.inputs[str(path)] = _sha256(path)
 
     def _create(self, name: str) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create output directory {self.dir}: "
+                             f"{exc.strerror}") from None
         return self.dir / name
 
     def write_text(self, name: str, text: str) -> Path:
@@ -122,9 +125,14 @@ def _read_input(path: str, what: str, manifest: OutputDir | None) -> str:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"{what} not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}") from None
     if manifest:
         manifest.record_input(path)
-    return path.read_text()
+    return text
 
 
 def _load_cluster_arg(args, manifest: OutputDir | None = None):
@@ -262,15 +270,13 @@ def cmd_capacity(args) -> int:
                            ArrivalKind(args.arrival), tolerance=args.tolerance,
                            duration_s=args.duration, base_seed=args.seed, start=args.start)
 
-    csv_lines = ["node_count,max_lambda_read,max_lambda_write,search_tolerance"]
-    for p in profiles:
-        read = "" if not math.isfinite(p.max_lambda_read) else repr(p.max_lambda_read)
-        write = "" if not math.isfinite(p.max_lambda_write) else repr(p.max_lambda_write)
-        csv_lines.append(f"{p.node_count},{read},{write},{repr(p.search_tolerance)}")
+    # an axis the JSON leaves null (never searched) is an empty cell
+    columns = ["node_count", "max_lambda_read", "max_lambda_write", "search_tolerance"]
+    docs = [p.to_json_dict() for p in profiles]
+    csv_lines = [",".join(columns)]
+    csv_lines += [",".join("" if d[c] is None else repr(d[c]) for c in columns) for d in docs]
     csv_text = "\n".join(csv_lines) + "\n"
-    doc = {"schema_version": 1, "profiles": [p.to_json_dict() for p in profiles]}
-    if len(profiles) == 1:
-        doc = profiles[0].to_json_dict()
+    doc = docs[0] if len(docs) == 1 else {"schema_version": 1, "profiles": docs}
 
     if manifest:
         manifest.write_json("capacity.json", doc)

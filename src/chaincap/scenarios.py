@@ -3,9 +3,15 @@
 Each scenario is a set of use cases; each use case states how many ledger
 reads and writes one event of that use case triggers, and the payload class
 of its writes.  Arrival rates follow from an operator-supplied
-concurrent-event rate (eta).  Two scenarios ship operator-derived default
-eta values (public key management: 0.0115/s, AAA: 8333/s); the remaining
-five have no trustworthy public figures and require the user to supply eta.
+concurrent-event rate eta and the per-event read and write counts alpha and
+beta:
+
+    lambda_read  = eta * alpha
+    lambda_write = eta * beta
+
+Two scenarios ship operator-derived default eta values (public key
+management: 0.0115/s, AAA: 8333/s); the remaining five have no trustworthy
+public figures and require the user to supply eta.
 
 Profiles can be overridden by an INI-style document, see ``load_scenarios``.
 """
@@ -17,8 +23,7 @@ import io
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from . import arrival
-from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, WorkloadMultiplicity, check_rate
+from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, check_rate
 from .errors import ConflictError, DomainError, SchemaError
 
 SCHEMA_VERSION = 1
@@ -115,19 +120,13 @@ def scenario_by_id(scenario_id: ScenarioId | str,
 def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> ScenarioWorkload:
     """Arrival rates for a scenario or single use case at event rate eta."""
     eta = check_rate(eta, "eta")
-    if isinstance(spec, ScenarioSpec):
-        alpha, beta = spec.reads_per_event, spec.writes_per_event
-        scenario_id, use_case = spec.id, None
-    else:
-        alpha, beta = spec.reads_per_event, spec.writes_per_event
-        scenario_id, use_case = None, spec.name
-    m = WorkloadMultiplicity(eta=eta, alpha=alpha, beta=beta)
+    is_scenario = isinstance(spec, ScenarioSpec)
     return ScenarioWorkload(
-        scenario_id=scenario_id,
-        use_case=use_case,
+        scenario_id=spec.id if is_scenario else None,
+        use_case=None if is_scenario else spec.name,
         eta=eta,
-        lambda_read=arrival.lambda_read(m),
-        lambda_write=arrival.lambda_write(m),
+        lambda_read=eta * spec.reads_per_event,
+        lambda_write=eta * spec.writes_per_event,
     )
 
 

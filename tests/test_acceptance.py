@@ -17,17 +17,14 @@ from chaincap.arrival import (
     ArrivalKind,
     ArrivalProcess,
     TxKind,
-    WorkloadMultiplicity,
     generate_events,
     generate_times,
-    lambda_read,
-    lambda_write,
 )
 from chaincap.assess import assess
 from chaincap.bench import CapacityProfile, find_max_lambda, run_trial, sweep_nodes
 from chaincap.chainsim import default_cluster, run
 from chaincap.cli import PAPER_CAPACITY_PATH, main
-from chaincap.scenarios import ScenarioId, scenario_by_id, workload_for
+from chaincap.scenarios import ScenarioId, UseCaseSpec, scenario_by_id, workload_for
 
 
 _CAPTURE = None
@@ -69,11 +66,11 @@ def read_capacity_multi():
 
 class TestCriterion1RateArithmetic:
     def test_exact_rates(self):
-        low = WorkloadMultiplicity(eta=0.0115, alpha=0, beta=1)
-        high = WorkloadMultiplicity(eta=8333, alpha=5, beta=1)
-        ok = (lambda_write(low) == 0.0115
-              and lambda_write(high) == 8333
-              and lambda_read(high) == 41665)
+        low = workload_for(UseCaseSpec("subscriber_key", 0, 1), 0.0115)
+        high = workload_for(UseCaseSpec("access_control", 5, 1), 8333)
+        ok = (low.lambda_write == 0.0115
+              and high.lambda_write == 8333
+              and high.lambda_read == 41665)
         report(1, "arrival-rate arithmetic exact", ok)
 
 

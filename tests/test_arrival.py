@@ -2,22 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from chaincap.arrival import (
     DEFAULT_WRITE_PAYLOAD_BYTES,
     MAX_EXPECTED_EVENTS,
+    SEED_LIMIT,
     ArrivalKind,
     ArrivalProcess,
     TxKind,
     UnitDraws,
-    WorkloadMultiplicity,
     check_event_count,
     check_rate,
     generate_events,
     generate_times,
-    lambda_read,
-    lambda_write,
 )
 from chaincap.errors import ContractError, DomainError
 
@@ -186,40 +183,6 @@ class TestSampleInterarrival:
             sample_interarrival(bad, rng)
 
 
-class TestRateArithmetic:
-    def test_public_key_mgmt_rate(self):
-        m = WorkloadMultiplicity(eta=0.0115, alpha=0, beta=1)
-        assert lambda_write(m) == 0.0115
-
-    def test_aaa_rates(self):
-        m = WorkloadMultiplicity(eta=8333, alpha=5, beta=1)
-        assert lambda_write(m) == 8333
-        assert lambda_read(m) == 41665
-
-    def test_zero_events(self):
-        assert lambda_write(WorkloadMultiplicity(eta=0, alpha=0, beta=7)) == 0
-        assert lambda_read(WorkloadMultiplicity(eta=5, alpha=0, beta=1)) == 0
-
-    def test_hand_multiplication(self):
-        assert lambda_read(WorkloadMultiplicity(eta=1000, alpha=3, beta=0)) == 3000
-
-    @given(eta=st.floats(0, 1e6, allow_nan=False), beta=st.integers(0, 100),
-           c=st.integers(1, 1000))
-    def test_linearity(self, eta, beta, c):
-        alpha = 1  # keep the multiplicity usable when beta == 0
-        base = lambda_write(WorkloadMultiplicity(eta=eta, alpha=alpha, beta=beta))
-        scaled = lambda_write(WorkloadMultiplicity(eta=c * eta, alpha=alpha, beta=beta))
-        assert scaled == pytest.approx(c * base, rel=1e-12)
-
-    def test_invalid_multiplicity(self):
-        with pytest.raises(DomainError):
-            WorkloadMultiplicity(eta=-1.0, alpha=1, beta=0)
-        with pytest.raises(DomainError):
-            WorkloadMultiplicity(eta=1.0, alpha=0, beta=0)
-        with pytest.raises(DomainError):
-            WorkloadMultiplicity(eta=1.0, alpha=-1, beta=2)
-
-
 class TestGenerateEvents:
     def test_poisson_count_within_ten_sigma(self):
         # Poisson(1000): ten sigma is ~316, bound [700, 1300] holds for any seed
@@ -280,6 +243,13 @@ class TestGenerateEvents:
         for bad in (math.inf, math.nan, 0.0, -1.0):
             with pytest.raises(DomainError):
                 generate_events(process, TxKind.READ, bad)
+
+    def test_seed_outside_philox_key_range_rejected(self):
+        for bad in (-1, SEED_LIMIT):
+            with pytest.raises(DomainError, match=r"seed must be in \[0, 2\*\*128\)"):
+                ArrivalProcess(ArrivalKind.POISSON, 1.0, bad)
+        top = ArrivalProcess(ArrivalKind.POISSON, 1.0, SEED_LIMIT - 1)
+        assert len(generate_events(top, TxKind.READ, 10.0)) > 0
 
     def test_zero_rate_stream_is_empty(self):
         assert len(generate_events(ArrivalProcess(ArrivalKind.POISSON, 0.0, 0),

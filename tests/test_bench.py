@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from chaincap import bench
-from chaincap.arrival import ArrivalKind, ArrivalProcess, TxKind
+from chaincap.arrival import SEED_LIMIT, ArrivalKind, ArrivalProcess, TxKind
 from chaincap.bench import (
     CampaignSpec,
     CapacityProfile,
@@ -88,6 +88,18 @@ class TestRunCampaign:
                             rates=(40.0,), trials=3, duration_s=20.0, base_seed=10)
         result = run_campaign(spec)
         assert [t.seed for t in result.trials] == [10, 11, 12]
+
+    def test_seeds_must_be_philox_keys(self):
+        def spec(base_seed, trials):
+            return CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=(40.0,),
+                                trials=trials, duration_s=20.0, base_seed=base_seed)
+
+        with pytest.raises(DomainError, match="base_seed must be in"):
+            spec(-1, 1)
+        with pytest.raises(DomainError, match=r"base_seed \+ trials - 1 must be in"):
+            spec(SEED_LIMIT - 2, 3)
+        result = run_campaign(spec(SEED_LIMIT - 3, 3))
+        assert result.trials[-1].seed == SEED_LIMIT - 1
 
     def test_empty_rate_list(self):
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,

@@ -11,12 +11,12 @@ from chaincap.arrival import ArrivalKind, ArrivalProcess, EventStream, TxKind, g
 from chaincap.chainsim import (
     MAX_WINDOWS,
     ClusterConfig,
-    ConsensusParams,
     MetricsTimeline,
     _fifo_completions,
     consensus_round_latency,
     default_cluster,
     load_cluster,
+    quorum,
     round_base_ms,
     run,
     window_count,
@@ -52,7 +52,6 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     Each block calls ``consensus_round_latency`` and adds its counts, latency
     sum, bytes and cpu work into the window of its commit, in block order.
     """
-    params = ConsensusParams.for_cluster(cluster)
     n_nodes = cluster.node_count
     n_windows = max(1, int(math.ceil(horizon / window_s - 1e-9)))
     write_ts, read_ts = events.write_times, events.read_times
@@ -91,7 +90,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     while t_prop <= horizon + 1e-12:
         pool_depth = int(np.searchsorted(write_ts, t_prop, side="right")) - i_commit
         fill = min(cluster.block_tx_capacity, pool_depth)
-        latency_ms = consensus_round_latency(cluster, params, fill, pool_depth, proposer)
+        latency_ms = consensus_round_latency(cluster, fill, pool_depth, proposer)
         t_commit = t_prop + latency_ms / 1000.0
         if t_commit > horizon:
             break
@@ -170,39 +169,34 @@ def det_writes(rate, horizon, payload=256):
 
 
 class TestConsensusParams:
-    @pytest.mark.parametrize("n,f,quorum", [(4, 1, 3), (5, 1, 3), (6, 1, 3), (7, 2, 5),
-                                            (10, 3, 7)])
-    def test_quorum_formula(self, n, f, quorum):
-        params = ConsensusParams.for_cluster(replace(default_cluster(), node_count=n))
-        assert (params.f, params.quorum) == (f, quorum)
-        assert params.quorum <= n and 3 * params.f + 1 <= n
+    @pytest.mark.parametrize("n,f,quorum_size", [(4, 1, 3), (5, 1, 3), (6, 1, 3), (7, 2, 5),
+                                                 (10, 3, 7)])
+    def test_quorum_formula(self, n, f, quorum_size):
+        assert quorum(n) == quorum_size == 2 * f + 1
+        assert quorum(n) <= n and 3 * f + 1 <= n
 
     def test_three_hops_at_constant_rtt(self):
         for n in (4, 5, 7):
             cluster = ClusterConfig(node_count=n, rtt_ms=30.0, write_exec_us=0,
                                     msg_proc_us=0, pool_scan_cost_us_per_tx=0)
-            params = ConsensusParams.for_cluster(cluster)
-            assert consensus_round_latency(cluster, params, 0, 0) == pytest.approx(45.0)
+            assert consensus_round_latency(cluster, 0, 0) == pytest.approx(45.0)
 
     def test_latency_monotone_in_fill_and_pool(self):
         cluster = default_cluster()
-        params = ConsensusParams.for_cluster(cluster)
-        base = consensus_round_latency(cluster, params, 10, 10)
-        assert consensus_round_latency(cluster, params, 20, 10) >= base
-        assert consensus_round_latency(cluster, params, 10, 50) >= base
+        base = consensus_round_latency(cluster, 10, 10)
+        assert consensus_round_latency(cluster, 20, 10) >= base
+        assert consensus_round_latency(cluster, 10, 50) >= base
 
     def test_round_base_is_the_empty_round(self):
         cluster = asymmetric_cluster(7, 700)
-        params = ConsensusParams.for_cluster(cluster)
-        bases = [round_base_ms(cluster, params, p) for p in range(7)]
-        assert bases == [consensus_round_latency(cluster, params, 0, 0, p) for p in range(7)]
+        bases = [round_base_ms(cluster, p) for p in range(7)]
+        assert bases == [consensus_round_latency(cluster, 0, 0, p) for p in range(7)]
         assert len(set(bases)) > 1  # the quorum-th peer latency depends on the proposer
 
     def test_fill_beyond_capacity_rejected(self):
         cluster = default_cluster()
-        params = ConsensusParams.for_cluster(cluster)
         with pytest.raises(ContractError):
-            consensus_round_latency(cluster, params, cluster.block_tx_capacity + 1, 0)
+            consensus_round_latency(cluster, cluster.block_tx_capacity + 1, 0)
 
 
 class TestConfigValidation:
@@ -242,9 +236,8 @@ class TestConfigValidation:
                        for i in range(n))
         cluster = ClusterConfig(node_count=n, rtt_matrix_ms=matrix, write_exec_us=0,
                                 msg_proc_us=0, pool_scan_cost_us_per_tx=0)
-        params = ConsensusParams.for_cluster(cluster)
         # proposer 0 one-way peers: 5, 10, 15; quorum 3 -> 3rd smallest = 15
-        assert consensus_round_latency(cluster, params, 0, 0, proposer=0) == pytest.approx(45.0)
+        assert consensus_round_latency(cluster, 0, 0, proposer=0) == pytest.approx(45.0)
 
 
 class TestRunBasics:

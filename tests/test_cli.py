@@ -279,6 +279,81 @@ def test_search_tolerance_out_of_range_exits_2(tmp_path, capsys, monkeypatch, to
     assert not out.exists()
 
 
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().split("\n")) == 1
+    return err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "write", "--lambda", "10"],
+    ["simulate", "--kind", "write", "--lambda", "10", "--arrival", "deterministic"],
+    ["capacity", "--kind", "write"],
+    ["assess", "--scenario", "aaa"],  # no --capacity: falls back to a search
+    ["campaign", "--kind", "write", "--rates", "400"],
+])
+def test_seed_outside_key_range_exits_2(tmp_path, capsys, monkeypatch, argv, seed):
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(argv + ["--seed", seed, "--out", str(out)]) == 2
+    assert "must be in [0, 2**128)" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_campaign_last_seed_outside_key_range_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(["campaign", "--kind", "write", "--rates", "400", "--trials", "2",
+                 "--seed", str(2**128 - 1), "--out", str(out)]) == 2
+    assert "base_seed + trials - 1" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    assert main(["simulate", "--kind", "write", "--lambda", "10", "--duration", "10",
+                 "--out", str(taken)]) == 2
+    assert str(taken) in _one_error_line(capsys)
+    assert taken.read_text() == "keep\n"
+
+
+def test_out_under_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "d"
+    assert main(["simulate", "--kind", "write", "--lambda", "10", "--duration", "10",
+                 "--out", str(out)]) == 2
+    assert str(out) in _one_error_line(capsys)
+    assert taken.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "write", "--lambda", "10", "--cluster", "{bad}"],
+    ["capacity", "--kind", "write", "--cluster", "{bad}"],
+    ["assess", "--scenario", "aaa", "--capacity", "{bad}"],
+    ["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH),
+     "--overrides", "{bad}"],
+])
+def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    bad = tmp_path / "latin1.ini"
+    bad.write_bytes("[config]\n# r\xe9seau\n".encode("latin-1"))
+    out = tmp_path / "d"
+    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "is not UTF-8 text" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_non_utf8_overrides_without_out_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.ini"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["scenarios", "list", "--overrides", str(bad)]) == 2
+    assert str(bad) in _one_error_line(capsys)
+
+
 RTT_MATRIX_PROFILE = (
     "[config]\nschema_version = 1\n\n[cluster]\nnode_count = 4\n\n[rtt_matrix]\n"
     "node0 = 0,30,30,30\nnode1 = 30,0,30,30\nnode2 = 30,30,0,30\nnode3 = 30,30,30,0\n")

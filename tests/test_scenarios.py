@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from chaincap.errors import ConflictError, DomainError, SchemaError
 from chaincap.scenarios import (
     ScenarioId,
+    UseCaseSpec,
     builtin_scenarios,
     load_scenarios,
     scenario_by_id,
@@ -61,6 +63,27 @@ class TestWorkloadFor:
     def test_negative_eta_rejected(self):
         with pytest.raises(DomainError):
             workload_for(scenario_by_id(ScenarioId.AAA), -1.0)
+
+    def test_zero_events(self):
+        assert workload_for(UseCaseSpec("w", 0, 7), 0).lambda_write == 0
+        assert workload_for(UseCaseSpec("r", 0, 1), 5).lambda_read == 0
+
+    def test_hand_multiplication(self):
+        assert workload_for(UseCaseSpec("r", 3, 0), 1000).lambda_read == 3000
+
+    @given(eta=st.floats(0, 1e6, allow_nan=False), beta=st.integers(0, 100),
+           c=st.integers(1, 1000))
+    def test_linearity(self, eta, beta, c):
+        uc = UseCaseSpec("w", 1, beta)  # one read keeps the use case valid when beta == 0
+        base = workload_for(uc, eta).lambda_write
+        scaled = workload_for(uc, c * eta).lambda_write
+        assert scaled == pytest.approx(c * base, rel=1e-12)
+
+    def test_invalid_multiplicity(self):
+        with pytest.raises(DomainError):
+            workload_for(UseCaseSpec("none", 0, 0), 1.0)
+        with pytest.raises(DomainError):
+            workload_for(UseCaseSpec("neg", -1, 2), 1.0)
 
     def test_additivity_over_use_cases(self):
         eta = 3.25
