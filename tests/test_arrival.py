@@ -17,6 +17,7 @@ from chaincap.arrival import (
     generate_times,
 )
 from chaincap.errors import ContractError, DomainError
+from chaincap.scenarios import UseCaseSpec, workload_for
 
 
 def sample_interarrival(rate: float, rng: np.random.Generator) -> float:
@@ -181,6 +182,20 @@ class TestSampleInterarrival:
         rng = np.random.Generator(np.random.Philox(key=0))
         with pytest.raises(DomainError):
             sample_interarrival(bad, rng)
+
+
+class TestRateArithmetic:
+    """The per-kind rates lambda = eta * multiplicity on hand-made use cases."""
+
+    def test_public_key_mgmt_rate(self):
+        w = workload_for(UseCaseSpec("subscriber_key", 0, 1), 0.0115)
+        assert w.lambda_write == 0.0115
+        assert w.lambda_read == 0.0
+
+    def test_aaa_rates(self):
+        w = workload_for(UseCaseSpec("access_control", 5, 1), 8333)
+        assert w.lambda_write == 8333
+        assert w.lambda_read == 41665
 
 
 class TestGenerateEvents:
