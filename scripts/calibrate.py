@@ -4,7 +4,7 @@
 Targets (4 nodes): write capacity ~1400 tx/s, multi-node read capacity
 ~20500 tx/s, both under Poisson arrivals.  The script searches
 ``write_exec_us`` and ``read_service_us`` (all other knobs fixed at the
-values in src/chaincap/data/default_cluster.ini) so that
+``ClusterConfig`` field defaults in src/chaincap/chainsim.py) so that
 ``bench.find_max_lambda`` lands within 2% of each target, then prints the
 values to freeze into the profile.
 
@@ -67,7 +67,7 @@ def main():
                                   args.duration, args.seed, start=1000.0,
                                   lo=100.0, hi=400.0)
 
-    print("\nfreeze into src/chaincap/data/default_cluster.ini:")
+    print("\nfreeze into the ClusterConfig defaults in src/chaincap/chainsim.py:")
     print(f"  write_exec_us = {write_exec:.1f}   (capacity {write_cap:.1f})")
     print(f"  read_service_us = {read_service:.1f}   (capacity {read_cap:.1f})")
 

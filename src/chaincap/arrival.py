@@ -86,12 +86,11 @@ class EventStream:
     """A transaction arrival stream: write and read arrival times.
 
     Both arrays are seconds since stream start, sorted, float64; every write
-    carries ``payload_bytes``.
+    carries DEFAULT_WRITE_PAYLOAD_BYTES.
     """
 
     write_times: np.ndarray
     read_times: np.ndarray
-    payload_bytes: int = DEFAULT_WRITE_PAYLOAD_BYTES
 
     def __len__(self) -> int:
         return len(self.write_times) + len(self.read_times)
@@ -202,17 +201,14 @@ def generate_events(
     process: ArrivalProcess,
     kind: TxKind,
     horizon: float,
-    payload_bytes: int = DEFAULT_WRITE_PAYLOAD_BYTES,
     draws: UnitDraws | None = None,
 ) -> EventStream:
     """The arrival stream of one transaction kind; the other kind's array is empty.
 
     ``draws``, if given, is passed on to :func:`generate_times`.
     """
-    if payload_bytes < 0:
-        raise DomainError(f"payload_bytes must be >= 0, got {payload_bytes}")
     times = generate_times(process, horizon, draws)
     none = np.empty(0)
     if kind is TxKind.WRITE:
-        return EventStream(write_times=times, read_times=none, payload_bytes=payload_bytes)
-    return EventStream(write_times=none, read_times=times, payload_bytes=payload_bytes)
+        return EventStream(write_times=times, read_times=none)
+    return EventStream(write_times=none, read_times=times)

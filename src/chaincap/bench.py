@@ -275,7 +275,6 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
         raise DomainError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
                           f"{MAX_SEARCH_TOLERANCE}], got {tolerance!r}")
     check_duration(duration_s)
-    cluster.validate()
 
     draws = UnitDraws(base_seed)
 

@@ -20,13 +20,12 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
 
 import numpy as np
 
-from .arrival import EventStream
+from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream
 from .errors import ConfigError, ContractError, SchemaError
 
 CONFIG_SCHEMA_VERSION = 1
@@ -44,9 +43,11 @@ MAX_WINDOWS = 1_000_000
 class ClusterConfig:
     """Simulated cluster: topology, consensus costs, and node capacities.
 
-    Cost knobs are calibration parameters; the shipped defaults are tuned so
-    a 4-node cluster saturates near 1400 write tps and near 20500 read tps
-    in multi-node read mode (see scripts/calibrate.py).
+    The field defaults are the calibrated profile, and its only copy: cost
+    knobs are tuned so a 4-node cluster saturates near 1400 write tps and
+    near 20500 read tps in multi-node read mode (see scripts/calibrate.py).
+    A profile is checked when built, so an invalid one raises
+    :class:`ConfigError` from the constructor or ``dataclasses.replace``.
     """
 
     node_count: int = 4
@@ -62,7 +63,7 @@ class ClusterConfig:
     empty_block_bytes: int = 1024
     read_mode: str = "multi"                  # "multi" or "single"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.node_count < 4:
             raise ConfigError(f"node_count must be >= 4 for BFT (f >= 1), got {self.node_count}")
         if self.block_tx_capacity < 1:
@@ -266,7 +267,7 @@ class MetricsTimeline:
     @cached_property
     def ledger_bytes(self) -> np.ndarray:
         """Ledger size at each window end."""
-        block_bytes = self._cluster.empty_block_bytes + self._events.payload_bytes * self._fills
+        block_bytes = self._cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * self._fills
         return self._at_window_ends(np.cumsum(block_bytes)).astype(np.int64)
 
     def mean_committed_write_tps(self, skip_windows: int = 0) -> float:
@@ -322,7 +323,6 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     Each of its arrays must be sorted by time and fit within ``horizon``.
     The simulation is deterministic and draws no randomness.
     """
-    cluster.validate()
     n_windows = window_count(horizon, window_s)
     write_ts, read_ts = events.write_times, events.read_times
     for times in (write_ts, read_ts):
@@ -399,6 +399,9 @@ def load_cluster(document: str) -> ClusterConfig:
         raise SchemaError("missing [config] section with schema_version")
     if parser["config"].get("schema_version", "").strip() != str(CONFIG_SCHEMA_VERSION):
         raise SchemaError(f"schema_version must be {CONFIG_SCHEMA_VERSION}")
+    for key in parser["config"]:
+        if key != "schema_version":
+            raise SchemaError(f"[config]: unknown key {key!r}")
     unknown_sections = sections - {"config", "cluster", "rtt_matrix"}
     if unknown_sections:
         raise SchemaError(f"unknown sections {sorted(unknown_sections)}")
@@ -433,16 +436,11 @@ def load_cluster(document: str) -> ClusterConfig:
             raise SchemaError(f"[rtt_matrix]: unexpected rows {sorted(extra)}")
         kwargs["rtt_matrix_ms"] = tuple(rows)
 
-    cluster = ClusterConfig(**kwargs)
-    cluster.validate()
-    return cluster
+    return ClusterConfig(**kwargs)
 
 
 def default_cluster(node_count: int | None = None) -> ClusterConfig:
-    """The shipped calibrated 4-node profile, optionally rescoped to N nodes."""
-    text = resources.files("chaincap.data").joinpath("default_cluster.ini").read_text()
-    cluster = load_cluster(text)
-    if node_count is not None:
-        cluster = replace(cluster, node_count=node_count)
-        cluster.validate()
-    return cluster
+    """The calibrated 4-node profile, optionally rescoped to N nodes."""
+    if node_count is None:
+        return ClusterConfig()
+    return ClusterConfig(node_count=node_count)

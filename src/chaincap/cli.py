@@ -86,17 +86,21 @@ class OutputDir:
     def record_input(self, path: Path) -> None:
         self.inputs[str(path)] = _sha256(path)
 
-    def _create(self, name: str) -> Path:
+    def _write(self, name: str, text: str) -> Path:
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InputError(f"cannot create output directory {self.dir}: "
                              f"{exc.strerror}") from None
-        return self.dir / name
+        path = self.dir / name
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from None
+        return path
 
     def write_text(self, name: str, text: str) -> Path:
-        path = self._create(name)
-        path.write_text(text)
+        path = self._write(name, text)
         self.outputs.append(name)
         return path
 
@@ -115,7 +119,7 @@ class OutputDir:
             "started_utc": self.started,
             "finished_utc": _utc_now(),
         }
-        self._create("manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        self._write("manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 # --- shared option handling ------------------------------------------------

@@ -19,7 +19,6 @@ Profiles can be overridden by an INI-style document, see ``load_scenarios``.
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -232,24 +231,6 @@ def load_scenarios(document: str) -> list[ScenarioSpec]:
             raise SchemaError(f"unknown section [{section}]")
 
     return [catalog[spec.id] for spec in _BUILTINS]
-
-
-def serialize_scenarios(catalog: list[ScenarioSpec]) -> str:
-    """Render a catalog as an override document that reloads to an equal catalog."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["config"] = {"schema_version": str(SCHEMA_VERSION)}
-    for spec in catalog:
-        if spec.default_eta is not None:
-            parser[f"scenario:{spec.id.value}"] = {"eta": repr(spec.default_eta)}
-        for uc in spec.use_cases:
-            parser[f"use_case:{spec.id.value}:{uc.name}"] = {
-                "reads_per_event": str(uc.reads_per_event),
-                "writes_per_event": str(uc.writes_per_event),
-                "write_payload_bytes": str(uc.write_payload_bytes),
-            }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
 
 
 # --- built-in catalog ------------------------------------------------------

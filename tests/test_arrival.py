@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chaincap.arrival import (
-    DEFAULT_WRITE_PAYLOAD_BYTES,
     MAX_EXPECTED_EVENTS,
     SEED_LIMIT,
     ArrivalKind,
@@ -224,7 +223,6 @@ class TestGenerateEvents:
         b = generate_events(ArrivalProcess(ArrivalKind.POISSON, 50.0, 9), TxKind.READ, 5.0)
         for column in ("write_times", "read_times"):
             assert np.array_equal(getattr(a, column), getattr(b, column))
-        assert a.payload_bytes == b.payload_bytes
 
     def test_different_seeds_differ(self):
         a = generate_times(ArrivalProcess(ArrivalKind.POISSON, 50.0, 1), 5.0)
@@ -233,16 +231,14 @@ class TestGenerateEvents:
 
     def test_timestamps_sorted_with_constant_columns(self):
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 200.0, 5),
-                                 TxKind.WRITE, 10.0, payload_bytes=300)
+                                 TxKind.WRITE, 10.0)
         assert np.all(np.diff(events.write_times) >= 0)
         assert events.write_times.dtype == np.float64
         assert len(events.write_times) == len(events) and events.read_times.size == 0
-        assert events.payload_bytes == 300
         reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 200.0, 5),
                                 TxKind.READ, 10.0)
         assert reads.write_times.size == 0
         assert np.array_equal(reads.read_times, events.write_times)
-        assert reads.payload_bytes == DEFAULT_WRITE_PAYLOAD_BYTES == 256
 
     def test_event_count_guard(self, monkeypatch):
         assert check_event_count(MAX_EXPECTED_EVENTS / 60.0, 60.0) == MAX_EXPECTED_EVENTS

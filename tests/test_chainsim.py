@@ -7,7 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from chaincap.arrival import ArrivalKind, ArrivalProcess, EventStream, TxKind, generate_events
+from chaincap.arrival import (
+    DEFAULT_WRITE_PAYLOAD_BYTES,
+    ArrivalKind,
+    ArrivalProcess,
+    EventStream,
+    TxKind,
+    generate_events,
+)
 from chaincap.chainsim import (
     MAX_WINDOWS,
     ClusterConfig,
@@ -95,7 +102,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         if t_commit > horizon:
             break
         blocks += 1
-        ledger.append((t_commit, cluster.empty_block_bytes + events.payload_bytes * fill))
+        ledger.append((t_commit, cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * fill))
         w = window_of(t_commit)
         if fill:
             lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
@@ -148,12 +155,12 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     )
 
 
-def stream(times, write=True, payload=0):
+def stream(times, write=True):
     """A hand-made single-kind event stream."""
     times = np.asarray(times, dtype=np.float64)
     none = np.empty(0)
     return EventStream(write_times=times if write else none,
-                       read_times=none if write else times, payload_bytes=payload)
+                       read_times=none if write else times)
 
 
 def with_writes(events, horizon, rate=1400.0, seed=0):
@@ -163,9 +170,9 @@ def with_writes(events, horizon, rate=1400.0, seed=0):
     return replace(events, write_times=writes.write_times)
 
 
-def det_writes(rate, horizon, payload=256):
+def det_writes(rate, horizon):
     process = ArrivalProcess(ArrivalKind.DETERMINISTIC, rate, 0)
-    return generate_events(process, TxKind.WRITE, horizon, payload_bytes=payload)
+    return generate_events(process, TxKind.WRITE, horizon)
 
 
 class TestConsensusParams:
@@ -202,16 +209,15 @@ class TestConsensusParams:
 class TestConfigValidation:
     def test_minimum_node_count(self):
         with pytest.raises(ConfigError):
-            replace(default_cluster(), node_count=3).validate()
+            replace(default_cluster(), node_count=3)
 
     def test_negative_cost(self):
         with pytest.raises(ConfigError):
-            replace(default_cluster(), write_exec_us=-1.0).validate()
+            replace(default_cluster(), write_exec_us=-1.0)
 
     def test_rtt_matrix_shape(self):
-        cluster = replace(default_cluster(), rtt_matrix_ms=((0.0, 1.0), (1.0, 0.0)))
         with pytest.raises(ConfigError):
-            cluster.validate()
+            replace(default_cluster(), rtt_matrix_ms=((0.0, 1.0), (1.0, 0.0)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("knob", ["block_interval_ms", "node_cpu_capacity", "rtt_matrix_ms"])
@@ -226,7 +232,7 @@ class TestConfigValidation:
             value = bad
             section = f"[cluster]\n{knob} = {bad}\n"
         with pytest.raises(ConfigError, match=knob):
-            replace(default_cluster(), **{knob: value}).validate()
+            replace(default_cluster(), **{knob: value})
         with pytest.raises(ConfigError, match=knob):
             load_cluster("[config]\nschema_version = 1\n" + section)
 
@@ -256,7 +262,7 @@ class TestRunBasics:
 
     def test_single_write_first_block(self):
         cluster = default_cluster()
-        tl = run(cluster, stream([0.0], payload=256), horizon=5.0)
+        tl = run(cluster, stream([0.0]), horizon=5.0)
         assert tl.committed_writes == 1
         latency = float(tl.write_latencies_ms[0])
         assert latency >= cluster.block_interval_ms / 2
@@ -271,7 +277,7 @@ class TestRunBasics:
     def test_conservation_at_window_boundaries(self):
         cluster = default_cluster()
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 1200.0, 11),
-                                 TxKind.WRITE, 30.0, payload_bytes=256)
+                                 TxKind.WRITE, 30.0)
         tl = run(cluster, events, horizon=30.0)
         ts = events.write_times
         committed = np.cumsum(tl.committed_write_tps * tl.window_s)
@@ -284,7 +290,7 @@ class TestRunBasics:
     def test_determinism(self):
         cluster = default_cluster()
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 800.0, 3),
-                                 TxKind.WRITE, 20.0, payload_bytes=256)
+                                 TxKind.WRITE, 20.0)
         a = run(cluster, events, horizon=20.0)
         b = run(cluster, events, horizon=20.0)
         buf_a, buf_b = io.StringIO(), io.StringIO()
@@ -310,10 +316,10 @@ class TestRunBasics:
 
     def test_ledger_identity(self):
         cluster = default_cluster()
-        events = det_writes(500.0, 20.0, payload=100)
+        events = det_writes(500.0, 20.0)
         tl = run(cluster, events, horizon=20.0)
         expected = (tl.blocks_produced * cluster.empty_block_bytes
-                    + tl.committed_writes * 100)
+                    + tl.committed_writes * DEFAULT_WRITE_PAYLOAD_BYTES)
         assert tl.ledger_bytes[-1] == expected
 
 
@@ -372,11 +378,10 @@ class TestReads:
     def test_merged_stream_splits_by_kind(self):
         cluster = default_cluster()
         writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, 800.0, 4),
-                                 TxKind.WRITE, 15.0, payload_bytes=256)
+                                 TxKind.WRITE, 15.0)
         reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 4000.0, 5),
                                 TxKind.READ, 15.0)
-        merged = EventStream(write_times=writes.write_times, read_times=reads.read_times,
-                             payload_bytes=256)
+        merged = EventStream(write_times=writes.write_times, read_times=reads.read_times)
         both = run(cluster, merged, horizon=15.0)
         write_only = run(cluster, writes, horizon=15.0)
         read_only = run(cluster, reads, horizon=15.0)
@@ -412,12 +417,11 @@ def asymmetric_cluster(n: int, capacity: int) -> ClusterConfig:
 
 
 def merged_stream(write_rate, read_rate, horizon, seed):
-    """Uniformly scattered writes and reads; the writes share one payload size."""
+    """Uniformly scattered writes and reads."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     n_writes, n_reads = int(write_rate * horizon), int(read_rate * horizon)
     times = np.concatenate([rng.random(n_writes), rng.random(n_reads)]) * horizon
-    payload = int(rng.integers(0, 2000))
-    return EventStream(np.sort(times[:n_writes]), np.sort(times[n_writes:]), payload)
+    return EventStream(np.sort(times[:n_writes]), np.sort(times[n_writes:]))
 
 
 # every series and count a run reports; the lazily derived ones included
@@ -473,7 +477,7 @@ class TestRunMatchesScalarReference:
     def test_default_profile_poisson_writes(self):
         cluster = default_cluster()
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 1400.0, 8),
-                                 TxKind.WRITE, 20.0, payload_bytes=256)
+                                 TxKind.WRITE, 20.0)
         got = run(cluster, events, horizon=20.0)
         assert_same_timeline(got, reference_run(cluster, events, 20.0))
 
@@ -535,7 +539,7 @@ class TestWindows:
         assert tl.arrived_reads == events.read_times.size
         assert tl.pool_depth[-1] == tl.pending_writes == tl.arrived_writes - tl.committed_writes
         assert tl.ledger_bytes[-1] == (tl.blocks_produced * cluster.empty_block_bytes
-                                       + tl.committed_writes * events.payload_bytes)
+                                       + tl.committed_writes * DEFAULT_WRITE_PAYLOAD_BYTES)
 
 
 class TestCpuProxy:

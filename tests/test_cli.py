@@ -329,6 +329,25 @@ def test_out_under_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep\n"
 
 
+def test_unknown_config_key_in_cluster_profile_exits_2(tmp_path, capsys):
+    profile = tmp_path / "cluster.ini"
+    profile.write_text("[config]\nschema_version = 1\nfoo = 2\n\n[cluster]\nnode_count = 4\n")
+    out = tmp_path / "d"
+    assert main(["simulate", "--kind", "write", "--lambda", "10", "--duration", "10",
+                 "--cluster", str(profile), "--out", str(out)]) == 2
+    assert "'foo'" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["timeline.csv", "manifest.json"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    assert main(["simulate", "--kind", "write", "--lambda", "10", "--duration", "10",
+                 "--out", str(out)]) == 2
+    assert str(out / name) in _one_error_line(capsys)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--kind", "write", "--lambda", "10", "--cluster", "{bad}"],
     ["capacity", "--kind", "write", "--cluster", "{bad}"],

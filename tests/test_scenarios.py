@@ -8,7 +8,6 @@ from chaincap.scenarios import (
     builtin_scenarios,
     load_scenarios,
     scenario_by_id,
-    serialize_scenarios,
     workload_for,
 )
 
@@ -159,8 +158,3 @@ class TestLoadScenarios:
         with pytest.raises(ConflictError):
             load_scenarios(doc)
 
-    def test_round_trip(self):
-        doc = ("[config]\nschema_version = 1\n\n[scenario:aaa]\neta = 4000\n\n"
-               "[use_case:resource_sharing:spectrum]\nwrites_per_event = 5\n")
-        catalog = load_scenarios(doc)
-        assert load_scenarios(serialize_scenarios(catalog)) == catalog
