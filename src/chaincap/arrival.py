@@ -27,8 +27,8 @@ from .errors import ContractError, DomainError
 # their per-window temporaries: a 4M-event trial at a sustainable rate peaked
 # 17 bytes per event above the interpreter's own memory for writes (9 as a
 # probe) and 39 for reads, so this caps one trial near 1.2 GB, and a rate that
-# would exhaust memory is rejected before anything is allocated.  The paper protocol's longest trial, 20k reads/s for
-# 600 s, expects 12M events.
+# would exhaust memory is rejected before anything is allocated.  The paper
+# protocol's longest trial, 20k reads/s for 600 s, expects 12M events.
 MAX_EXPECTED_EVENTS = 30_000_000
 
 DEFAULT_WRITE_PAYLOAD_BYTES = 256  # hash-plus-signature class record

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bench import CapacityProfile
-from .errors import DomainError, InputError
+from .errors import InputError
 from .scenarios import ScenarioSpec, ScenarioWorkload, workload_for
 
 
@@ -65,10 +65,6 @@ def _json_ratio(value: float):
 
 def assess(workload: ScenarioWorkload, capacity: CapacityProfile) -> Verdict:
     """Compare one workload's arrival rates against a capacity profile."""
-    try:
-        capacity.validate()
-    except DomainError as exc:
-        raise InputError(f"unusable capacity profile: {exc}") from None
     if not math.isfinite(capacity.max_lambda_read) or not math.isfinite(capacity.max_lambda_write):
         raise InputError("capacity profile must carry finite read and write maxima")
     read_ok = workload.lambda_read <= capacity.max_lambda_read
@@ -120,7 +116,6 @@ def methodology_report(scenario: ScenarioSpec, eta: float | None,
                 "use_case": uc.name,
                 "reads_per_event": uc.reads_per_event,
                 "writes_per_event": uc.writes_per_event,
-                "write_payload_bytes": uc.write_payload_bytes,
             }
             for uc in scenario.use_cases
         ],
@@ -148,8 +143,7 @@ def render_report_text(report: dict) -> str:
     triggers = {t["use_case"]: t["trigger"] for t in report["when"]}
     for uc in report["what_is_recorded"]:
         lines.append(f"  - {uc['use_case']}: {uc['reads_per_event']} read(s), "
-                     f"{uc['writes_per_event']} write(s) per event, "
-                     f"{uc['write_payload_bytes']} B per write")
+                     f"{uc['writes_per_event']} write(s) per event")
         if triggers.get(uc["use_case"]):
             lines.append(f"      when: {triggers[uc['use_case']]}")
     am = report["arrival_model"]

@@ -73,7 +73,9 @@ class CampaignSpec:
         check_seed(self.base_seed, "base_seed")
         check_seed(self.base_seed + self.trials - 1, "base_seed + trials - 1")
         for r in self.rates:
-            check_event_count(check_rate(r, "rate"), self.duration_s)
+            if check_rate(r, "rate") <= 0:
+                raise DomainError(f"trial rate must be > 0, got {r!r}")
+            check_event_count(r, self.duration_s)
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,8 @@ class CampaignResult:
 
 @dataclass(frozen=True)
 class CapacityProfile:
-    """Maximum sustainable arrival rates for one cluster size."""
+    """Maximum sustainable arrival rates for one cluster size; the
+    constructor raises :class:`DomainError` for an invalid profile."""
 
     node_count: int
     max_lambda_read: float
@@ -119,7 +122,7 @@ class CapacityProfile:
     search_tolerance: float
     source: str = "simulated"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # inf marks an axis not searched; NaN fails both comparisons
         if not (self.max_lambda_read > 0 and self.max_lambda_write > 0):
             raise DomainError(f"capacity maxima must be > 0 or inf, got read="
@@ -140,26 +143,33 @@ class CapacityProfile:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CapacityProfile":
+        """The profile of a parsed JSON document, in which a null maximum is inf;
+        :class:`InputError` unless each value has its JSON type."""
         if not isinstance(doc, dict):
             raise InputError(f"a capacity profile must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema_version") != 1:
             raise DomainError(f"unsupported capacity schema_version {doc.get('schema_version')!r}")
-        read = doc.get("max_lambda_read")
-        write = doc.get("max_lambda_write")
-        try:
-            profile = cls(
-                node_count=int(doc["node_count"]),
-                max_lambda_read=float(read) if read is not None else math.inf,
-                max_lambda_write=float(write) if write is not None else math.inf,
-                search_tolerance=float(doc.get("search_tolerance", 0.0)),
-                source=str(doc.get("source", "file")),
-            )
-        except KeyError as exc:
-            raise InputError(f"capacity profile lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed capacity profile: {exc}") from None
-        profile.validate()
-        return profile
+        node_count = doc.get("node_count")
+        if type(node_count) is not int:  # bool is a subclass of int
+            raise InputError(f"capacity profile needs an integer node_count, got {node_count!r}")
+        read, write = doc.get("max_lambda_read"), doc.get("max_lambda_write")
+        return cls(
+            node_count=node_count,
+            max_lambda_read=math.inf if read is None else _json_number("max_lambda_read", read),
+            max_lambda_write=(math.inf if write is None
+                              else _json_number("max_lambda_write", write)),
+            search_tolerance=_json_number("search_tolerance", doc.get("search_tolerance", 0.0)),
+            source=str(doc.get("source", "file")),
+        )
+
+
+def _json_number(key: str, value) -> float:
+    if type(value) not in (int, float):
+        raise InputError(f"capacity profile {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise InputError(f"capacity profile {key} is out of the float range") from None
 
 
 def detect_steady_state(lambda_offered: float, mean_tps: float) -> bool:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -371,20 +371,9 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
 
 # --- cluster profile files -------------------------------------------------
 
-_CLUSTER_KEYS = {
-    "node_count": int,
-    "rtt_ms": float,
-    "block_interval_ms": float,
-    "block_tx_capacity": int,
-    "write_exec_us": float,
-    "read_service_us": float,
-    "msg_proc_us": float,
-    "pool_scan_cost_us_per_tx": float,
-    "node_cpu_capacity": float,
-    "node_mem_bytes": int,        # schema-1 key; checked as an int, then discarded
-    "empty_block_bytes": int,
-    "read_mode": str,
-}
+# a key parses as its field default's type; schema-1 node_mem_bytes is parsed, then dropped
+_CLUSTER_KEYS = {f.name: type(f.default) for f in fields(ClusterConfig)
+                 if f.name != "rtt_matrix_ms"} | {"node_mem_bytes": int}
 
 
 def load_cluster(document: str) -> ClusterConfig:

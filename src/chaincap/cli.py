@@ -39,15 +39,7 @@ from .bench import (
     write_plot_data_csv,
 )
 from .chainsim import default_cluster, load_cluster, run, window_count
-from .errors import (
-    CalibrationError,
-    ChaincapError,
-    ConfigError,
-    ContractError,
-    DomainError,
-    InputError,
-    SchemaError,
-)
+from .errors import CalibrationError, ChaincapError, DomainError, InputError
 from .scenarios import (
     ScenarioId,
     builtin_scenarios,
@@ -199,7 +191,6 @@ def _scenario_dict(spec) -> dict:
                 "name": uc.name,
                 "reads_per_event": uc.reads_per_event,
                 "writes_per_event": uc.writes_per_event,
-                "write_payload_bytes": uc.write_payload_bytes,
                 "trigger": uc.trigger,
             }
             for uc in spec.use_cases
@@ -229,8 +220,7 @@ def cmd_scenarios(args) -> int:
         print(f"Why on-chain: {spec.notes}")
         print(f"Per event: {spec.reads_per_event} read(s), {spec.writes_per_event} write(s)")
         for uc in spec.use_cases:
-            print(f"  - {uc.name}: {uc.reads_per_event} R / {uc.writes_per_event} W, "
-                  f"{uc.write_payload_bytes} B per write")
+            print(f"  - {uc.name}: {uc.reads_per_event} R / {uc.writes_per_event} W")
             if uc.trigger:
                 print(f"      when: {uc.trigger}")
     return 0
@@ -325,7 +315,7 @@ def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
         text = _read_input(args.capacity, "capacity file", manifest)
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
             raise InputError(f"capacity file {args.capacity} is not JSON: {exc}") from None
         return CapacityProfile.from_json_dict(doc)
     # fall back to a simulator-driven search on the configured cluster
@@ -450,13 +440,9 @@ def main(argv: list[str] | None = None) -> int:
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SchemaError, ConfigError, DomainError, InputError, ContractError,
-            FileNotFoundError) as exc:
+    except (ChaincapError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ChaincapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 """The seven 6G scenario workload profiles.
 
 Each scenario is a set of use cases; each use case states how many ledger
-reads and writes one event of that use case triggers, and the payload class
-of its writes.  Arrival rates follow from an operator-supplied
-concurrent-event rate eta and the per-event read and write counts alpha and
-beta:
+reads and writes one event of that use case triggers.  Arrival rates follow
+from an operator-supplied concurrent-event rate eta and the per-event read
+and write counts alpha and beta:
 
     lambda_read  = eta * alpha
     lambda_write = eta * beta
@@ -22,7 +21,7 @@ import configparser
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, check_rate
+from .arrival import check_rate
 from .errors import ConflictError, DomainError, SchemaError
 
 SCHEMA_VERSION = 1
@@ -45,7 +44,6 @@ class UseCaseSpec:
     name: str
     reads_per_event: int
     writes_per_event: int
-    write_payload_bytes: int = DEFAULT_WRITE_PAYLOAD_BYTES
     trigger: str = ""
 
     def __post_init__(self):
@@ -55,8 +53,6 @@ class UseCaseSpec:
             raise DomainError(f"writes_per_event must be >= 0, got {self.writes_per_event}")
         if self.reads_per_event + self.writes_per_event < 1:
             raise DomainError(f"use case {self.name!r} needs at least one read or write per event")
-        if self.write_payload_bytes < 0:
-            raise DomainError(f"write_payload_bytes must be >= 0, got {self.write_payload_bytes}")
 
 
 @dataclass(frozen=True)
@@ -96,20 +92,17 @@ class ScenarioWorkload:
 
     scenario_id: ScenarioId | None
     use_case: str | None
-    eta: float
     lambda_read: float
     lambda_write: float
 
 
 def builtin_scenarios() -> list[ScenarioSpec]:
     """The seven built-in scenario profiles."""
-    return [replace(s) for s in _BUILTINS]
+    return list(_BUILTINS)
 
 
-def scenario_by_id(scenario_id: ScenarioId | str,
+def scenario_by_id(scenario_id: ScenarioId,
                    catalog: list[ScenarioSpec] | None = None) -> ScenarioSpec:
-    if isinstance(scenario_id, str):
-        scenario_id = ScenarioId(scenario_id)
     for spec in catalog if catalog is not None else _BUILTINS:
         if spec.id is scenario_id:
             return spec
@@ -123,7 +116,6 @@ def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> ScenarioWorklo
     return ScenarioWorkload(
         scenario_id=spec.id if is_scenario else None,
         use_case=None if is_scenario else spec.name,
-        eta=eta,
         lambda_read=eta * spec.reads_per_event,
         lambda_write=eta * spec.writes_per_event,
     )
@@ -209,6 +201,7 @@ def load_scenarios(document: str) -> list[ScenarioSpec]:
                 key: _parse_nonneg_int(parser[section][key], f"[{section}] {key}")
                 for key in _USE_CASE_KEYS if key in parser[section]
             }
+            fields.pop("write_payload_bytes", None)  # schema-1 key, parsed then dropped
             spec = catalog[sid]
             existing = {uc.name: uc for uc in spec.use_cases}
             try:
@@ -221,8 +214,6 @@ def load_scenarios(document: str) -> list[ScenarioSpec]:
                         name=name,
                         reads_per_event=fields.get("reads_per_event", 0),
                         writes_per_event=fields.get("writes_per_event", 0),
-                        write_payload_bytes=fields.get(
-                            "write_payload_bytes", DEFAULT_WRITE_PAYLOAD_BYTES),
                     ),)
             except DomainError as exc:
                 raise SchemaError(f"[{section}]: {exc}") from None

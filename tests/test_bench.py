@@ -300,10 +300,15 @@ class TestCapacityProfile:
             CapacityProfile.from_json_dict(doc)
 
     def test_node_count_below_bft_minimum_rejected(self):
-        p = CapacityProfile(node_count=3, max_lambda_read=20500.0,
-                            max_lambda_write=1400.0, search_tolerance=0.01)
         with pytest.raises(DomainError, match="node_count"):
-            p.validate()
+            CapacityProfile(node_count=3, max_lambda_read=20500.0,
+                            max_lambda_write=1400.0, search_tolerance=0.01)
+
+    def test_node_count_below_bft_minimum_in_json_is_a_domain_error(self):
+        doc = {"schema_version": 1, "node_count": 3, "max_lambda_read": 20500.0,
+               "max_lambda_write": 1400.0}
+        with pytest.raises(DomainError, match="node_count"):
+            CapacityProfile.from_json_dict(doc)
 
     def test_schema_version_checked(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,6 @@
 import io
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -597,6 +597,13 @@ read_mode = single
     def test_missing_schema_version(self):
         with pytest.raises(SchemaError):
             load_cluster("[cluster]\nnode_count = 4\n")
+
+    def test_every_default_written_out_loads_as_the_default(self):
+        # the [cluster] keys are the fields, each parsed as its default's type
+        section = "".join(f"{f.name} = {f.default}\n" for f in fields(ClusterConfig)
+                          if f.name != "rtt_matrix_ms")
+        doc = "[config]\nschema_version = 1\n\n[cluster]\n" + section
+        assert load_cluster(doc) == ClusterConfig()
 
     def test_node_mem_bytes_is_parsed_and_discarded(self):
         # schema-1 profiles written before the key was dropped still load

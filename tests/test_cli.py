@@ -25,6 +25,10 @@ class TestScenariosCommand:
         assert doc["reads_per_event"] == 5
         assert doc["writes_per_event"] == 1
 
+    def test_show_json_has_no_payload_size(self, capsys):
+        assert main(["scenarios", "show", "aaa", "--json"]) == 0
+        assert "write_payload_bytes" not in capsys.readouterr().out
+
     def test_show_unknown_id_exits_2_with_suggestion(self, capsys):
         assert main(["scenarios", "show", "aab"]) == 2
         assert "aaa" in capsys.readouterr().err
@@ -161,6 +165,19 @@ class TestAssessCommand:
         '"max_lambda_write": 1400}',
         '{"schema_version": 1, "node_count": 2, "max_lambda_read": 20000, '
         '"max_lambda_write": 1400}',
+        # a value of the wrong JSON type for its key
+        '{"schema_version": 1, "node_count": 4.7, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": true, '
+        '"max_lambda_write": 1400}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": "20500", '
+        '"max_lambda_write": 1400}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400, "search_tolerance": "0.01"}',
+        pytest.param('{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+                     '"max_lambda_write": 1' + "0" * 400 + '}', id="beyond-float-range"),
+        pytest.param('{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+                     '"max_lambda_write": 1' + "0" * 5000 + '}', id="beyond-int-digit-limit"),
     ])
     def test_malformed_capacity_file_exits_2(self, tmp_path, capsys, document):
         path = tmp_path / "capacity.json"
@@ -307,6 +324,16 @@ def test_campaign_last_seed_outside_key_range_exits_2(tmp_path, capsys, monkeypa
     assert main(["campaign", "--kind", "write", "--rates", "400", "--trials", "2",
                  "--seed", str(2**128 - 1), "--out", str(out)]) == 2
     assert "base_seed + trials - 1" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_campaign_zero_rate_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    # a rate the trials would reject must stop the campaign before its first trial
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(["campaign", "--kind", "write", "--rates", "400,0", "--trials", "2",
+                 "--out", str(out)]) == 2
+    assert "trial rate must be > 0" in _one_error_line(capsys)
     assert not out.exists()
 
 

@@ -50,15 +50,15 @@ CASES = {
         "fab53fe61a622ea92999fbcd1aa931517838f4528610209809189be0f8f9ac4d"),
     "assess-all": (
         ["assess", "--scenario", "all", "--capacity", str(PAPER_CAPACITY_PATH)],
-        "b3ef252f23cff76b85caa8cfe572260221944d948575b16c67b30f3c1e156cd3"),
+        "b041e5794dd2cd6f1b0f36a7af9414456d7ea3fa5f3a5939a435419cddbf7c3a"),
     "assess-explicit-eta": (
         ["assess", "--scenario", "resource_sharing", "--eta", "50",
          "--capacity", str(PAPER_CAPACITY_PATH)],
-        "02df43ae1682f1d762d936dc62ec14cd910afeab19262e21a69ba7e8dcaa6f65"),
+        "2b9d48bf6e8734d2221fd4f2edc607b266fe53f65d1cdd96764f559f30397c4e"),
     # zero demand: both headrooms are written as "inf"
     "assess-zero-eta": (
         ["assess", "--scenario", "aaa", "--eta", "0", "--capacity", str(PAPER_CAPACITY_PATH)],
-        "3e31b95e3930af5f1b80ec7914c283348693ec39e47615c823391e5fdba4c939"),
+        "48fc576161d84e3ea6a54231a111dca6dc13e92b6352fa76eb2141264a83c2b6"),
 }
 
 

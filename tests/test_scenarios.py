@@ -123,6 +123,15 @@ class TestLoadScenarios:
         uc = next(s for s in catalog if s.id is ScenarioId.AAA).use_case("bulk_audit")
         assert (uc.reads_per_event, uc.writes_per_event) == (2, 0)
 
+    def test_write_payload_bytes_is_parsed_and_discarded(self):
+        # schema-1 override files written before the key was dropped still load
+        doc = ("[config]\nschema_version = 1\n\n"
+               "[use_case:aaa:access_control]\nwrite_payload_bytes = {}\n")
+        assert load_scenarios(doc.format(512)) == builtin_scenarios()
+        for bad in ("-1", "big"):
+            with pytest.raises(SchemaError, match="write_payload_bytes"):
+                load_scenarios(doc.format(bad))
+
     def test_negative_multiplicity_names_the_field(self):
         doc = ("[config]\nschema_version = 1\n\n"
                "[use_case:aaa:access_control]\nreads_per_event = -3\n")
