@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from .arrival import (
@@ -72,6 +72,8 @@ class CampaignSpec:
         # trial i runs at seed base_seed + i
         check_seed(self.base_seed, "base_seed")
         check_seed(self.base_seed + self.trials - 1, "base_seed + trials - 1")
+        if len(set(self.rates)) != len(self.rates):
+            raise DomainError(f"campaign rates must be distinct, got {list(self.rates)!r}")
         for r in self.rates:
             if check_rate(r, "rate") <= 0:
                 raise DomainError(f"trial rate must be > 0, got {r!r}")
@@ -129,6 +131,9 @@ class CapacityProfile:
                               f"{self.max_lambda_read!r}, write={self.max_lambda_write!r}")
         if self.node_count < 4:
             raise DomainError(f"node_count must be >= 4 (BFT minimum), got {self.node_count}")
+        if not (math.isfinite(self.search_tolerance) and self.search_tolerance >= 0):
+            raise DomainError(f"search_tolerance must be finite and >= 0, "
+                              f"got {self.search_tolerance!r}")
 
     def to_json_dict(self) -> dict:
         # an axis never searched (inf) serializes as null
@@ -333,6 +338,8 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
     for n in node_counts:
         if n < 4:
             raise DomainError(f"node counts must be >= 4 (BFT minimum), got {n}")
+    if len(set(node_counts)) != len(node_counts):
+        raise DomainError(f"node counts must be distinct, got {node_counts!r}")
     profiles = []
     for n in sorted(node_counts):
         cluster = replace(base_cluster, node_count=n)
@@ -354,12 +361,11 @@ def write_campaign_csv(result: CampaignResult, fp) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["lambda_offered", "trial", "seed", "mean_tps",
                      "mean_latency_ms", "mean_cpu", "steady"])
-    by_rate: dict[float, int] = {}
     for t in result.trials:
-        idx = by_rate.get(t.lambda_offered, 0)
-        by_rate[t.lambda_offered] = idx + 1
-        writer.writerow([repr(t.lambda_offered), idx, t.seed, repr(t.mean_tps),
-                         repr(t.mean_latency_ms), repr(t.mean_cpu), int(t.steady)])
+        # trial i runs at seed base_seed + i
+        writer.writerow([repr(t.lambda_offered), t.seed - result.spec.base_seed, t.seed,
+                         repr(t.mean_tps), repr(t.mean_latency_ms), repr(t.mean_cpu),
+                         int(t.steady)])
 
 
 def campaign_json_dict(result: CampaignResult) -> dict:
@@ -373,19 +379,7 @@ def campaign_json_dict(result: CampaignResult) -> dict:
         "duration_s": spec.duration_s,
         "base_seed": spec.base_seed,
         "steady_tolerance": STEADY_TOLERANCE,
-        "aggregates": [
-            {
-                "lambda_offered": a.lambda_offered,
-                "mean_tps": a.mean_tps,
-                "std_tps": a.std_tps,
-                "mean_latency_ms": a.mean_latency_ms,
-                "std_latency_ms": a.std_latency_ms,
-                "mean_cpu": a.mean_cpu,
-                "steady_trials": a.steady_trials,
-                "trials": a.trials,
-            }
-            for a in result.aggregates
-        ],
+        "aggregates": [asdict(a) for a in result.aggregates],
     }
 
 

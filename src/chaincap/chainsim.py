@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream
-from .errors import ConfigError, ContractError, SchemaError
+from .errors import ConfigError, ConflictError, ContractError, SchemaError
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -376,51 +376,78 @@ _CLUSTER_KEYS = {f.name: type(f.default) for f in fields(ClusterConfig)
                  if f.name != "rtt_matrix_ms"} | {"node_mem_bytes": int}
 
 
-def load_cluster(document: str) -> ClusterConfig:
-    """Parse a cluster profile document (same INI grammar as scenario overrides)."""
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
+def read_config(document: str) -> dict[str, dict[str, str]]:
+    """The sections of a cluster profile or scenario override, as raw keys.
+
+    ``[config]``, required unless there is no section at all, must hold only
+    ``schema_version = 1`` and is not returned.  A repeated section or key is
+    a :class:`ConflictError`, any other fault a one-line :class:`SchemaError`.
+    """
+    # no header can be empty, so [DEFAULT] is an ordinary section, not one
+    # whose keys every other section inherits
+    parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")
     try:
         parser.read_string(document)
-    except configparser.Error as exc:
-        raise SchemaError(str(exc)) from None
-    sections = set(parser.sections())
-    if "config" not in sections:
-        raise SchemaError("missing [config] section with schema_version")
-    if parser["config"].get("schema_version", "").strip() != str(CONFIG_SCHEMA_VERSION):
-        raise SchemaError(f"schema_version must be {CONFIG_SCHEMA_VERSION}")
-    for key in parser["config"]:
-        if key != "schema_version":
-            raise SchemaError(f"[config]: unknown key {key!r}")
-    unknown_sections = sections - {"config", "cluster", "rtt_matrix"}
-    if unknown_sections:
-        raise SchemaError(f"unknown sections {sorted(unknown_sections)}")
+    except configparser.DuplicateOptionError as exc:
+        raise ConflictError(f"line {exc.lineno}: key {exc.option!r} repeated in "
+                            f"[{exc.section}]") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ConflictError(f"line {exc.lineno}: section [{exc.section}] repeated") from None
+    except configparser.MissingSectionHeaderError as exc:
+        raise SchemaError(f"line {exc.lineno}: {exc.line.strip()!r} comes before "
+                          "the first [section] header") from None
+    except configparser.ParsingError as exc:
+        lineno = exc.errors[0][0]
+        line = document.split("\n")[lineno - 1].strip()  # read_string splits at \n only
+        raise SchemaError(f"line {lineno}: expected 'key = value', got {line!r}") from None
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    if sections:
+        config = sections.pop("config", None)
+        if config is None:
+            raise SchemaError("missing [config] section with schema_version")
+        unknown = config.keys() - {"schema_version"}
+        if unknown:
+            raise SchemaError(f"[config]: unknown keys {sorted(unknown)}")
+        if config.get("schema_version") != str(CONFIG_SCHEMA_VERSION):
+            raise SchemaError(f"[config] schema_version must be {CONFIG_SCHEMA_VERSION}, "
+                              f"got {config.get('schema_version')!r}")
+    return sections
+
+
+def load_cluster(document: str) -> ClusterConfig:
+    """Parse a cluster profile: ``[cluster]`` keys and an optional ``[rtt_matrix]``."""
+    sections = read_config(document)
+    for name in sections:
+        if name not in ("cluster", "rtt_matrix"):
+            raise SchemaError(f"unknown section [{name}]")
     if "cluster" not in sections:
         raise SchemaError("missing [cluster] section")
 
     kwargs = {}
-    for key, raw in parser["cluster"].items():
+    for key, raw in sections["cluster"].items():
         if key not in _CLUSTER_KEYS:
             raise SchemaError(f"[cluster]: unknown key {key!r}")
         conv = _CLUSTER_KEYS[key]
         try:
-            kwargs[key] = conv(raw) if conv is not str else raw.strip()
+            kwargs[key] = conv(raw)
         except ValueError:
             raise SchemaError(f"[cluster] {key}: expected {conv.__name__}, got {raw!r}") from None
     kwargs.pop("node_mem_bytes", None)
 
     if "rtt_matrix" in sections:
+        matrix = sections["rtt_matrix"]
         n = kwargs.get("node_count", ClusterConfig.node_count)
         rows = []
         for i in range(n):
             key = f"node{i}"
-            if key not in parser["rtt_matrix"]:
+            if key not in matrix:
                 raise SchemaError(f"[rtt_matrix]: missing row {key!r}")
             try:
-                row = tuple(float(v) for v in parser["rtt_matrix"][key].split(","))
+                row = tuple(float(v) for v in matrix[key].split(","))
             except ValueError:
                 raise SchemaError(f"[rtt_matrix] {key}: expected comma-separated floats") from None
             rows.append(row)
-        extra = set(parser["rtt_matrix"]) - {f"node{i}" for i in range(n)}
+        extra = matrix.keys() - {f"node{i}" for i in range(n)}
         if extra:
             raise SchemaError(f"[rtt_matrix]: unexpected rows {sorted(extra)}")
         kwargs["rtt_matrix_ms"] = tuple(rows)

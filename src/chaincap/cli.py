@@ -52,10 +52,6 @@ PAPER_CAPACITY_PATH = Path(__file__).parent / "data" / "paper.json"
 
 # --- manifest --------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -74,9 +70,6 @@ class OutputDir:
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.started = _utc_now()
-
-    def record_input(self, path: Path) -> None:
-        self.inputs[str(path)] = _sha256(path)
 
     def _write(self, name: str, text: str) -> Path:
         try:
@@ -116,30 +109,40 @@ class OutputDir:
 
 # --- shared option handling ------------------------------------------------
 
-def _read_input(path: str, what: str, manifest: OutputDir | None) -> str:
-    """The text of an input file, recorded in the manifest when there is one."""
+def _read_input(path: str, what: str, parse, manifest: OutputDir | None):
+    """``parse`` of an input file's text, its digest kept in the manifest if any.
+
+    Every error names the file.  A parse error keeps its type; bad JSON,
+    or JSON nested too deep to decode, becomes an InputError.
+    """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"{what} not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} {path} is not UTF-8 text: {exc.reason} "
                          f"at byte {exc.start}") from None
     if manifest:
-        manifest.record_input(path)
-    return text
+        manifest.inputs[str(path)] = hashlib.sha256(data).hexdigest()
+    try:
+        return parse(text)
+    except (ValueError, RecursionError) as exc:
+        error = type(exc) if isinstance(exc, ChaincapError) else InputError
+        raise error(f"{what} {path}: {exc}") from None
 
 
 def _load_cluster_arg(args, manifest: OutputDir | None = None):
-    if getattr(args, "cluster", None):
-        return load_cluster(_read_input(args.cluster, "cluster profile", manifest))
+    if args.cluster:
+        return _read_input(args.cluster, "cluster profile", load_cluster, manifest)
     return default_cluster()
 
 
 def _load_catalog_arg(args, manifest: OutputDir | None = None):
-    if getattr(args, "overrides", None):
-        return load_scenarios(_read_input(args.overrides, "scenario override file", manifest))
+    if args.overrides:
+        return _read_input(args.overrides, "scenario override file", load_scenarios, manifest)
     return builtin_scenarios()
 
 
@@ -312,12 +315,9 @@ def cmd_campaign(args) -> int:
 
 def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
     if args.capacity:
-        text = _read_input(args.capacity, "capacity file", manifest)
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-            raise InputError(f"capacity file {args.capacity} is not JSON: {exc}") from None
-        return CapacityProfile.from_json_dict(doc)
+        return _read_input(args.capacity, "capacity file",
+                           lambda text: CapacityProfile.from_json_dict(json.loads(text)),
+                           manifest)
     # fall back to a simulator-driven search on the configured cluster
     cluster = _load_cluster_arg(args, manifest)
     return sweep_nodes(cluster, [cluster.node_count], (TxKind.READ, TxKind.WRITE),
@@ -342,18 +342,19 @@ def cmd_assess(args) -> int:
 
     summary_rows = ["scenario,use_case,lambda_read,lambda_write,read_ok,write_ok,"
                     "headroom_read,headroom_write"]
-    for spec in specs:
-        report = methodology_report(spec, args.eta, capacity)
-        manifest.write_json(f"verdict_{spec.id.value}.json", report)
+    # every report is built, and so checked, before the first file is written
+    for report in [methodology_report(spec, args.eta, capacity) for spec in specs]:
+        sid = report["scenario"]
+        manifest.write_json(f"verdict_{sid}.json", report)
         if args.text:
             print(render_report_text(report))
         # floats format as their repr; an infinite headroom is already "inf"
         v = report["comparison"]
         summary_rows.append(
-            f"{spec.id.value},,{v['lambda_read']},{v['lambda_write']},"
+            f"{sid},,{v['lambda_read']},{v['lambda_write']},"
             f"{int(v['read_ok'])},{int(v['write_ok'])},{v['headroom_read']},{v['headroom_write']}")
         label = "suitable" if v["suitable"] else "unsuitable"
-        print(f"{spec.id.value}: {label} "
+        print(f"{sid}: {label} "
               f"(lambda_read={v['lambda_read']}, lambda_write={v['lambda_write']})")
     manifest.write_text("summary.csv", "\n".join(summary_rows) + "\n")
     manifest.finish()
@@ -440,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except CalibrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ChaincapError, FileNotFoundError) as exc:
+    except ChaincapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

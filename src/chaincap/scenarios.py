@@ -17,14 +17,13 @@ Profiles can be overridden by an INI-style document, see ``load_scenarios``.
 
 from __future__ import annotations
 
-import configparser
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .arrival import check_rate
+from .chainsim import read_config
 from .errors import ConflictError, DomainError, SchemaError
-
-SCHEMA_VERSION = 1
 
 
 class ScenarioId(Enum):
@@ -113,12 +112,16 @@ def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> ScenarioWorklo
     """Arrival rates for a scenario or single use case at event rate eta."""
     eta = check_rate(eta, "eta")
     is_scenario = isinstance(spec, ScenarioSpec)
-    return ScenarioWorkload(
-        scenario_id=spec.id if is_scenario else None,
-        use_case=None if is_scenario else spec.name,
-        lambda_read=eta * spec.reads_per_event,
-        lambda_write=eta * spec.writes_per_event,
-    )
+    try:
+        lambda_read, lambda_write = eta * spec.reads_per_event, eta * spec.writes_per_event
+    except OverflowError:  # a per-event count beyond the float range
+        lambda_read = lambda_write = math.inf
+    if not (math.isfinite(lambda_read) and math.isfinite(lambda_write)):
+        raise DomainError(f"{spec.id.value if is_scenario else spec.name}: eta {eta!r} times "
+                          "its reads and writes per event is not a finite rate")
+    return ScenarioWorkload(scenario_id=spec.id if is_scenario else None,
+                            use_case=None if is_scenario else spec.name,
+                            lambda_read=lambda_read, lambda_write=lambda_write)
 
 
 # --- override document handling -------------------------------------------
@@ -140,86 +143,58 @@ def _parse_nonneg_int(raw: str, where: str) -> int:
 def load_scenarios(document: str) -> list[ScenarioSpec]:
     """Parse an override document and merge it over the built-in catalog.
 
-    Sections: ``[config]`` with ``schema_version``, ``[scenario:<id>]`` with
+    Sections (grammar of ``chainsim.read_config``): ``[scenario:<id>]`` with
     ``eta``, and ``[use_case:<id>:<name>]`` with per-event multiplicities.
     Unknown sections or keys are rejected loudly.
     """
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
-    try:
-        parser.read_string(document)
-    except configparser.DuplicateSectionError as exc:
-        raise ConflictError(str(exc)) from None
-    except configparser.DuplicateOptionError as exc:
-        raise ConflictError(str(exc)) from None
-    except configparser.Error as exc:
-        raise SchemaError(str(exc)) from None
-
-    catalog = {spec.id: spec for spec in builtin_scenarios()}
-    sections = parser.sections()
-    if sections:
-        if "config" not in sections:
-            raise SchemaError("missing [config] section with schema_version")
-        keys = set(parser["config"])
-        if keys != {"schema_version"}:
-            raise SchemaError(f"[config] allows only schema_version, got {sorted(keys)}")
-        if parser["config"]["schema_version"].strip() != str(SCHEMA_VERSION):
-            raise SchemaError(
-                f"unsupported schema_version {parser['config']['schema_version']!r}, "
-                f"expected {SCHEMA_VERSION}")
-
-    for section in sections:
-        if section == "config":
-            continue
-        if section.startswith("scenario:"):
-            sid_raw = section[len("scenario:"):]
-            try:
-                sid = ScenarioId(sid_raw)
-            except ValueError:
-                raise SchemaError(f"[{section}]: unknown scenario id {sid_raw!r}") from None
-            unknown = set(parser[section]) - _SCENARIO_KEYS
-            if unknown:
-                raise SchemaError(f"[{section}]: unknown keys {sorted(unknown)}")
-            if "eta" in parser[section]:
+    catalog = {spec.id: spec for spec in _BUILTINS}
+    for section, keys in read_config(document).items():
+        kind, _, target = section.partition(":")
+        if kind == "scenario":
+            sid_raw, name, allowed = target, None, _SCENARIO_KEYS
+        elif kind == "use_case":
+            sid_raw, _, name = target.partition(":")
+            if not name:
+                raise SchemaError(f"[{section}]: expected use_case:<scenario>:<name>")
+            allowed = _USE_CASE_KEYS
+        else:
+            raise SchemaError(f"unknown section [{section}]")
+        try:
+            sid = ScenarioId(sid_raw)
+        except ValueError:
+            raise SchemaError(f"[{section}]: unknown scenario id {sid_raw!r}") from None
+        unknown = keys.keys() - allowed
+        if unknown:
+            raise SchemaError(f"[{section}]: unknown keys {sorted(unknown)}")
+        if name is None:
+            if "eta" in keys:
                 try:
-                    eta = check_rate(float(parser[section]["eta"]), "eta")
+                    eta = check_rate(float(keys["eta"]), "eta")
                 except (ValueError, DomainError) as exc:
                     raise SchemaError(f"[{section}] eta: {exc}") from None
                 catalog[sid] = replace(catalog[sid], default_eta=eta)
-        elif section.startswith("use_case:"):
-            parts = section.split(":", 2)
-            if len(parts) != 3 or not parts[2]:
-                raise SchemaError(f"[{section}]: expected use_case:<scenario>:<name>")
-            try:
-                sid = ScenarioId(parts[1])
-            except ValueError:
-                raise SchemaError(f"[{section}]: unknown scenario id {parts[1]!r}") from None
-            name = parts[2]
-            unknown = set(parser[section]) - _USE_CASE_KEYS
-            if unknown:
-                raise SchemaError(f"[{section}]: unknown keys {sorted(unknown)}")
-            fields = {
-                key: _parse_nonneg_int(parser[section][key], f"[{section}] {key}")
-                for key in _USE_CASE_KEYS if key in parser[section]
-            }
-            fields.pop("write_payload_bytes", None)  # schema-1 key, parsed then dropped
-            spec = catalog[sid]
-            existing = {uc.name: uc for uc in spec.use_cases}
-            try:
-                if name in existing:
-                    updated = replace(existing[name], **fields)
-                    use_cases = tuple(updated if uc.name == name else uc
-                                      for uc in spec.use_cases)
-                else:
-                    use_cases = spec.use_cases + (UseCaseSpec(
-                        name=name,
-                        reads_per_event=fields.get("reads_per_event", 0),
-                        writes_per_event=fields.get("writes_per_event", 0),
-                    ),)
-            except DomainError as exc:
-                raise SchemaError(f"[{section}]: {exc}") from None
-            catalog[sid] = replace(spec, use_cases=use_cases)
-        else:
-            raise SchemaError(f"unknown section [{section}]")
+            continue
+        fields = {
+            key: _parse_nonneg_int(keys[key], f"[{section}] {key}")
+            for key in _USE_CASE_KEYS if key in keys
+        }
+        fields.pop("write_payload_bytes", None)  # schema-1 key, parsed then dropped
+        spec = catalog[sid]
+        existing = {uc.name: uc for uc in spec.use_cases}
+        try:
+            if name in existing:
+                updated = replace(existing[name], **fields)
+                use_cases = tuple(updated if uc.name == name else uc
+                                  for uc in spec.use_cases)
+            else:
+                use_cases = spec.use_cases + (UseCaseSpec(
+                    name=name,
+                    reads_per_event=fields.get("reads_per_event", 0),
+                    writes_per_event=fields.get("writes_per_event", 0),
+                ),)
+        except DomainError as exc:
+            raise SchemaError(f"[{section}]: {exc}") from None
+        catalog[sid] = replace(spec, use_cases=use_cases)
 
     return [catalog[spec.id] for spec in _BUILTINS]
 

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 import weakref
 from dataclasses import replace
@@ -16,6 +18,7 @@ from chaincap.bench import (
     run_campaign,
     run_trial,
     sweep_nodes,
+    write_campaign_csv,
 )
 from chaincap.chainsim import MetricsTimeline, default_cluster
 from chaincap.errors import CalibrationError, DomainError
@@ -100,6 +103,20 @@ class TestRunCampaign:
             spec(SEED_LIMIT - 2, 3)
         result = run_campaign(spec(SEED_LIMIT - 3, 3))
         assert result.trials[-1].seed == SEED_LIMIT - 1
+
+    def test_repeated_rate_rejected(self):
+        # a repeated rate would run trial i twice at seed base_seed + i
+        with pytest.raises(DomainError, match="distinct"):
+            CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=(400.0, 400),
+                         trials=2, duration_s=20.0)
+
+    def test_campaign_csv_trial_is_seed_offset(self):
+        spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                            rates=(40.0, 60.0), trials=2, duration_s=20.0, base_seed=7)
+        buf = io.StringIO()
+        write_campaign_csv(run_campaign(spec), buf)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert [(r["trial"], r["seed"]) for r in rows] == [("0", "7"), ("1", "8")] * 2
 
     def test_empty_rate_list(self):
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
@@ -261,9 +278,14 @@ class TestSweepNodes:
         assert profiles[0].max_lambda_read == math.inf
 
     def test_idempotence(self):
-        profiles = sweep_nodes(small_cluster(), [4, 4], (TxKind.WRITE,),
-                               duration_s=20.0, start=100.0)
-        assert profiles[0] == profiles[1]
+        # a repeated node count is rejected, so the two searches are two sweeps
+        first, second = (sweep_nodes(small_cluster(), [4], (TxKind.WRITE,),
+                                     duration_s=20.0, start=100.0) for _ in range(2))
+        assert first == second
+
+    def test_rejects_repeated_node_counts(self):
+        with pytest.raises(DomainError, match="distinct"):
+            sweep_nodes(small_cluster(), [4, 5, 4], (TxKind.WRITE,))
 
     def test_rejects_small_clusters(self):
         with pytest.raises(DomainError):
@@ -309,6 +331,15 @@ class TestCapacityProfile:
                "max_lambda_write": 1400.0}
         with pytest.raises(DomainError, match="node_count"):
             CapacityProfile.from_json_dict(doc)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
+    def test_search_tolerance_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(DomainError, match="search_tolerance"):
+            CapacityProfile(node_count=4, max_lambda_read=20500.0,
+                            max_lambda_write=1400.0, search_tolerance=bad)
+        # paper.json's reference endpoints come from no search
+        assert CapacityProfile(node_count=4, max_lambda_read=20500.0,
+                               max_lambda_write=1400.0, search_tolerance=0.0)
 
     def test_schema_version_checked(self):
         with pytest.raises(DomainError):

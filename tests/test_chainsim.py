@@ -24,11 +24,12 @@ from chaincap.chainsim import (
     default_cluster,
     load_cluster,
     quorum,
+    read_config,
     round_base_ms,
     run,
     window_count,
 )
-from chaincap.errors import ConfigError, ContractError, SchemaError
+from chaincap.errors import ConfigError, ConflictError, ContractError, SchemaError
 
 
 class ReadServer:
@@ -598,6 +599,21 @@ read_mode = single
         with pytest.raises(SchemaError):
             load_cluster("[cluster]\nnode_count = 4\n")
 
+    def test_empty_profile_needs_a_cluster_section(self):
+        for doc in ("", "# only a comment\n", "[config]\nschema_version = 1\n"):
+            with pytest.raises(SchemaError, match=r"missing \[cluster\] section"):
+                load_cluster(doc)
+
+    def test_repeated_section_is_a_conflict(self):
+        doc = "[config]\nschema_version = 1\n[cluster]\nrtt_ms = 1\n[cluster]\nrtt_ms = 2\n"
+        with pytest.raises(ConflictError, match=r"line 5: section \[cluster\] repeated"):
+            load_cluster(doc)
+
+    def test_unknown_section_rejected(self):
+        doc = "[config]\nschema_version = 1\n[cluster]\n[DEFAULT]\nrtt_ms = 1\n"
+        with pytest.raises(SchemaError, match=r"unknown section \[DEFAULT\]"):
+            load_cluster(doc)
+
     def test_every_default_written_out_loads_as_the_default(self):
         # the [cluster] keys are the fields, each parsed as its default's type
         section = "".join(f"{f.name} = {f.default}\n" for f in fields(ClusterConfig)
@@ -622,3 +638,37 @@ read_mode = single
         assert header[0] == "window_index"
         assert "cpu_utilization_node3" in header
         assert header[-1] == "ledger_bytes"
+
+
+class TestReadConfig:
+    def test_sections_but_config_with_raw_values(self):
+        doc = "[config]\nschema_version = 1\n\n[a]\nX = 1.5\n[b:c]\ny = two words\n"
+        assert read_config(doc) == {"a": {"x": "1.5"}, "b:c": {"y": "two words"}}
+
+    @pytest.mark.parametrize("doc", ["", "\n\n", "; comment\n# comment\n"])
+    def test_document_without_sections_needs_no_config(self, doc):
+        assert read_config(doc) == {}
+
+    @pytest.mark.parametrize("doc,error,message", [
+        ("not ini\n", SchemaError, "line 1: 'not ini' comes before the first [section]"),
+        ("[config]\nschema_version = 1\n\nnot ini\n", SchemaError,
+         "line 4: expected 'key = value', got 'not ini'"),
+        ("[config]\r\nschema_version = 1\r\nnot ini\r\n", SchemaError,
+         "line 3: expected 'key = value', got 'not ini'"),
+        ("[config]\nschema_version = 1\n[config]\n", ConflictError,
+         "line 3: section [config] repeated"),
+        ("[config]\nschema_version = 1\nSchema_Version = 1\n", ConflictError,
+         "line 3: key 'schema_version' repeated in [config]"),
+        ("[a]\nx = 1\n", SchemaError, "missing [config] section with schema_version"),
+        ("[config]\n", SchemaError, "[config] schema_version must be 1, got None"),
+        ("[config]\nschema_version = 2\n", SchemaError,
+         "[config] schema_version must be 1, got '2'"),
+        ("[config]\nschema_version = 1\nfoo = 1\n", SchemaError,
+         "[config]: unknown keys ['foo']"),
+    ])
+    def test_each_fault_is_one_line(self, doc, error, message):
+        with pytest.raises(error) as excinfo:
+            read_config(doc)
+        assert type(excinfo.value) is error
+        assert str(excinfo.value).startswith(message)
+        assert "\n" not in str(excinfo.value)

@@ -1,11 +1,14 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from chaincap.arrival import ArrivalProcess
-from chaincap.chainsim import MAX_WINDOWS
+from chaincap.chainsim import MAX_WINDOWS, ClusterConfig, load_cluster
 from chaincap.cli import PAPER_CAPACITY_PATH, main
+from chaincap.scenarios import builtin_scenarios, load_scenarios
 
 
 def read_outputs(out_dir: Path) -> dict[str, bytes]:
@@ -122,6 +125,9 @@ class TestCapacityCommand:
         assert doc["max_lambda_write"] > 0
 
 
+HUGE_READS = "[use_case:aaa:access_control]\nreads_per_event = 1" + "0" * 400
+
+
 class TestAssessCommand:
     def test_public_key_mgmt_suitable(self, tmp_path, capsys):
         out = tmp_path / "a"
@@ -178,6 +184,14 @@ class TestAssessCommand:
                      '"max_lambda_write": 1' + "0" * 400 + '}', id="beyond-float-range"),
         pytest.param('{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
                      '"max_lambda_write": 1' + "0" * 5000 + '}', id="beyond-int-digit-limit"),
+        # a search tolerance that is not finite, or is negative
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400, "search_tolerance": NaN}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400, "search_tolerance": 1e400}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400, "search_tolerance": -5}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-beyond-recursion-limit"),
     ])
     def test_malformed_capacity_file_exits_2(self, tmp_path, capsys, document):
         path = tmp_path / "capacity.json"
@@ -187,6 +201,26 @@ class TestAssessCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().split("\n")) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,override", [
+        pytest.param(["--scenario", "aaa", "--eta", "1e308"], None, id="eta"),
+        pytest.param(["--scenario", "aaa"], HUGE_READS, id="reads-per-event"),
+        # public_key_mgmt comes before aaa in the catalog and is fine on its own
+        pytest.param(["--scenario", "all"], HUGE_READS, id="all"),
+    ])
+    def test_non_finite_rate_exits_2(self, tmp_path, capsys, argv, override):
+        if override:
+            path = tmp_path / "overrides.ini"
+            path.write_text("[config]\nschema_version = 1\n\n" + override + "\n")
+            argv = argv + ["--overrides", str(path)]
+        out = tmp_path / "a"
+        assert main(["assess", "--capacity", str(PAPER_CAPACITY_PATH), *argv,
+                     "--out", str(out)]) == 2
+        # --scenario all also warns about each scenario it skips
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("warning: skipping")]
+        assert len(err) == 1 and err[0].startswith("error: aaa: eta ")
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -337,6 +371,20 @@ def test_campaign_zero_rate_exits_2_before_drawing(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["campaign", "--kind", "write", "--rates", "400,800,400.0", "--trials", "2"],
+     "campaign rates must be distinct"),
+    (["capacity", "--kind", "write", "--nodes", "4,5,4"], "node counts must be distinct"),
+])
+def test_repeated_grid_value_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv,
+                                                     message):
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("keep\n")
@@ -398,6 +446,61 @@ def test_non_utf8_overrides_without_out_exits_2(tmp_path, capsys):
     bad.write_bytes(b"\xff\xfe")
     assert main(["scenarios", "list", "--overrides", str(bad)]) == 2
     assert str(bad) in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("document", [
+    pytest.param("not ini\n", id="no-section-header"),
+    pytest.param("[config]\nschema_version = 1\nnot ini\n", id="unparseable-line"),
+    pytest.param("[config]\nschema_version = 1\n[config]\nschema_version = 1\n",
+                 id="repeated-section"),
+    pytest.param("[config]\nschema_version = 1\nschema_version = 1\n", id="repeated-key"),
+    pytest.param("[config]\nschema_version = 2\n", id="schema-version-2"),
+    pytest.param("[config]\nschema_version = 1\nfoo = 1\n", id="extra-config-key"),
+])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--kind", "write", "--lambda", "10", "--cluster"], id="cluster"),
+    pytest.param(["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH),
+                  "--overrides"], id="overrides"),
+])
+def test_malformed_ini_exits_2_naming_the_file(tmp_path, capsys, monkeypatch, argv, document):
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    path = tmp_path / "input.ini"
+    path.write_text(document)
+    out = tmp_path / "d"
+    assert main(argv + [str(path), "--out", str(out)]) == 2
+    assert str(path) in _one_error_line(capsys)
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang: str, after: str = "") -> list[str]:
+    text = README.read_text()
+    return re.findall(rf"```{lang}\n(.*?)```", text[text.index(after):], re.S)
+
+
+QUICK_START = [line for line in _readme_blocks("sh", "## Quick start")[0].splitlines()
+               if line.startswith("chaincap ")]
+
+
+@pytest.mark.parametrize("line", QUICK_START)
+def test_readme_quick_start_line_exits_0(tmp_path, monkeypatch, line):
+    # outputs go under tmp_path; other relative paths are the repository's
+    monkeypatch.delenv("CHAINCAP_OUT", raising=False)
+    argv = [str(tmp_path / a) if a.startswith("runs/") else str(README.parent / a) if "/" in a
+            else a for a in shlex.split(line)[1:]]
+    assert main(argv) == 0
+
+
+def test_readme_quick_start_is_found():
+    assert len(QUICK_START) == 8
+
+
+def test_readme_ini_examples_load():
+    cluster, overrides = _readme_blocks("ini")
+    assert load_cluster(cluster) == ClusterConfig()
+    assert load_scenarios(overrides) != builtin_scenarios()
 
 
 RTT_MATRIX_PROFILE = (

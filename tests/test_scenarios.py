@@ -84,6 +84,15 @@ class TestWorkloadFor:
         with pytest.raises(DomainError):
             workload_for(UseCaseSpec("neg", -1, 2), 1.0)
 
+    @pytest.mark.parametrize("spec,eta", [
+        (scenario_by_id(ScenarioId.AAA), 1e308),         # 5 reads per event overflow
+        (UseCaseSpec("huge", 10**400, 1), 1.0),          # no float holds the count
+        (UseCaseSpec("huge", 10**400, 1), 0.0),
+    ])
+    def test_non_finite_rate_rejected(self, spec, eta):
+        with pytest.raises(DomainError, match="not a finite rate"):
+            workload_for(spec, eta)
+
     def test_additivity_over_use_cases(self):
         eta = 3.25
         for spec in builtin_scenarios():
@@ -160,6 +169,16 @@ class TestLoadScenarios:
     def test_wrong_schema_version(self):
         with pytest.raises(SchemaError, match="schema_version"):
             load_scenarios("[config]\nschema_version = 99\n")
+
+    def test_default_section_is_an_unknown_section(self):
+        # not a section whose keys every other section inherits
+        with pytest.raises(SchemaError, match=r"unknown section \[DEFAULT\]"):
+            load_scenarios("[config]\nschema_version = 1\n\n[DEFAULT]\neta = 1\n")
+
+    def test_duplicate_keys_conflict(self):
+        doc = "[config]\nschema_version = 1\n\n[scenario:aaa]\neta = 1\neta = 2\n"
+        with pytest.raises(ConflictError, match=r"line 6: key 'eta' repeated in \[scenario:aaa"):
+            load_scenarios(doc)
 
     def test_duplicate_sections_conflict(self):
         doc = ("[config]\nschema_version = 1\n\n"
