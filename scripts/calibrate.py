@@ -17,7 +17,7 @@ import argparse
 from dataclasses import replace
 
 from chaincap.arrival import ArrivalKind, TxKind
-from chaincap.bench import find_max_lambda
+from chaincap.bench import DEFAULT_START_RATE, find_max_lambda
 from chaincap.chainsim import default_cluster
 
 WRITE_TARGET = 1400.0
@@ -59,7 +59,7 @@ def main():
 
     print("tuning write_exec_us for write capacity ~%.0f ..." % WRITE_TARGET)
     write_exec, write_cap = tune(base, "write_exec_us", TxKind.WRITE, WRITE_TARGET,
-                                 args.duration, args.seed, start=100.0,
+                                 args.duration, args.seed, start=DEFAULT_START_RATE,
                                  lo=100.0, hi=1500.0)
 
     print("tuning read_service_us for read capacity ~%.0f ..." % READ_TARGET)

@@ -33,6 +33,8 @@ WINDOW_S = 1.0
 WARMUP_FRACTION = 0.1
 STEADY_TOLERANCE = 0.02
 DEFAULT_SEARCH_TOLERANCE = 0.01
+# a capacity search's first probe rate, tx/s
+DEFAULT_START_RATE = 100.0
 # hi / lo - 1 cannot fall below one ulp (about 2.2e-16), and near it the
 # geometric midpoint rounds to an endpoint, so a finer tolerance never ends
 MIN_SEARCH_TOLERANCE = 1e-9
@@ -198,24 +200,19 @@ class Trial:
         self._kind = kind
         self._timeline = timeline
         self._skip = int(timeline.n_windows * WARMUP_FRACTION)
-        if kind is TxKind.WRITE:
-            self.mean_tps = timeline.mean_committed_write_tps(self._skip)
-        else:
-            self.mean_tps = timeline.mean_served_read_tps(self._skip)
+        tps = timeline.committed_write_tps if kind is TxKind.WRITE else timeline.served_read_tps
+        self._tps = tps[self._skip:]
+        self.mean_tps = float(self._tps.mean())
         self.steady = detect_steady_state(lam, self.mean_tps)
 
     @cached_property
     def mean_latency_ms(self) -> float:
         """Mean latency over the post-warm-up windows, weighted by throughput."""
-        skip, timeline = self._skip, self._timeline
-        if self._kind is TxKind.WRITE:
-            lat = timeline.mean_write_latency_ms[skip:]
-            counts = timeline.committed_write_tps[skip:]
-        else:
-            lat = timeline.mean_read_latency_ms[skip:]
-            counts = timeline.served_read_tps[skip:]
-        total = counts.sum()
-        return float((lat * counts).sum() / total) if total > 0 else 0.0
+        timeline = self._timeline
+        lat = (timeline.mean_write_latency_ms if self._kind is TxKind.WRITE
+               else timeline.mean_read_latency_ms)[self._skip:]
+        total = self._tps.sum()
+        return float((lat * self._tps).sum() / total) if total > 0 else 0.0
 
     @cached_property
     def mean_cpu(self) -> float:
@@ -278,7 +275,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                     tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                     duration_s: float = DESK_DURATION_S,
                     base_seed: int = 0,
-                    start: float = 100.0) -> float:
+                    start: float = DEFAULT_START_RATE) -> float:
     """Largest steady arrival rate, by exponential bracketing then bisection.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
@@ -330,7 +327,7 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
                 tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                 duration_s: float = DESK_DURATION_S,
                 base_seed: int = 0,
-                start: float = 100.0) -> list[CapacityProfile]:
+                start: float = DEFAULT_START_RATE) -> list[CapacityProfile]:
     """Run the capacity search per node count and kind, ordered by node count.
 
     The axis of a kind not in ``kinds`` is left at inf.
@@ -363,9 +360,8 @@ def write_campaign_csv(result: CampaignResult, fp) -> None:
                      "mean_latency_ms", "mean_cpu", "steady"])
     for t in result.trials:
         # trial i runs at seed base_seed + i
-        writer.writerow([repr(t.lambda_offered), t.seed - result.spec.base_seed, t.seed,
-                         repr(t.mean_tps), repr(t.mean_latency_ms), repr(t.mean_cpu),
-                         int(t.steady)])
+        writer.writerow([t.lambda_offered, t.seed - result.spec.base_seed, t.seed,
+                         t.mean_tps, t.mean_latency_ms, t.mean_cpu, int(t.steady)])
 
 
 def campaign_json_dict(result: CampaignResult) -> dict:
@@ -388,5 +384,4 @@ def write_plot_data_csv(result: CampaignResult, fp) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["arrival_rate", "tps", "cpu_utilization", "latency_ms"])
     for a in result.aggregates:
-        writer.writerow([repr(a.lambda_offered), repr(a.mean_tps),
-                         repr(a.mean_cpu), repr(a.mean_latency_ms)])
+        writer.writerow([a.lambda_offered, a.mean_tps, a.mean_cpu, a.mean_latency_ms])

@@ -18,7 +18,6 @@ One run is single-threaded and fully deterministic in its inputs.
 from __future__ import annotations
 
 import configparser
-import csv
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -32,11 +31,17 @@ CONFIG_SCHEMA_VERSION = 1
 
 # Largest number of metric windows in one run.  A run keeps about a dozen
 # arrays with one entry per window (per node and window for cpu work), and
-# simulate writes one CSV row per window: a 4-node simulate at 1M windows
-# peaked 220 bytes per window above the interpreter's own memory and wrote a
-# 64 MB timeline.  A window far below the horizon is rejected before any of
-# that is allocated.
+# simulate writes one CSV row per window from ``columns()``, one Python value
+# per cell: a 4-node simulate at 1M windows took 5.7 s, peaked 660 bytes per
+# window above the interpreter's own memory and wrote a 64 MB timeline.  A
+# window far below the horizon is rejected before any of that is allocated.
 MAX_WINDOWS = 1_000_000
+# Largest number of block proposals in one run, horizon / block_interval_ms.
+# The block loop runs once per proposal, even on an idle chain: a 4-node
+# simulate with no writes took about 4.7 us and 96 bytes per block (1M
+# blocks: 4.8 s, 131 MB peak RSS), so a horizon far beyond this is rejected
+# before the loop starts.
+MAX_BLOCKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -270,30 +275,21 @@ class MetricsTimeline:
         block_bytes = self._cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * self._fills
         return self._at_window_ends(np.cumsum(block_bytes)).astype(np.int64)
 
-    def mean_committed_write_tps(self, skip_windows: int = 0) -> float:
-        return float(np.mean(self.committed_write_tps[skip_windows:]))
-
-    def mean_served_read_tps(self, skip_windows: int = 0) -> float:
-        return float(np.mean(self.served_read_tps[skip_windows:]))
-
-    def to_csv(self, fp) -> None:
-        """Write the timeline, one row per window, header row first."""
-        n_nodes = self.cpu_utilization.shape[0]
-        writer = csv.writer(fp, lineterminator="\n")
-        header = ["window_index", "window_start_s", "committed_write_tps",
-                  "served_read_tps", "mean_write_latency_ms", "mean_read_latency_ms"]
-        header += [f"cpu_utilization_node{i}" for i in range(n_nodes)]
-        header += ["pool_depth", "ledger_bytes"]
-        writer.writerow(header)
-        for w in range(self.n_windows):
-            row = [w, repr(w * self.window_s),
-                   repr(float(self.committed_write_tps[w])),
-                   repr(float(self.served_read_tps[w])),
-                   repr(float(self.mean_write_latency_ms[w])),
-                   repr(float(self.mean_read_latency_ms[w]))]
-            row += [repr(float(self.cpu_utilization[i, w])) for i in range(n_nodes)]
-            row += [int(self.pool_depth[w]), int(self.ledger_bytes[w])]
-            writer.writerow(row)
+    def columns(self) -> dict[str, list]:
+        """The timeline table: each column name and its per-window values."""
+        windows = range(self.n_windows)
+        cpu = enumerate(self.cpu_utilization.tolist())
+        return {
+            "window_index": list(windows),
+            "window_start_s": [w * self.window_s for w in windows],
+            "committed_write_tps": self.committed_write_tps.tolist(),
+            "served_read_tps": self.served_read_tps.tolist(),
+            "mean_write_latency_ms": self.mean_write_latency_ms.tolist(),
+            "mean_read_latency_ms": self.mean_read_latency_ms.tolist(),
+            **{f"cpu_utilization_node{i}": node_cpu for i, node_cpu in cpu},
+            "pool_depth": self.pool_depth.tolist(),
+            "ledger_bytes": self.ledger_bytes.tolist(),
+        }
 
 
 def window_count(horizon: float, window_s: float) -> int:
@@ -316,6 +312,18 @@ def window_count(horizon: float, window_s: float) -> int:
     return max(1, math.ceil(windows))
 
 
+def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
+    """``window_count``, and :class:`ContractError` past MAX_BLOCKS block proposals."""
+    n_windows = window_count(horizon, window_s)
+    blocks = horizon / (cluster.block_interval_ms / 1000.0)
+    if blocks > MAX_BLOCKS:
+        raise ContractError(
+            f"a {horizon!r} s run at one block per {cluster.block_interval_ms!r} ms makes "
+            f"{blocks:.4g} block proposals, more than the {MAX_BLOCKS:,} one run may "
+            "hold; shorten the duration")
+    return n_windows
+
+
 def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         window_s: float = 1.0) -> MetricsTimeline:
     """Simulate the cluster against the writes and reads of ``events``.
@@ -323,7 +331,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     Each of its arrays must be sorted by time and fit within ``horizon``.
     The simulation is deterministic and draws no randomness.
     """
-    n_windows = window_count(horizon, window_s)
+    n_windows = check_run(cluster, horizon, window_s)
     write_ts, read_ts = events.write_times, events.read_times
     for times in (write_ts, read_ts):
         if not np.all(times[1:] >= times[:-1]):

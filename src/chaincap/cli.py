@@ -12,12 +12,14 @@ Exit codes: 0 success, 2 usage/config error, 3 runtime/calibration error.
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import hashlib
 import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,10 +29,13 @@ from .assess import methodology_report, render_report_text
 from .bench import (
     CampaignSpec,
     CapacityProfile,
+    DEFAULT_SEARCH_TOLERANCE,
+    DEFAULT_START_RATE,
     DESK_DURATION_S,
     DESK_TRIALS,
     PAPER_DURATION_S,
     PAPER_TRIALS,
+    WINDOW_S,
     campaign_json_dict,
     find_max_lambda,  # unused here; perfbench/spans.py patches this name
     run_campaign,
@@ -38,7 +43,7 @@ from .bench import (
     write_campaign_csv,
     write_plot_data_csv,
 )
-from .chainsim import default_cluster, load_cluster, run, window_count
+from .chainsim import check_run, default_cluster, load_cluster, run
 from .errors import CalibrationError, ChaincapError, DomainError, InputError
 from .scenarios import (
     ScenarioId,
@@ -91,6 +96,14 @@ class OutputDir:
 
     def write_json(self, name: str, doc: dict) -> Path:
         return self.write_text(name, json.dumps(doc, indent=2) + "\n")
+
+    def write_csv(self, name: str, header: list[str], rows) -> Path:
+        """A table of Python values: a float is written as its repr, None as ''."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return self.write_text(name, buf.getvalue())
 
     def finish(self) -> None:
         manifest = {
@@ -189,15 +202,7 @@ def _scenario_dict(spec) -> dict:
         "reads_per_event": spec.reads_per_event,
         "writes_per_event": spec.writes_per_event,
         "notes": spec.notes,
-        "use_cases": [
-            {
-                "name": uc.name,
-                "reads_per_event": uc.reads_per_event,
-                "writes_per_event": uc.writes_per_event,
-                "trigger": uc.trigger,
-            }
-            for uc in spec.use_cases
-        ],
+        "use_cases": [asdict(uc) for uc in spec.use_cases],
     }
 
 
@@ -209,7 +214,7 @@ def cmd_scenarios(args) -> int:
         else:
             print(f"{'id':<22} {'reads/ev':>8} {'writes/ev':>9} {'eta':>10}  use cases")
             for s in catalog:
-                eta = "-" if s.default_eta is None else repr(s.default_eta)
+                eta = "-" if s.default_eta is None else s.default_eta
                 print(f"{s.id.value:<22} {s.reads_per_event:>8} {s.writes_per_event:>9} "
                       f"{eta:>10}  {', '.join(uc.name for uc in s.use_cases)}")
         return 0
@@ -234,17 +239,14 @@ def cmd_scenarios(args) -> int:
 def cmd_simulate(args) -> int:
     manifest = _required_output_dir(args, seeds={"seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
-    kind = TxKind(args.kind)
-    arrival_kind = ArrivalKind(args.arrival)
     if args.rate < 0:
         raise DomainError(f"--lambda must be >= 0, got {args.rate}")
-    process = ArrivalProcess(kind=arrival_kind, rate=args.rate, seed=args.seed)
-    window_count(args.duration, args.window)  # reject a bad window before drawing
-    events = generate_events(process, kind, args.duration)
+    process = ArrivalProcess(kind=ArrivalKind(args.arrival), rate=args.rate, seed=args.seed)
+    check_run(cluster, args.duration, args.window)  # reject a bad run before drawing
+    events = generate_events(process, TxKind(args.kind), args.duration)
     timeline = run(cluster, events, horizon=args.duration, window_s=args.window)
-    buf = io.StringIO()
-    timeline.to_csv(buf)
-    path = manifest.write_text("timeline.csv", buf.getvalue())
+    columns = timeline.columns()
+    path = manifest.write_csv("timeline.csv", list(columns), zip(*columns.values()))
     manifest.finish()
     print(f"wrote {path} "
           f"({timeline.committed_writes} writes committed, "
@@ -267,17 +269,14 @@ def cmd_capacity(args) -> int:
                            ArrivalKind(args.arrival), tolerance=args.tolerance,
                            duration_s=args.duration, base_seed=args.seed, start=args.start)
 
-    # an axis the JSON leaves null (never searched) is an empty cell
-    columns = ["node_count", "max_lambda_read", "max_lambda_write", "search_tolerance"]
     docs = [p.to_json_dict() for p in profiles]
-    csv_lines = [",".join(columns)]
-    csv_lines += [",".join("" if d[c] is None else repr(d[c]) for c in columns) for d in docs]
-    csv_text = "\n".join(csv_lines) + "\n"
     doc = docs[0] if len(docs) == 1 else {"schema_version": 1, "profiles": docs}
 
     if manifest:
         manifest.write_json("capacity.json", doc)
-        manifest.write_text("capacity.csv", csv_text)
+        # an axis the JSON leaves null (never searched) is an empty cell
+        columns = ["node_count", "max_lambda_read", "max_lambda_write", "search_tolerance"]
+        manifest.write_csv("capacity.csv", columns, ([d[c] for c in columns] for d in docs))
         manifest.finish()
         print(f"wrote {manifest.dir / 'capacity.json'}")
     else:
@@ -340,23 +339,22 @@ def cmd_assess(args) -> int:
     else:
         specs = [scenario_by_id(_parse_scenario_id(args.scenario), catalog)]
 
-    summary_rows = ["scenario,use_case,lambda_read,lambda_write,read_ok,write_ok,"
-                    "headroom_read,headroom_write"]
+    summary_rows = []
     # every report is built, and so checked, before the first file is written
     for report in [methodology_report(spec, args.eta, capacity) for spec in specs]:
         sid = report["scenario"]
         manifest.write_json(f"verdict_{sid}.json", report)
         if args.text:
             print(render_report_text(report))
-        # floats format as their repr; an infinite headroom is already "inf"
         v = report["comparison"]
-        summary_rows.append(
-            f"{sid},,{v['lambda_read']},{v['lambda_write']},"
-            f"{int(v['read_ok'])},{int(v['write_ok'])},{v['headroom_read']},{v['headroom_write']}")
+        summary_rows.append([sid, "", v["lambda_read"], v["lambda_write"], int(v["read_ok"]),
+                             int(v["write_ok"]), v["headroom_read"], v["headroom_write"]])
         label = "suitable" if v["suitable"] else "unsuitable"
         print(f"{sid}: {label} "
               f"(lambda_read={v['lambda_read']}, lambda_write={v['lambda_write']})")
-    manifest.write_text("summary.csv", "\n".join(summary_rows) + "\n")
+    manifest.write_csv("summary.csv",
+                       ["scenario", "use_case", "lambda_read", "lambda_write", "read_ok",
+                        "write_ok", "headroom_read", "headroom_write"], summary_rows)
     manifest.finish()
     return 0
 
@@ -370,61 +368,62 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chaincap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scenarios", help="inspect the scenario catalog")
+    # options shared by the catalog readers, the cluster runners and the trial runners
+    catalog_opts = argparse.ArgumentParser(add_help=False)
+    catalog_opts.add_argument("--overrides", help="scenario override file (INI)")
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--cluster",
+                          help="cluster profile file (INI); default: shipped profile")
+    run_opts.add_argument("--seed", type=int, default=0)
+    run_opts.add_argument("--out", help="output directory (or CHAINCAP_OUT)")
+    trial_opts = argparse.ArgumentParser(add_help=False)
+    trial_opts.add_argument("--arrival", choices=[a.value for a in ArrivalKind],
+                            default=ArrivalKind.POISSON.value)
+    trial_opts.add_argument("--duration", type=float, default=DESK_DURATION_S,
+                            help="seconds per simulated run")
+    kinds = [k.value for k in TxKind]
+
+    p = sub.add_parser("scenarios", parents=[catalog_opts], help="inspect the scenario catalog")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("id", nargs="?", help="scenario id (for 'show')")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--overrides", help="scenario override file (INI)")
     p.set_defaults(func=cmd_scenarios)
 
-    p = sub.add_parser("simulate", help="run one simulation and export the timeline")
-    p.add_argument("--cluster", help="cluster profile file (INI); default: shipped profile")
-    p.add_argument("--kind", choices=["read", "write"], required=True)
+    p = sub.add_parser("simulate", parents=[run_opts, trial_opts],
+                       help="run one simulation and export the timeline")
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--lambda", dest="rate", type=float, required=True,
                    help="offered arrival rate (tx/s)")
-    p.add_argument("--arrival", choices=["poisson", "deterministic"], default="poisson")
-    p.add_argument("--duration", type=float, default=DESK_DURATION_S, help="seconds")
-    p.add_argument("--window", type=float, default=1.0, help="metrics window (s)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory (or CHAINCAP_OUT)")
+    p.add_argument("--window", type=float, default=WINDOW_S, help="metrics window (s)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("capacity", help="find maximum sustainable arrival rates")
-    p.add_argument("--cluster", help="cluster profile file (INI)")
-    p.add_argument("--kind", choices=["read", "write", "both"], required=True)
+    p = sub.add_parser("capacity", parents=[run_opts, trial_opts],
+                       help="find maximum sustainable arrival rates",
+                       description="Find maximum sustainable arrival rates; without an "
+                                   "output directory, print the capacity JSON.")
+    p.add_argument("--kind", choices=kinds + ["both"], required=True)
     p.add_argument("--nodes", help="comma-separated node counts, e.g. 4,5,6,7")
-    p.add_argument("--arrival", choices=["poisson", "deterministic"], default="poisson")
-    p.add_argument("--duration", type=float, default=DESK_DURATION_S,
-                   help="seconds per probe run")
-    p.add_argument("--tolerance", type=float, default=0.01,
+    p.add_argument("--tolerance", type=float, default=DEFAULT_SEARCH_TOLERANCE,
                    help="relative bisection tolerance")
-    p.add_argument("--start", type=float, default=100.0, help="first probe rate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory (optional; prints JSON otherwise)")
+    p.add_argument("--start", type=float, default=DEFAULT_START_RATE, help="first probe rate")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("campaign", help="multi-trial campaign over a rate grid")
-    p.add_argument("--cluster", help="cluster profile file (INI)")
-    p.add_argument("--kind", choices=["read", "write"], required=True)
+    p = sub.add_parser("campaign", parents=[run_opts, trial_opts],
+                       help="multi-trial campaign over a rate grid")
+    p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--rates", help="comma-separated offered rates")
-    p.add_argument("--arrival", choices=["poisson", "deterministic"], default="poisson")
     p.add_argument("--trials", type=int, default=DESK_TRIALS)
-    p.add_argument("--duration", type=float, default=DESK_DURATION_S)
     p.add_argument("--paper", action="store_true",
                    help=f"full protocol: {PAPER_TRIALS} trials x {PAPER_DURATION_S} s")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="output directory (or CHAINCAP_OUT)")
     p.set_defaults(func=cmd_campaign)
 
-    p = sub.add_parser("assess", help="scenario suitability verdicts")
+    p = sub.add_parser("assess", parents=[run_opts, catalog_opts],
+                       help="scenario suitability verdicts")
     p.add_argument("--scenario", required=True, help="scenario id or 'all'")
     p.add_argument("--eta", type=float, help="concurrent events per second")
-    p.add_argument("--capacity", help="capacity profile JSON (e.g. the shipped paper.json)")
-    p.add_argument("--cluster", help="cluster profile file; searched when no --capacity")
-    p.add_argument("--overrides", help="scenario override file (INI)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--capacity", help="capacity profile JSON (e.g. the shipped paper.json); "
+                                      "searched on --cluster when not given")
     p.add_argument("--text", action="store_true", help="print full methodology reports")
-    p.add_argument("--out", help="output directory (or CHAINCAP_OUT)")
     p.set_defaults(func=cmd_assess)
 
     return parser
@@ -438,12 +437,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("scenarios show requires an id")
     try:
         return args.func(args)
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ChaincapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CalibrationError) else 2
 
 
 if __name__ == "__main__":

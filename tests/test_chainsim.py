@@ -1,4 +1,3 @@
-import io
 import math
 from dataclasses import fields, replace
 from functools import cached_property
@@ -15,11 +14,14 @@ from chaincap.arrival import (
     TxKind,
     generate_events,
 )
+from chaincap import chainsim
 from chaincap.chainsim import (
+    MAX_BLOCKS,
     MAX_WINDOWS,
     ClusterConfig,
     MetricsTimeline,
     _fifo_completions,
+    check_run,
     consensus_round_latency,
     default_cluster,
     load_cluster,
@@ -273,7 +275,7 @@ class TestRunBasics:
         cluster = default_cluster()
         tl = run(cluster, det_writes(1000.0, 60.0), horizon=60.0)
         skip = 6
-        assert tl.mean_committed_write_tps(skip) == pytest.approx(1000.0, rel=0.01)
+        assert tl.committed_write_tps[skip:].mean() == pytest.approx(1000.0, rel=0.01)
 
     def test_conservation_at_window_boundaries(self):
         cluster = default_cluster()
@@ -294,10 +296,7 @@ class TestRunBasics:
                                  TxKind.WRITE, 20.0)
         a = run(cluster, events, horizon=20.0)
         b = run(cluster, events, horizon=20.0)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        a.to_csv(buf_a)
-        b.to_csv(buf_b)
-        assert buf_a.getvalue() == buf_b.getvalue()
+        assert a.columns() == b.columns()
 
     def test_unsorted_events_rejected(self):
         with pytest.raises(ContractError):
@@ -329,7 +328,7 @@ class TestSaturation:
         cluster = default_cluster()
         at_cap = run(cluster, det_writes(1374.0, 40.0), horizon=40.0)
         beyond = run(cluster, det_writes(2748.0, 40.0), horizon=40.0)
-        assert beyond.mean_committed_write_tps(4) < at_cap.mean_committed_write_tps(4)
+        assert beyond.committed_write_tps[4:].mean() < at_cap.committed_write_tps[4:].mean()
 
     def test_node_count_peak_monotonicity(self):
         # raw throughput at a saturating offered load must not grow with N
@@ -337,7 +336,7 @@ class TestSaturation:
         for n in (4, 5, 6, 7):
             cluster = default_cluster(node_count=n)
             tl = run(cluster, det_writes(1500.0, 30.0), horizon=30.0)
-            peaks.append(tl.mean_committed_write_tps(3))
+            peaks.append(tl.committed_write_tps[3:].mean())
         assert all(a >= b for a, b in zip(peaks, peaks[1:]))
 
 
@@ -363,10 +362,10 @@ class TestReads:
                                  TxKind.READ, 20.0)
         multi = run(default_cluster(), events, horizon=20.0)
         single = run(replace(default_cluster(), read_mode="single"), events, horizon=20.0)
-        assert multi.mean_served_read_tps(2) == pytest.approx(rate, rel=0.02)
+        assert multi.served_read_tps[2:].mean() == pytest.approx(rate, rel=0.02)
         # one node saturates at ~1/read_service_us
         ceiling = 1e6 / default_cluster().read_service_us
-        assert single.mean_served_read_tps(2) == pytest.approx(ceiling, rel=0.05)
+        assert single.served_read_tps[2:].mean() == pytest.approx(ceiling, rel=0.05)
 
     def test_reads_independent_of_consensus(self):
         reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 4000.0, 6),
@@ -509,6 +508,18 @@ class TestWindows:
         with pytest.raises(ContractError, match="windows"):
             window_count(10.0, 1e-9)
 
+    def test_block_cap(self, monkeypatch):
+        cluster = default_cluster()
+        at_cap = MAX_BLOCKS * cluster.block_interval_ms / 1000.0
+        assert check_run(cluster, at_cap, 1.0) == window_count(at_cap, 1.0)
+
+        # a run past the cap fails before its first round, not after hours of them
+        def no_rounds(*args):
+            raise AssertionError("no round may be simulated past the block cap")
+        monkeypatch.setattr(chainsim, "round_base_ms", no_rounds)
+        with pytest.raises(ContractError, match="block proposals"):
+            run(cluster, stream([]), horizon=at_cap * 1.001, window_s=1.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_window_rejected(self, bad):
         with pytest.raises(ContractError, match="window"):
@@ -630,11 +641,9 @@ read_mode = single
 
     def test_timeline_csv_shape(self):
         tl = run(default_cluster(), det_writes(300.0, 10.0), horizon=10.0)
-        buf = io.StringIO()
-        tl.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert len(lines) == tl.n_windows + 1
-        header = lines[0].split(",")
+        columns = tl.columns()
+        assert all(len(values) == tl.n_windows for values in columns.values())
+        header = list(columns)
         assert header[0] == "window_index"
         assert "cpu_utilization_node3" in header
         assert header[-1] == "ledger_bytes"

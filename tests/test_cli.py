@@ -5,9 +5,17 @@ from pathlib import Path
 
 import pytest
 
-from chaincap.arrival import ArrivalProcess
-from chaincap.chainsim import MAX_WINDOWS, ClusterConfig, load_cluster
-from chaincap.cli import PAPER_CAPACITY_PATH, main
+from chaincap import chainsim
+from chaincap.arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
+from chaincap.bench import (
+    DEFAULT_SEARCH_TOLERANCE,
+    DEFAULT_START_RATE,
+    DESK_DURATION_S,
+    DESK_TRIALS,
+    WINDOW_S,
+)
+from chaincap.chainsim import MAX_WINDOWS, ClusterConfig, default_cluster, load_cluster, run
+from chaincap.cli import PAPER_CAPACITY_PATH, build_parser, main
 from chaincap.scenarios import builtin_scenarios, load_scenarios
 
 
@@ -31,6 +39,11 @@ class TestScenariosCommand:
     def test_show_json_has_no_payload_size(self, capsys):
         assert main(["scenarios", "show", "aaa", "--json"]) == 0
         assert "write_payload_bytes" not in capsys.readouterr().out
+
+    def test_show_json_use_case_keys(self, capsys):
+        assert main(["scenarios", "show", "aaa", "--json"]) == 0
+        for uc in json.loads(capsys.readouterr().out)["use_cases"]:
+            assert list(uc) == ["name", "reads_per_event", "writes_per_event", "trigger"]
 
     def test_show_unknown_id_exits_2_with_suggestion(self, capsys):
         assert main(["scenarios", "show", "aab"]) == 2
@@ -68,6 +81,18 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert read_outputs(a) == read_outputs(b)
+
+    def test_timeline_header_is_the_column_names(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--kind", "write", "--lambda", "300", "--duration", "10",
+                     "--out", str(out)]) == 0
+        header = (out / "timeline.csv").read_text().split("\n", 1)[0]
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 300.0, 0),
+                                 TxKind.WRITE, 10.0)
+        tl = run(default_cluster(), events, horizon=10.0)
+        columns = tl.columns()
+        assert list(columns) == header.split(",")
+        assert all(len(values) == tl.n_windows for values in columns.values())
 
     def test_missing_cluster_file(self, tmp_path, capsys):
         assert main(["simulate", "--kind", "write", "--lambda", "10",
@@ -299,6 +324,33 @@ def test_bad_window_exits_2_before_drawing(tmp_path, capsys, monkeypatch, durati
     err = capsys.readouterr().err
     assert "window" in err and len(err.strip().split("\n")) == 1
     assert not out.exists()
+
+
+def _no_rounds(*args):
+    raise AssertionError("no round may be simulated past the block cap")
+
+
+def test_too_many_blocks_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+    # a missing guard fails on the first draw or the first round, not hours later
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    monkeypatch.setattr(chainsim, "round_base_ms", _no_rounds)
+    out = tmp_path / "d"
+    assert main(["simulate", "--kind", "write", "--lambda", "0", "--duration", "1e9",
+                 "--window", "1e4", "--out", str(out)]) == 2
+    assert "block proposals" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_parser_defaults_are_the_bench_constants():
+    parser = build_parser()
+    capacity = parser.parse_args(["capacity", "--kind", "write"])
+    assert capacity.tolerance == DEFAULT_SEARCH_TOLERANCE
+    assert capacity.start == DEFAULT_START_RATE
+    assert capacity.duration == DESK_DURATION_S
+    simulate = parser.parse_args(["simulate", "--kind", "write", "--lambda", "1"])
+    assert simulate.window == WINDOW_S
+    assert simulate.arrival == ArrivalKind.POISSON.value
+    assert parser.parse_args(["campaign", "--kind", "write"]).trials == DESK_TRIALS
 
 
 @pytest.mark.parametrize("argv", [
