@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ContractError, DomainError
 
 

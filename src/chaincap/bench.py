@@ -23,7 +23,7 @@ from .arrival import (
     check_seed,
     generate_events,
 )
-from .chainsim import ClusterConfig, MetricsTimeline, run
+from .chainsim import ClusterConfig, MetricsTimeline, check_run, run
 from .errors import CalibrationError, DomainError, InputError
 
 # trial policy: every trial uses 1 s metric windows, drops the first 10% of
@@ -71,6 +71,7 @@ class CampaignSpec:
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         check_duration(self.duration_s)
+        check_run(self.cluster, self.duration_s, WINDOW_S)
         # trial i runs at seed base_seed + i
         check_seed(self.base_seed, "base_seed")
         check_seed(self.base_seed + self.trials - 1, "base_seed + trials - 1")
@@ -287,6 +288,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
         raise DomainError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
                           f"{MAX_SEARCH_TOLERANCE}], got {tolerance!r}")
     check_duration(duration_s)
+    check_run(cluster, duration_s, WINDOW_S)
 
     draws = UnitDraws(base_seed)
 

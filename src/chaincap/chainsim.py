@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-import numpy as np
-
+from ._numpy import np
 from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream
 from .errors import ConfigError, ConflictError, ContractError, SchemaError
 
@@ -31,10 +30,11 @@ CONFIG_SCHEMA_VERSION = 1
 
 # Largest number of metric windows in one run.  A run keeps about a dozen
 # arrays with one entry per window (per node and window for cpu work), and
-# simulate writes one CSV row per window from ``columns()``, one Python value
-# per cell: a 4-node simulate at 1M windows took 5.7 s, peaked 660 bytes per
-# window above the interpreter's own memory and wrote a 64 MB timeline.  A
-# window far below the horizon is rejected before any of that is allocated.
+# simulate writes one CSV row per window from ``columns()``, converted to
+# Python values a chunk of windows at a time: a 4-node simulate at 1M windows
+# took 4.2 s, peaked about 130 bytes per window above the interpreter's own
+# memory and wrote a 60 MB timeline.  A window far below the horizon is
+# rejected before any of that is allocated.
 MAX_WINDOWS = 1_000_000
 # Largest number of block proposals in one run, horizon / block_interval_ms.
 # The block loop runs once per proposal, even on an idle chain: a 4-node
@@ -275,20 +275,20 @@ class MetricsTimeline:
         block_bytes = self._cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * self._fills
         return self._at_window_ends(np.cumsum(block_bytes)).astype(np.int64)
 
-    def columns(self) -> dict[str, list]:
-        """The timeline table: each column name and its per-window values."""
-        windows = range(self.n_windows)
-        cpu = enumerate(self.cpu_utilization.tolist())
+    def columns(self) -> dict[str, np.ndarray]:
+        """The timeline table: each column name and its per-window series."""
+        windows = np.arange(self.n_windows)
+        cpu = enumerate(self.cpu_utilization)
         return {
-            "window_index": list(windows),
-            "window_start_s": [w * self.window_s for w in windows],
-            "committed_write_tps": self.committed_write_tps.tolist(),
-            "served_read_tps": self.served_read_tps.tolist(),
-            "mean_write_latency_ms": self.mean_write_latency_ms.tolist(),
-            "mean_read_latency_ms": self.mean_read_latency_ms.tolist(),
+            "window_index": windows,
+            "window_start_s": windows * self.window_s,
+            "committed_write_tps": self.committed_write_tps,
+            "served_read_tps": self.served_read_tps,
+            "mean_write_latency_ms": self.mean_write_latency_ms,
+            "mean_read_latency_ms": self.mean_read_latency_ms,
             **{f"cpu_utilization_node{i}": node_cpu for i, node_cpu in cpu},
-            "pool_depth": self.pool_depth.tolist(),
-            "ledger_bytes": self.ledger_bytes.tolist(),
+            "pool_depth": self.pool_depth,
+            "ledger_bytes": self.ledger_bytes,
         }
 
 

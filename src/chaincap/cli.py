@@ -53,6 +53,9 @@ from .scenarios import (
 )
 
 PAPER_CAPACITY_PATH = Path(__file__).parent / "data" / "paper.json"
+# timeline.csv rows converted to Python values at a time; the whole table at
+# once held one Python object per cell, 660 MB at a million 4-node windows
+TIMELINE_CHUNK_WINDOWS = 4096
 
 
 # --- manifest --------------------------------------------------------------
@@ -76,7 +79,9 @@ class OutputDir:
         self.outputs: list[str] = []
         self.started = _utc_now()
 
-    def _write(self, name: str, text: str) -> Path:
+    def _write(self, name: str, text) -> Path:
+        """Create file ``name`` holding ``text``: a string, or a function that
+        writes to the open file as it produces the text."""
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -84,12 +89,16 @@ class OutputDir:
                              f"{exc.strerror}") from None
         path = self.dir / name
         try:
-            path.write_text(text)
+            with path.open("w") as fp:
+                if callable(text):
+                    text(fp)
+                else:
+                    fp.write(text)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from None
         return path
 
-    def write_text(self, name: str, text: str) -> Path:
+    def write_text(self, name: str, text) -> Path:
         path = self._write(name, text)
         self.outputs.append(name)
         return path
@@ -98,12 +107,14 @@ class OutputDir:
         return self.write_text(name, json.dumps(doc, indent=2) + "\n")
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
-        """A table of Python values: a float is written as its repr, None as ''."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return self.write_text(name, buf.getvalue())
+        """A table of Python values, each row written as ``rows`` yields it:
+        a float is written as its repr, None as ''."""
+        def write(fp):
+            writer = csv.writer(fp, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+        return self.write_text(name, write)
 
     def finish(self) -> None:
         manifest = {
@@ -246,7 +257,10 @@ def cmd_simulate(args) -> int:
     events = generate_events(process, TxKind(args.kind), args.duration)
     timeline = run(cluster, events, horizon=args.duration, window_s=args.window)
     columns = timeline.columns()
-    path = manifest.write_csv("timeline.csv", list(columns), zip(*columns.values()))
+    rows = (row for w in range(0, timeline.n_windows, TIMELINE_CHUNK_WINDOWS)
+            for row in zip(*(series[w:w + TIMELINE_CHUNK_WINDOWS].tolist()
+                             for series in columns.values())))
+    path = manifest.write_csv("timeline.csv", list(columns), rows)
     manifest.finish()
     print(f"wrote {path} "
           f"({timeline.committed_writes} writes committed, "

@@ -330,13 +330,19 @@ def _no_rounds(*args):
     raise AssertionError("no round may be simulated past the block cap")
 
 
-def test_too_many_blocks_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "write", "--lambda", "0", "--duration", "1e9", "--window", "1e4"],
+    # 2e5 s at one block per 100 ms is 2M proposals; the campaign would draw
+    # 10M arrivals and the search 20M before the cap inside run rejects them
+    ["campaign", "--kind", "write", "--rates", "50", "--duration", "2e5"],
+    ["capacity", "--kind", "write", "--duration", "2e5"],
+])
+def test_too_many_blocks_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv):
     # a missing guard fails on the first draw or the first round, not hours later
     monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
     monkeypatch.setattr(chainsim, "round_base_ms", _no_rounds)
     out = tmp_path / "d"
-    assert main(["simulate", "--kind", "write", "--lambda", "0", "--duration", "1e9",
-                 "--window", "1e4", "--out", str(out)]) == 2
+    assert main(argv + ["--out", str(out)]) == 2
     assert "block proposals" in _one_error_line(capsys)
     assert not out.exists()
 
