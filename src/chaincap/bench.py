@@ -339,14 +339,15 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
             raise DomainError(f"node counts must be >= 4 (BFT minimum), got {n}")
     if len(set(node_counts)) != len(node_counts):
         raise DomainError(f"node counts must be distinct, got {node_counts!r}")
+    # every profile is checked before the first search
+    clusters = [replace(base_cluster, node_count=n) for n in sorted(node_counts)]
     profiles = []
-    for n in sorted(node_counts):
-        cluster = replace(base_cluster, node_count=n)
+    for cluster in clusters:
         found = {kind: find_max_lambda(cluster, kind, arrival_kind, tolerance=tolerance,
                                        duration_s=duration_s, base_seed=base_seed,
                                        start=start)
                  for kind in kinds}
-        profiles.append(CapacityProfile(node_count=n,
+        profiles.append(CapacityProfile(node_count=cluster.node_count,
                                         max_lambda_read=found.get(TxKind.READ, math.inf),
                                         max_lambda_write=found.get(TxKind.WRITE, math.inf),
                                         search_tolerance=tolerance))

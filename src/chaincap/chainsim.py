@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -38,10 +39,16 @@ CONFIG_SCHEMA_VERSION = 1
 MAX_WINDOWS = 1_000_000
 # Largest number of block proposals in one run, horizon / block_interval_ms.
 # The block loop runs once per proposal, even on an idle chain: a 4-node
-# simulate with no writes took about 4.7 us and 96 bytes per block (1M
-# blocks: 4.8 s, 131 MB peak RSS), so a horizon far beyond this is rejected
-# before the loop starts.
+# simulate with no writes took about 3.5 us and 115 bytes per block (1e5 s,
+# 854,700 blocks: 3.0 s, 132 MB peak RSS), so a horizon far beyond this is
+# rejected before the loop starts.
 MAX_BLOCKS = 1_000_000
+# Largest node_count of a profile.  A run's cost grows with its square:
+# round_base_ms sorts N - 1 peers for each of N proposers, and the cpu table
+# holds N cells per window.  A 10 s simulate took 0.25 s at 1000 nodes and
+# 3.2 s at 4000, and at 1000 nodes one round's message handling alone,
+# msg_proc_us * (2N^2 + N), is 4 s on the shipped profile.
+MAX_NODES = 1000
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.node_count < 4:
             raise ConfigError(f"node_count must be >= 4 for BFT (f >= 1), got {self.node_count}")
+        if self.node_count > MAX_NODES:
+            raise ConfigError(f"node_count must be <= {MAX_NODES:,}, got {self.node_count}")
         if self.block_tx_capacity < 1:
             raise ConfigError(f"block_tx_capacity must be >= 1, got {self.block_tx_capacity}")
         for name in ("block_interval_ms", "node_cpu_capacity"):
@@ -118,14 +127,6 @@ def round_base_ms(cluster: ClusterConfig, proposer: int) -> float:
     return 3.0 * hop_ms + msg_ms
 
 
-def _round_ms(cluster: ClusterConfig, base_ms: float, block_fill: int,
-              pool_depth: int) -> float:
-    """A round's milliseconds given its ``round_base_ms``."""
-    exec_ms = cluster.write_exec_us * block_fill / 1000.0
-    scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
-    return base_ms + exec_ms + scan_ms
-
-
 def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth: int,
                             proposer: int = 0) -> float:
     """Wall-clock milliseconds for one three-phase round.
@@ -136,7 +137,9 @@ def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth:
     if block_fill > cluster.block_tx_capacity:
         raise ContractError(
             f"block_fill {block_fill} exceeds block_tx_capacity {cluster.block_tx_capacity}")
-    return _round_ms(cluster, round_base_ms(cluster, proposer), block_fill, pool_depth)
+    exec_ms = cluster.write_exec_us * block_fill / 1000.0
+    scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
+    return round_base_ms(cluster, proposer) + exec_ms + scan_ms
 
 
 def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
@@ -313,8 +316,15 @@ def window_count(horizon: float, window_s: float) -> int:
 
 
 def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
-    """``window_count``, and :class:`ContractError` past MAX_BLOCKS block proposals."""
+    """``window_count``, and :class:`ContractError` past MAX_BLOCKS block proposals
+    or a cpu table larger than a 4-node one at MAX_WINDOWS."""
     n_windows = window_count(horizon, window_s)
+    cells = cluster.node_count * n_windows
+    if cells > 4 * MAX_WINDOWS:
+        raise ContractError(
+            f"{cluster.node_count} nodes over {n_windows:,} windows make a cpu table of "
+            f"{cells:,} cells, more than the {4 * MAX_WINDOWS:,} one run may hold; "
+            "widen the window")
     blocks = horizon / (cluster.block_interval_ms / 1000.0)
     if blocks > MAX_BLOCKS:
         raise ContractError(
@@ -350,27 +360,40 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         completions[node::stride] = _fifo_completions(read_ts[node::stride], service_s)
 
     # --- writes: sequential proposer-rotating block production ---
-    # the loop runs the recurrence only; one entry per block
+    # the loop runs the recurrence only; one entry per block.  It runs once per
+    # proposal, so everything it reads is bound to a local first, and the
+    # round is consensus_round_latency's arithmetic, in the same order.  The
+    # arrivals are searched through a memoryview, whose items are Python
+    # floats, from the first uncommitted write on: every committed write
+    # arrived by an earlier proposal, so the count is searchsorted's.
     commit_times: list[float] = []
     fills: list[int] = []
     depths: list[int] = []  # pool depth at each proposal
     i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
     base_ms = [round_base_ms(cluster, p) for p in range(n_nodes)]
+    capacity = cluster.block_tx_capacity
+    exec_us = cluster.write_exec_us
+    scan_us = cluster.pool_scan_cost_us_per_tx
+    arrivals = memoryview(write_ts)
     interval_s = cluster.block_interval_ms / 1000.0
     proposer = 0
     t_prop = interval_s
     while t_prop <= horizon + 1e-12:
-        pool_depth = int(write_ts.searchsorted(t_prop, side="right")) - i_commit
-        fill = min(cluster.block_tx_capacity, pool_depth)
-        t_commit = t_prop + _round_ms(cluster, base_ms[proposer], fill, pool_depth) / 1000.0
+        pool_depth = bisect_right(arrivals, t_prop, i_commit) - i_commit
+        fill = capacity if pool_depth > capacity else pool_depth
+        t_commit = t_prop + (base_ms[proposer] + exec_us * fill / 1000.0
+                             + scan_us * pool_depth / 1000.0) / 1000.0
         if t_commit > horizon:
             break
         i_commit += fill
         commit_times.append(t_commit)
         fills.append(fill)
         depths.append(pool_depth)
-        proposer = (proposer + 1) % n_nodes
-        t_prop = max(t_commit, t_prop + interval_s)
+        proposer += 1
+        if proposer == n_nodes:
+            proposer = 0
+        t_next = t_prop + interval_s
+        t_prop = t_commit if t_commit > t_next else t_next
 
     return MetricsTimeline(cluster, events, horizon, window_s, n_windows, completions,
                            np.array(commit_times), np.array(fills, dtype=np.int64),

@@ -17,6 +17,7 @@ from chaincap.arrival import (
 from chaincap import chainsim
 from chaincap.chainsim import (
     MAX_BLOCKS,
+    MAX_NODES,
     MAX_WINDOWS,
     ClusterConfig,
     MetricsTimeline,
@@ -213,6 +214,11 @@ class TestConfigValidation:
     def test_minimum_node_count(self):
         with pytest.raises(ConfigError):
             replace(default_cluster(), node_count=3)
+
+    def test_maximum_node_count(self):
+        assert default_cluster(MAX_NODES).node_count == MAX_NODES
+        with pytest.raises(ConfigError, match="node_count"):
+            replace(default_cluster(), node_count=MAX_NODES + 1)
 
     def test_negative_cost(self):
         with pytest.raises(ConfigError):
@@ -483,6 +489,26 @@ class TestRunMatchesScalarReference:
         got = run(cluster, events, horizon=20.0)
         assert_same_timeline(got, reference_run(cluster, events, 20.0))
 
+    @pytest.mark.parametrize("write_rate,paced_by", [(200.0, "interval"), (2000.0, "commit")])
+    def test_block_interval_paces_short_rounds(self, write_rate, paced_by):
+        # an empty round takes 52.2 ms and a full one 444.2 ms against a 100 ms
+        # interval: light load proposes on the interval, overload at each commit
+        cluster = replace(default_cluster(), msg_proc_us=200.0)
+        assert consensus_round_latency(cluster, 0, 0) == pytest.approx(52.2)
+        assert consensus_round_latency(cluster, 700, 700) == pytest.approx(444.2)
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, write_rate, 3),
+                                 TxKind.WRITE, 12.0)
+        got = run(cluster, events, horizon=12.0)
+        assert_same_timeline(got, reference_run(cluster, events, 12.0))
+        commit_s, fills, depths = (a.tolist() for a in (got._commit_s, got._fills, got._depths))
+        steps = set()
+        for k in range(1, len(commit_s)):
+            round_s = consensus_round_latency(cluster, fills[k], depths[k],
+                                              k % cluster.node_count) / 1000.0
+            # a round proposed at the previous commit follows it without a gap
+            steps.add("commit" if commit_s[k] == commit_s[k - 1] + round_s else "interval")
+        assert steps == {paced_by}
+
     @pytest.mark.parametrize("read_mode", ["multi", "single"])
     def test_without_blocks(self, read_mode):
         # reads alone, so only empty blocks, then the same reads under write load
@@ -521,6 +547,18 @@ class TestWindows:
         monkeypatch.setattr(chainsim, "round_base_ms", no_rounds)
         with pytest.raises(ContractError, match="block proposals"):
             run(cluster, stream([]), horizon=at_cap * 1.001, window_s=1.0)
+
+    def test_cpu_table_cap(self, monkeypatch):
+        # MAX_NODES rows of cpu work hold as many cells as 4 rows at MAX_WINDOWS
+        cluster = default_cluster(MAX_NODES)
+        at_cap = 4 * MAX_WINDOWS // MAX_NODES
+        assert check_run(cluster, float(at_cap), 1.0) == at_cap
+
+        def no_rounds(*args):
+            raise AssertionError("no round may be simulated past the cpu table cap")
+        monkeypatch.setattr(chainsim, "round_base_ms", no_rounds)
+        with pytest.raises(ContractError, match="cpu table"):
+            run(cluster, stream([]), horizon=at_cap + 1.0, window_s=1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_window_rejected(self, bad):

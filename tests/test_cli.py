@@ -14,7 +14,14 @@ from chaincap.bench import (
     DESK_TRIALS,
     WINDOW_S,
 )
-from chaincap.chainsim import MAX_WINDOWS, ClusterConfig, default_cluster, load_cluster, run
+from chaincap.chainsim import (
+    MAX_NODES,
+    MAX_WINDOWS,
+    ClusterConfig,
+    default_cluster,
+    load_cluster,
+    run,
+)
 from chaincap.cli import PAPER_CAPACITY_PATH, build_parser, main
 from chaincap.scenarios import builtin_scenarios, load_scenarios
 
@@ -327,7 +334,7 @@ def test_bad_window_exits_2_before_drawing(tmp_path, capsys, monkeypatch, durati
 
 
 def _no_rounds(*args):
-    raise AssertionError("no round may be simulated past the block cap")
+    raise AssertionError("no round may be simulated for rejected input")
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,6 +351,36 @@ def test_too_many_blocks_exits_2_before_drawing(tmp_path, capsys, monkeypatch, a
     out = tmp_path / "d"
     assert main(argv + ["--out", str(out)]) == 2
     assert "block proposals" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("node_count,argv,message", [
+    (MAX_NODES + 1, [], "node_count must be <="),
+    # MAX_NODES rows of cpu work over more than 4 * MAX_WINDOWS / MAX_NODES windows
+    (MAX_NODES, ["--duration", str(4 * MAX_WINDOWS // MAX_NODES + 1)], "cpu table"),
+])
+def test_too_many_nodes_in_profile_exits_2(tmp_path, capsys, monkeypatch, node_count, argv,
+                                           message):
+    # a missing bound fails on the first round, not after N^2 work per proposer
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    monkeypatch.setattr(chainsim, "round_base_ms", _no_rounds)
+    profile = tmp_path / "big.ini"
+    profile.write_text(f"[config]\nschema_version = 1\n\n[cluster]\nnode_count = {node_count}\n")
+    out = tmp_path / "d"
+    assert main(["simulate", "--kind", "write", "--lambda", "10", "--cluster", str(profile),
+                 "--out", str(out)] + argv) == 2
+    assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_too_many_nodes_exits_2_before_searching(tmp_path, capsys, monkeypatch):
+    # every node count is checked before the 4-node search runs its first round
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    monkeypatch.setattr(chainsim, "round_base_ms", _no_rounds)
+    out = tmp_path / "d"
+    assert main(["capacity", "--kind", "write", "--nodes", f"4,{MAX_NODES + 1}",
+                 "--out", str(out)]) == 2
+    assert "node_count must be <=" in _one_error_line(capsys)
     assert not out.exists()
 
 
