@@ -116,8 +116,9 @@ class UnitDraws:
     """Unit-rate exponential draws ``-log1p(-u)`` of one seed's uniforms.
 
     Draw ``i`` divided by a rate is interarrival ``i`` of that seed's Poisson
-    stream at that rate, so the probes of a capacity search, which all use
-    one seed, can share one buffer and each divide it by their own rate.
+    stream at that rate, so trials at one seed can share one buffer and each
+    divide it by their own rate: the probes of a capacity search, which all
+    use one seed, and a campaign's trials at one seed, one per rate.
     The generator is created at the first draw, and the buffer grows, in
     stream order, when a call needs more draws than it holds.
     """
@@ -150,13 +151,14 @@ def generate_times(process: ArrivalProcess, horizon: float,
 
     Poisson interarrivals are ``-log1p(-u) / rate`` over the process's
     uniforms, taken in order from ``draws`` (one seed's :class:`UnitDraws`,
-    which a capacity search shares across its probes) or, without it, from
-    draws made for this call alone and divided in place.  Each timestamp is
-    the running sum of those interarrivals, but numpy's vector ``log1p`` may
-    differ from ``math.log1p`` in the last bit, so a scalar replay agrees to
-    within a few ulp, not exactly.  Raises :class:`DomainError` if
-    ``check_event_count`` rejects the stream, and :class:`ContractError` if
-    ``draws`` is of another seed.
+    which a capacity search shares across its probes and a campaign across
+    its rates at that seed) or, without it, from draws made for this call
+    alone and divided in place.  Either way the stream is the same.  Each
+    timestamp is the running sum of those interarrivals, but numpy's vector
+    ``log1p`` may differ from ``math.log1p`` in the last bit, so a scalar
+    replay agrees to within a few ulp, not exactly.  Raises
+    :class:`DomainError` if ``check_event_count`` rejects the stream, and
+    :class:`ContractError` if ``draws`` is of another seed.
     """
     horizon = _check_horizon(horizon)
     rate = process.rate

@@ -245,16 +245,32 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
     return Trial(kind, lam, seed, run(cluster, events, horizon=duration_s, window_s=WINDOW_S))
 
 
+def _seed_trials(spec: CampaignSpec, seed: int) -> list[TrialSummary]:
+    """The trials of every rate at one seed, in ``spec.rates`` order; they
+    share that seed's draws."""
+    draws = UnitDraws(seed)
+    # the fastest rate runs first, so its stream draws the buffer at full
+    # length and the slower rates take views of it rather than grow it rate
+    # after rate; the summary drops the trial's timeline before the next trial
+    summaries = {rate: run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
+                                 spec.duration_s, seed=seed, draws=draws).summary()
+                 for rate in sorted(spec.rates, reverse=True)}
+    return [summaries[rate] for rate in spec.rates]
+
+
 def run_campaign(spec: CampaignSpec) -> CampaignResult:
-    """Run trials x rates with seeds base_seed + trial index; aggregate per rate."""
+    """Run trials x rates with seeds base_seed + trial index; aggregate per rate.
+
+    Trial i of every rate runs at seed base_seed + i, so the campaign runs
+    seed-major: the trials at one seed share its :class:`UnitDraws`, and
+    only one seed's draws are held at a time.  Trials and aggregates are
+    reported rate-major, trial after trial within a rate.
+    """
+    by_seed = [_seed_trials(spec, spec.base_seed + i) for i in range(spec.trials)]
     trials: list[TrialSummary] = []
     aggregates: list[RateAggregate] = []
-    for rate in spec.rates:
-        rate_trials = []
-        for i in range(spec.trials):
-            # the summary drops the trial's timeline before the next trial
-            rate_trials.append(run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
-                                         spec.duration_s, seed=spec.base_seed + i).summary())
+    for r, rate in enumerate(spec.rates):
+        rate_trials = [seed_trials[r] for seed_trials in by_seed]
         trials.extend(rate_trials)
         tps = [t.mean_tps for t in rate_trials]
         lats = [t.mean_latency_ms for t in rate_trials]

@@ -139,6 +139,16 @@ class TestRunCampaign:
                 value = getattr(trial, field.name)
                 assert type(value) in (int, float, bool), (field.name, type(value))
 
+    def test_rows_are_rate_major(self):
+        # the trials run seed-major, fastest rate first, but are reported in
+        # the order of the rate grid, trial after trial within a rate
+        spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                            rates=(80.0, 40.0, 60.0), trials=2, duration_s=20.0, base_seed=4)
+        result = run_campaign(spec)
+        assert [(t.lambda_offered, t.seed) for t in result.trials] == [
+            (80.0, 4), (80.0, 5), (40.0, 4), (40.0, 5), (60.0, 4), (60.0, 5)]
+        assert [a.lambda_offered for a in result.aggregates] == [80.0, 40.0, 60.0]
+
     def test_no_timeline_outlives_its_trial(self, monkeypatch):
         timelines = []
         simulate = bench.run
@@ -232,6 +242,48 @@ class TestSharedDraws:
         find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
                         duration_s=20.0)
         assert seeds == []
+
+    def test_one_generator_per_campaign_seed(self, monkeypatch):
+        seeds = self.count_generators(monkeypatch)
+        run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                                  rates=(40.0, 80.0, 60.0), trials=3, duration_s=20.0,
+                                  base_seed=2))
+        assert seeds == [2, 3, 4]
+
+    def test_deterministic_campaign_draws_nothing(self, monkeypatch):
+        seeds = self.count_generators(monkeypatch)
+        run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                                  rates=(40.0, 80.0), arrival_kind=ArrivalKind.DETERMINISTIC,
+                                  trials=2, duration_s=20.0))
+        assert seeds == []
+
+    def test_campaign_holds_one_seeds_draws_at_a_time(self, monkeypatch):
+        held = []
+        make = bench.UnitDraws
+
+        def recorded(seed):
+            # every earlier seed's draws are gone before the next seed's exist
+            assert all(ref() is None for ref in held)
+            draws = make(seed)
+            held.append(weakref.ref(draws))
+            return draws
+
+        monkeypatch.setattr(bench, "UnitDraws", recorded)
+        run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                                  rates=(40.0, 80.0), trials=3, duration_s=20.0))
+        assert len(held) == 3 and all(ref() is None for ref in held)
+
+    @pytest.mark.parametrize("kind,rates", [(TxKind.WRITE, (60.0, 900.0, 300.0)),
+                                            (TxKind.READ, (30000.0, 3000.0))])
+    def test_campaign_trials_match_trials_of_their_own(self, kind, rates):
+        spec = CampaignSpec(cluster=small_cluster(), kind=kind, rates=rates, trials=2,
+                            duration_s=20.0, base_seed=9)
+        result = run_campaign(spec)
+        assert len(result.trials) == len(rates) * 2
+        for t in result.trials:
+            alone = run_trial(spec.cluster, kind, spec.arrival_kind, t.lambda_offered,
+                              spec.duration_s, seed=t.seed, draws=None)
+            assert alone.summary() == t
 
     def test_probes_match_trials_of_their_own(self, monkeypatch):
         probes = []

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaincap.arrival import (
     DEFAULT_WRITE_PAYLOAD_BYTES,
@@ -21,6 +22,7 @@ from chaincap.chainsim import (
     MAX_WINDOWS,
     ClusterConfig,
     MetricsTimeline,
+    _block_sums,
     _fifo_completions,
     check_run,
     consensus_round_latency,
@@ -526,6 +528,36 @@ class TestRunMatchesScalarReference:
         cluster = asymmetric_cluster(7, 7)
         got = run(cluster, stream([]), horizon=3.3, window_s=0.7)
         assert_same_timeline(got, reference_run(cluster, stream([]), 3.3, window_s=0.7))
+
+
+class TestBlockSums:
+    """The per-block latency sums, one reduceat over a zero-spliced array,
+    equal np.add.reduce of each block's slice bit for bit; the golden
+    digests of every write timeline rest on that identity."""
+
+    # block fills around numpy's 8-way unrolled and 128-element pairwise
+    # summation, up to a full block, plus any other size
+    FILL = st.one_of(st.sampled_from([0, 1, 7, 8, 128, 129, 700]), st.integers(0, 1500))
+
+    @settings(deadline=None)
+    @given(fills=st.lists(FILL, max_size=40), seed=st.integers(0, 2**32 - 1))
+    @example(fills=[], seed=0)
+    @example(fills=[0, 0, 0], seed=0)
+    @example(fills=[700], seed=1)
+    @example(fills=[100_000], seed=2)
+    def test_each_block_sums_as_reduce_of_its_slice(self, fills, seed):
+        rng = np.random.default_rng(seed)
+        fills = np.array(fills, dtype=np.int64)
+        n = int(fills.sum())
+        # magnitudes over nine decades, so a different order of additions
+        # would round differently
+        values = rng.random(n) * 10.0 ** rng.integers(-3, 6, n)
+        ends = np.cumsum(fills)
+        expected = np.array([np.add.reduce(values[i:j])
+                             for i, j in zip((ends - fills).tolist(), ends.tolist())])
+        got = _block_sums(values, fills)
+        assert got.shape == fills.shape
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestWindows:
