@@ -23,10 +23,10 @@ from .errors import ContractError, DomainError
 # Largest expected event count (rate x horizon) of one stream.  A trial holds
 # its arrival buffer plus, for writes, the latency of every committed write
 # (a capacity probe computes none) and, for reads, the completion times and
-# their per-window temporaries: a 4M-event trial at a sustainable rate peaked
-# 17 bytes per event above the interpreter's own memory for writes (9 as a
-# probe) and 39 for reads, so this caps one trial near 1.2 GB, and a rate that
-# would exhaust memory is rejected before anything is allocated.  The paper
+# their windows: a 4M-event trial at a sustainable rate peaked 28 bytes per
+# event above a process with numpy loaded for writes (11 as a probe) and 34 for
+# reads, so this caps one trial near 1.0 GB, and a rate that would exhaust
+# memory is rejected before anything is allocated.  The paper
 # protocol's longest trial, 20k reads/s for 600 s, expects 12M events.
 MAX_EXPECTED_EVENTS = 30_000_000
 
@@ -185,7 +185,10 @@ def generate_times(process: ArrivalProcess, horizon: float,
         # interarrivals -> timestamps in one array; draws made for this call
         # alone are never read again, so they are overwritten
         unit = draws.take(start, start + chunk)
-        times = np.divide(unit, rate, out=None if shared else unit)
+        # below ~2e-307/s an interarrival overflows to inf, which lies past
+        # any finite horizon, so the stream is rightly empty
+        with np.errstate(over="ignore"):
+            times = np.divide(unit, rate, out=None if shared else unit)
         np.cumsum(times, out=times)
         if pieces:
             times += t

@@ -176,10 +176,12 @@ class MetricsTimeline:
     """Per-window metrics of one simulation run plus end-of-run totals.
 
     ``run`` builds it from the read completions and the blocks, one entry
-    per block in commit order; the per-window committed and served counts
-    and the six totals are computed at once.  Every other series is derived
-    on first access and then kept, so a caller that reads only throughput
-    computes no latency, cpu, pool or ledger series.
+    per block in commit order.  At once it computes each block's and each
+    read's window, once (a read still queued at the horizon goes to one bin
+    past the last window, which every read series cuts off), the per-window
+    committed and served counts and the six totals.  Every other series is
+    derived on first access and then kept, so a caller that reads only
+    throughput computes no latency, cpu, pool or ledger series.
     """
 
     def __init__(self, cluster: ClusterConfig, events: EventStream, horizon: float,
@@ -187,31 +189,32 @@ class MetricsTimeline:
                  commit_s: np.ndarray, fills: np.ndarray, depths: np.ndarray):
         self.window_s = window_s
         self.read_completions_s = read_completions_s
-        self._cluster, self._events, self._horizon = cluster, events, horizon
+        self._cluster, self._events = cluster, events
         self._n_windows = n_windows
         self._commit_s, self._fills, self._depths = commit_s, fills, depths
         self._block_windows = self._window_of(commit_s)
+        # a read still queued at the horizon goes to one bin past the run
+        self._read_windows = self._window_of(read_completions_s)
+        self._read_windows[read_completions_s > horizon] = n_windows
         # bincount adds each bin's weights in array order
         self._committed_count = np.bincount(self._block_windows, weights=fills,
                                             minlength=self._n_windows)
-        _, read_windows = self._served()
-        self._served_count = np.bincount(read_windows, minlength=self._n_windows)
+        self._served_count = self._per_read_window(self._read_windows)
         self.committed_write_tps = self._committed_count / window_s
         self.served_read_tps = self._served_count / window_s
         self.arrived_writes = int(events.write_times.size)
         self.committed_writes = int(fills.sum())
         self.pending_writes = self.arrived_writes - self.committed_writes
         self.arrived_reads = int(events.read_times.size)
-        self.served_reads = read_windows.size
+        self.served_reads = int(self._served_count.sum())
         self.blocks_produced = commit_s.size
 
     def _window_of(self, t: np.ndarray) -> np.ndarray:
         return np.minimum((t / self.window_s).astype(np.int64), self._n_windows - 1)
 
-    def _served(self) -> tuple[np.ndarray, np.ndarray]:
-        """Which reads complete within the run, and the window of each that does."""
-        in_run = self.read_completions_s <= self._horizon
-        return in_run, self._window_of(self.read_completions_s[in_run])
+    def _per_read_window(self, read_windows: np.ndarray, weights=None) -> np.ndarray:
+        """Per-window sums over reads served within the run, in array order."""
+        return np.bincount(read_windows, weights=weights, minlength=self._n_windows + 1)[:-1]
 
     @property
     def n_windows(self) -> int:
@@ -235,9 +238,8 @@ class MetricsTimeline:
 
     @cached_property
     def mean_read_latency_ms(self) -> np.ndarray:
-        in_run, windows = self._served()
-        latency_ms = (self.read_completions_s[in_run] - self._events.read_times[in_run]) * 1000.0
-        latency_sum = np.bincount(windows, weights=latency_ms, minlength=self._n_windows)
+        latency_ms = (self.read_completions_s - self._events.read_times) * 1000.0
+        latency_sum = self._per_read_window(self._read_windows, latency_ms)
         return _mean_per_window(latency_sum, self._served_count)
 
     @cached_property
@@ -246,15 +248,12 @@ class MetricsTimeline:
         cluster = self._cluster
         n_nodes = cluster.node_count
         work_us = np.zeros((n_nodes, self._n_windows))
-        # each node serves a strided view of the reads; its completions are
-        # sorted, so those in the run are a prefix
+        # each node serves a strided view of the reads
         stride = n_nodes if cluster.read_mode == "multi" else 1
         for node in range(stride):
-            done = self.read_completions_s[node::stride]
-            windows = self._window_of(done[:done.searchsorted(self._horizon, side="right")])
-            work_us[node] = np.bincount(windows,
-                                        weights=np.full(windows.size, cluster.read_service_us),
-                                        minlength=self._n_windows)
+            windows = self._read_windows[node::stride]
+            work_us[node] = self._per_read_window(
+                windows, np.full(windows.size, cluster.read_service_us))
         # every node validates each block and handles ~2N messages; the proposer
         # also scans the pool.  add.at adds in index order, so each cell sums its
         # blocks' work in commit order, a block's share before its scan.

@@ -266,6 +266,13 @@ class TestGenerateEvents:
         assert len(generate_events(ArrivalProcess(ArrivalKind.POISSON, 0.0, 0),
                                    TxKind.READ, 10.0)) == 0
 
+    def test_rate_whose_interarrivals_overflow_gives_empty_stream(self):
+        # 1/1e-320 overflows to inf: past the horizon, and without a warning
+        process = ArrivalProcess(ArrivalKind.POISSON, 1e-320, 0)
+        for draws in (None, UnitDraws(0)):
+            times = generate_times(process, 10.0, draws)
+            assert times.size == 0 and times.dtype == np.float64
+
 
 class TestDistributionalProperties:
     def test_exponentiality_ks(self):

@@ -511,11 +511,18 @@ class TestRunMatchesScalarReference:
             steps.add("commit" if commit_s[k] == commit_s[k - 1] + round_s else "interval")
         assert steps == {paced_by}
 
-    @pytest.mark.parametrize("read_mode", ["multi", "single"])
-    def test_without_blocks(self, read_mode):
+    @pytest.mark.parametrize("read_mode,read_rate", [
+        pytest.param("multi", 2000.0, id="multi"),
+        pytest.param("single", 2000.0, id="single"),
+        # past the read capacity: reads still queue at the horizon, and some
+        # complete within the last window, which ends at 5.1 s
+        pytest.param("multi", 30000.0, id="multi-overloaded"),
+        pytest.param("single", 8000.0, id="single-overloaded"),
+    ])
+    def test_without_blocks(self, read_mode, read_rate):
         # reads alone, so only empty blocks, then the same reads under write load
         cluster = replace(asymmetric_cluster(4, 700), read_mode=read_mode)
-        reads = merged_stream(0.0, 2000.0, 5.0, seed=1)
+        reads = merged_stream(0.0, read_rate, 5.0, seed=1)
         alone = run(cluster, reads, horizon=5.0, window_s=0.3)
         assert_same_timeline(alone, reference_run(cluster, reads, 5.0, window_s=0.3))
         loaded = with_writes(reads, 5.0)
@@ -523,6 +530,10 @@ class TestRunMatchesScalarReference:
         assert_same_timeline(got, reference_run(cluster, loaded, 5.0, window_s=0.3))
         for name in ("served_read_tps", "mean_read_latency_ms", "read_completions_s"):
             assert np.array_equal(getattr(got, name), getattr(alone, name)), name
+        if read_rate > 2000.0:
+            assert got.served_reads < got.arrived_reads
+            done = got.read_completions_s
+            assert np.any((done > 5.0) & (done <= got.n_windows * 0.3))
 
     def test_empty_stream(self):
         cluster = asymmetric_cluster(7, 7)

@@ -72,6 +72,15 @@ class TestSimulateCommand:
         assert len(lines) == 11
         assert all(line.split(",")[2] == "0.0" for line in lines[1:])
 
+    def test_tiny_rate_runs_without_warning(self, tmp_path, capsys):
+        # the interarrivals at 1e-320/s overflow to inf; the stream is empty
+        out = tmp_path / "run"
+        assert main(["simulate", "--kind", "write", "--lambda", "1e-320",
+                     "--duration", "10", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (out / "timeline.csv").read_text().strip().split("\n")
+        assert all(line.split(",")[2] == "0.0" for line in lines[1:])
+
     def test_deterministic_sub_saturation(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--kind", "write", "--lambda", "1000",
