@@ -497,8 +497,6 @@ def load_cluster(document: str) -> ClusterConfig:
     return ClusterConfig(**kwargs)
 
 
-def default_cluster(node_count: int | None = None) -> ClusterConfig:
-    """The calibrated 4-node profile, optionally rescoped to N nodes."""
-    if node_count is None:
-        return ClusterConfig()
-    return ClusterConfig(node_count=node_count)
+def default_cluster() -> ClusterConfig:
+    """The calibrated 4-node profile."""
+    return ClusterConfig()

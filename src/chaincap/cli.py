@@ -33,8 +33,6 @@ from .bench import (
     DEFAULT_START_RATE,
     DESK_DURATION_S,
     DESK_TRIALS,
-    PAPER_DURATION_S,
-    PAPER_TRIALS,
     WINDOW_S,
     campaign_json_dict,
     find_max_lambda,  # unused here; perfbench/spans.py patches this name
@@ -304,11 +302,9 @@ def cmd_campaign(args) -> int:
     manifest = _required_output_dir(args, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     rates = tuple(_parse_list(args.rates, float, "--rates"))
-    trials = PAPER_TRIALS if args.paper else args.trials
-    duration = PAPER_DURATION_S if args.paper else args.duration
     spec = CampaignSpec(cluster=cluster, kind=TxKind(args.kind), rates=rates,
-                        arrival_kind=ArrivalKind(args.arrival), trials=trials,
-                        duration_s=duration, base_seed=args.seed)
+                        arrival_kind=ArrivalKind(args.arrival), trials=args.trials,
+                        duration_s=args.duration, base_seed=args.seed)
     result = run_campaign(spec)
     if not rates:
         print("warning: empty rate list, vacuous campaign", file=sys.stderr)
@@ -426,9 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multi-trial campaign over a rate grid")
     p.add_argument("--kind", choices=kinds, required=True)
     p.add_argument("--rates", help="comma-separated offered rates")
-    p.add_argument("--trials", type=int, default=DESK_TRIALS)
-    p.add_argument("--paper", action="store_true",
-                   help=f"full protocol: {PAPER_TRIALS} trials x {PAPER_DURATION_S} s")
+    p.add_argument("--trials", type=int, default=DESK_TRIALS,
+                   help="trials per rate; the paper's protocol is --trials 5 --duration 600")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("assess", parents=[run_opts, catalog_opts],

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -134,3 +135,10 @@ class TestMethodologyReport:
         text = render_report_text(report)
         assert "UNSUITABLE" in text
         assert "8333" in text
+
+
+def test_module_is_not_shadowed_by_its_function():
+    # the package binds no names, so the module path reaches the module
+    import chaincap.assess as module
+    assert isinstance(module, types.ModuleType)
+    assert module.methodology_report is methodology_report

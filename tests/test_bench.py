@@ -73,6 +73,14 @@ class TestRunTrial:
         gap = abs(t.mean_tps - t.lambda_offered) / t.lambda_offered
         assert t.steady == (gap <= 0.02)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_bad_rate_rejected_before_drawing(self, monkeypatch, bad):
+        def no_draws(self):
+            raise AssertionError("no uniforms may be drawn for a rejected rate")
+        monkeypatch.setattr(ArrivalProcess, "rng", no_draws)
+        with pytest.raises(DomainError):
+            run_trial(default_cluster(), TxKind.WRITE, ArrivalKind.POISSON, bad, 20.0, seed=0)
+
 
 class TestRunCampaign:
     def test_trial_counting(self):

@@ -218,7 +218,7 @@ class TestConfigValidation:
             replace(default_cluster(), node_count=3)
 
     def test_maximum_node_count(self):
-        assert default_cluster(MAX_NODES).node_count == MAX_NODES
+        assert ClusterConfig(node_count=MAX_NODES).node_count == MAX_NODES
         with pytest.raises(ConfigError, match="node_count"):
             replace(default_cluster(), node_count=MAX_NODES + 1)
 
@@ -344,7 +344,7 @@ class TestSaturation:
         # raw throughput at a saturating offered load must not grow with N
         peaks = []
         for n in (4, 5, 6, 7):
-            cluster = default_cluster(node_count=n)
+            cluster = ClusterConfig(node_count=n)
             tl = run(cluster, det_writes(1500.0, 30.0), horizon=30.0)
             peaks.append(tl.committed_write_tps[3:].mean())
         assert all(a >= b for a, b in zip(peaks, peaks[1:]))
@@ -593,7 +593,7 @@ class TestWindows:
 
     def test_cpu_table_cap(self, monkeypatch):
         # MAX_NODES rows of cpu work hold as many cells as 4 rows at MAX_WINDOWS
-        cluster = default_cluster(MAX_NODES)
+        cluster = ClusterConfig(node_count=MAX_NODES)
         at_cap = 4 * MAX_WINDOWS // MAX_NODES
         assert check_run(cluster, float(at_cap), 1.0) == at_cap
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -13,6 +14,7 @@ from chaincap.bench import (
     DESK_DURATION_S,
     DESK_TRIALS,
     WINDOW_S,
+    CampaignSpec,
 )
 from chaincap.chainsim import (
     MAX_NODES,
@@ -221,6 +223,10 @@ class TestAssessCommand:
         '"max_lambda_write": 1400}',
         '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
         '"max_lambda_write": 1400, "search_tolerance": "0.01"}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400, "source": null}',
+        '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+        '"max_lambda_write": 1400, "source": 5}',
         pytest.param('{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
                      '"max_lambda_write": 1' + "0" * 400 + '}', id="beyond-float-range"),
         pytest.param('{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
@@ -402,7 +408,12 @@ def test_parser_defaults_are_the_bench_constants():
     simulate = parser.parse_args(["simulate", "--kind", "write", "--lambda", "1"])
     assert simulate.window == WINDOW_S
     assert simulate.arrival == ArrivalKind.POISSON.value
-    assert parser.parse_args(["campaign", "--kind", "write"]).trials == DESK_TRIALS
+    campaign = parser.parse_args(["campaign", "--kind", "write"])
+    assert campaign.trials == DESK_TRIALS
+    # the library's campaign shape and the command's are one default
+    spec_defaults = {f.name: f.default for f in dataclasses.fields(CampaignSpec)}
+    assert (campaign.trials, campaign.duration) == (spec_defaults["trials"],
+                                                    spec_defaults["duration_s"])
 
 
 @pytest.mark.parametrize("argv", [

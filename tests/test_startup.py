@@ -51,6 +51,16 @@ def test_import_loads_no_numpy(module):
     assert fresh_run(f"import {module}\ncode = 0\n")["numpy"] == []
 
 
+def test_package_import_loads_no_submodule():
+    # the package exports only __version__; names come from their modules
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\nimport chaincap\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('chaincap.'))))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["scenarios", "list"],
