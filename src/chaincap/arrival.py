@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import np
-from .errors import ContractError, DomainError
+from .errors import InputError
 
 
 # Largest expected event count (rate x horizon) of one stream.  A trial holds
@@ -50,14 +50,14 @@ def check_rate(value: float, name: str = "rate") -> float:
     """Validate a per-second rate: finite and non-negative."""
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
-        raise DomainError(f"{name} must be a finite non-negative rate, got {value!r}")
+        raise InputError(f"{name} must be a finite non-negative rate, got {value!r}")
     return value
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
     """Validate a stream seed: an integer key of the Philox generator."""
     if not 0 <= seed < SEED_LIMIT:
-        raise DomainError(f"{name} must be in [0, 2**128), got {seed!r}")
+        raise InputError(f"{name} must be in [0, 2**128), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class EventStream:
 def _check_horizon(horizon: float) -> float:
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0.0:
-        raise DomainError(f"horizon must be finite and > 0, got {horizon!r}")
+        raise InputError(f"horizon must be finite and > 0, got {horizon!r}")
     return horizon
 
 
@@ -106,7 +106,7 @@ def check_event_count(rate: float, horizon: float) -> float:
     """The expected event count ``rate * horizon``, if within MAX_EXPECTED_EVENTS."""
     expected = rate * horizon
     if expected > MAX_EXPECTED_EVENTS:
-        raise DomainError(
+        raise InputError(
             f"rate {rate!r}/s over {horizon!r} s expects {expected:.4g} events, more than "
             f"the {MAX_EXPECTED_EVENTS:,} one trial may hold; lower the rate or the duration")
     return expected
@@ -157,8 +157,8 @@ def generate_times(process: ArrivalProcess, horizon: float,
     timestamp is the running sum of those interarrivals, but numpy's vector
     ``log1p`` may differ from ``math.log1p`` in the last bit, so a scalar
     replay agrees to within a few ulp, not exactly.  Raises
-    :class:`DomainError` if ``check_event_count`` rejects the stream, and
-    :class:`ContractError` if ``draws`` is of another seed.
+    :class:`InputError` if ``check_event_count`` rejects the stream or
+    ``draws`` is of another seed.
     """
     horizon = _check_horizon(horizon)
     rate = process.rate
@@ -175,8 +175,8 @@ def generate_times(process: ArrivalProcess, horizon: float,
     if not shared:
         draws = UnitDraws(process.seed)
     elif draws.seed != process.seed:
-        raise ContractError(f"draws of seed {draws.seed} cannot feed a process of seed "
-                            f"{process.seed}")
+        raise InputError(f"draws of seed {draws.seed} cannot feed a process of seed "
+                         f"{process.seed}")
     chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
     pieces = []
     start = 0

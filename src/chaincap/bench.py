@@ -24,7 +24,7 @@ from .arrival import (
     generate_events,
 )
 from .chainsim import ClusterConfig, MetricsTimeline, check_run, run
-from .errors import CalibrationError, DomainError, InputError
+from .errors import CalibrationError, InputError
 
 # trial policy: every trial uses 1 s metric windows, drops the first 10% of
 # them as warm-up, and is steady when throughput is within 2% of the offered
@@ -48,8 +48,8 @@ DESK_DURATION_S = 60
 def check_duration(duration_s: float) -> None:
     """Validate a trial duration: finite and at least 10 windows long."""
     if not (math.isfinite(duration_s) and duration_s >= 10 * WINDOW_S):
-        raise DomainError(f"duration must cover at least 10 windows of {WINDOW_S} s, "
-                          f"got {duration_s!r}")
+        raise InputError(f"duration must cover at least 10 windows of {WINDOW_S} s, "
+                         f"got {duration_s!r}")
 
 
 @dataclass(frozen=True)
@@ -66,17 +66,17 @@ class CampaignSpec:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+            raise InputError(f"trials must be >= 1, got {self.trials}")
         check_duration(self.duration_s)
         check_run(self.cluster, self.duration_s, WINDOW_S)
         # trial i runs at seed base_seed + i
         check_seed(self.base_seed, "base_seed")
         check_seed(self.base_seed + self.trials - 1, "base_seed + trials - 1")
         if len(set(self.rates)) != len(self.rates):
-            raise DomainError(f"campaign rates must be distinct, got {list(self.rates)!r}")
+            raise InputError(f"campaign rates must be distinct, got {list(self.rates)!r}")
         for r in self.rates:
             if check_rate(r, "rate") <= 0:
-                raise DomainError(f"trial rate must be > 0, got {r!r}")
+                raise InputError(f"trial rate must be > 0, got {r!r}")
             check_event_count(r, self.duration_s)
 
 
@@ -116,7 +116,7 @@ class CampaignResult:
 @dataclass(frozen=True)
 class CapacityProfile:
     """Maximum sustainable arrival rates for one cluster size; the
-    constructor raises :class:`DomainError` for an invalid profile."""
+    constructor raises :class:`InputError` for an invalid profile."""
 
     node_count: int
     max_lambda_read: float
@@ -127,13 +127,13 @@ class CapacityProfile:
     def __post_init__(self) -> None:
         # inf marks an axis not searched; NaN fails both comparisons
         if not (self.max_lambda_read > 0 and self.max_lambda_write > 0):
-            raise DomainError(f"capacity maxima must be > 0 or inf, got read="
-                              f"{self.max_lambda_read!r}, write={self.max_lambda_write!r}")
+            raise InputError(f"capacity maxima must be > 0 or inf, got read="
+                             f"{self.max_lambda_read!r}, write={self.max_lambda_write!r}")
         if self.node_count < 4:
-            raise DomainError(f"node_count must be >= 4 (BFT minimum), got {self.node_count}")
+            raise InputError(f"node_count must be >= 4 (BFT minimum), got {self.node_count}")
         if not (math.isfinite(self.search_tolerance) and self.search_tolerance >= 0):
-            raise DomainError(f"search_tolerance must be finite and >= 0, "
-                              f"got {self.search_tolerance!r}")
+            raise InputError(f"search_tolerance must be finite and >= 0, "
+                             f"got {self.search_tolerance!r}")
 
     def to_json_dict(self) -> dict:
         # an axis never searched (inf) serializes as null
@@ -153,7 +153,10 @@ class CapacityProfile:
         if not isinstance(doc, dict):
             raise InputError(f"a capacity profile must be a JSON object, got {type(doc).__name__}")
         if doc.get("schema_version") != 1:
-            raise DomainError(f"unsupported capacity schema_version {doc.get('schema_version')!r}")
+            raise InputError(f"unsupported capacity schema_version {doc.get('schema_version')!r}")
+        if "profiles" in doc:
+            raise InputError("the file holds a --nodes sweep; assess needs one profile, "
+                             "of one node count")
         node_count = doc.get("node_count")
         if type(node_count) is not int:  # bool is a subclass of int
             raise InputError(f"capacity profile needs an integer node_count, got {node_count!r}")
@@ -183,7 +186,7 @@ def _json_number(key: str, value) -> float:
 def detect_steady_state(lambda_offered: float, mean_tps: float) -> bool:
     """Steady iff throughput matches the offered rate within STEADY_TOLERANCE."""
     if lambda_offered <= 0:
-        raise DomainError(f"lambda_offered must be > 0, got {lambda_offered}")
+        raise InputError(f"lambda_offered must be > 0, got {lambda_offered}")
     return abs(mean_tps - lambda_offered) <= STEADY_TOLERANCE * lambda_offered
 
 
@@ -238,7 +241,7 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
     ``draws``, if given, holds ``seed``'s unit draws shared with other trials.
     """
     if lam <= 0:
-        raise DomainError("trial rate must be > 0")
+        raise InputError("trial rate must be > 0")
     process = ArrivalProcess(kind=arrival_kind, rate=lam, seed=seed)
     events = generate_events(process, kind, duration_s, draws=draws)
     return Trial(kind, lam, seed, run(cluster, events, horizon=duration_s, window_s=WINDOW_S))
@@ -300,8 +303,8 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     even the smallest probe is unsteady.
     """
     if not MIN_SEARCH_TOLERANCE <= tolerance <= MAX_SEARCH_TOLERANCE:
-        raise DomainError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
-                          f"{MAX_SEARCH_TOLERANCE}], got {tolerance!r}")
+        raise InputError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
+                         f"{MAX_SEARCH_TOLERANCE}], got {tolerance!r}")
     check_duration(duration_s)
     check_run(cluster, duration_s, WINDOW_S)
 
@@ -316,7 +319,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
 
     lo = check_rate(start, "start")
     if lo <= 0:
-        raise DomainError("start rate must be > 0")
+        raise InputError("start rate must be > 0")
     first = probe(lo)
     if not first.steady:
         raise CalibrationError(
@@ -349,13 +352,13 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
 
     The axis of a kind not in ``kinds`` is left at inf.
     """
-    for n in node_counts:
-        if n < 4:
-            raise DomainError(f"node counts must be >= 4 (BFT minimum), got {n}")
     if len(set(node_counts)) != len(node_counts):
-        raise DomainError(f"node counts must be distinct, got {node_counts!r}")
-    # every profile is checked before the first search
+        raise InputError(f"node counts must be distinct, got {node_counts!r}")
+    # every profile, and its run, is checked before the first search
     clusters = [replace(base_cluster, node_count=n) for n in sorted(node_counts)]
+    check_duration(duration_s)
+    for cluster in clusters:
+        check_run(cluster, duration_s, WINDOW_S)
     profiles = []
     for cluster in clusters:
         found = {kind: find_max_lambda(cluster, kind, arrival_kind, tolerance=tolerance,

@@ -25,7 +25,7 @@ from functools import cached_property
 
 from ._numpy import np
 from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream
-from .errors import ConfigError, ConflictError, ContractError, SchemaError
+from .errors import InputError
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -59,7 +59,7 @@ class ClusterConfig:
     knobs are tuned so a 4-node cluster saturates near 1400 write tps and
     near 20500 read tps in multi-node read mode (see scripts/calibrate.py).
     A profile is checked when built, so an invalid one raises
-    :class:`ConfigError` from the constructor or ``dataclasses.replace``.
+    :class:`InputError` from the constructor or ``dataclasses.replace``.
     """
 
     node_count: int = 4
@@ -77,30 +77,30 @@ class ClusterConfig:
 
     def __post_init__(self) -> None:
         if self.node_count < 4:
-            raise ConfigError(f"node_count must be >= 4 for BFT (f >= 1), got {self.node_count}")
+            raise InputError(f"node_count must be >= 4 for BFT (f >= 1), got {self.node_count}")
         if self.node_count > MAX_NODES:
-            raise ConfigError(f"node_count must be <= {MAX_NODES:,}, got {self.node_count}")
+            raise InputError(f"node_count must be <= {MAX_NODES:,}, got {self.node_count}")
         if self.block_tx_capacity < 1:
-            raise ConfigError(f"block_tx_capacity must be >= 1, got {self.block_tx_capacity}")
+            raise InputError(f"block_tx_capacity must be >= 1, got {self.block_tx_capacity}")
         for name in ("block_interval_ms", "node_cpu_capacity"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
-                raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+                raise InputError(f"{name} must be finite and > 0, got {value!r}")
         for name in ("rtt_ms", "write_exec_us", "read_service_us", "msg_proc_us",
                      "pool_scan_cost_us_per_tx"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+                raise InputError(f"{name} must be finite and >= 0, got {value!r}")
         if self.empty_block_bytes < 0:
-            raise ConfigError(f"empty_block_bytes must be >= 0, got {self.empty_block_bytes}")
+            raise InputError(f"empty_block_bytes must be >= 0, got {self.empty_block_bytes}")
         if self.read_mode not in ("multi", "single"):
-            raise ConfigError(f"read_mode must be 'multi' or 'single', got {self.read_mode!r}")
+            raise InputError(f"read_mode must be 'multi' or 'single', got {self.read_mode!r}")
         if self.rtt_matrix_ms is not None:
             n = self.node_count
             if len(self.rtt_matrix_ms) != n or any(len(row) != n for row in self.rtt_matrix_ms):
-                raise ConfigError(f"rtt_matrix_ms must be {n}x{n}")
+                raise InputError(f"rtt_matrix_ms must be {n}x{n}")
             if any(not math.isfinite(v) or v < 0 for row in self.rtt_matrix_ms for v in row):
-                raise ConfigError("rtt_matrix_ms entries must be finite and >= 0")
+                raise InputError("rtt_matrix_ms entries must be finite and >= 0")
 
     def one_way_ms(self, a: int, b: int) -> float:
         if self.rtt_matrix_ms is not None:
@@ -135,7 +135,7 @@ def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth:
     Monotone non-decreasing in block_fill and pool_depth.
     """
     if block_fill > cluster.block_tx_capacity:
-        raise ContractError(
+        raise InputError(
             f"block_fill {block_fill} exceeds block_tx_capacity {cluster.block_tx_capacity}")
     exec_ms = cluster.write_exec_us * block_fill / 1000.0
     scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
@@ -309,36 +309,36 @@ class MetricsTimeline:
 def window_count(horizon: float, window_s: float) -> int:
     """Metric windows covering ``horizon``; the last one may be partial.
 
-    Raises :class:`ContractError` for a non-finite or non-positive horizon or
+    Raises :class:`InputError` for a non-finite or non-positive horizon or
     window, and for more than MAX_WINDOWS windows.
     """
     if not math.isfinite(horizon) or horizon <= 0:
-        raise ContractError(f"horizon must be finite and > 0, got {horizon!r}")
+        raise InputError(f"horizon must be finite and > 0, got {horizon!r}")
     if not math.isfinite(window_s) or window_s <= 0:
-        raise ContractError(f"window must be finite and > 0, got {window_s!r}")
+        raise InputError(f"window must be finite and > 0, got {window_s!r}")
     # the slack keeps a horizon that is a whole number of windows from
     # gaining an extra one by rounding
     windows = horizon / window_s - 1e-9
     if windows > MAX_WINDOWS:
-        raise ContractError(
+        raise InputError(
             f"a {window_s!r} s window over {horizon!r} s makes {windows:.4g} windows, more "
             f"than the {MAX_WINDOWS:,} one run may hold; widen the window")
     return max(1, math.ceil(windows))
 
 
 def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
-    """``window_count``, and :class:`ContractError` past MAX_BLOCKS block proposals
+    """``window_count``, and :class:`InputError` past MAX_BLOCKS block proposals
     or a cpu table larger than a 4-node one at MAX_WINDOWS."""
     n_windows = window_count(horizon, window_s)
     cells = cluster.node_count * n_windows
     if cells > 4 * MAX_WINDOWS:
-        raise ContractError(
+        raise InputError(
             f"{cluster.node_count} nodes over {n_windows:,} windows make a cpu table of "
             f"{cells:,} cells, more than the {4 * MAX_WINDOWS:,} one run may hold; "
             "widen the window")
     blocks = horizon / (cluster.block_interval_ms / 1000.0)
     if blocks > MAX_BLOCKS:
-        raise ContractError(
+        raise InputError(
             f"a {horizon!r} s run at one block per {cluster.block_interval_ms!r} ms makes "
             f"{blocks:.4g} block proposals, more than the {MAX_BLOCKS:,} one run may "
             "hold; shorten the duration")
@@ -356,9 +356,9 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     write_ts, read_ts = events.write_times, events.read_times
     for times in (write_ts, read_ts):
         if not np.all(times[1:] >= times[:-1]):
-            raise ContractError("events must be sorted by time")
+            raise InputError("events must be sorted by time")
         if times.size and times[-1] > horizon:
-            raise ContractError("horizon must cover the last event timestamp")
+            raise InputError("horizon must cover the last event timestamp")
 
     n_nodes = cluster.node_count
 
@@ -422,8 +422,8 @@ def read_config(document: str) -> dict[str, dict[str, str]]:
     """The sections of a cluster profile or scenario override, as raw keys.
 
     ``[config]``, required unless there is no section at all, must hold only
-    ``schema_version = 1`` and is not returned.  A repeated section or key is
-    a :class:`ConflictError`, any other fault a one-line :class:`SchemaError`.
+    ``schema_version = 1`` and is not returned.  Every fault is a one-line
+    :class:`InputError`; a repeated section or key names its line.
     """
     # no header can be empty, so [DEFAULT] is an ordinary section, not one
     # whose keys every other section inherits
@@ -431,28 +431,28 @@ def read_config(document: str) -> dict[str, dict[str, str]]:
     try:
         parser.read_string(document)
     except configparser.DuplicateOptionError as exc:
-        raise ConflictError(f"line {exc.lineno}: key {exc.option!r} repeated in "
-                            f"[{exc.section}]") from None
+        raise InputError(f"line {exc.lineno}: key {exc.option!r} repeated in "
+                         f"[{exc.section}]") from None
     except configparser.DuplicateSectionError as exc:
-        raise ConflictError(f"line {exc.lineno}: section [{exc.section}] repeated") from None
+        raise InputError(f"line {exc.lineno}: section [{exc.section}] repeated") from None
     except configparser.MissingSectionHeaderError as exc:
-        raise SchemaError(f"line {exc.lineno}: {exc.line.strip()!r} comes before "
-                          "the first [section] header") from None
+        raise InputError(f"line {exc.lineno}: {exc.line.strip()!r} comes before "
+                         "the first [section] header") from None
     except configparser.ParsingError as exc:
         lineno = exc.errors[0][0]
         line = document.split("\n")[lineno - 1].strip()  # read_string splits at \n only
-        raise SchemaError(f"line {lineno}: expected 'key = value', got {line!r}") from None
+        raise InputError(f"line {lineno}: expected 'key = value', got {line!r}") from None
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     if sections:
         config = sections.pop("config", None)
         if config is None:
-            raise SchemaError("missing [config] section with schema_version")
+            raise InputError("missing [config] section with schema_version")
         unknown = config.keys() - {"schema_version"}
         if unknown:
-            raise SchemaError(f"[config]: unknown keys {sorted(unknown)}")
+            raise InputError(f"[config]: unknown keys {sorted(unknown)}")
         if config.get("schema_version") != str(CONFIG_SCHEMA_VERSION):
-            raise SchemaError(f"[config] schema_version must be {CONFIG_SCHEMA_VERSION}, "
-                              f"got {config.get('schema_version')!r}")
+            raise InputError(f"[config] schema_version must be {CONFIG_SCHEMA_VERSION}, "
+                             f"got {config.get('schema_version')!r}")
     return sections
 
 
@@ -461,37 +461,40 @@ def load_cluster(document: str) -> ClusterConfig:
     sections = read_config(document)
     for name in sections:
         if name not in ("cluster", "rtt_matrix"):
-            raise SchemaError(f"unknown section [{name}]")
+            raise InputError(f"unknown section [{name}]")
     if "cluster" not in sections:
-        raise SchemaError("missing [cluster] section")
+        raise InputError("missing [cluster] section")
 
     kwargs = {}
     for key, raw in sections["cluster"].items():
         if key not in _CLUSTER_KEYS:
-            raise SchemaError(f"[cluster]: unknown key {key!r}")
+            raise InputError(f"[cluster]: unknown key {key!r}")
         conv = _CLUSTER_KEYS[key]
         try:
             kwargs[key] = conv(raw)
         except ValueError:
-            raise SchemaError(f"[cluster] {key}: expected {conv.__name__}, got {raw!r}") from None
+            raise InputError(f"[cluster] {key}: expected {conv.__name__}, got {raw!r}") from None
     kwargs.pop("node_mem_bytes", None)
 
     if "rtt_matrix" in sections:
+        if "rtt_ms" in kwargs:
+            raise InputError("[cluster] rtt_ms and [rtt_matrix] both set the RTTs; "
+                             "give one of them")
         matrix = sections["rtt_matrix"]
         n = kwargs.get("node_count", ClusterConfig.node_count)
         rows = []
         for i in range(n):
             key = f"node{i}"
             if key not in matrix:
-                raise SchemaError(f"[rtt_matrix]: missing row {key!r}")
+                raise InputError(f"[rtt_matrix]: missing row {key!r}")
             try:
                 row = tuple(float(v) for v in matrix[key].split(","))
             except ValueError:
-                raise SchemaError(f"[rtt_matrix] {key}: expected comma-separated floats") from None
+                raise InputError(f"[rtt_matrix] {key}: expected comma-separated floats") from None
             rows.append(row)
         extra = matrix.keys() - {f"node{i}" for i in range(n)}
         if extra:
-            raise SchemaError(f"[rtt_matrix]: unexpected rows {sorted(extra)}")
+            raise InputError(f"[rtt_matrix]: unexpected rows {sorted(extra)}")
         kwargs["rtt_matrix_ms"] = tuple(rows)
 
     return ClusterConfig(**kwargs)

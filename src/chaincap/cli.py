@@ -42,7 +42,7 @@ from .bench import (
     write_plot_data_csv,
 )
 from .chainsim import check_run, default_cluster, load_cluster, run
-from .errors import CalibrationError, ChaincapError, DomainError, InputError
+from .errors import CalibrationError, ChaincapError, InputError
 from .scenarios import (
     ScenarioId,
     builtin_scenarios,
@@ -134,8 +134,8 @@ class OutputDir:
 def _read_input(path: str, what: str, parse, manifest: OutputDir | None):
     """``parse`` of an input file's text, its digest kept in the manifest if any.
 
-    Every error names the file.  A parse error keeps its type; bad JSON,
-    or JSON nested too deep to decode, becomes an InputError.
+    Every error, bad JSON or JSON nested too deep to decode among them, is
+    an InputError that names the file.
     """
     path = Path(path)
     try:
@@ -152,8 +152,7 @@ def _read_input(path: str, what: str, parse, manifest: OutputDir | None):
     try:
         return parse(text)
     except (ValueError, RecursionError) as exc:
-        error = type(exc) if isinstance(exc, ChaincapError) else InputError
-        raise error(f"{what} {path}: {exc}") from None
+        raise InputError(f"{what} {path}: {exc}") from None
 
 
 def _load_cluster_arg(args, manifest: OutputDir | None = None):
@@ -249,7 +248,7 @@ def cmd_simulate(args) -> int:
     manifest = _required_output_dir(args, seeds={"seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     if args.rate < 0:
-        raise DomainError(f"--lambda must be >= 0, got {args.rate}")
+        raise InputError(f"--lambda must be >= 0, got {args.rate}")
     process = ArrivalProcess(kind=ArrivalKind(args.arrival), rate=args.rate, seed=args.seed)
     check_run(cluster, args.duration, args.window)  # reject a bad run before drawing
     events = generate_events(process, TxKind(args.kind), args.duration)

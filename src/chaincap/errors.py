@@ -1,33 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per exit code."""
 
 
 class ChaincapError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(ChaincapError, ValueError):
-    """An argument is outside its documented domain (negative rate, etc.)."""
-
-
-class ConfigError(ChaincapError, ValueError):
-    """A cluster or scenario configuration violates an invariant."""
-
-
-class SchemaError(ConfigError):
-    """A configuration document does not match the documented schema."""
-
-
-class ConflictError(ConfigError):
-    """A configuration document contains conflicting entries."""
-
-
-class ContractError(ChaincapError, ValueError):
-    """A caller violated an operation precondition (e.g. unsorted events)."""
+class InputError(ChaincapError, ValueError):
+    """An argument, profile, file or command line is unusable (exit 2)."""
 
 
 class CalibrationError(ChaincapError, RuntimeError):
-    """A capacity search could not find any steady operating point."""
-
-
-class InputError(ChaincapError, ValueError):
-    """An input artifact (capacity file, scenario id) is unusable."""
+    """A capacity search could not find any steady operating point (exit 3)."""

@@ -23,7 +23,7 @@ from enum import Enum
 
 from .arrival import check_rate
 from .chainsim import read_config
-from .errors import ConflictError, DomainError, SchemaError
+from .errors import InputError
 
 
 class ScenarioId(Enum):
@@ -47,11 +47,11 @@ class UseCaseSpec:
 
     def __post_init__(self):
         if self.reads_per_event < 0:
-            raise DomainError(f"reads_per_event must be >= 0, got {self.reads_per_event}")
+            raise InputError(f"reads_per_event must be >= 0, got {self.reads_per_event}")
         if self.writes_per_event < 0:
-            raise DomainError(f"writes_per_event must be >= 0, got {self.writes_per_event}")
+            raise InputError(f"writes_per_event must be >= 0, got {self.writes_per_event}")
         if self.reads_per_event + self.writes_per_event < 1:
-            raise DomainError(f"use case {self.name!r} needs at least one read or write per event")
+            raise InputError(f"use case {self.name!r} needs at least one read or write per event")
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,10 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if not self.use_cases:
-            raise DomainError(f"scenario {self.id.value} must have at least one use case")
+            raise InputError(f"scenario {self.id.value} must have at least one use case")
         names = [uc.name for uc in self.use_cases]
         if len(set(names)) != len(names):
-            raise ConflictError(f"duplicate use-case names in scenario {self.id.value}")
+            raise InputError(f"duplicate use-case names in scenario {self.id.value}")
 
     @property
     def reads_per_event(self) -> int:
@@ -117,8 +117,8 @@ def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> ScenarioWorklo
     except OverflowError:  # a per-event count beyond the float range
         lambda_read = lambda_write = math.inf
     if not (math.isfinite(lambda_read) and math.isfinite(lambda_write)):
-        raise DomainError(f"{spec.id.value if is_scenario else spec.name}: eta {eta!r} times "
-                          "its reads and writes per event is not a finite rate")
+        raise InputError(f"{spec.id.value if is_scenario else spec.name}: eta {eta!r} times "
+                         "its reads and writes per event is not a finite rate")
     return ScenarioWorkload(scenario_id=spec.id if is_scenario else None,
                             use_case=None if is_scenario else spec.name,
                             lambda_read=lambda_read, lambda_write=lambda_write)
@@ -134,9 +134,9 @@ def _parse_nonneg_int(raw: str, where: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SchemaError(f"{where}: expected an integer, got {raw!r}") from None
+        raise InputError(f"{where}: expected an integer, got {raw!r}") from None
     if value < 0:
-        raise SchemaError(f"{where}: must be >= 0, got {value}")
+        raise InputError(f"{where}: must be >= 0, got {value}")
     return value
 
 
@@ -155,23 +155,23 @@ def load_scenarios(document: str) -> list[ScenarioSpec]:
         elif kind == "use_case":
             sid_raw, _, name = target.partition(":")
             if not name:
-                raise SchemaError(f"[{section}]: expected use_case:<scenario>:<name>")
+                raise InputError(f"[{section}]: expected use_case:<scenario>:<name>")
             allowed = _USE_CASE_KEYS
         else:
-            raise SchemaError(f"unknown section [{section}]")
+            raise InputError(f"unknown section [{section}]")
         try:
             sid = ScenarioId(sid_raw)
         except ValueError:
-            raise SchemaError(f"[{section}]: unknown scenario id {sid_raw!r}") from None
+            raise InputError(f"[{section}]: unknown scenario id {sid_raw!r}") from None
         unknown = keys.keys() - allowed
         if unknown:
-            raise SchemaError(f"[{section}]: unknown keys {sorted(unknown)}")
+            raise InputError(f"[{section}]: unknown keys {sorted(unknown)}")
         if name is None:
             if "eta" in keys:
                 try:
                     eta = check_rate(float(keys["eta"]), "eta")
-                except (ValueError, DomainError) as exc:
-                    raise SchemaError(f"[{section}] eta: {exc}") from None
+                except ValueError as exc:
+                    raise InputError(f"[{section}] eta: {exc}") from None
                 catalog[sid] = replace(catalog[sid], default_eta=eta)
             continue
         fields = {
@@ -192,8 +192,8 @@ def load_scenarios(document: str) -> list[ScenarioSpec]:
                     reads_per_event=fields.get("reads_per_event", 0),
                     writes_per_event=fields.get("writes_per_event", 0),
                 ),)
-        except DomainError as exc:
-            raise SchemaError(f"[{section}]: {exc}") from None
+        except ValueError as exc:
+            raise InputError(f"[{section}]: {exc}") from None
         catalog[sid] = replace(spec, use_cases=use_cases)
 
     return [catalog[spec.id] for spec in _BUILTINS]

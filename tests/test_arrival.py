@@ -15,7 +15,7 @@ from chaincap.arrival import (
     generate_events,
     generate_times,
 )
-from chaincap.errors import ContractError, DomainError
+from chaincap.errors import InputError
 from chaincap.scenarios import UseCaseSpec, workload_for
 
 
@@ -27,7 +27,7 @@ def sample_interarrival(rate: float, rng: np.random.Generator) -> float:
     """
     rate = check_rate(rate, "rate")
     if rate == 0.0:
-        raise DomainError("rate must be > 0 for interarrival sampling, got 0.0")
+        raise InputError("rate must be > 0 for interarrival sampling, got 0.0")
     while True:
         u = rng.random()
         t = -math.log1p(-u) / rate
@@ -130,7 +130,7 @@ class TestUnitDraws:
         assert np.array_equal(draws.take(10, 20), head)
 
     def test_draws_of_another_seed_rejected(self):
-        with pytest.raises(ContractError, match="seed 1"):
+        with pytest.raises(InputError, match="seed 1"):
             generate_times(ArrivalProcess(ArrivalKind.POISSON, 5.0, 2), 10.0, UnitDraws(1))
 
     def test_events_pass_draws_on(self, monkeypatch):
@@ -179,7 +179,7 @@ class TestSampleInterarrival:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_rates(self, bad):
         rng = np.random.Generator(np.random.Philox(key=0))
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             sample_interarrival(bad, rng)
 
 
@@ -242,22 +242,22 @@ class TestGenerateEvents:
 
     def test_event_count_guard(self, monkeypatch):
         assert check_event_count(MAX_EXPECTED_EVENTS / 60.0, 60.0) == MAX_EXPECTED_EVENTS
-        with pytest.raises(DomainError, match="expects"):
+        with pytest.raises(InputError, match="expects"):
             check_event_count(MAX_EXPECTED_EVENTS / 60.0, 60.001)
         monkeypatch.setattr(ArrivalProcess, "rng", lambda self: pytest.fail("drew uniforms"))
         for kind in ArrivalKind:
-            with pytest.raises(DomainError, match="expects"):
+            with pytest.raises(InputError, match="expects"):
                 generate_times(ArrivalProcess(kind, 1e12, 0), 60.0)
 
     def test_rejects_bad_horizon(self):
         process = ArrivalProcess(ArrivalKind.POISSON, 1.0, 0)
         for bad in (math.inf, math.nan, 0.0, -1.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(InputError):
                 generate_events(process, TxKind.READ, bad)
 
     def test_seed_outside_philox_key_range_rejected(self):
         for bad in (-1, SEED_LIMIT):
-            with pytest.raises(DomainError, match=r"seed must be in \[0, 2\*\*128\)"):
+            with pytest.raises(InputError, match=r"seed must be in \[0, 2\*\*128\)"):
                 ArrivalProcess(ArrivalKind.POISSON, 1.0, bad)
         top = ArrivalProcess(ArrivalKind.POISSON, 1.0, SEED_LIMIT - 1)
         assert len(generate_events(top, TxKind.READ, 10.0)) > 0

@@ -14,7 +14,7 @@ from chaincap.assess import (
     resolve_eta,
 )
 from chaincap.bench import CapacityProfile
-from chaincap.errors import DomainError, InputError
+from chaincap.errors import InputError
 from chaincap.scenarios import ScenarioId, scenario_by_id, workload_for
 
 PAPER_JSON = Path(__file__).parent.parent / "src" / "chaincap" / "data" / "paper.json"
@@ -56,7 +56,7 @@ class TestAssess:
 
     def test_invalid_capacity_rejected(self):
         # building the profile is the check, so no invalid one reaches assess
-        with pytest.raises(DomainError, match="maxima"):
+        with pytest.raises(InputError, match="maxima"):
             CapacityProfile(node_count=4, max_lambda_read=0.0,
                             max_lambda_write=1400.0, search_tolerance=0.0)
 

@@ -21,7 +21,7 @@ from chaincap.bench import (
     write_campaign_csv,
 )
 from chaincap.chainsim import MetricsTimeline, default_cluster
-from chaincap.errors import CalibrationError, DomainError
+from chaincap.errors import CalibrationError, InputError
 
 
 # a deliberately small cluster for search tests: saturates around 450 tps
@@ -40,7 +40,7 @@ class TestDetectSteadyState:
         assert detect_steady_state(1000, 985)
 
     def test_bad_inputs(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             detect_steady_state(0, 10)
 
 
@@ -48,15 +48,15 @@ class TestCheckDuration:
     def test_ten_windows_is_the_minimum(self):
         check_duration(10.0)
         for bad in (9.999, 0.0, -10.0, math.nan, math.inf):
-            with pytest.raises(DomainError, match="at least 10 windows"):
+            with pytest.raises(InputError, match="at least 10 windows"):
                 check_duration(bad)
 
     @pytest.mark.parametrize("bad", [5.0, math.nan])
     def test_campaign_and_search_share_it(self, bad):
-        with pytest.raises(DomainError, match="at least 10 windows"):
+        with pytest.raises(InputError, match="at least 10 windows"):
             CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=(40.0,),
                          trials=1, duration_s=bad)
-        with pytest.raises(DomainError, match="at least 10 windows"):
+        with pytest.raises(InputError, match="at least 10 windows"):
             find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=bad)
 
 
@@ -78,7 +78,7 @@ class TestRunTrial:
         def no_draws(self):
             raise AssertionError("no uniforms may be drawn for a rejected rate")
         monkeypatch.setattr(ArrivalProcess, "rng", no_draws)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             run_trial(default_cluster(), TxKind.WRITE, ArrivalKind.POISSON, bad, 20.0, seed=0)
 
 
@@ -105,16 +105,16 @@ class TestRunCampaign:
             return CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=(40.0,),
                                 trials=trials, duration_s=20.0, base_seed=base_seed)
 
-        with pytest.raises(DomainError, match="base_seed must be in"):
+        with pytest.raises(InputError, match="base_seed must be in"):
             spec(-1, 1)
-        with pytest.raises(DomainError, match=r"base_seed \+ trials - 1 must be in"):
+        with pytest.raises(InputError, match=r"base_seed \+ trials - 1 must be in"):
             spec(SEED_LIMIT - 2, 3)
         result = run_campaign(spec(SEED_LIMIT - 3, 3))
         assert result.trials[-1].seed == SEED_LIMIT - 1
 
     def test_repeated_rate_rejected(self):
         # a repeated rate would run trial i twice at seed base_seed + i
-        with pytest.raises(DomainError, match="distinct"):
+        with pytest.raises(InputError, match="distinct"):
             CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=(400.0, 400),
                          trials=2, duration_s=20.0)
 
@@ -200,7 +200,7 @@ class TestFindMaxLambda:
 
     def test_tolerance_domain(self):
         for bad in (0.5, 0.0, 9.99e-10, 1e-17, math.nan):
-            with pytest.raises(DomainError, match="search tolerance"):
+            with pytest.raises(InputError, match="search tolerance"):
                 find_max_lambda(small_cluster(), TxKind.WRITE, tolerance=bad)
 
     def test_finest_tolerance_ends(self):
@@ -344,11 +344,11 @@ class TestSweepNodes:
         assert first == second
 
     def test_rejects_repeated_node_counts(self):
-        with pytest.raises(DomainError, match="distinct"):
+        with pytest.raises(InputError, match="distinct"):
             sweep_nodes(small_cluster(), [4, 5, 4], (TxKind.WRITE,))
 
     def test_rejects_small_clusters(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             sweep_nodes(small_cluster(), [3, 4], (TxKind.WRITE,))
 
 
@@ -378,23 +378,23 @@ class TestCapacityProfile:
     def test_nan_maximum_rejected(self, axis):
         doc = {"schema_version": 1, "node_count": 4, "max_lambda_read": 20500.0,
                "max_lambda_write": 1400.0, axis: math.nan}
-        with pytest.raises(DomainError, match="maxima"):
+        with pytest.raises(InputError, match="maxima"):
             CapacityProfile.from_json_dict(doc)
 
     def test_node_count_below_bft_minimum_rejected(self):
-        with pytest.raises(DomainError, match="node_count"):
+        with pytest.raises(InputError, match="node_count"):
             CapacityProfile(node_count=3, max_lambda_read=20500.0,
                             max_lambda_write=1400.0, search_tolerance=0.01)
 
     def test_node_count_below_bft_minimum_in_json_is_a_domain_error(self):
         doc = {"schema_version": 1, "node_count": 3, "max_lambda_read": 20500.0,
                "max_lambda_write": 1400.0}
-        with pytest.raises(DomainError, match="node_count"):
+        with pytest.raises(InputError, match="node_count"):
             CapacityProfile.from_json_dict(doc)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -5.0])
     def test_search_tolerance_must_be_finite_and_non_negative(self, bad):
-        with pytest.raises(DomainError, match="search_tolerance"):
+        with pytest.raises(InputError, match="search_tolerance"):
             CapacityProfile(node_count=4, max_lambda_read=20500.0,
                             max_lambda_write=1400.0, search_tolerance=bad)
         # paper.json's reference endpoints come from no search
@@ -402,6 +402,6 @@ class TestCapacityProfile:
                                max_lambda_write=1400.0, search_tolerance=0.0)
 
     def test_schema_version_checked(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             CapacityProfile.from_json_dict({"schema_version": 2, "node_count": 4,
                                             "max_lambda_read": 1, "max_lambda_write": 1})

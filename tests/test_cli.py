@@ -25,6 +25,7 @@ from chaincap.chainsim import (
     run,
 )
 from chaincap.cli import PAPER_CAPACITY_PATH, build_parser, main
+from chaincap.errors import CalibrationError, ChaincapError, InputError
 from chaincap.scenarios import builtin_scenarios, load_scenarios
 
 
@@ -248,6 +249,20 @@ class TestAssessCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().split("\n")) == 1
+        assert not out.exists()
+
+    def test_sweep_capacity_file_exits_2(self, tmp_path, capsys):
+        # the capacity.json that capacity --nodes 4,5 writes
+        profile = json.loads(PAPER_CAPACITY_PATH.read_text())
+        sweep = {"schema_version": 1,
+                 "profiles": [dict(profile, node_count=n) for n in (4, 5)]}
+        path = tmp_path / "capacity.json"
+        path.write_text(json.dumps(sweep))
+        out = tmp_path / "a"
+        assert main(["assess", "--scenario", "aaa", "--capacity", str(path),
+                     "--out", str(out)]) == 2
+        err = _one_error_line(capsys)
+        assert str(path) in err and "--nodes sweep" in err and "one profile" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv,override", [
@@ -490,6 +505,8 @@ def test_campaign_zero_rate_exits_2_before_drawing(tmp_path, capsys, monkeypatch
     (["campaign", "--kind", "write", "--rates", "400,800,400.0", "--trials", "2"],
      "campaign rates must be distinct"),
     (["capacity", "--kind", "write", "--nodes", "4,5,4"], "node counts must be distinct"),
+    # 1000 nodes over 4001 windows overflow the cpu table: checked before the 4-node search
+    (["capacity", "--kind", "write", "--nodes", "4,1000", "--duration", "4001"], "cpu table"),
 ])
 def test_repeated_grid_value_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv,
                                                      message):
@@ -498,6 +515,20 @@ def test_repeated_grid_value_exits_2_before_drawing(tmp_path, capsys, monkeypatc
     assert main(argv + ["--out", str(out)]) == 2
     assert message in _one_error_line(capsys)
     assert not out.exists()
+
+
+def _subclasses(cls) -> set:
+    return {c for sub in cls.__subclasses__() for c in {sub} | _subclasses(sub)}
+
+
+def test_one_error_class_per_exit_code(capsys, monkeypatch):
+    assert _subclasses(ChaincapError) == {InputError, CalibrationError}
+    for error, code in ((InputError, 2), (CalibrationError, 3)):
+        def fail(args):
+            raise error("one line")
+        monkeypatch.setattr("chaincap.cli.cmd_scenarios", fail)
+        assert main(["scenarios", "list"]) == code
+        assert _one_error_line(capsys) == "error: one line\n"
 
 
 def test_out_naming_a_file_exits_2(tmp_path, capsys):

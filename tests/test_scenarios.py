@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincap.errors import ConflictError, DomainError, SchemaError
+from chaincap.errors import InputError
 from chaincap.scenarios import (
     ScenarioId,
     UseCaseSpec,
@@ -60,7 +60,7 @@ class TestWorkloadFor:
             assert w.lambda_read == 0.0 and w.lambda_write == 0.0
 
     def test_negative_eta_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             workload_for(scenario_by_id(ScenarioId.AAA), -1.0)
 
     def test_zero_events(self):
@@ -79,9 +79,9 @@ class TestWorkloadFor:
         assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_invalid_multiplicity(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             workload_for(UseCaseSpec("none", 0, 0), 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             workload_for(UseCaseSpec("neg", -1, 2), 1.0)
 
     @pytest.mark.parametrize("spec,eta", [
@@ -90,7 +90,7 @@ class TestWorkloadFor:
         (UseCaseSpec("huge", 10**400, 1), 0.0),
     ])
     def test_non_finite_rate_rejected(self, spec, eta):
-        with pytest.raises(DomainError, match="not a finite rate"):
+        with pytest.raises(InputError, match="not a finite rate"):
             workload_for(spec, eta)
 
     def test_additivity_over_use_cases(self):
@@ -138,51 +138,51 @@ class TestLoadScenarios:
                "[use_case:aaa:access_control]\nwrite_payload_bytes = {}\n")
         assert load_scenarios(doc.format(512)) == builtin_scenarios()
         for bad in ("-1", "big"):
-            with pytest.raises(SchemaError, match="write_payload_bytes"):
+            with pytest.raises(InputError, match="write_payload_bytes"):
                 load_scenarios(doc.format(bad))
 
     def test_negative_multiplicity_names_the_field(self):
         doc = ("[config]\nschema_version = 1\n\n"
                "[use_case:aaa:access_control]\nreads_per_event = -3\n")
-        with pytest.raises(SchemaError, match="reads_per_event"):
+        with pytest.raises(InputError, match="reads_per_event"):
             load_scenarios(doc)
 
     def test_unknown_key_rejected(self):
         doc = "[config]\nschema_version = 1\n\n[scenario:aaa]\netaa = 1\n"
-        with pytest.raises(SchemaError, match="etaa"):
+        with pytest.raises(InputError, match="etaa"):
             load_scenarios(doc)
 
     def test_unknown_scenario_rejected(self):
         doc = "[config]\nschema_version = 1\n\n[scenario:bogus]\neta = 1\n"
-        with pytest.raises(SchemaError, match="bogus"):
+        with pytest.raises(InputError, match="bogus"):
             load_scenarios(doc)
 
     def test_unknown_section_rejected(self):
         doc = "[config]\nschema_version = 1\n\n[mystery]\nx = 1\n"
-        with pytest.raises(SchemaError, match="mystery"):
+        with pytest.raises(InputError, match="mystery"):
             load_scenarios(doc)
 
     def test_missing_schema_version(self):
-        with pytest.raises(SchemaError, match="schema_version"):
+        with pytest.raises(InputError, match="schema_version"):
             load_scenarios("[scenario:aaa]\neta = 1\n")
 
     def test_wrong_schema_version(self):
-        with pytest.raises(SchemaError, match="schema_version"):
+        with pytest.raises(InputError, match="schema_version"):
             load_scenarios("[config]\nschema_version = 99\n")
 
     def test_default_section_is_an_unknown_section(self):
         # not a section whose keys every other section inherits
-        with pytest.raises(SchemaError, match=r"unknown section \[DEFAULT\]"):
+        with pytest.raises(InputError, match=r"unknown section \[DEFAULT\]"):
             load_scenarios("[config]\nschema_version = 1\n\n[DEFAULT]\neta = 1\n")
 
     def test_duplicate_keys_conflict(self):
         doc = "[config]\nschema_version = 1\n\n[scenario:aaa]\neta = 1\neta = 2\n"
-        with pytest.raises(ConflictError, match=r"line 6: key 'eta' repeated in \[scenario:aaa"):
+        with pytest.raises(InputError, match=r"line 6: key 'eta' repeated in \[scenario:aaa"):
             load_scenarios(doc)
 
     def test_duplicate_sections_conflict(self):
         doc = ("[config]\nschema_version = 1\n\n"
                "[scenario:aaa]\neta = 1\n\n[scenario:aaa]\neta = 2\n")
-        with pytest.raises(ConflictError):
+        with pytest.raises(InputError):
             load_scenarios(doc)
 
