@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 from .arrival import (
@@ -157,6 +157,9 @@ class CapacityProfile:
         if "profiles" in doc:
             raise InputError("the file holds a --nodes sweep; assess needs one profile, "
                              "of one node count")
+        unknown = doc.keys() - {f.name for f in fields(cls)} - {"schema_version"}
+        if unknown:
+            raise InputError(f"capacity profile has unknown keys {sorted(unknown)}")
         node_count = doc.get("node_count")
         if type(node_count) is not int:  # bool is a subclass of int
             raise InputError(f"capacity profile needs an integer node_count, got {node_count!r}")

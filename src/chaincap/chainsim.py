@@ -413,9 +413,9 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
 
 # --- cluster profile files -------------------------------------------------
 
-# a key parses as its field default's type; schema-1 node_mem_bytes is parsed, then dropped
+# a key parses as its field default's type
 _CLUSTER_KEYS = {f.name: type(f.default) for f in fields(ClusterConfig)
-                 if f.name != "rtt_matrix_ms"} | {"node_mem_bytes": int}
+                 if f.name != "rtt_matrix_ms"}
 
 
 def read_config(document: str) -> dict[str, dict[str, str]]:
@@ -474,7 +474,6 @@ def load_cluster(document: str) -> ClusterConfig:
             kwargs[key] = conv(raw)
         except ValueError:
             raise InputError(f"[cluster] {key}: expected {conv.__name__}, got {raw!r}") from None
-    kwargs.pop("node_mem_bytes", None)
 
     if "rtt_matrix" in sections:
         if "rtt_ms" in kwargs:

@@ -15,9 +15,7 @@ import argparse
 import csv
 import difflib
 import hashlib
-import io
 import json
-import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -168,15 +166,14 @@ def _load_catalog_arg(args, manifest: OutputDir | None = None):
 
 
 def _output_dir(args, seeds: dict) -> OutputDir | None:
-    """The OutputDir named by --out or CHAINCAP_OUT, or None if neither is set."""
-    out = args.out or os.environ.get("CHAINCAP_OUT")
-    return OutputDir(Path(out), args.argv, seeds) if out else None
+    """The OutputDir named by --out, or None if it is not given."""
+    return OutputDir(Path(args.out), args.argv, seeds) if args.out else None
 
 
 def _required_output_dir(args, seeds: dict) -> OutputDir:
     manifest = _output_dir(args, seeds)
     if manifest is None:
-        raise InputError("an output directory is required (--out or CHAINCAP_OUT)")
+        raise InputError("an output directory is required (--out)")
     return manifest
 
 
@@ -307,13 +304,10 @@ def cmd_campaign(args) -> int:
     result = run_campaign(spec)
     if not rates:
         print("warning: empty rate list, vacuous campaign", file=sys.stderr)
-    buf = io.StringIO()
-    write_campaign_csv(result, buf)
-    manifest.write_text("campaign.csv", buf.getvalue())
+    manifest.write_text("campaign.csv", lambda fp: write_campaign_csv(result, fp))
     manifest.write_json("campaign.json", campaign_json_dict(result))
-    buf = io.StringIO()
-    write_plot_data_csv(result, buf)
-    manifest.write_text(f"fig_{args.kind}_{cluster.node_count}nodes.csv", buf.getvalue())
+    manifest.write_text(f"fig_{args.kind}_{cluster.node_count}nodes.csv",
+                        lambda fp: write_plot_data_csv(result, fp))
     manifest.finish()
     print(f"wrote campaign results to {manifest.dir}")
     return 0
@@ -323,6 +317,9 @@ def cmd_campaign(args) -> int:
 
 def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
     if args.capacity:
+        if args.cluster:
+            raise InputError("--capacity and --cluster both set the capacity; "
+                             "give one of them")
         return _read_input(args.capacity, "capacity file",
                            lambda text: CapacityProfile.from_json_dict(json.loads(text)),
                            manifest)
@@ -384,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_opts.add_argument("--cluster",
                           help="cluster profile file (INI); default: shipped profile")
     run_opts.add_argument("--seed", type=int, default=0)
-    run_opts.add_argument("--out", help="output directory (or CHAINCAP_OUT)")
+    run_opts.add_argument("--out", help="output directory")
     trial_opts = argparse.ArgumentParser(add_help=False)
     trial_opts.add_argument("--arrival", choices=[a.value for a in ArrivalKind],
                             default=ArrivalKind.POISSON.value)
@@ -441,8 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv
-    if args.command == "scenarios" and args.action == "show" and not args.id:
-        parser.error("scenarios show requires an id")
+    if args.command == "scenarios" and (args.action == "show") != bool(args.id):
+        parser.error("scenarios show requires an id" if args.action == "show"
+                     else f"scenarios list takes no id, got {args.id!r}")
     try:
         return args.func(args)
     except ChaincapError as exc:

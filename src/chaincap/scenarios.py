@@ -127,17 +127,14 @@ def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> ScenarioWorklo
 # --- override document handling -------------------------------------------
 
 _SCENARIO_KEYS = {"eta"}
-_USE_CASE_KEYS = {"reads_per_event", "writes_per_event", "write_payload_bytes"}
+_USE_CASE_KEYS = {"reads_per_event", "writes_per_event"}
 
 
-def _parse_nonneg_int(raw: str, where: str) -> int:
+def _parse_int(raw: str, where: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise InputError(f"{where}: expected an integer, got {raw!r}") from None
-    if value < 0:
-        raise InputError(f"{where}: must be >= 0, got {value}")
-    return value
 
 
 def load_scenarios(document: str) -> list[ScenarioSpec]:
@@ -175,10 +172,9 @@ def load_scenarios(document: str) -> list[ScenarioSpec]:
                 catalog[sid] = replace(catalog[sid], default_eta=eta)
             continue
         fields = {
-            key: _parse_nonneg_int(keys[key], f"[{section}] {key}")
+            key: _parse_int(keys[key], f"[{section}] {key}")
             for key in _USE_CASE_KEYS if key in keys
         }
-        fields.pop("write_payload_bytes", None)  # schema-1 key, parsed then dropped
         spec = catalog[sid]
         existing = {uc.name: uc for uc in spec.use_cases}
         try:

@@ -65,6 +65,14 @@ class TestScenariosCommand:
         assert "Why on-chain" in out
         assert "when:" in out
 
+    def test_list_with_an_id_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenarios", "list", "aaa"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scenarios list takes no id, got 'aaa'" in captured.err
+
 
 class TestSimulateCommand:
     def test_zero_rate_gives_zero_tps(self, tmp_path, capsys):
@@ -127,15 +135,12 @@ class TestSimulateCommand:
         assert manifest["seeds"] == {"seed": 0}
         assert manifest["tool"] == "chaincap"
 
-    def test_out_dir_from_env(self, tmp_path, monkeypatch):
+    def test_missing_out_dir(self, tmp_path, monkeypatch, capsys):
+        # the output directory is --out alone; an environment variable is not read
         monkeypatch.setenv("CHAINCAP_OUT", str(tmp_path / "envout"))
-        assert main(["simulate", "--kind", "write", "--lambda", "10",
-                     "--duration", "10"]) == 0
-        assert (tmp_path / "envout" / "timeline.csv").is_file()
-
-    def test_missing_out_dir(self, monkeypatch, capsys):
-        monkeypatch.delenv("CHAINCAP_OUT", raising=False)
         assert main(["simulate", "--kind", "write", "--lambda", "10"]) == 2
+        assert _one_error_line(capsys).strip() == "error: an output directory is required (--out)"
+        assert not (tmp_path / "envout").exists()
 
 
 class TestCapacityCommand:
@@ -239,6 +244,10 @@ class TestAssessCommand:
         '"max_lambda_write": 1400, "search_tolerance": 1e400}',
         '{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
         '"max_lambda_write": 1400, "search_tolerance": -5}',
+        # a key the profile does not read
+        pytest.param('{"schema_version": 1, "node_count": 4, "max_lambda_read": 20000, '
+                     '"max_lambda_write": 1400, "search_tolerence": 0.5, "sourse": "lab"}',
+                     id="unknown-keys"),
         pytest.param("[" * 100_000 + "]" * 100_000, id="nested-beyond-recursion-limit"),
     ])
     def test_malformed_capacity_file_exits_2(self, tmp_path, capsys, document):
@@ -249,6 +258,15 @@ class TestAssessCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().split("\n")) == 1
+        assert not out.exists()
+
+    def test_capacity_beside_cluster_exits_2(self, tmp_path, capsys):
+        # the cluster file would never be read, so even a missing one passed
+        out = tmp_path / "a"
+        assert main(["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH),
+                     "--cluster", str(tmp_path / "nope.ini"), "--out", str(out)]) == 2
+        err = _one_error_line(capsys)
+        assert "--capacity" in err and "--cluster" in err
         assert not out.exists()
 
     def test_sweep_capacity_file_exits_2(self, tmp_path, capsys):
@@ -633,7 +651,6 @@ QUICK_START = [line for line in _readme_blocks("sh", "## Quick start")[0].splitl
 @pytest.mark.parametrize("line", QUICK_START)
 def test_readme_quick_start_line_exits_0(tmp_path, monkeypatch, line):
     # outputs go under tmp_path; other relative paths are the repository's
-    monkeypatch.delenv("CHAINCAP_OUT", raising=False)
     argv = [str(tmp_path / a) if a.startswith("runs/") else str(README.parent / a) if "/" in a
             else a for a in shlex.split(line)[1:]]
     assert main(argv) == 0

@@ -132,24 +132,23 @@ class TestLoadScenarios:
         uc = next(s for s in catalog if s.id is ScenarioId.AAA).use_case("bulk_audit")
         assert (uc.reads_per_event, uc.writes_per_event) == (2, 0)
 
-    def test_write_payload_bytes_is_parsed_and_discarded(self):
-        # schema-1 override files written before the key was dropped still load
-        doc = ("[config]\nschema_version = 1\n\n"
-               "[use_case:aaa:access_control]\nwrite_payload_bytes = {}\n")
-        assert load_scenarios(doc.format(512)) == builtin_scenarios()
-        for bad in ("-1", "big"):
-            with pytest.raises(InputError, match="write_payload_bytes"):
-                load_scenarios(doc.format(bad))
-
-    def test_negative_multiplicity_names_the_field(self):
-        doc = ("[config]\nschema_version = 1\n\n"
-               "[use_case:aaa:access_control]\nreads_per_event = -3\n")
-        with pytest.raises(InputError, match="reads_per_event"):
+    @pytest.mark.parametrize("section,value", [
+        ("use_case:aaa:access_control", "reads_per_event = -3"),  # an existing use case
+        ("use_case:aaa:bulk", "reads_per_event = -1\nwrites_per_event = 1"),  # a new one
+    ])
+    def test_negative_multiplicity_names_the_field(self, section, value):
+        doc = f"[config]\nschema_version = 1\n\n[{section}]\n{value}\n"
+        with pytest.raises(InputError,
+                           match=rf"^\[{section}\]: reads_per_event must be >= 0, got -\d$"):
             load_scenarios(doc)
 
-    def test_unknown_key_rejected(self):
-        doc = "[config]\nschema_version = 1\n\n[scenario:aaa]\netaa = 1\n"
-        with pytest.raises(InputError, match="etaa"):
+    @pytest.mark.parametrize("section,key", [
+        ("scenario:aaa", "etaa"),
+        ("use_case:aaa:access_control", "write_payload_bytes"),
+    ])
+    def test_unknown_key_rejected(self, section, key):
+        doc = f"[config]\nschema_version = 1\n\n[{section}]\n{key} = 1\n"
+        with pytest.raises(InputError, match=rf"^\[{section}\]: unknown keys \['{key}'\]$"):
             load_scenarios(doc)
 
     def test_unknown_scenario_rejected(self):
