@@ -10,84 +10,16 @@ rates are at or below the cluster's maxima.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from .bench import CapacityProfile
 from .errors import InputError
-from .scenarios import ScenarioSpec, ScenarioWorkload, workload_for
+from .scenarios import ScenarioSpec, workload_for
 
 
-class Remediation(Enum):
-    BATCH_TRANSACTIONS = "batch_transactions"
-    SCALE_BLOCKCHAIN = "scale_blockchain"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Per-workload suitability result with capacity headroom ratios."""
-
-    scenario_id: str | None
-    use_case: str | None
-    lambda_read: float
-    lambda_write: float
-    capacity: CapacityProfile
-    read_ok: bool
-    write_ok: bool
-    headroom_read: float    # capacity / demand, inf when demand is 0
-    headroom_write: float
-    remediation: tuple[Remediation, ...]
-
-    @property
-    def suitable(self) -> bool:
-        return self.read_ok and self.write_ok
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "scenario": self.scenario_id,
-            "use_case": self.use_case,
-            "lambda_read": self.lambda_read,
-            "lambda_write": self.lambda_write,
-            "capacity": self.capacity.to_json_dict(),
-            "read_ok": self.read_ok,
-            "write_ok": self.write_ok,
-            "suitable": self.suitable,
-            "headroom_read": _json_ratio(self.headroom_read),
-            "headroom_write": _json_ratio(self.headroom_write),
-            "remediation": [r.value for r in self.remediation],
-        }
-
-
-def _json_ratio(value: float):
-    return value if math.isfinite(value) else "inf"
-
-
-def assess(workload: ScenarioWorkload, capacity: CapacityProfile) -> Verdict:
-    """Compare one workload's arrival rates against a capacity profile."""
-    if not math.isfinite(capacity.max_lambda_read) or not math.isfinite(capacity.max_lambda_write):
-        raise InputError("capacity profile must carry finite read and write maxima")
-    read_ok = workload.lambda_read <= capacity.max_lambda_read
-    write_ok = workload.lambda_write <= capacity.max_lambda_write
-    headroom_read = (capacity.max_lambda_read / workload.lambda_read
-                     if workload.lambda_read > 0 else math.inf)
-    headroom_write = (capacity.max_lambda_write / workload.lambda_write
-                      if workload.lambda_write > 0 else math.inf)
-    remediation: tuple[Remediation, ...] = ()
-    if not (read_ok and write_ok):
-        remediation = (Remediation.BATCH_TRANSACTIONS, Remediation.SCALE_BLOCKCHAIN)
-    return Verdict(
-        scenario_id=workload.scenario_id.value if workload.scenario_id else None,
-        use_case=workload.use_case,
-        lambda_read=workload.lambda_read,
-        lambda_write=workload.lambda_write,
-        capacity=capacity,
-        read_ok=read_ok,
-        write_ok=write_ok,
-        headroom_read=headroom_read,
-        headroom_write=headroom_write,
-        remediation=remediation,
-    )
+def _headroom(maximum: float, demand: float):
+    """capacity / demand, written as "inf" when it is not finite (no demand)."""
+    ratio = maximum / demand if demand > 0 else math.inf
+    return ratio if math.isfinite(ratio) else "inf"
 
 
 def resolve_eta(scenario: ScenarioSpec, eta: float | None) -> float:
@@ -105,8 +37,12 @@ def methodology_report(scenario: ScenarioSpec, eta: float | None,
                        capacity: CapacityProfile) -> dict:
     """Machine-readable assessment report covering every pipeline stage."""
     eta_value = resolve_eta(scenario, eta)
-    workload = workload_for(scenario, eta_value)
-    verdict = assess(workload, capacity)
+    lambda_read, lambda_write = workload_for(scenario, eta_value)
+    max_read, max_write = capacity.max_lambda_read, capacity.max_lambda_write
+    if not (math.isfinite(max_read) and math.isfinite(max_write)):
+        raise InputError("capacity profile must carry finite read and write maxima")
+    read_ok, write_ok = lambda_read <= max_read, lambda_write <= max_write
+    suitable = read_ok and write_ok
     return {
         "schema_version": 1,
         "scenario": scenario.id.value,
@@ -128,11 +64,25 @@ def methodology_report(scenario: ScenarioSpec, eta: float | None,
             "eta": eta_value,
             "reads_per_event": scenario.reads_per_event,
             "writes_per_event": scenario.writes_per_event,
-            "lambda_read": workload.lambda_read,
-            "lambda_write": workload.lambda_write,
+            "lambda_read": lambda_read,
+            "lambda_write": lambda_write,
         },
-        "evaluation": verdict.capacity.to_json_dict(),
-        "comparison": verdict.to_json_dict(),
+        "evaluation": capacity.to_json_dict(),
+        # the verdict; "use_case" is always null, a verdict is per scenario
+        "comparison": {
+            "schema_version": 1,
+            "scenario": scenario.id.value,
+            "use_case": None,
+            "lambda_read": lambda_read,
+            "lambda_write": lambda_write,
+            "capacity": capacity.to_json_dict(),
+            "read_ok": read_ok,
+            "write_ok": write_ok,
+            "suitable": suitable,
+            "headroom_read": _headroom(max_read, lambda_read),
+            "headroom_write": _headroom(max_write, lambda_write),
+            "remediation": [] if suitable else ["batch_transactions", "scale_blockchain"],
+        },
     }
 
 

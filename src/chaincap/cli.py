@@ -320,6 +320,9 @@ def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
         if args.cluster:
             raise InputError("--capacity and --cluster both set the capacity; "
                              "give one of them")
+        if args.seed is not None:
+            raise InputError("--seed seeds a capacity search, which --capacity "
+                             "replaces; give one of them")
         return _read_input(args.capacity, "capacity file",
                            lambda text: CapacityProfile.from_json_dict(json.loads(text)),
                            manifest)
@@ -330,7 +333,7 @@ def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
 
 
 def cmd_assess(args) -> int:
-    manifest = _required_output_dir(args, seeds={"base_seed": args.seed})
+    manifest = _required_output_dir(args, seeds={} if args.capacity else {"base_seed": args.seed})
     catalog = _load_catalog_arg(args, manifest)
     capacity = _load_capacity(args, manifest)
 
@@ -345,6 +348,8 @@ def cmd_assess(args) -> int:
     else:
         specs = [scenario_by_id(_parse_scenario_id(args.scenario), catalog)]
 
+    columns = ["scenario", "use_case", "lambda_read", "lambda_write", "read_ok",
+               "write_ok", "headroom_read", "headroom_write"]
     summary_rows = []
     # every report is built, and so checked, before the first file is written
     for report in [methodology_report(spec, args.eta, capacity) for spec in specs]:
@@ -353,14 +358,11 @@ def cmd_assess(args) -> int:
         if args.text:
             print(render_report_text(report))
         v = report["comparison"]
-        summary_rows.append([sid, "", v["lambda_read"], v["lambda_write"], int(v["read_ok"]),
-                             int(v["write_ok"]), v["headroom_read"], v["headroom_write"]])
+        summary_rows.append([int(v[c]) if isinstance(v[c], bool) else v[c] for c in columns])
         label = "suitable" if v["suitable"] else "unsuitable"
         print(f"{sid}: {label} "
               f"(lambda_read={v['lambda_read']}, lambda_write={v['lambda_write']})")
-    manifest.write_csv("summary.csv",
-                       ["scenario", "use_case", "lambda_read", "lambda_write", "read_ok",
-                        "write_ok", "headroom_read", "headroom_write"], summary_rows)
+    manifest.write_csv("summary.csv", columns, summary_rows)
     manifest.finish()
     return 0
 
@@ -380,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_opts = argparse.ArgumentParser(add_help=False)
     run_opts.add_argument("--cluster",
                           help="cluster profile file (INI); default: shipped profile")
-    run_opts.add_argument("--seed", type=int, default=0)
+    run_opts.add_argument("--seed", type=int,
+                          help="base seed (default 0); assess takes none beside --capacity")
     run_opts.add_argument("--out", help="output directory")
     trial_opts = argparse.ArgumentParser(add_help=False)
     trial_opts.add_argument("--arrival", choices=[a.value for a in ArrivalKind],
@@ -438,6 +441,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv
+    # an omitted --seed is 0, except beside assess --capacity, where no search runs
+    if getattr(args, "seed", 0) is None and not getattr(args, "capacity", None):
+        args.seed = 0
     if args.command == "scenarios" and (args.action == "show") != bool(args.id):
         parser.error("scenarios show requires an id" if args.action == "show"
                      else f"scenarios list takes no id, got {args.id!r}")

@@ -85,16 +85,6 @@ class ScenarioSpec:
         raise KeyError(f"scenario {self.id.value} has no use case {name!r}")
 
 
-@dataclass(frozen=True)
-class ScenarioWorkload:
-    """Arrival rates for one scenario (or single use case) at a given eta."""
-
-    scenario_id: ScenarioId | None
-    use_case: str | None
-    lambda_read: float
-    lambda_write: float
-
-
 def builtin_scenarios() -> list[ScenarioSpec]:
     """The seven built-in scenario profiles."""
     return list(_BUILTINS)
@@ -108,20 +98,18 @@ def scenario_by_id(scenario_id: ScenarioId,
     raise KeyError(f"unknown scenario {scenario_id!r}")
 
 
-def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> ScenarioWorkload:
-    """Arrival rates for a scenario or single use case at event rate eta."""
+def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> tuple[float, float]:
+    """``(lambda_read, lambda_write)`` of a scenario or single use case at event rate eta."""
     eta = check_rate(eta, "eta")
-    is_scenario = isinstance(spec, ScenarioSpec)
     try:
         lambda_read, lambda_write = eta * spec.reads_per_event, eta * spec.writes_per_event
     except OverflowError:  # a per-event count beyond the float range
         lambda_read = lambda_write = math.inf
     if not (math.isfinite(lambda_read) and math.isfinite(lambda_write)):
-        raise InputError(f"{spec.id.value if is_scenario else spec.name}: eta {eta!r} times "
+        name = spec.id.value if isinstance(spec, ScenarioSpec) else spec.name
+        raise InputError(f"{name}: eta {eta!r} times "
                          "its reads and writes per event is not a finite rate")
-    return ScenarioWorkload(scenario_id=spec.id if is_scenario else None,
-                            use_case=None if is_scenario else spec.name,
-                            lambda_read=lambda_read, lambda_write=lambda_write)
+    return lambda_read, lambda_write
 
 
 # --- override document handling -------------------------------------------

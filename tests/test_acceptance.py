@@ -20,7 +20,7 @@ from chaincap.arrival import (
     generate_events,
     generate_times,
 )
-from chaincap.assess import assess
+from chaincap.assess import methodology_report
 from chaincap.bench import CapacityProfile, find_max_lambda, run_trial, sweep_nodes
 from chaincap.chainsim import default_cluster, run
 from chaincap.cli import PAPER_CAPACITY_PATH, main
@@ -66,11 +66,9 @@ def read_capacity_multi():
 
 class TestCriterion1RateArithmetic:
     def test_exact_rates(self):
-        low = workload_for(UseCaseSpec("subscriber_key", 0, 1), 0.0115)
-        high = workload_for(UseCaseSpec("access_control", 5, 1), 8333)
-        ok = (low.lambda_write == 0.0115
-              and high.lambda_write == 8333
-              and high.lambda_read == 41665)
+        _, low_write = workload_for(UseCaseSpec("subscriber_key", 0, 1), 0.0115)
+        high_read, high_write = workload_for(UseCaseSpec("access_control", 5, 1), 8333)
+        ok = low_write == 0.0115 and high_write == 8333 and high_read == 41665
         report(1, "arrival-rate arithmetic exact", ok)
 
 
@@ -182,9 +180,9 @@ class TestCriterion8MethodologyVerdicts:
             json.loads(PAPER_CAPACITY_PATH.read_text()))
         pkm = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT)
         aaa = scenario_by_id(ScenarioId.AAA)
-        good = assess(workload_for(pkm, 0.0115), capacity)
-        bad = assess(workload_for(aaa, 8333), capacity)
-        ok = (good.suitable and not bad.read_ok and not bad.write_ok)
+        good = methodology_report(pkm, 0.0115, capacity)["comparison"]
+        bad = methodology_report(aaa, 8333, capacity)["comparison"]
+        ok = good["suitable"] and not bad["read_ok"] and not bad["write_ok"]
         report(8, "PublicKeyMgmt suitable, AAA unsuitable on both axes", ok)
 
 

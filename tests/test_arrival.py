@@ -144,14 +144,15 @@ class TestUnitDraws:
 
 
 class TestSampleInterarrival:
+    # the means are taken over the vector draws every probe divides by its
+    # rate; test_generate_times_within_two_ulp_of_scalar_draws ties those
+    # draws to the scalar oracle
     def test_mean_at_rate_one(self):
-        rng = np.random.Generator(np.random.Philox(key=1))
-        draws = [sample_interarrival(1.0, rng) for _ in range(10**6)]
+        draws = UnitDraws(1).take(0, 10**6) / 1.0
         assert np.mean(draws) == pytest.approx(1.0, abs=0.01)
 
     def test_mean_at_rate_two(self):
-        rng = np.random.Generator(np.random.Philox(key=2))
-        draws = [sample_interarrival(2.0, rng) for _ in range(10**6)]
+        draws = UnitDraws(2).take(0, 10**6) / 2.0
         assert np.mean(draws) == pytest.approx(0.5, abs=0.005)
 
     def test_first_draw_matches_inverse_cdf_oracle(self):
@@ -187,14 +188,14 @@ class TestRateArithmetic:
     """The per-kind rates lambda = eta * multiplicity on hand-made use cases."""
 
     def test_public_key_mgmt_rate(self):
-        w = workload_for(UseCaseSpec("subscriber_key", 0, 1), 0.0115)
-        assert w.lambda_write == 0.0115
-        assert w.lambda_read == 0.0
+        lambda_read, lambda_write = workload_for(UseCaseSpec("subscriber_key", 0, 1), 0.0115)
+        assert lambda_write == 0.0115
+        assert lambda_read == 0.0
 
     def test_aaa_rates(self):
-        w = workload_for(UseCaseSpec("access_control", 5, 1), 8333)
-        assert w.lambda_write == 8333
-        assert w.lambda_read == 41665
+        lambda_read, lambda_write = workload_for(UseCaseSpec("access_control", 5, 1), 8333)
+        assert lambda_write == 8333
+        assert lambda_read == 41665
 
 
 class TestGenerateEvents:

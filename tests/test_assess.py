@@ -6,16 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincap.assess import (
-    Remediation,
-    assess,
-    methodology_report,
-    render_report_text,
-    resolve_eta,
-)
+from chaincap.assess import methodology_report, render_report_text, resolve_eta
 from chaincap.bench import CapacityProfile
 from chaincap.errors import InputError
-from chaincap.scenarios import ScenarioId, scenario_by_id, workload_for
+from chaincap.scenarios import ScenarioId, ScenarioSpec, UseCaseSpec, scenario_by_id
 
 PAPER_JSON = Path(__file__).parent.parent / "src" / "chaincap" / "data" / "paper.json"
 
@@ -25,37 +19,47 @@ def paper_capacity():
     return CapacityProfile.from_json_dict(json.loads(PAPER_JSON.read_text()))
 
 
+def one_use_case(scenario_id: ScenarioId, use_case: UseCaseSpec) -> ScenarioSpec:
+    return ScenarioSpec(id=scenario_id, use_cases=(use_case,))
+
+
+def comparison(spec: ScenarioSpec, eta: float, capacity: CapacityProfile) -> dict:
+    return methodology_report(spec, eta, capacity)["comparison"]
+
+
 class TestAssess:
     def test_public_key_mgmt_is_suitable(self, paper_capacity):
         uc = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT).use_case("subscriber_key")
-        verdict = assess(workload_for(uc, 0.0115), paper_capacity)
-        assert verdict.suitable
-        assert verdict.remediation == ()
+        verdict = comparison(one_use_case(ScenarioId.PUBLIC_KEY_MGMT, uc), 0.0115,
+                             paper_capacity)
+        assert verdict["suitable"]
+        assert verdict["remediation"] == []
 
     def test_aaa_is_unsuitable_on_both_axes(self, paper_capacity):
         uc = scenario_by_id(ScenarioId.AAA).use_case("access_control")
-        verdict = assess(workload_for(uc, 8333), paper_capacity)
-        assert not verdict.read_ok
-        assert not verdict.write_ok
-        assert set(verdict.remediation) == {Remediation.BATCH_TRANSACTIONS,
-                                            Remediation.SCALE_BLOCKCHAIN}
+        verdict = comparison(one_use_case(ScenarioId.AAA, uc), 8333, paper_capacity)
+        assert not verdict["read_ok"]
+        assert not verdict["write_ok"]
+        assert verdict["remediation"] == ["batch_transactions", "scale_blockchain"]
 
     def test_zero_workload_suitable_with_infinite_headroom(self, paper_capacity):
         uc = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT).use_case("subscriber_key")
-        verdict = assess(workload_for(uc, 0.0), paper_capacity)
-        assert verdict.suitable
-        assert math.isinf(verdict.headroom_read)
-        assert math.isinf(verdict.headroom_write)
+        verdict = comparison(one_use_case(ScenarioId.PUBLIC_KEY_MGMT, uc), 0.0,
+                             paper_capacity)
+        assert verdict["suitable"]
+        assert verdict["headroom_read"] == "inf"
+        assert verdict["headroom_write"] == "inf"
 
     def test_boundary_exactness(self, paper_capacity):
         uc = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT).use_case("subscriber_key")
-        at_capacity = assess(workload_for(uc, 1400.0), paper_capacity)
-        assert at_capacity.write_ok  # <= is suitable
-        just_over = assess(workload_for(uc, 1400.0 * (1 + 1e-9)), paper_capacity)
-        assert not just_over.write_ok
+        spec = one_use_case(ScenarioId.PUBLIC_KEY_MGMT, uc)
+        at_capacity = comparison(spec, 1400.0, paper_capacity)
+        assert at_capacity["write_ok"]  # <= is suitable
+        just_over = comparison(spec, 1400.0 * (1 + 1e-9), paper_capacity)
+        assert not just_over["write_ok"]
 
     def test_invalid_capacity_rejected(self):
-        # building the profile is the check, so no invalid one reaches assess
+        # building the profile is the check, so no invalid one reaches a report
         with pytest.raises(InputError, match="maxima"):
             CapacityProfile(node_count=4, max_lambda_read=0.0,
                             max_lambda_write=1400.0, search_tolerance=0.0)
@@ -64,29 +68,28 @@ class TestAssess:
         uc = scenario_by_id(ScenarioId.AAA).use_case("access_control")
         partial = CapacityProfile(node_count=4, max_lambda_read=math.inf,
                                   max_lambda_write=1400.0, search_tolerance=0.0)
-        with pytest.raises(InputError):
-            assess(workload_for(uc, 1.0), partial)
+        with pytest.raises(InputError, match="finite read and write maxima"):
+            comparison(one_use_case(ScenarioId.AAA, uc), 1.0, partial)
 
     @given(eta_lo=st.floats(0.001, 1e5), factor=st.floats(1.0, 100.0))
     def test_verdict_monotone_in_eta(self, eta_lo, factor):
         capacity = CapacityProfile(node_count=4, max_lambda_read=20500.0,
                                    max_lambda_write=1400.0, search_tolerance=0.0)
         spec = scenario_by_id(ScenarioId.AAA)
-        low = assess(workload_for(spec, eta_lo), capacity)
-        high = assess(workload_for(spec, eta_lo * factor), capacity)
+        low = comparison(spec, eta_lo, capacity)
+        high = comparison(spec, eta_lo * factor, capacity)
         # raising eta never turns unsuitable into suitable
-        assert not (not low.suitable and high.suitable)
+        assert not (not low["suitable"] and high["suitable"])
 
     def test_verdict_depends_only_on_rates(self, paper_capacity):
         # eta x multiplicities scaled inversely gives identical rates/verdict
-        from chaincap.scenarios import UseCaseSpec
-
         a = UseCaseSpec(name="a", reads_per_event=4, writes_per_event=2)
         b = UseCaseSpec(name="b", reads_per_event=2, writes_per_event=1)
-        va = assess(workload_for(a, 500.0), paper_capacity)
-        vb = assess(workload_for(b, 1000.0), paper_capacity)
-        assert (va.read_ok, va.write_ok) == (vb.read_ok, vb.write_ok)
-        assert va.headroom_read == vb.headroom_read
+        va = comparison(one_use_case(ScenarioId.AAA, a), 500.0, paper_capacity)
+        vb = comparison(one_use_case(ScenarioId.AAA, b), 1000.0, paper_capacity)
+        assert (va["read_ok"], va["write_ok"]) == (vb["read_ok"], vb["write_ok"])
+        assert va["headroom_read"] == vb["headroom_read"]
+        assert va == vb
 
 
 class TestEtaResolution:

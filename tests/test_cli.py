@@ -15,6 +15,7 @@ from chaincap.bench import (
     DESK_TRIALS,
     WINDOW_S,
     CampaignSpec,
+    CapacityProfile,
 )
 from chaincap.chainsim import (
     MAX_NODES,
@@ -269,6 +270,21 @@ class TestAssessCommand:
         assert "--capacity" in err and "--cluster" in err
         assert not out.exists()
 
+    def test_seed_beside_capacity_exits_2(self, tmp_path, capsys):
+        # no search runs on a capacity file, so the seed would shape nothing
+        out = tmp_path / "a"
+        assert main(["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH),
+                     "--seed", "7", "--out", str(out)]) == 2
+        err = _one_error_line(capsys)
+        assert "--seed" in err and "--capacity" in err
+        assert not out.exists()
+
+    def test_capacity_file_records_no_seed(self, tmp_path):
+        out = tmp_path / "a"
+        assert main(["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == {}
+
     def test_sweep_capacity_file_exits_2(self, tmp_path, capsys):
         # the capacity.json that capacity --nodes 4,5 writes
         profile = json.loads(PAPER_CAPACITY_PATH.read_text())
@@ -476,6 +492,23 @@ def test_search_tolerance_out_of_range_exits_2(tmp_path, capsys, monkeypatch, to
     assert "search tolerance must be in [1e-09, 0.05]" in err
     assert len(err.strip().split("\n")) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,seeds", [
+    (["capacity", "--kind", "write"], {"base_seed": 0}),
+    (["campaign", "--kind", "write", "--rates", "10", "--trials", "1", "--duration", "10"],
+     {"base_seed": 0}),
+    (["assess", "--scenario", "aaa"], {"base_seed": 0}),  # searched on the cluster
+])
+def test_omitted_seed_is_zero(tmp_path, monkeypatch, argv, seeds):
+    profile = CapacityProfile.from_json_dict(json.loads(PAPER_CAPACITY_PATH.read_text()))
+    searched = []
+    monkeypatch.setattr("chaincap.cli.sweep_nodes",
+                        lambda *args, base_seed, **kwargs: searched.append(base_seed) or [profile])
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seeds"] == seeds
+    assert searched in ([], [0])
 
 
 def _one_error_line(capsys) -> str:

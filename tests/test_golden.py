@@ -2,7 +2,8 @@
 
 Each case runs one command at a fixed seed and hashes its exit code and
 every file it writes except ``manifest.json``, which carries wall-clock
-times.  A change that moves any simulated number, or the format it is
+times; the ``--text`` cases hash the report printed to stdout, which no
+file holds.  A change that moves any simulated number, or the format it is
 written in, changes a digest.  A refactor must leave every digest as it is;
 a change that means to move the numbers must say so and re-pin them.
 """
@@ -61,6 +62,17 @@ CASES = {
         "48fc576161d84e3ea6a54231a111dca6dc13e92b6352fa76eb2141264a83c2b6"),
 }
 
+# stdout of assess --text: the rendered methodology reports and summary lines
+TEXT_CASES = {
+    "assess-all-text": (
+        ["assess", "--scenario", "all", "--capacity", str(PAPER_CAPACITY_PATH), "--text"],
+        "574af44e17a4c29efdc587c973816f031ec2f91be0cf29467536615dcb9896e8"),
+    "assess-explicit-eta-text": (
+        ["assess", "--scenario", "resource_sharing", "--eta", "50",
+         "--capacity", str(PAPER_CAPACITY_PATH), "--text"],
+        "2a1be5777621c80d5a6aff1c7c49612c4023cae630c996184990800b41515f4c"),
+}
+
 
 def output_digest(code: int, out: Path) -> str:
     h = hashlib.sha256(f"exit={code}\n".encode())
@@ -77,3 +89,10 @@ def test_golden_output(name, tmp_path):
     code = main(argv + ["--out", str(out)])
     assert code == 0
     assert output_digest(code, out) == expected
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_golden_text(name, tmp_path, capsys):
+    argv, expected = TEXT_CASES[name]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected

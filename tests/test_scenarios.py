@@ -44,38 +44,35 @@ class TestCatalog:
 class TestWorkloadFor:
     def test_public_key_mgmt_case_study(self):
         uc = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT).use_case("subscriber_key")
-        w = workload_for(uc, 0.0115)
-        assert w.lambda_write == 0.0115
-        assert w.lambda_read == 0.0
+        assert workload_for(uc, 0.0115) == (0.0, 0.0115)
 
     def test_aaa_case_study(self):
         uc = scenario_by_id(ScenarioId.AAA).use_case("access_control")
-        w = workload_for(uc, 8333)
-        assert w.lambda_write == 8333
-        assert w.lambda_read == 41665
+        assert workload_for(uc, 8333) == (41665, 8333)
 
     def test_zero_eta(self):
         for spec in builtin_scenarios():
-            w = workload_for(spec, 0.0)
-            assert w.lambda_read == 0.0 and w.lambda_write == 0.0
+            assert workload_for(spec, 0.0) == (0.0, 0.0)
 
     def test_negative_eta_rejected(self):
         with pytest.raises(InputError):
             workload_for(scenario_by_id(ScenarioId.AAA), -1.0)
 
     def test_zero_events(self):
-        assert workload_for(UseCaseSpec("w", 0, 7), 0).lambda_write == 0
-        assert workload_for(UseCaseSpec("r", 0, 1), 5).lambda_read == 0
+        _, lambda_write = workload_for(UseCaseSpec("w", 0, 7), 0)
+        assert lambda_write == 0
+        lambda_read, _ = workload_for(UseCaseSpec("r", 0, 1), 5)
+        assert lambda_read == 0
 
     def test_hand_multiplication(self):
-        assert workload_for(UseCaseSpec("r", 3, 0), 1000).lambda_read == 3000
+        assert workload_for(UseCaseSpec("r", 3, 0), 1000) == (3000, 0)
 
     @given(eta=st.floats(0, 1e6, allow_nan=False), beta=st.integers(0, 100),
            c=st.integers(1, 1000))
     def test_linearity(self, eta, beta, c):
         uc = UseCaseSpec("w", 1, beta)  # one read keeps the use case valid when beta == 0
-        base = workload_for(uc, eta).lambda_write
-        scaled = workload_for(uc, c * eta).lambda_write
+        _, base = workload_for(uc, eta)
+        _, scaled = workload_for(uc, c * eta)
         assert scaled == pytest.approx(c * base, rel=1e-12)
 
     def test_invalid_multiplicity(self):
@@ -96,11 +93,9 @@ class TestWorkloadFor:
     def test_additivity_over_use_cases(self):
         eta = 3.25
         for spec in builtin_scenarios():
-            whole = workload_for(spec, eta)
-            parts_read = sum(workload_for(uc, eta).lambda_read for uc in spec.use_cases)
-            parts_write = sum(workload_for(uc, eta).lambda_write for uc in spec.use_cases)
-            assert whole.lambda_read == parts_read
-            assert whole.lambda_write == parts_write
+            parts = [workload_for(uc, eta) for uc in spec.use_cases]
+            assert workload_for(spec, eta) == (sum(r for r, _ in parts),
+                                               sum(w for _, w in parts))
 
 
 class TestLoadScenarios:
