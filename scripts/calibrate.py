@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Tune the default cluster profile against the capacity targets.
 
-Targets (4 nodes): write capacity ~1400 tx/s, multi-node read capacity
-~20500 tx/s, both under Poisson arrivals.  The script searches
-``write_exec_us`` and ``read_service_us`` (all other knobs fixed at the
-``ClusterConfig`` field defaults in src/chaincap/chainsim.py) so that
-``bench.find_max_lambda`` lands within 2% of each target, then prints the
-values to freeze into the profile.
+Targets: the 4-node write and multi-node read capacities of the shipped
+reference endpoints, src/chaincap/data/paper.json, both under Poisson
+arrivals.  The script searches ``write_exec_us`` and ``read_service_us``
+(all other knobs fixed at the ``ClusterConfig`` field defaults in
+src/chaincap/chainsim.py) so that ``bench.find_max_lambda`` lands within 2%
+of each target, then prints the values to freeze into the profile.
 
 Usage: python3 scripts/calibrate.py [--duration 60] [--seed 0]
 """
@@ -14,14 +14,14 @@ Usage: python3 scripts/calibrate.py [--duration 60] [--seed 0]
 from __future__ import annotations
 
 import argparse
+import json
 from dataclasses import replace
 
 from chaincap.arrival import ArrivalKind, TxKind
-from chaincap.bench import DEFAULT_START_RATE, find_max_lambda
+from chaincap.bench import DEFAULT_START_RATE, CapacityProfile, find_max_lambda
 from chaincap.chainsim import default_cluster
+from chaincap.cli import PAPER_CAPACITY_PATH
 
-WRITE_TARGET = 1400.0
-READ_TARGET = 20500.0
 REL_TOL = 0.02
 
 
@@ -53,17 +53,19 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    paper = CapacityProfile.from_json_dict(json.loads(PAPER_CAPACITY_PATH.read_text()))
+    write_target, read_target = paper.max_lambda_write, paper.max_lambda_read
     base = default_cluster()
     print(f"baseline profile: write_exec_us={base.write_exec_us}, "
           f"read_service_us={base.read_service_us}")
 
-    print("tuning write_exec_us for write capacity ~%.0f ..." % WRITE_TARGET)
-    write_exec, write_cap = tune(base, "write_exec_us", TxKind.WRITE, WRITE_TARGET,
+    print("tuning write_exec_us for write capacity ~%.0f ..." % write_target)
+    write_exec, write_cap = tune(base, "write_exec_us", TxKind.WRITE, write_target,
                                  args.duration, args.seed, start=DEFAULT_START_RATE,
                                  lo=100.0, hi=1500.0)
 
-    print("tuning read_service_us for read capacity ~%.0f ..." % READ_TARGET)
-    read_service, read_cap = tune(base, "read_service_us", TxKind.READ, READ_TARGET,
+    print("tuning read_service_us for read capacity ~%.0f ..." % read_target)
+    read_service, read_cap = tune(base, "read_service_us", TxKind.READ, read_target,
                                   args.duration, args.seed, start=1000.0,
                                   lo=100.0, hi=400.0)
 

@@ -28,7 +28,7 @@ def resolve_eta(scenario: ScenarioSpec, eta: float | None) -> float:
         return eta
     if scenario.default_eta is None:
         raise InputError(
-            f"eta required: scenario {scenario.id.value!r} ships no default "
+            f"eta required: scenario {scenario.id!r} ships no default "
             "concurrent-event rate; supply one explicitly")
     return scenario.default_eta
 
@@ -45,7 +45,7 @@ def methodology_report(scenario: ScenarioSpec, eta: float | None,
     suitable = read_ok and write_ok
     return {
         "schema_version": 1,
-        "scenario": scenario.id.value,
+        "scenario": scenario.id,
         "why_on_chain": scenario.notes,
         "what_is_recorded": [
             {
@@ -71,7 +71,7 @@ def methodology_report(scenario: ScenarioSpec, eta: float | None,
         # the verdict; "use_case" is always null, a verdict is per scenario
         "comparison": {
             "schema_version": 1,
-            "scenario": scenario.id.value,
+            "scenario": scenario.id,
             "use_case": None,
             "lambda_read": lambda_read,
             "lambda_write": lambda_write,

@@ -41,12 +41,7 @@ from .bench import (
 )
 from .chainsim import check_run, default_cluster, load_cluster, run
 from .errors import CalibrationError, ChaincapError, InputError
-from .scenarios import (
-    ScenarioId,
-    builtin_scenarios,
-    load_scenarios,
-    scenario_by_id,
-)
+from .scenarios import builtin_scenarios, load_scenarios
 
 PAPER_CAPACITY_PATH = Path(__file__).parent / "data" / "paper.json"
 # timeline.csv rows converted to Python values at a time; the whole table at
@@ -188,21 +183,20 @@ def _parse_list(raw: str | None, conv, flag: str) -> list:
                          f"got {raw!r}") from None
 
 
-def _parse_scenario_id(raw: str) -> ScenarioId:
-    try:
-        return ScenarioId(raw)
-    except ValueError:
-        known = [s.value for s in ScenarioId]
-        close = difflib.get_close_matches(raw, known, n=1)
+def _lookup_scenario(catalog: dict, raw: str):
+    """The catalog's scenario ``raw``; an unknown id names the closest known one."""
+    if raw not in catalog:
+        close = difflib.get_close_matches(raw, catalog, n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
-        raise InputError(f"unknown scenario {raw!r}{hint} (known: {', '.join(known)})") from None
+        raise InputError(f"unknown scenario {raw!r}{hint} (known: {', '.join(catalog)})")
+    return catalog[raw]
 
 
 # --- scenarios -------------------------------------------------------------
 
 def _scenario_dict(spec) -> dict:
     return {
-        "id": spec.id.value,
+        "id": spec.id,
         "default_eta": spec.default_eta,
         "reads_per_event": spec.reads_per_event,
         "writes_per_event": spec.writes_per_event,
@@ -215,19 +209,19 @@ def cmd_scenarios(args) -> int:
     catalog = _load_catalog_arg(args)
     if args.action == "list":
         if args.json:
-            print(json.dumps([_scenario_dict(s) for s in catalog], indent=2))
+            print(json.dumps([_scenario_dict(s) for s in catalog.values()], indent=2))
         else:
             print(f"{'id':<22} {'reads/ev':>8} {'writes/ev':>9} {'eta':>10}  use cases")
-            for s in catalog:
+            for s in catalog.values():
                 eta = "-" if s.default_eta is None else s.default_eta
-                print(f"{s.id.value:<22} {s.reads_per_event:>8} {s.writes_per_event:>9} "
+                print(f"{s.id:<22} {s.reads_per_event:>8} {s.writes_per_event:>9} "
                       f"{eta:>10}  {', '.join(uc.name for uc in s.use_cases)}")
         return 0
-    spec = scenario_by_id(_parse_scenario_id(args.id), catalog)
+    spec = _lookup_scenario(catalog, args.id)
     if args.json:
         print(json.dumps(_scenario_dict(spec), indent=2))
     else:
-        print(f"Scenario: {spec.id.value}")
+        print(f"Scenario: {spec.id}")
         if spec.default_eta is not None:
             print(f"Default eta: {spec.default_eta} events/s")
         print(f"Why on-chain: {spec.notes}")
@@ -339,14 +333,14 @@ def cmd_assess(args) -> int:
 
     if args.scenario == "all":
         specs = []
-        for spec in catalog:
+        for spec in catalog.values():
             if args.eta is None and spec.default_eta is None:
-                print(f"warning: skipping {spec.id.value}: eta required and no "
+                print(f"warning: skipping {spec.id}: eta required and no "
                       "default is shipped", file=sys.stderr)
                 continue
             specs.append(spec)
     else:
-        specs = [scenario_by_id(_parse_scenario_id(args.scenario), catalog)]
+        specs = [_lookup_scenario(catalog, args.scenario)]
 
     columns = ["scenario", "use_case", "lambda_read", "lambda_write", "read_ok",
                "write_ok", "headroom_read", "headroom_write"]

@@ -12,28 +12,20 @@ Two scenarios ship operator-derived default eta values (public key
 management: 0.0115/s, AAA: 8333/s); the remaining five have no trustworthy
 public figures and require the user to supply eta.
 
-Profiles can be overridden by an INI-style document, see ``load_scenarios``.
+The catalog, the one list of scenario ids, is a dict from id to
+``ScenarioSpec`` in the order the built-ins are listed below:
+``builtin_scenarios`` returns it, and ``load_scenarios`` returns it with an
+INI-style override document merged in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from .arrival import check_rate
 from .chainsim import read_config
 from .errors import InputError
-
-
-class ScenarioId(Enum):
-    PUBLIC_KEY_MGMT = "public_key_mgmt"
-    ID_MGMT = "id_mgmt"
-    AAA = "aaa"
-    CONTEXT_INFO = "context_info"
-    DATA_MGMT_TRADING = "data_mgmt_trading"
-    RESOURCE_SHARING = "resource_sharing"
-    TRADING_SETTLEMENT = "trading_settlement"
 
 
 @dataclass(frozen=True)
@@ -56,19 +48,19 @@ class UseCaseSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A scenario: its use cases, on-chain rationale, and optional default eta."""
+    """A scenario: its id, use cases, on-chain rationale, and optional default eta."""
 
-    id: ScenarioId
+    id: str
     use_cases: tuple[UseCaseSpec, ...]
     notes: str = ""
     default_eta: float | None = None
 
     def __post_init__(self):
         if not self.use_cases:
-            raise InputError(f"scenario {self.id.value} must have at least one use case")
+            raise InputError(f"scenario {self.id} must have at least one use case")
         names = [uc.name for uc in self.use_cases]
         if len(set(names)) != len(names):
-            raise InputError(f"duplicate use-case names in scenario {self.id.value}")
+            raise InputError(f"duplicate use-case names in scenario {self.id}")
 
     @property
     def reads_per_event(self) -> int:
@@ -78,36 +70,21 @@ class ScenarioSpec:
     def writes_per_event(self) -> int:
         return sum(uc.writes_per_event for uc in self.use_cases)
 
-    def use_case(self, name: str) -> UseCaseSpec:
-        for uc in self.use_cases:
-            if uc.name == name:
-                return uc
-        raise KeyError(f"scenario {self.id.value} has no use case {name!r}")
+
+def builtin_scenarios() -> dict[str, ScenarioSpec]:
+    """The seven built-in scenario profiles, keyed by id in catalog order."""
+    return {spec.id: spec for spec in _BUILTINS}
 
 
-def builtin_scenarios() -> list[ScenarioSpec]:
-    """The seven built-in scenario profiles."""
-    return list(_BUILTINS)
-
-
-def scenario_by_id(scenario_id: ScenarioId,
-                   catalog: list[ScenarioSpec] | None = None) -> ScenarioSpec:
-    for spec in catalog if catalog is not None else _BUILTINS:
-        if spec.id is scenario_id:
-            return spec
-    raise KeyError(f"unknown scenario {scenario_id!r}")
-
-
-def workload_for(spec: ScenarioSpec | UseCaseSpec, eta: float) -> tuple[float, float]:
-    """``(lambda_read, lambda_write)`` of a scenario or single use case at event rate eta."""
+def workload_for(spec: ScenarioSpec, eta: float) -> tuple[float, float]:
+    """``(lambda_read, lambda_write)`` of a scenario at event rate eta."""
     eta = check_rate(eta, "eta")
     try:
         lambda_read, lambda_write = eta * spec.reads_per_event, eta * spec.writes_per_event
     except OverflowError:  # a per-event count beyond the float range
         lambda_read = lambda_write = math.inf
     if not (math.isfinite(lambda_read) and math.isfinite(lambda_write)):
-        name = spec.id.value if isinstance(spec, ScenarioSpec) else spec.name
-        raise InputError(f"{name}: eta {eta!r} times "
+        raise InputError(f"{spec.id}: eta {eta!r} times "
                          "its reads and writes per event is not a finite rate")
     return lambda_read, lambda_write
 
@@ -125,29 +102,27 @@ def _parse_int(raw: str, where: str) -> int:
         raise InputError(f"{where}: expected an integer, got {raw!r}") from None
 
 
-def load_scenarios(document: str) -> list[ScenarioSpec]:
+def load_scenarios(document: str) -> dict[str, ScenarioSpec]:
     """Parse an override document and merge it over the built-in catalog.
 
     Sections (grammar of ``chainsim.read_config``): ``[scenario:<id>]`` with
     ``eta``, and ``[use_case:<id>:<name>]`` with per-event multiplicities.
     Unknown sections or keys are rejected loudly.
     """
-    catalog = {spec.id: spec for spec in _BUILTINS}
+    catalog = builtin_scenarios()
     for section, keys in read_config(document).items():
         kind, _, target = section.partition(":")
         if kind == "scenario":
-            sid_raw, name, allowed = target, None, _SCENARIO_KEYS
+            sid, name, allowed = target, None, _SCENARIO_KEYS
         elif kind == "use_case":
-            sid_raw, _, name = target.partition(":")
+            sid, _, name = target.partition(":")
             if not name:
                 raise InputError(f"[{section}]: expected use_case:<scenario>:<name>")
             allowed = _USE_CASE_KEYS
         else:
             raise InputError(f"unknown section [{section}]")
-        try:
-            sid = ScenarioId(sid_raw)
-        except ValueError:
-            raise InputError(f"[{section}]: unknown scenario id {sid_raw!r}") from None
+        if sid not in catalog:
+            raise InputError(f"[{section}]: unknown scenario id {sid!r}")
         unknown = keys.keys() - allowed
         if unknown:
             raise InputError(f"[{section}]: unknown keys {sorted(unknown)}")
@@ -179,15 +154,14 @@ def load_scenarios(document: str) -> list[ScenarioSpec]:
         except ValueError as exc:
             raise InputError(f"[{section}]: {exc}") from None
         catalog[sid] = replace(spec, use_cases=use_cases)
-
-    return [catalog[spec.id] for spec in _BUILTINS]
+    return catalog
 
 
 # --- built-in catalog ------------------------------------------------------
 
 _BUILTINS: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
-        id=ScenarioId.PUBLIC_KEY_MGMT,
+        id="public_key_mgmt",
         notes=(
             "Decentralized public-key registry: tamper-proof key records replace a "
             "centralized PKI and let third parties authenticate users and equipment. "
@@ -216,7 +190,7 @@ _BUILTINS: tuple[ScenarioSpec, ...] = (
         ),
     ),
     ScenarioSpec(
-        id=ScenarioId.ID_MGMT,
+        id="id_mgmt",
         notes=(
             "Cross-domain identity without a trusted third party: pseudonym-to-key "
             "mappings and decentralized identifiers recorded for authenticity and audit."
@@ -237,7 +211,7 @@ _BUILTINS: tuple[ScenarioSpec, ...] = (
         ),
     ),
     ScenarioSpec(
-        id=ScenarioId.AAA,
+        id="aaa",
         notes=(
             "Authentication, authorization and access control as smart contracts: "
             "traceable, auditable access to subscriber data across mutually "
@@ -258,7 +232,7 @@ _BUILTINS: tuple[ScenarioSpec, ...] = (
         ),
     ),
     ScenarioSpec(
-        id=ScenarioId.CONTEXT_INFO,
+        id="context_info",
         notes=(
             "Context information (personal and location) kept on-chain for fast "
             "multi-operator access with auditable modification history."
@@ -279,7 +253,7 @@ _BUILTINS: tuple[ScenarioSpec, ...] = (
         ),
     ),
     ScenarioSpec(
-        id=ScenarioId.DATA_MGMT_TRADING,
+        id="data_mgmt_trading",
         notes=(
             "Data management and trading over an on-chain/off-chain split: only "
             "hashes and data-activity records go on the ledger, bulk data stays "
@@ -325,7 +299,7 @@ _BUILTINS: tuple[ScenarioSpec, ...] = (
         ),
     ),
     ScenarioSpec(
-        id=ScenarioId.RESOURCE_SHARING,
+        id="resource_sharing",
         notes=(
             "Spectrum, compute and network sharing between stakeholders with "
             "smart-contract settlement and auction, no centralized broker."
@@ -352,7 +326,7 @@ _BUILTINS: tuple[ScenarioSpec, ...] = (
         ),
     ),
     ScenarioSpec(
-        id=ScenarioId.TRADING_SETTLEMENT,
+        id="trading_settlement",
         notes=(
             "Inter-operator trading and settlement: auditable usage records and "
             "automatic smart-contract settlement replacing slow intermediaries."

@@ -17,6 +17,7 @@ from chaincap.arrival import (
     ArrivalKind,
     ArrivalProcess,
     TxKind,
+    UnitDraws,
     generate_events,
     generate_times,
 )
@@ -24,7 +25,7 @@ from chaincap.assess import methodology_report
 from chaincap.bench import CapacityProfile, find_max_lambda, run_trial, sweep_nodes
 from chaincap.chainsim import default_cluster, run
 from chaincap.cli import PAPER_CAPACITY_PATH, main
-from chaincap.scenarios import ScenarioId, UseCaseSpec, scenario_by_id, workload_for
+from chaincap.scenarios import ScenarioSpec, UseCaseSpec, builtin_scenarios, workload_for
 
 
 _CAPTURE = None
@@ -66,8 +67,10 @@ def read_capacity_multi():
 
 class TestCriterion1RateArithmetic:
     def test_exact_rates(self):
-        _, low_write = workload_for(UseCaseSpec("subscriber_key", 0, 1), 0.0115)
-        high_read, high_write = workload_for(UseCaseSpec("access_control", 5, 1), 8333)
+        low = ScenarioSpec("public_key_mgmt", (UseCaseSpec("subscriber_key", 0, 1),))
+        high = ScenarioSpec("aaa", (UseCaseSpec("access_control", 5, 1),))
+        _, low_write = workload_for(low, 0.0115)
+        high_read, high_write = workload_for(high, 8333)
         ok = low_write == 0.0115 and high_write == 8333 and high_read == 41665
         report(1, "arrival-rate arithmetic exact", ok)
 
@@ -76,8 +79,7 @@ class TestCriterion2GeneratorStatistics:
     def test_ks_against_exponential(self):
         passed = 0
         for seed in range(100):
-            rng = ArrivalProcess(ArrivalKind.POISSON, 50.0, seed=seed).rng()
-            x = -np.log1p(-rng.random(100_000)) / 50.0
+            x = UnitDraws(seed).take(0, 100_000) / 50.0
             if stats.kstest(x, "expon", args=(0, 1 / 50.0)).pvalue > 0.001:
                 passed += 1
         report(2, f"KS vs Exp(50) passes {passed}/100 seeds", passed >= 99)
@@ -178,8 +180,8 @@ class TestCriterion8MethodologyVerdicts:
     def test_reference_verdicts(self):
         capacity = CapacityProfile.from_json_dict(
             json.loads(PAPER_CAPACITY_PATH.read_text()))
-        pkm = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT)
-        aaa = scenario_by_id(ScenarioId.AAA)
+        catalog = builtin_scenarios()
+        pkm, aaa = catalog["public_key_mgmt"], catalog["aaa"]
         good = methodology_report(pkm, 0.0115, capacity)["comparison"]
         bad = methodology_report(aaa, 8333, capacity)["comparison"]
         ok = good["suitable"] and not bad["read_ok"] and not bad["write_ok"]

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from chaincap.assess import methodology_report, render_report_text, resolve_eta
 from chaincap.bench import CapacityProfile
 from chaincap.errors import InputError
-from chaincap.scenarios import ScenarioId, ScenarioSpec, UseCaseSpec, scenario_by_id
+from chaincap.scenarios import ScenarioSpec, UseCaseSpec, builtin_scenarios
 
 PAPER_JSON = Path(__file__).parent.parent / "src" / "chaincap" / "data" / "paper.json"
 
@@ -19,7 +19,13 @@ def paper_capacity():
     return CapacityProfile.from_json_dict(json.loads(PAPER_JSON.read_text()))
 
 
-def one_use_case(scenario_id: ScenarioId, use_case: UseCaseSpec) -> ScenarioSpec:
+CATALOG = builtin_scenarios()
+SUBSCRIBER_KEY, = (uc for uc in CATALOG["public_key_mgmt"].use_cases
+                   if uc.name == "subscriber_key")
+ACCESS_CONTROL, = (uc for uc in CATALOG["aaa"].use_cases if uc.name == "access_control")
+
+
+def one_use_case(scenario_id: str, use_case: UseCaseSpec) -> ScenarioSpec:
     return ScenarioSpec(id=scenario_id, use_cases=(use_case,))
 
 
@@ -29,30 +35,26 @@ def comparison(spec: ScenarioSpec, eta: float, capacity: CapacityProfile) -> dic
 
 class TestAssess:
     def test_public_key_mgmt_is_suitable(self, paper_capacity):
-        uc = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT).use_case("subscriber_key")
-        verdict = comparison(one_use_case(ScenarioId.PUBLIC_KEY_MGMT, uc), 0.0115,
+        verdict = comparison(one_use_case("public_key_mgmt", SUBSCRIBER_KEY), 0.0115,
                              paper_capacity)
         assert verdict["suitable"]
         assert verdict["remediation"] == []
 
     def test_aaa_is_unsuitable_on_both_axes(self, paper_capacity):
-        uc = scenario_by_id(ScenarioId.AAA).use_case("access_control")
-        verdict = comparison(one_use_case(ScenarioId.AAA, uc), 8333, paper_capacity)
+        verdict = comparison(one_use_case("aaa", ACCESS_CONTROL), 8333, paper_capacity)
         assert not verdict["read_ok"]
         assert not verdict["write_ok"]
         assert verdict["remediation"] == ["batch_transactions", "scale_blockchain"]
 
     def test_zero_workload_suitable_with_infinite_headroom(self, paper_capacity):
-        uc = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT).use_case("subscriber_key")
-        verdict = comparison(one_use_case(ScenarioId.PUBLIC_KEY_MGMT, uc), 0.0,
+        verdict = comparison(one_use_case("public_key_mgmt", SUBSCRIBER_KEY), 0.0,
                              paper_capacity)
         assert verdict["suitable"]
         assert verdict["headroom_read"] == "inf"
         assert verdict["headroom_write"] == "inf"
 
     def test_boundary_exactness(self, paper_capacity):
-        uc = scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT).use_case("subscriber_key")
-        spec = one_use_case(ScenarioId.PUBLIC_KEY_MGMT, uc)
+        spec = one_use_case("public_key_mgmt", SUBSCRIBER_KEY)
         at_capacity = comparison(spec, 1400.0, paper_capacity)
         assert at_capacity["write_ok"]  # <= is suitable
         just_over = comparison(spec, 1400.0 * (1 + 1e-9), paper_capacity)
@@ -65,17 +67,16 @@ class TestAssess:
                             max_lambda_write=1400.0, search_tolerance=0.0)
 
     def test_infinite_capacity_axis_rejected(self):
-        uc = scenario_by_id(ScenarioId.AAA).use_case("access_control")
         partial = CapacityProfile(node_count=4, max_lambda_read=math.inf,
                                   max_lambda_write=1400.0, search_tolerance=0.0)
         with pytest.raises(InputError, match="finite read and write maxima"):
-            comparison(one_use_case(ScenarioId.AAA, uc), 1.0, partial)
+            comparison(one_use_case("aaa", ACCESS_CONTROL), 1.0, partial)
 
     @given(eta_lo=st.floats(0.001, 1e5), factor=st.floats(1.0, 100.0))
     def test_verdict_monotone_in_eta(self, eta_lo, factor):
         capacity = CapacityProfile(node_count=4, max_lambda_read=20500.0,
                                    max_lambda_write=1400.0, search_tolerance=0.0)
-        spec = scenario_by_id(ScenarioId.AAA)
+        spec = CATALOG["aaa"]
         low = comparison(spec, eta_lo, capacity)
         high = comparison(spec, eta_lo * factor, capacity)
         # raising eta never turns unsuitable into suitable
@@ -85,8 +86,8 @@ class TestAssess:
         # eta x multiplicities scaled inversely gives identical rates/verdict
         a = UseCaseSpec(name="a", reads_per_event=4, writes_per_event=2)
         b = UseCaseSpec(name="b", reads_per_event=2, writes_per_event=1)
-        va = comparison(one_use_case(ScenarioId.AAA, a), 500.0, paper_capacity)
-        vb = comparison(one_use_case(ScenarioId.AAA, b), 1000.0, paper_capacity)
+        va = comparison(one_use_case("aaa", a), 500.0, paper_capacity)
+        vb = comparison(one_use_case("aaa", b), 1000.0, paper_capacity)
         assert (va["read_ok"], va["write_ok"]) == (vb["read_ok"], vb["write_ok"])
         assert va["headroom_read"] == vb["headroom_read"]
         assert va == vb
@@ -94,20 +95,20 @@ class TestAssess:
 
 class TestEtaResolution:
     def test_explicit_eta_wins(self):
-        spec = scenario_by_id(ScenarioId.AAA)
+        spec = CATALOG["aaa"]
         assert resolve_eta(spec, 12.0) == 12.0
 
     def test_default_eta_fallback(self):
-        assert resolve_eta(scenario_by_id(ScenarioId.AAA), None) == 8333.0
+        assert resolve_eta(CATALOG["aaa"], None) == 8333.0
 
     def test_missing_eta_is_loud(self):
         with pytest.raises(InputError, match="eta required"):
-            resolve_eta(scenario_by_id(ScenarioId.RESOURCE_SHARING), None)
+            resolve_eta(CATALOG["resource_sharing"], None)
 
 
 class TestMethodologyReport:
     def test_aaa_report_comparison_stage(self, paper_capacity):
-        report = methodology_report(scenario_by_id(ScenarioId.AAA), 8333, paper_capacity)
+        report = methodology_report(CATALOG["aaa"], 8333, paper_capacity)
         am = report["arrival_model"]
         assert am["lambda_read"] == 41665
         assert am["lambda_write"] == 8333
@@ -117,24 +118,24 @@ class TestMethodologyReport:
         assert am["lambda_write"] > report["evaluation"]["max_lambda_write"]
 
     def test_public_key_mgmt_default_report(self, paper_capacity):
-        report = methodology_report(scenario_by_id(ScenarioId.PUBLIC_KEY_MGMT),
+        report = methodology_report(CATALOG["public_key_mgmt"],
                                     None, paper_capacity)
         assert report["comparison"]["suitable"]
         assert report["arrival_model"]["eta"] == 0.0115
 
     def test_missing_eta_raises(self, paper_capacity):
         with pytest.raises(InputError, match="eta required"):
-            methodology_report(scenario_by_id(ScenarioId.RESOURCE_SHARING),
+            methodology_report(CATALOG["resource_sharing"],
                                None, paper_capacity)
 
     def test_report_covers_all_stages(self, paper_capacity):
-        report = methodology_report(scenario_by_id(ScenarioId.AAA), 8333, paper_capacity)
+        report = methodology_report(CATALOG["aaa"], 8333, paper_capacity)
         for stage in ("why_on_chain", "what_is_recorded", "when", "arrival_model",
                       "evaluation", "comparison"):
             assert stage in report
 
     def test_text_rendering(self, paper_capacity):
-        report = methodology_report(scenario_by_id(ScenarioId.AAA), 8333, paper_capacity)
+        report = methodology_report(CATALOG["aaa"], 8333, paper_capacity)
         text = render_report_text(report)
         assert "UNSUITABLE" in text
         assert "8333" in text

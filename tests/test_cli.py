@@ -30,6 +30,11 @@ from chaincap.errors import CalibrationError, ChaincapError, InputError
 from chaincap.scenarios import builtin_scenarios, load_scenarios
 
 
+# the catalog's ids in catalog order, as the unknown-id error lists them
+KNOWN_IDS = ("public_key_mgmt, id_mgmt, aaa, context_info, data_mgmt_trading, "
+             "resource_sharing, trading_settlement")
+
+
 def read_outputs(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
             if p.name != "manifest.json"}
@@ -56,9 +61,11 @@ class TestScenariosCommand:
         for uc in json.loads(capsys.readouterr().out)["use_cases"]:
             assert list(uc) == ["name", "reads_per_event", "writes_per_event", "trigger"]
 
-    def test_show_unknown_id_exits_2_with_suggestion(self, capsys):
-        assert main(["scenarios", "show", "aab"]) == 2
-        assert "aaa" in capsys.readouterr().err
+    @pytest.mark.parametrize("raw,hint", [("aab", "; did you mean 'aaa'?"), ("zzz", "")])
+    def test_show_unknown_id_exits_2(self, capsys, raw, hint):
+        assert main(["scenarios", "show", raw]) == 2
+        assert capsys.readouterr().err == (f"error: unknown scenario {raw!r}{hint} "
+                                           f"(known: {KNOWN_IDS})\n")
 
     def test_show_includes_why_what_when(self, capsys):
         assert main(["scenarios", "show", "public_key_mgmt"]) == 0
@@ -259,6 +266,14 @@ class TestAssessCommand:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().split("\n")) == 1
+        assert not out.exists()
+
+    def test_unknown_scenario_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert main(["assess", "--scenario", "aab", "--capacity", str(PAPER_CAPACITY_PATH),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: unknown scenario 'aab'; did you mean "
+                                           f"'aaa'? (known: {KNOWN_IDS})\n")
         assert not out.exists()
 
     def test_capacity_beside_cluster_exits_2(self, tmp_path, capsys):

@@ -2,8 +2,8 @@
 
 Each case runs one command at a fixed seed and hashes its exit code and
 every file it writes except ``manifest.json``, which carries wall-clock
-times; the ``--text`` cases hash the report printed to stdout, which no
-file holds.  A change that moves any simulated number, or the format it is
+times; the ``--text`` and ``scenarios`` cases hash what is printed to
+stdout, which no file holds.  A change that moves any simulated number, or the format it is
 written in, changes a digest.  A refactor must leave every digest as it is;
 a change that means to move the numbers must say so and re-pin them.
 """
@@ -74,6 +74,23 @@ TEXT_CASES = {
 }
 
 
+# stdout of the catalog commands, which write no files
+SCENARIOS_CASES = {
+    "scenarios-list": (
+        ["scenarios", "list"],
+        "87523d7ee0012877e09af15ba1fe54f9efaefcc766e63ea5746d569d77e13d4a"),
+    "scenarios-list-json": (
+        ["scenarios", "list", "--json"],
+        "cb20dd5354c903db8faa7dede7b29d01daf89993fdd8c84167998d55288384a2"),
+    "scenarios-show": (
+        ["scenarios", "show", "aaa"],
+        "8b87f5c0dcabea9f865389f6fb4e878dc1d7345fb9064919fe34664e29ebc6f3"),
+    "scenarios-show-json": (
+        ["scenarios", "show", "data_mgmt_trading", "--json"],
+        "82bd64265eea1ce4992e34965a02f3b2da85480777ae75344a039fbf4117f560"),
+}
+
+
 def output_digest(code: int, out: Path) -> str:
     h = hashlib.sha256(f"exit={code}\n".encode())
     for path in sorted(out.iterdir()):
@@ -95,4 +112,11 @@ def test_golden_output(name, tmp_path):
 def test_golden_text(name, tmp_path, capsys):
     argv, expected = TEXT_CASES[name]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS_CASES))
+def test_golden_scenarios(name, capsys):
+    argv, expected = SCENARIOS_CASES[name]
+    assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected
