@@ -9,18 +9,23 @@ src/chaincap/chainsim.py) so that ``bench.find_max_lambda`` lands within 2%
 of each target, then prints the values to freeze into the profile.
 
 Usage: python3 scripts/calibrate.py [--duration 60] [--seed 0]
+
+Exits 0 when done, 2 on a bad argument and 3 when a search finds no steady
+operating point, each failure with one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import replace
 
 from chaincap.arrival import ArrivalKind, TxKind
 from chaincap.bench import DEFAULT_START_RATE, CapacityProfile, find_max_lambda
 from chaincap.chainsim import default_cluster
 from chaincap.cli import PAPER_CAPACITY_PATH
+from chaincap.errors import ChaincapError
 
 REL_TOL = 0.02
 
@@ -47,12 +52,8 @@ def tune(base, field, kind, target, duration, seed, start, lo, hi, iters=20):
     return best
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--duration", type=float, default=60.0)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-
+def calibrate(duration: float, seed: int) -> None:
+    """Tune both knobs and print the values to freeze."""
     paper = CapacityProfile.from_json_dict(json.loads(PAPER_CAPACITY_PATH.read_text()))
     write_target, read_target = paper.max_lambda_write, paper.max_lambda_read
     base = default_cluster()
@@ -61,12 +62,12 @@ def main():
 
     print("tuning write_exec_us for write capacity ~%.0f ..." % write_target)
     write_exec, write_cap = tune(base, "write_exec_us", TxKind.WRITE, write_target,
-                                 args.duration, args.seed, start=DEFAULT_START_RATE,
+                                 duration, seed, start=DEFAULT_START_RATE,
                                  lo=100.0, hi=1500.0)
 
     print("tuning read_service_us for read capacity ~%.0f ..." % read_target)
     read_service, read_cap = tune(base, "read_service_us", TxKind.READ, read_target,
-                                  args.duration, args.seed, start=1000.0,
+                                  duration, seed, start=1000.0,
                                   lo=100.0, hi=400.0)
 
     print("\nfreeze into the ClusterConfig defaults in src/chaincap/chainsim.py:")
@@ -74,5 +75,18 @@ def main():
     print(f"  read_service_us = {read_service:.1f}   (capacity {read_cap:.1f})")
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--duration", type=float, default=60.0)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    try:
+        calibrate(args.duration, args.seed)
+    except ChaincapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

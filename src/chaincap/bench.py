@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 
 from .arrival import (
+    MAX_EXPECTED_EVENTS,
     ArrivalKind,
     ArrivalProcess,
     TxKind,
@@ -104,13 +105,6 @@ class RateAggregate:
     mean_cpu: float
     steady_trials: int
     trials: int
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    spec: CampaignSpec
-    trials: tuple[TrialSummary, ...]
-    aggregates: tuple[RateAggregate, ...]
 
 
 @dataclass(frozen=True)
@@ -250,33 +244,28 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
     return Trial(kind, lam, seed, run(cluster, events, horizon=duration_s, window_s=WINDOW_S))
 
 
-def _seed_trials(spec: CampaignSpec, seed: int) -> list[TrialSummary]:
-    """The trials of every rate at one seed, in ``spec.rates`` order; they
-    share that seed's draws."""
-    draws = UnitDraws(seed)
-    # the fastest rate runs first, so its stream draws the buffer at full
-    # length and the slower rates take views of it rather than grow it rate
-    # after rate; the summary drops the trial's timeline before the next trial
-    summaries = {rate: run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
-                                 spec.duration_s, seed=seed, draws=draws).summary()
-                 for rate in sorted(spec.rates, reverse=True)}
-    return [summaries[rate] for rate in spec.rates]
-
-
-def run_campaign(spec: CampaignSpec) -> CampaignResult:
-    """Run trials x rates with seeds base_seed + trial index; aggregate per rate.
+def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
+                                               tuple[RateAggregate, ...]]:
+    """Run trials x rates with seeds base_seed + trial index; return the
+    trials and the per-rate aggregates.
 
     Trial i of every rate runs at seed base_seed + i, so the campaign runs
     seed-major: the trials at one seed share its :class:`UnitDraws`, and
     only one seed's draws are held at a time.  Trials and aggregates are
     reported rate-major, trial after trial within a rate.
     """
-    by_seed = [_seed_trials(spec, spec.base_seed + i) for i in range(spec.trials)]
-    trials: list[TrialSummary] = []
-    aggregates: list[RateAggregate] = []
-    for r, rate in enumerate(spec.rates):
-        rate_trials = [seed_trials[r] for seed_trials in by_seed]
-        trials.extend(rate_trials)
+    by_rate: dict[float, list[TrialSummary]] = {rate: [] for rate in spec.rates}
+    for seed in range(spec.base_seed, spec.base_seed + spec.trials):
+        draws = UnitDraws(seed)
+        # the fastest rate runs first, so its stream draws the buffer at full
+        # length and the slower rates take views of it rather than grow it rate
+        # after rate; the summary drops the trial's timeline before the next trial
+        for rate in sorted(spec.rates, reverse=True):
+            by_rate[rate].append(run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
+                                           spec.duration_s, seed=seed, draws=draws).summary())
+        del draws  # before the next seed's draws are made
+    aggregates = []
+    for rate, rate_trials in by_rate.items():
         tps = [t.mean_tps for t in rate_trials]
         lats = [t.mean_latency_ms for t in rate_trials]
         aggregates.append(RateAggregate(
@@ -289,7 +278,7 @@ def run_campaign(spec: CampaignSpec) -> CampaignResult:
             steady_trials=sum(t.steady for t in rate_trials),
             trials=spec.trials,
         ))
-    return CampaignResult(spec=spec, trials=tuple(trials), aggregates=tuple(aggregates))
+    return tuple(t for rate_trials in by_rate.values() for t in rate_trials), tuple(aggregates)
 
 
 def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
@@ -314,11 +303,13 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     draws = UnitDraws(base_seed)
 
     def probe(lam: float) -> Trial:
+        if lam * duration_s > MAX_EXPECTED_EVENTS:
+            raise InputError(
+                f"the {kind.value} capacity search would probe {lam!r}/s over {duration_s!r} s, "
+                f"which expects {lam * duration_s:.4g} events, more than the "
+                f"{MAX_EXPECTED_EVENTS:,} one trial may hold; give a shorter --duration")
         return run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
                          draws=draws)
-
-    def steady(lam: float) -> bool:
-        return probe(lam).steady
 
     lo = check_rate(start, "start")
     if lo <= 0:
@@ -332,12 +323,12 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
             f"[{lo * (1 - STEADY_TOLERANCE):.2f}, {lo * (1 + STEADY_TOLERANCE):.2f}] "
             f"at seed {base_seed}")
     hi = lo * 2.0
-    while steady(hi):
+    while probe(hi).steady:
         lo = hi
         hi *= 2.0
     while hi / lo - 1.0 > tolerance:
         mid = math.sqrt(lo * hi)
-        if steady(mid):
+        if probe(mid).steady:
             lo = mid
         else:
             hi = mid
@@ -377,19 +368,18 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
 
 # --- result emitters -------------------------------------------------------
 
-def write_campaign_csv(result: CampaignResult, fp) -> None:
+def write_campaign_csv(spec: CampaignSpec, trials: tuple[TrialSummary, ...], fp) -> None:
     """One row per trial, stable column order."""
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["lambda_offered", "trial", "seed", "mean_tps",
                      "mean_latency_ms", "mean_cpu", "steady"])
-    for t in result.trials:
+    for t in trials:
         # trial i runs at seed base_seed + i
-        writer.writerow([t.lambda_offered, t.seed - result.spec.base_seed, t.seed,
+        writer.writerow([t.lambda_offered, t.seed - spec.base_seed, t.seed,
                          t.mean_tps, t.mean_latency_ms, t.mean_cpu, int(t.steady)])
 
 
-def campaign_json_dict(result: CampaignResult) -> dict:
-    spec = result.spec
+def campaign_json_dict(spec: CampaignSpec, aggregates: tuple[RateAggregate, ...]) -> dict:
     return {
         "schema_version": 1,
         "kind": spec.kind.value,
@@ -399,13 +389,13 @@ def campaign_json_dict(result: CampaignResult) -> dict:
         "duration_s": spec.duration_s,
         "base_seed": spec.base_seed,
         "steady_tolerance": STEADY_TOLERANCE,
-        "aggregates": [asdict(a) for a in result.aggregates],
+        "aggregates": [asdict(a) for a in aggregates],
     }
 
 
-def write_plot_data_csv(result: CampaignResult, fp) -> None:
+def write_plot_data_csv(aggregates: tuple[RateAggregate, ...], fp) -> None:
     """Per-figure plot data: arrival rate vs tps, cpu and latency."""
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["arrival_rate", "tps", "cpu_utilization", "latency_ms"])
-    for a in result.aggregates:
+    for a in aggregates:
         writer.writerow([a.lambda_offered, a.mean_tps, a.mean_cpu, a.mean_latency_ms])

@@ -175,35 +175,36 @@ def _block_sums(values: np.ndarray, fills: np.ndarray) -> np.ndarray:
 class MetricsTimeline:
     """Per-window metrics of one simulation run plus end-of-run totals.
 
-    ``run`` builds it from the read completions and the blocks, one entry
-    per block in commit order.  At once it computes each block's and each
-    read's window, once (a read still queued at the horizon goes to one bin
-    past the last window, which every read series cuts off), the per-window
-    committed and served counts and the six totals.  Every other series is
-    derived on first access and then kept, so a caller that reads only
-    throughput computes no latency, cpu, pool or ledger series.
+    ``run`` builds it from the read completions and each block's commit
+    time and pool depth, in commit order; a block's fill is derived as
+    ``min(depth, block_tx_capacity)``, the block loop's own rule.  At once
+    it computes each block's and each read's window, once (a read still
+    queued at the horizon goes to one bin past the last window, which every
+    per-window series cuts off), the per-window committed and served counts
+    and the six totals.  Every other series is derived on first access and
+    then kept, so a caller that reads only throughput computes no latency,
+    cpu, pool or ledger series.
     """
 
     def __init__(self, cluster: ClusterConfig, events: EventStream, horizon: float,
                  window_s: float, n_windows: int, read_completions_s: np.ndarray,
-                 commit_s: np.ndarray, fills: np.ndarray, depths: np.ndarray):
+                 commit_s: np.ndarray, depths: np.ndarray):
         self.window_s = window_s
         self.read_completions_s = read_completions_s
         self._cluster, self._events = cluster, events
         self._n_windows = n_windows
-        self._commit_s, self._fills, self._depths = commit_s, fills, depths
+        self._commit_s, self._depths = commit_s, depths
+        self._fills = np.minimum(depths, cluster.block_tx_capacity)
         self._block_windows = self._window_of(commit_s)
         # a read still queued at the horizon goes to one bin past the run
         self._read_windows = self._window_of(read_completions_s)
         self._read_windows[read_completions_s > horizon] = n_windows
-        # bincount adds each bin's weights in array order
-        self._committed_count = np.bincount(self._block_windows, weights=fills,
-                                            minlength=self._n_windows)
-        self._served_count = self._per_read_window(self._read_windows)
+        self._committed_count = self._per_window(self._block_windows, self._fills)
+        self._served_count = self._per_window(self._read_windows)
         self.committed_write_tps = self._committed_count / window_s
         self.served_read_tps = self._served_count / window_s
         self.arrived_writes = int(events.write_times.size)
-        self.committed_writes = int(fills.sum())
+        self.committed_writes = int(self._fills.sum())
         self.pending_writes = self.arrived_writes - self.committed_writes
         self.arrived_reads = int(events.read_times.size)
         self.served_reads = int(self._served_count.sum())
@@ -212,9 +213,9 @@ class MetricsTimeline:
     def _window_of(self, t: np.ndarray) -> np.ndarray:
         return np.minimum((t / self.window_s).astype(np.int64), self._n_windows - 1)
 
-    def _per_read_window(self, read_windows: np.ndarray, weights=None) -> np.ndarray:
-        """Per-window sums over reads served within the run, in array order."""
-        return np.bincount(read_windows, weights=weights, minlength=self._n_windows + 1)[:-1]
+    def _per_window(self, windows: np.ndarray, weights=None) -> np.ndarray:
+        """Per-window sums, in array order, over the entries within the run."""
+        return np.bincount(windows, weights=weights, minlength=self._n_windows + 1)[:-1]
 
     @property
     def n_windows(self) -> int:
@@ -230,16 +231,14 @@ class MetricsTimeline:
 
     @cached_property
     def mean_write_latency_ms(self) -> np.ndarray:
-        # bincount sums a window's blocks in commit order
-        latency_sum = np.bincount(self._block_windows,
-                                  weights=_block_sums(self.write_latencies_ms, self._fills),
-                                  minlength=self._n_windows)
+        latency_sum = self._per_window(self._block_windows,
+                                       _block_sums(self.write_latencies_ms, self._fills))
         return _mean_per_window(latency_sum, self._committed_count)
 
     @cached_property
     def mean_read_latency_ms(self) -> np.ndarray:
         latency_ms = (self.read_completions_s - self._events.read_times) * 1000.0
-        latency_sum = self._per_read_window(self._read_windows, latency_ms)
+        latency_sum = self._per_window(self._read_windows, latency_ms)
         return _mean_per_window(latency_sum, self._served_count)
 
     @cached_property
@@ -252,7 +251,7 @@ class MetricsTimeline:
         stride = n_nodes if cluster.read_mode == "multi" else 1
         for node in range(stride):
             windows = self._read_windows[node::stride]
-            work_us[node] = self._per_read_window(
+            work_us[node] = self._per_window(
                 windows, np.full(windows.size, cluster.read_service_us))
         # every node validates each block and handles ~2N messages; the proposer
         # also scans the pool.  add.at adds in index order, so each cell sums its
@@ -371,14 +370,14 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         completions[node::stride] = _fifo_completions(read_ts[node::stride], service_s)
 
     # --- writes: sequential proposer-rotating block production ---
-    # the loop runs the recurrence only; one entry per block.  It runs once per
+    # the loop runs the recurrence only and records each block's commit time
+    # and pool depth; its fill is derived from the depth.  It runs once per
     # proposal, so everything it reads is bound to a local first, and the
     # round is consensus_round_latency's arithmetic, in the same order.  The
     # arrivals are searched through a memoryview, whose items are Python
     # floats, from the first uncommitted write on: every committed write
     # arrived by an earlier proposal, so the count is searchsorted's.
     commit_times: list[float] = []
-    fills: list[int] = []
     depths: list[int] = []  # pool depth at each proposal
     i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
     base_ms = [round_base_ms(cluster, p) for p in range(n_nodes)]
@@ -398,7 +397,6 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
             break
         i_commit += fill
         commit_times.append(t_commit)
-        fills.append(fill)
         depths.append(pool_depth)
         proposer += 1
         if proposer == n_nodes:
@@ -407,8 +405,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         t_prop = t_commit if t_commit > t_next else t_next
 
     return MetricsTimeline(cluster, events, horizon, window_s, n_windows, completions,
-                           np.array(commit_times), np.array(fills, dtype=np.int64),
-                           np.array(depths, dtype=np.int64))
+                           np.array(commit_times), np.array(depths, dtype=np.int64))
 
 
 # --- cluster profile files -------------------------------------------------

@@ -40,7 +40,7 @@ from .bench import (
     write_plot_data_csv,
 )
 from .chainsim import check_run, default_cluster, load_cluster, run
-from .errors import CalibrationError, ChaincapError, InputError
+from .errors import ChaincapError, InputError
 from .scenarios import builtin_scenarios, load_scenarios
 
 PAPER_CAPACITY_PATH = Path(__file__).parent / "data" / "paper.json"
@@ -295,13 +295,13 @@ def cmd_campaign(args) -> int:
     spec = CampaignSpec(cluster=cluster, kind=TxKind(args.kind), rates=rates,
                         arrival_kind=ArrivalKind(args.arrival), trials=args.trials,
                         duration_s=args.duration, base_seed=args.seed)
-    result = run_campaign(spec)
+    trials, aggregates = run_campaign(spec)
     if not rates:
         print("warning: empty rate list, vacuous campaign", file=sys.stderr)
-    manifest.write_text("campaign.csv", lambda fp: write_campaign_csv(result, fp))
-    manifest.write_json("campaign.json", campaign_json_dict(result))
+    manifest.write_text("campaign.csv", lambda fp: write_campaign_csv(spec, trials, fp))
+    manifest.write_json("campaign.json", campaign_json_dict(spec, aggregates))
     manifest.write_text(f"fig_{args.kind}_{cluster.node_count}nodes.csv",
-                        lambda fp: write_plot_data_csv(result, fp))
+                        lambda fp: write_plot_data_csv(aggregates, fp))
     manifest.finish()
     print(f"wrote campaign results to {manifest.dir}")
     return 0
@@ -445,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ChaincapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, CalibrationError) else 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 
 class ChaincapError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``exit_code`` is the status a
+    command exits with when one ends it."""
+
+    exit_code = 2
 
 
 class InputError(ChaincapError, ValueError):
@@ -11,3 +14,5 @@ class InputError(ChaincapError, ValueError):
 
 class CalibrationError(ChaincapError, RuntimeError):
     """A capacity search could not find any steady operating point (exit 3)."""
+
+    exit_code = 3

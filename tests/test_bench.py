@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import io
 import math
 import weakref
@@ -86,19 +87,19 @@ class TestRunCampaign:
     def test_trial_counting(self):
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                             rates=(50.0,), trials=5, duration_s=20.0, base_seed=3)
-        result = run_campaign(spec)
-        assert len(result.trials) == 5
-        assert len(result.aggregates) == 1
-        agg = result.aggregates[0]
+        trials, aggregates = run_campaign(spec)
+        assert len(trials) == 5
+        assert len(aggregates) == 1
+        agg = aggregates[0]
         assert agg.trials == 5
         assert agg.mean_tps == pytest.approx(
-            sum(t.mean_tps for t in result.trials) / 5)
+            sum(t.mean_tps for t in trials) / 5)
 
     def test_seeds_are_base_plus_index(self):
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                             rates=(40.0,), trials=3, duration_s=20.0, base_seed=10)
-        result = run_campaign(spec)
-        assert [t.seed for t in result.trials] == [10, 11, 12]
+        trials, _ = run_campaign(spec)
+        assert [t.seed for t in trials] == [10, 11, 12]
 
     def test_seeds_must_be_philox_keys(self):
         def spec(base_seed, trials):
@@ -109,8 +110,8 @@ class TestRunCampaign:
             spec(-1, 1)
         with pytest.raises(InputError, match=r"base_seed \+ trials - 1 must be in"):
             spec(SEED_LIMIT - 2, 3)
-        result = run_campaign(spec(SEED_LIMIT - 3, 3))
-        assert result.trials[-1].seed == SEED_LIMIT - 1
+        trials, _ = run_campaign(spec(SEED_LIMIT - 3, 3))
+        assert trials[-1].seed == SEED_LIMIT - 1
 
     def test_repeated_rate_rejected(self):
         # a repeated rate would run trial i twice at seed base_seed + i
@@ -122,15 +123,14 @@ class TestRunCampaign:
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                             rates=(40.0, 60.0), trials=2, duration_s=20.0, base_seed=7)
         buf = io.StringIO()
-        write_campaign_csv(run_campaign(spec), buf)
+        write_campaign_csv(spec, run_campaign(spec)[0], buf)
         rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
         assert [(r["trial"], r["seed"]) for r in rows] == [("0", "7"), ("1", "8")] * 2
 
     def test_empty_rate_list(self):
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                             rates=(), trials=1, duration_s=20.0)
-        result = run_campaign(spec)
-        assert result.trials == () and result.aggregates == ()
+        assert run_campaign(spec) == ((), ())
 
     def test_determinism(self):
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
@@ -142,7 +142,7 @@ class TestRunCampaign:
     def test_trials_are_python_scalars(self, kind, rates):
         spec = CampaignSpec(cluster=small_cluster(), kind=kind, rates=rates, trials=2,
                             duration_s=20.0)
-        for trial in run_campaign(spec).trials:
+        for trial in run_campaign(spec)[0]:
             for field in dataclasses.fields(trial):
                 value = getattr(trial, field.name)
                 assert type(value) in (int, float, bool), (field.name, type(value))
@@ -152,10 +152,25 @@ class TestRunCampaign:
         # the order of the rate grid, trial after trial within a rate
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                             rates=(80.0, 40.0, 60.0), trials=2, duration_s=20.0, base_seed=4)
-        result = run_campaign(spec)
-        assert [(t.lambda_offered, t.seed) for t in result.trials] == [
+        trials, aggregates = run_campaign(spec)
+        assert [(t.lambda_offered, t.seed) for t in trials] == [
             (80.0, 4), (80.0, 5), (40.0, 4), (40.0, 5), (60.0, 4), (60.0, 5)]
-        assert [a.lambda_offered for a in result.aggregates] == [80.0, 40.0, 60.0]
+        assert [a.lambda_offered for a in aggregates] == [80.0, 40.0, 60.0]
+
+    def test_trials_run_seed_major_fastest_rate_first(self, monkeypatch):
+        calls = []
+        trial = bench.run_trial
+
+        def recorded(*args, **kwargs):
+            bound = inspect.signature(trial).bind(*args, **kwargs).arguments
+            calls.append((bound["seed"], bound["lam"]))
+            return trial(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_trial", recorded)
+        run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                                  rates=(40.0, 80.0, 60.0), trials=2, duration_s=20.0,
+                                  base_seed=6))
+        assert calls == [(6, 80.0), (6, 60.0), (6, 40.0), (7, 80.0), (7, 60.0), (7, 40.0)]
 
     def test_no_timeline_outlives_its_trial(self, monkeypatch):
         timelines = []
@@ -223,6 +238,16 @@ class TestFindMaxLambda:
             "profile looks miscalibrated: its mean throughput 102.28 tps is outside "
             "100.0 ±2% [98.00, 102.00] at seed 5")
 
+    def test_probe_past_the_event_cap_names_the_search(self, monkeypatch):
+        # the doubling, not the caller, picks the rate that crosses the cap
+        monkeypatch.setattr(bench, "MAX_EXPECTED_EVENTS", 200_000)
+        with pytest.raises(InputError) as err:
+            find_max_lambda(default_cluster(), TxKind.READ, duration_s=20.0)
+        assert str(err.value) == (
+            "the read capacity search would probe 12800.0/s over 20.0 s, which expects "
+            "2.56e+05 events, more than the 200,000 one trial may hold; give a shorter "
+            "--duration")
+
 
 class TestSharedDraws:
     def count_generators(self, monkeypatch):
@@ -286,9 +311,9 @@ class TestSharedDraws:
     def test_campaign_trials_match_trials_of_their_own(self, kind, rates):
         spec = CampaignSpec(cluster=small_cluster(), kind=kind, rates=rates, trials=2,
                             duration_s=20.0, base_seed=9)
-        result = run_campaign(spec)
-        assert len(result.trials) == len(rates) * 2
-        for t in result.trials:
+        trials, _ = run_campaign(spec)
+        assert len(trials) == len(rates) * 2
+        for t in trials:
             alone = run_trial(spec.cluster, kind, spec.arrival_kind, t.lambda_offered,
                               spec.duration_s, seed=t.seed, draws=None)
             assert alone.summary() == t

@@ -172,6 +172,14 @@ class TestCapacityCommand:
         assert "--nodes" in err and "[rtt_matrix]" in err
         assert len(err.strip().split("\n")) == 1
 
+    def test_probe_past_the_event_cap_exits_2_before_simulating(self, capsys, monkeypatch):
+        monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
+        assert main(["capacity", "--kind", "read", "--start", "4e6", "--duration", "10"]) == 2
+        assert _one_error_line(capsys) == (
+            "error: the read capacity search would probe 4000000.0/s over 10.0 s, which "
+            "expects 4e+07 events, more than the 30,000,000 one trial may hold; give a "
+            "shorter --duration\n")
+
     def test_write_search_prints_json(self, capsys, small_cluster_file):
         assert main(["capacity", "--kind", "write", "--cluster",
                      str(small_cluster_file), "--duration", "20",
