@@ -5,8 +5,9 @@ Targets: the 4-node write and multi-node read capacities of the shipped
 reference endpoints, src/chaincap/data/paper.json, both under Poisson
 arrivals.  The script searches ``write_exec_us`` and ``read_service_us``
 (all other knobs fixed at the ``ClusterConfig`` field defaults in
-src/chaincap/chainsim.py) so that ``bench.find_max_lambda`` lands within 2%
-of each target, then prints the values to freeze into the profile.
+src/chaincap/chainsim.py) so that ``bench.find_max_lambda``, run as the
+``capacity`` command runs it, lands within 2% of each target, then prints the
+values to freeze into the profile.
 
 Usage: python3 scripts/calibrate.py [--duration 60] [--seed 0]
 
@@ -21,8 +22,8 @@ import json
 import sys
 from dataclasses import replace
 
-from chaincap.arrival import ArrivalKind, TxKind
-from chaincap.bench import DEFAULT_START_RATE, CapacityProfile, find_max_lambda
+from chaincap.arrival import TxKind
+from chaincap.bench import CapacityProfile, find_max_lambda
 from chaincap.chainsim import default_cluster
 from chaincap.cli import PAPER_CAPACITY_PATH
 from chaincap.errors import ChaincapError
@@ -30,17 +31,17 @@ from chaincap.errors import ChaincapError
 REL_TOL = 0.02
 
 
-def measure(cluster, kind, duration, seed, start):
-    return find_max_lambda(cluster, kind, ArrivalKind.POISSON, tolerance=0.005,
-                           duration_s=duration, base_seed=seed, start=start)
+def measure(cluster, kind, duration, seed):
+    """The capacity search of ``capacity --kind <kind>``, with its defaults."""
+    return find_max_lambda(cluster, kind, duration_s=duration, base_seed=seed)
 
 
-def tune(base, field, kind, target, duration, seed, start, lo, hi, iters=20):
+def tune(base, field, kind, target, duration, seed, lo, hi, iters=20):
     """Bisect a cost knob: capacity is monotone decreasing in every cost."""
     best = None
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        cap = measure(replace(base, **{field: mid}), kind, duration, seed, start)
+        cap = measure(replace(base, **{field: mid}), kind, duration, seed)
         print(f"  {field}={mid:.3f} -> capacity {cap:.1f}")
         best = (mid, cap)
         if abs(cap - target) / target <= REL_TOL:
@@ -62,13 +63,11 @@ def calibrate(duration: float, seed: int) -> None:
 
     print("tuning write_exec_us for write capacity ~%.0f ..." % write_target)
     write_exec, write_cap = tune(base, "write_exec_us", TxKind.WRITE, write_target,
-                                 duration, seed, start=DEFAULT_START_RATE,
-                                 lo=100.0, hi=1500.0)
+                                 duration, seed, lo=100.0, hi=1500.0)
 
     print("tuning read_service_us for read capacity ~%.0f ..." % read_target)
     read_service, read_cap = tune(base, "read_service_us", TxKind.READ, read_target,
-                                  duration, seed, start=1000.0,
-                                  lo=100.0, hi=400.0)
+                                  duration, seed, lo=100.0, hi=400.0)
 
     print("\nfreeze into the ClusterConfig defaults in src/chaincap/chainsim.py:")
     print(f"  write_exec_us = {write_exec:.1f}   (capacity {write_cap:.1f})")

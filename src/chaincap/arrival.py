@@ -95,7 +95,8 @@ class EventStream:
         return len(self.write_times) + len(self.read_times)
 
 
-def _check_horizon(horizon: float) -> float:
+def check_horizon(horizon: float) -> float:
+    """Validate a run's horizon in seconds: finite and > 0."""
     horizon = float(horizon)
     if not math.isfinite(horizon) or horizon <= 0.0:
         raise InputError(f"horizon must be finite and > 0, got {horizon!r}")
@@ -160,7 +161,7 @@ def generate_times(process: ArrivalProcess, horizon: float,
     :class:`InputError` if ``check_event_count`` rejects the stream or
     ``draws`` is of another seed.
     """
-    horizon = _check_horizon(horizon)
+    horizon = check_horizon(horizon)
     rate = process.rate
     expected = check_event_count(rate, horizon)
     if rate == 0.0:

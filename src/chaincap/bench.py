@@ -46,11 +46,12 @@ DESK_TRIALS = 3
 DESK_DURATION_S = 60
 
 
-def check_duration(duration_s: float) -> None:
-    """Validate a trial duration: finite and at least 10 windows long."""
+def check_duration(cluster: ClusterConfig, duration_s: float) -> None:
+    """Validate a trial duration: at least 10 windows, and a run ``check_run`` accepts."""
     if not (math.isfinite(duration_s) and duration_s >= 10 * WINDOW_S):
         raise InputError(f"duration must cover at least 10 windows of {WINDOW_S} s, "
                          f"got {duration_s!r}")
+    check_run(cluster, duration_s, WINDOW_S)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ class CampaignSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
-        check_duration(self.duration_s)
-        check_run(self.cluster, self.duration_s, WINDOW_S)
+        check_duration(self.cluster, self.duration_s)
         # trial i runs at seed base_seed + i
         check_seed(self.base_seed, "base_seed")
         check_seed(self.base_seed + self.trials - 1, "base_seed + trials - 1")
@@ -297,8 +297,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     if not MIN_SEARCH_TOLERANCE <= tolerance <= MAX_SEARCH_TOLERANCE:
         raise InputError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
                          f"{MAX_SEARCH_TOLERANCE}], got {tolerance!r}")
-    check_duration(duration_s)
-    check_run(cluster, duration_s, WINDOW_S)
+    check_duration(cluster, duration_s)
 
     draws = UnitDraws(base_seed)
 
@@ -350,9 +349,8 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
         raise InputError(f"node counts must be distinct, got {node_counts!r}")
     # every profile, and its run, is checked before the first search
     clusters = [replace(base_cluster, node_count=n) for n in sorted(node_counts)]
-    check_duration(duration_s)
     for cluster in clusters:
-        check_run(cluster, duration_s, WINDOW_S)
+        check_duration(cluster, duration_s)
     profiles = []
     for cluster in clusters:
         found = {kind: find_max_lambda(cluster, kind, arrival_kind, tolerance=tolerance,

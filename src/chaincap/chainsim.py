@@ -24,19 +24,19 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from ._numpy import np
-from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream
+from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream, check_horizon
 from .errors import InputError
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Largest number of metric windows in one run.  A run keeps about a dozen
-# arrays with one entry per window (per node and window for cpu work), and
-# simulate writes one CSV row per window from ``columns()``, converted to
-# Python values a chunk of windows at a time: a 4-node simulate at 1M windows
-# took 4.2 s, peaked about 130 bytes per window above the interpreter's own
-# memory and wrote a 60 MB timeline.  A window far below the horizon is
-# rejected before any of that is allocated.
-MAX_WINDOWS = 1_000_000
+# Largest cpu table of one run, node_count x metric windows: a million windows
+# at 4 nodes.  A run keeps it and about a dozen arrays with one entry per
+# window, and simulate writes one CSV row per window from ``columns()``,
+# converted to Python values a chunk of windows at a time: a 4-node simulate at
+# 1M windows took 4.2 s, peaked about 130 bytes per window above the
+# interpreter's own memory and wrote a 60 MB timeline.  A window far below the
+# horizon is rejected before any of that is allocated.
+MAX_CELLS = 4_000_000
 # Largest number of block proposals in one run, horizon / block_interval_ms.
 # The block loop runs once per proposal, even on an idle chain: a 4-node
 # simulate with no writes took about 1.8 us and 117 bytes per block (1e5 s,
@@ -86,6 +86,8 @@ class ClusterConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0:
                 raise InputError(f"{name} must be finite and > 0, got {value!r}")
+        if self.node_cpu_capacity < 1:  # below 1 us/s a short window's cpu share overflows
+            raise InputError(f"node_cpu_capacity must be >= 1, got {self.node_cpu_capacity!r}")
         for name in ("rtt_ms", "write_exec_us", "read_service_us", "msg_proc_us",
                      "pool_scan_cost_us_per_tx"):
             value = getattr(self, name)
@@ -93,6 +95,12 @@ class ClusterConfig:
                 raise InputError(f"{name} must be finite and >= 0, got {value!r}")
         if self.empty_block_bytes < 0:
             raise InputError(f"empty_block_bytes must be >= 0, got {self.empty_block_bytes}")
+        # the ledger of a run's MAX_BLOCKS full blocks must fit in int64
+        full_block = self.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * self.block_tx_capacity
+        if full_block > (2**63 - 1) // MAX_BLOCKS:
+            raise InputError(f"a full block, empty_block_bytes + {DEFAULT_WRITE_PAYLOAD_BYTES} "
+                             f"* block_tx_capacity, must be <= {(2**63 - 1) // MAX_BLOCKS:,} "
+                             f"bytes, got {full_block:,}")
         if self.read_mode not in ("multi", "single"):
             raise InputError(f"read_mode must be 'multi' or 'single', got {self.read_mode!r}")
         if self.rtt_matrix_ms is not None:
@@ -145,7 +153,9 @@ def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth:
 def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
     """Vectorized FIFO recurrence c_i = max(a_i, c_{i-1}) + s for one node."""
     i = np.arange(arrivals.size, dtype=np.float64)
-    return service_s * (i + 1.0) + np.maximum.accumulate(arrivals - service_s * i)
+    # a completion past the float range is inf, which lies past any horizon
+    with np.errstate(over="ignore"):
+        return service_s * (i + 1.0) + np.maximum.accumulate(arrivals - service_s * i)
 
 
 def _mean_per_window(total: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -211,7 +221,9 @@ class MetricsTimeline:
         self.blocks_produced = commit_s.size
 
     def _window_of(self, t: np.ndarray) -> np.ndarray:
-        return np.minimum((t / self.window_s).astype(np.int64), self._n_windows - 1)
+        # clamped before the cast, which a time past the int64 range would fail
+        with np.errstate(over="ignore"):
+            return np.minimum(t / self.window_s, self._n_windows - 1).astype(np.int64)
 
     def _per_window(self, windows: np.ndarray, weights=None) -> np.ndarray:
         """Per-window sums, in array order, over the entries within the run."""
@@ -237,7 +249,8 @@ class MetricsTimeline:
 
     @cached_property
     def mean_read_latency_ms(self) -> np.ndarray:
-        latency_ms = (self.read_completions_s - self._events.read_times) * 1000.0
+        with np.errstate(over="ignore"):  # only a read completing past the run
+            latency_ms = (self.read_completions_s - self._events.read_times) * 1000.0
         latency_sum = self._per_window(self._read_windows, latency_ms)
         return _mean_per_window(latency_sum, self._served_count)
 
@@ -305,43 +318,30 @@ class MetricsTimeline:
         }
 
 
-def window_count(horizon: float, window_s: float) -> int:
-    """Metric windows covering ``horizon``; the last one may be partial.
+def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
+    """The metric windows covering ``horizon``; the last one may be partial.
 
     Raises :class:`InputError` for a non-finite or non-positive horizon or
-    window, and for more than MAX_WINDOWS windows.
+    window, for more than MAX_CELLS node-windows in the cpu table, and for
+    more than MAX_BLOCKS block proposals.
     """
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise InputError(f"horizon must be finite and > 0, got {horizon!r}")
+    horizon = check_horizon(horizon)
     if not math.isfinite(window_s) or window_s <= 0:
         raise InputError(f"window must be finite and > 0, got {window_s!r}")
     # the slack keeps a horizon that is a whole number of windows from
-    # gaining an extra one by rounding
+    # gaining an extra one by rounding; an inf ratio fails before ceil
     windows = horizon / window_s - 1e-9
-    if windows > MAX_WINDOWS:
+    if windows > MAX_CELLS // cluster.node_count:
         raise InputError(
-            f"a {window_s!r} s window over {horizon!r} s makes {windows:.4g} windows, more "
-            f"than the {MAX_WINDOWS:,} one run may hold; widen the window")
-    return max(1, math.ceil(windows))
-
-
-def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
-    """``window_count``, and :class:`InputError` past MAX_BLOCKS block proposals
-    or a cpu table larger than a 4-node one at MAX_WINDOWS."""
-    n_windows = window_count(horizon, window_s)
-    cells = cluster.node_count * n_windows
-    if cells > 4 * MAX_WINDOWS:
-        raise InputError(
-            f"{cluster.node_count} nodes over {n_windows:,} windows make a cpu table of "
-            f"{cells:,} cells, more than the {4 * MAX_WINDOWS:,} one run may hold; "
-            "widen the window")
-    blocks = horizon / (cluster.block_interval_ms / 1000.0)
+            f"{cluster.node_count} nodes over {windows:.4g} windows of {window_s!r} s make a "
+            f"cpu table of more than the {MAX_CELLS:,} cells one run may hold; widen the window")
+    blocks = horizon * 1000.0 / cluster.block_interval_ms
     if blocks > MAX_BLOCKS:
         raise InputError(
             f"a {horizon!r} s run at one block per {cluster.block_interval_ms!r} ms makes "
             f"{blocks:.4g} block proposals, more than the {MAX_BLOCKS:,} one run may "
             "hold; shorten the duration")
-    return n_windows
+    return max(1, math.ceil(windows))
 
 
 def run(cluster: ClusterConfig, events: EventStream, horizon: float,

@@ -47,10 +47,10 @@ class TestDetectSteadyState:
 
 class TestCheckDuration:
     def test_ten_windows_is_the_minimum(self):
-        check_duration(10.0)
+        check_duration(small_cluster(), 10.0)
         for bad in (9.999, 0.0, -10.0, math.nan, math.inf):
             with pytest.raises(InputError, match="at least 10 windows"):
-                check_duration(bad)
+                check_duration(small_cluster(), bad)
 
     @pytest.mark.parametrize("bad", [5.0, math.nan])
     def test_campaign_and_search_share_it(self, bad):

@@ -5,9 +5,14 @@ tests/test_perfbench_contract.py loads perfbench/spans.py.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from chaincap.arrival import TxKind
+from chaincap.chainsim import load_cluster
+from chaincap.cli import main
 
 CALIBRATE_PATH = Path(__file__).resolve().parent.parent / "scripts" / "calibrate.py"
 
@@ -31,3 +36,14 @@ def test_failure_exits_with_one_error_line(capsys, duration, code, message):
     assert calibrate.main(["--duration", duration]) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and len(err.strip().split("\n")) == 1
+
+
+def test_measure_is_the_capacity_commands_search(tmp_path, capsys):
+    # the script tunes against the maximum that `capacity` reports
+    profile = tmp_path / "small.ini"
+    profile.write_text("[config]\nschema_version = 1\n\n[cluster]\nblock_tx_capacity = 70\n")
+    assert main(["capacity", "--kind", "write", "--cluster", str(profile),
+                 "--duration", "20"]) == 0
+    reported = json.loads(capsys.readouterr().out)["max_lambda_write"]
+    cluster = load_cluster(profile.read_text())
+    assert calibrate.measure(cluster, TxKind.WRITE, 20.0, 0) == reported

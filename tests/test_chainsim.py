@@ -19,7 +19,7 @@ from chaincap import chainsim
 from chaincap.chainsim import (
     MAX_BLOCKS,
     MAX_NODES,
-    MAX_WINDOWS,
+    MAX_CELLS,
     ClusterConfig,
     MetricsTimeline,
     _block_sums,
@@ -32,7 +32,6 @@ from chaincap.chainsim import (
     read_config,
     round_base_ms,
     run,
-    window_count,
 )
 from chaincap.errors import InputError
 
@@ -225,6 +224,16 @@ class TestConfigValidation:
     def test_negative_cost(self):
         with pytest.raises(InputError):
             replace(default_cluster(), write_exec_us=-1.0)
+
+    def test_largest_full_block_and_smallest_cpu_capacity(self):
+        # MAX_BLOCKS full blocks make a ledger that still fits in int64
+        largest = (2**63 - 1) // MAX_BLOCKS - DEFAULT_WRITE_PAYLOAD_BYTES * 700
+        assert replace(default_cluster(), empty_block_bytes=largest).empty_block_bytes == largest
+        with pytest.raises(InputError, match="a full block"):
+            replace(default_cluster(), empty_block_bytes=largest + 1)
+        assert replace(default_cluster(), node_cpu_capacity=1.0).node_cpu_capacity == 1.0
+        with pytest.raises(InputError, match="node_cpu_capacity must be >= 1"):
+            replace(default_cluster(), node_cpu_capacity=0.999)
 
     def test_rtt_matrix_shape(self):
         with pytest.raises(InputError):
@@ -573,16 +582,17 @@ class TestBlockSums:
 
 class TestWindows:
     def test_window_cap(self):
-        assert window_count(float(MAX_WINDOWS), 1.0) == MAX_WINDOWS
+        # a million 0.01 s windows, and 1e-3 of a window more
+        assert check_run(default_cluster(), 10_000.0, 0.01) == MAX_CELLS // 4
         with pytest.raises(InputError, match="windows"):
-            window_count(MAX_WINDOWS + 1e-3, 1.0)
+            check_run(default_cluster(), 10_000.0 + 1e-5, 0.01)
         with pytest.raises(InputError, match="windows"):
-            window_count(10.0, 1e-9)
+            check_run(default_cluster(), 10.0, 1e-9)
 
     def test_block_cap(self, monkeypatch):
         cluster = default_cluster()
         at_cap = MAX_BLOCKS * cluster.block_interval_ms / 1000.0
-        assert check_run(cluster, at_cap, 1.0) == window_count(at_cap, 1.0)
+        assert check_run(cluster, at_cap, 1.0) == 100_000
 
         # a run past the cap fails before its first round, not after hours of them
         def no_rounds(*args):
@@ -591,10 +601,12 @@ class TestWindows:
         with pytest.raises(InputError, match="block proposals"):
             run(cluster, stream([]), horizon=at_cap * 1.001, window_s=1.0)
 
-    def test_cpu_table_cap(self, monkeypatch):
-        # MAX_NODES rows of cpu work hold as many cells as 4 rows at MAX_WINDOWS
-        cluster = ClusterConfig(node_count=MAX_NODES)
-        at_cap = 4 * MAX_WINDOWS // MAX_NODES
+    @pytest.mark.parametrize("node_count", [4, 5, 7, MAX_NODES])
+    def test_cpu_table_cap(self, monkeypatch, node_count):
+        # exactly as many one-second windows as fill the table, then one more;
+        # one block per 2 s keeps the block cap from tripping first
+        cluster = ClusterConfig(node_count=node_count, block_interval_ms=2000.0)
+        at_cap = MAX_CELLS // node_count
         assert check_run(cluster, float(at_cap), 1.0) == at_cap
 
         def no_rounds(*args):
@@ -603,10 +615,26 @@ class TestWindows:
         with pytest.raises(InputError, match="cpu table"):
             run(cluster, stream([]), horizon=at_cap + 1.0, window_s=1.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(node_count=st.integers(4, MAX_NODES),
+           horizon=st.floats(1e-3, 1e7), window_s=st.floats(1e-3, 1e3))
+    def test_cpu_table_cap_is_the_window_and_cell_caps(self, node_count, horizon, window_s):
+        # the rule before the two were folded into one: a million windows, and
+        # node_count x windows within 4 nodes at a million windows
+        cluster = ClusterConfig(node_count=node_count, block_interval_ms=1e4)
+        windows = horizon / window_s - 1e-9
+        n_windows = max(1, math.ceil(windows))
+        accepted = windows <= 1_000_000 and node_count * n_windows <= 4_000_000
+        if accepted:
+            assert check_run(cluster, horizon, window_s) == n_windows
+        else:
+            with pytest.raises(InputError, match="cpu table"):
+                check_run(cluster, horizon, window_s)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_window_rejected(self, bad):
         with pytest.raises(InputError, match="window"):
-            window_count(10.0, bad)
+            check_run(default_cluster(), 10.0, bad)
         with pytest.raises(InputError, match="window"):
             run(default_cluster(), stream([1.0]), horizon=10.0, window_s=bad)
 
@@ -614,11 +642,11 @@ class TestWindows:
         (0.9, 0.3, 3),    # 0.9 / 0.3 rounds above 3; the slack keeps it at 3
         (10.0, 0.3, 34),  # the last window, [9.9, 10], is partial
     ])
-    def test_window_count_rounding(self, horizon, window_s, n_windows):
+    def test_window_rounding(self, horizon, window_s, n_windows):
         cluster = default_cluster()
         events = merged_stream(300.0, 900.0, horizon, seed=3)
         tl = run(cluster, events, horizon=horizon, window_s=window_s)
-        assert window_count(horizon, window_s) == tl.n_windows == n_windows
+        assert check_run(cluster, horizon, window_s) == tl.n_windows == n_windows
         assert tl.cpu_utilization.shape == (cluster.node_count, n_windows)
         # served reads: the scalar FIFO's completions within the horizon
         server = ReadServer(cluster)

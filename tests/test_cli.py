@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -18,8 +19,8 @@ from chaincap.bench import (
     CapacityProfile,
 )
 from chaincap.chainsim import (
+    MAX_CELLS,
     MAX_NODES,
-    MAX_WINDOWS,
     ClusterConfig,
     default_cluster,
     load_cluster,
@@ -30,6 +31,8 @@ from chaincap.errors import CalibrationError, ChaincapError, InputError
 from chaincap.scenarios import builtin_scenarios, load_scenarios
 
 
+# one write per block: the first probe of a write search is never steady
+SLOW_CLUSTER = Path(__file__).parent / "data" / "slow_cluster.ini"
 # the catalog's ids in catalog order, as the unknown-id error lists them
 KNOWN_IDS = ("public_key_mgmt, id_mgmt, aaa, context_info, data_mgmt_trading, "
              "resource_sharing, trading_settlement")
@@ -179,6 +182,13 @@ class TestCapacityCommand:
             "error: the read capacity search would probe 4000000.0/s over 10.0 s, which "
             "expects 4e+07 events, more than the 30,000,000 one trial may hold; give a "
             "shorter --duration\n")
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_cluster_that_cannot_carry_the_first_probe_exits_3(self, capsys, seed):
+        assert main(["capacity", "--kind", "write", "--cluster", str(SLOW_CLUSTER),
+                     "--duration", "10", "--seed", seed]) == 3
+        assert _one_error_line(capsys).startswith(
+            "error: no steady operating point at the smallest probe rate 100.0")
 
     def test_write_search_prints_json(self, capsys, small_cluster_file):
         assert main(["capacity", "--kind", "write", "--cluster",
@@ -408,7 +418,7 @@ def test_event_count_guard_exits_2_before_drawing(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("duration,window", [
     ("10", "nan"), ("10", "inf"), ("10", "1e-9"),
-    (str(MAX_WINDOWS + 1), "1"),  # one window above the cap
+    (str(MAX_CELLS // 4 + 1), "1"),  # one window above the cap
 ])
 def test_bad_window_exits_2_before_drawing(tmp_path, capsys, monkeypatch, duration, window):
     monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
@@ -443,8 +453,8 @@ def test_too_many_blocks_exits_2_before_drawing(tmp_path, capsys, monkeypatch, a
 
 @pytest.mark.parametrize("node_count,argv,message", [
     (MAX_NODES + 1, [], "node_count must be <="),
-    # MAX_NODES rows of cpu work over more than 4 * MAX_WINDOWS / MAX_NODES windows
-    (MAX_NODES, ["--duration", str(4 * MAX_WINDOWS // MAX_NODES + 1)], "cpu table"),
+    # MAX_NODES rows of cpu work over more than MAX_CELLS / MAX_NODES windows
+    (MAX_NODES, ["--duration", str(MAX_CELLS // MAX_NODES + 1)], "cpu table"),
 ])
 def test_too_many_nodes_in_profile_exits_2(tmp_path, capsys, monkeypatch, node_count, argv,
                                            message):
@@ -469,6 +479,52 @@ def test_too_many_nodes_exits_2_before_searching(tmp_path, capsys, monkeypatch):
                  "--out", str(out)]) == 2
     assert "node_count must be <=" in _one_error_line(capsys)
     assert not out.exists()
+
+
+WRITES_20S = ["--kind", "write", "--lambda", "10", "--duration", "20"]
+# one block commits near 0.22 s, and its cpu work in a 1e-5 s window overflows
+# a capacity of 1e-300
+WRITES_1E5_WINDOWS = ["--kind", "write", "--lambda", "10", "--duration", "0.3",
+                      "--window", "1e-5"]
+
+
+@pytest.mark.parametrize("keys,argv,message", [
+    # an int64 overflow in the block fills or the ledger, or a ledger that
+    # wraps negative from window 11
+    (f"block_tx_capacity = {2**63}", WRITES_20S, "a full block"),
+    (f"empty_block_bytes = {2**63}", WRITES_20S, "a full block"),
+    ("empty_block_bytes = 100000000000000000", WRITES_20S, "a full block"),
+    # the block interval in seconds underflowed to 0
+    ("block_interval_ms = 5e-324", WRITES_20S, "block proposals"),
+    # NaN cpu cells from 0 / 0, or an overflowing cpu share
+    ("node_cpu_capacity = 5e-324", WRITES_1E5_WINDOWS, "node_cpu_capacity must be >= 1"),
+    ("node_cpu_capacity = 1e-300", WRITES_1E5_WINDOWS, "node_cpu_capacity must be >= 1"),
+    # reads that complete far past the run, and are binned past it: the
+    # window cast, the latency multiply and the window divide overflowed
+    ("read_service_us = 1e300", ["--kind", "read", "--lambda", "10", "--duration", "10"],
+     None),
+    ("read_service_us = 1.7e308", ["--kind", "read", "--lambda", "20000", "--duration", "10"],
+     None),
+    ("read_service_us = 1.7e308",
+     ["--kind", "read", "--lambda", "1000", "--duration", "0.05", "--window", "1e-5"], None),
+    # past a million reads at one node, the FIFO's service time sums overflow
+    ("read_service_us = 1.7e308\nread_mode = single",
+     ["--kind", "read", "--lambda", "110000", "--duration", "10"], None),
+])
+def test_cluster_value_out_of_range_exits_2_or_runs_clean(tmp_path, capsys, keys, argv, message):
+    profile = tmp_path / "p.ini"
+    profile.write_text(f"[config]\nschema_version = 1\n\n[cluster]\n{keys}\n")
+    out = tmp_path / "d"
+    code = main(["simulate", "--cluster", str(profile), "--out", str(out)] + argv)
+    if message is not None:
+        assert code == 2
+        assert message in _one_error_line(capsys)
+        assert not out.exists()
+        return
+    assert code == 0 and capsys.readouterr().err == ""
+    rows = (out / "timeline.csv").read_text().strip().split("\n")[1:]
+    cells = [float(cell) for row in rows for cell in row.split(",")]
+    assert all(math.isfinite(cell) and cell >= 0 for cell in cells)
 
 
 def test_parser_defaults_are_the_bench_constants():
