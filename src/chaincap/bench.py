@@ -1,8 +1,9 @@
 """Workload campaigns against the simulator.
 
 Covers steady-state detection (arrival rate == throughput within tolerance),
-multi-trial Poisson campaigns, maximum-sustainable-rate search by
-exponential bracketing plus bisection, and node-count sweeps.
+multi-trial Poisson campaigns, maximum-sustainable-rate search (a doubling
+ladder with two rungs aimed at the closed-form ``model.capacity_bound``,
+then bisection), and node-count sweeps.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .arrival import (
 )
 from .chainsim import ClusterConfig, MetricsTimeline, check_run, run
 from .errors import CalibrationError, InputError
+from .model import capacity_bound
 
 # trial policy: every trial uses 1 s metric windows, drops the first 10% of
 # them as warm-up, and is steady when throughput is within 2% of the offered
@@ -40,6 +42,12 @@ DEFAULT_START_RATE = 100.0
 # geometric midpoint rounds to an endpoint, so a finer tolerance never ends
 MIN_SEARCH_TOLERANCE = 1e-9
 MAX_SEARCH_TOLERANCE = 0.05
+# the search's two probes around model.capacity_bound sit this far either
+# side of it, relative: the lower one below every write capacity the search
+# finds (within 1.1% of the bound over seeds 0..99), the upper one above
+# them, and unsteady for reads too, whose +-2% band still calls 1.019 times
+# the service limit steady
+BOUND_MARGIN = 0.03
 
 # desk-scale defaults keep the acceptance suite laptop-sized
 DESK_TRIALS = 3
@@ -289,6 +297,13 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                     start: float = DEFAULT_START_RATE) -> float:
     """Largest steady arrival rate, by exponential bracketing then bisection.
 
+    The bracket doubles from ``start``.  Two rungs at ``1 -/+ BOUND_MARGIN``
+    times ``capacity_bound`` join its ladder: a rung above the last steady
+    probe and at or below the next doubling is probed in that doubling's
+    place, so the search usually brackets the capacity between the two
+    rungs.  A rung at or below ``start``, or an infinite bound, adds no
+    probe.  The capacity is still the simulator's verdict.
+
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
     function of the rate; the probes share that seed's unit draws, so the
     search draws its uniforms once.  Raises :class:`CalibrationError` when
@@ -321,10 +336,14 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
             f"{first.mean_tps:.2f} tps is outside {lo} ±{STEADY_TOLERANCE:.0%} "
             f"[{lo * (1 - STEADY_TOLERANCE):.2f}, {lo * (1 + STEADY_TOLERANCE):.2f}] "
             f"at seed {base_seed}")
-    hi = lo * 2.0
-    while probe(hi).steady:
+    bound = capacity_bound(cluster, kind)
+    rungs = [r for r in (bound * (1.0 - BOUND_MARGIN), bound * (1.0 + BOUND_MARGIN))
+             if lo < r < math.inf]
+    while True:
+        hi = rungs.pop(0) if rungs and rungs[0] <= 2.0 * lo else 2.0 * lo
+        if not probe(hi).steady:
+            break
         lo = hi
-        hi *= 2.0
     while hi / lo - 1.0 > tolerance:
         mid = math.sqrt(lo * hi)
         if probe(mid).steady:

@@ -26,6 +26,10 @@ from functools import cached_property
 from ._numpy import np
 from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream, check_horizon
 from .errors import InputError
+# run looks round_base_ms up here, so a test can replace it for this module;
+# consensus_round_latency, which run inlines, keeps its name here for the
+# benchmark's trace mode, which wraps it in this namespace
+from .model import consensus_round_latency, round_base_ms  # noqa: F401
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -114,40 +118,6 @@ class ClusterConfig:
         if self.rtt_matrix_ms is not None:
             return self.rtt_matrix_ms[a][b] / 2.0
         return self.rtt_ms / 2.0
-
-
-def quorum(node_count: int) -> int:
-    """BFT quorum 2f + 1 of N validators, with f = floor((N-1)/3) faulty."""
-    return 2 * ((node_count - 1) // 3) + 1
-
-
-def round_base_ms(cluster: ClusterConfig, proposer: int) -> float:
-    """The part of a round that depends only on the proposer, in milliseconds.
-
-    Three one-way hops at the quorum-th smallest peer latency, plus handling
-    of the round's messages.
-    """
-    n = cluster.node_count
-    peers = sorted(cluster.one_way_ms(proposer, b) for b in range(n) if b != proposer)
-    hop_ms = peers[quorum(n) - 1]
-    # one pre-prepare broadcast (N) plus all-to-all prepare and commit (N^2 each)
-    msg_ms = cluster.msg_proc_us * (2 * n * n + n) / 1000.0
-    return 3.0 * hop_ms + msg_ms
-
-
-def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth: int,
-                            proposer: int = 0) -> float:
-    """Wall-clock milliseconds for one three-phase round.
-
-    ``round_base_ms`` plus block execution and the proposer's pool scan.
-    Monotone non-decreasing in block_fill and pool_depth.
-    """
-    if block_fill > cluster.block_tx_capacity:
-        raise InputError(
-            f"block_fill {block_fill} exceeds block_tx_capacity {cluster.block_tx_capacity}")
-    exec_ms = cluster.write_exec_us * block_fill / 1000.0
-    scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
-    return round_base_ms(cluster, proposer) + exec_ms + scan_ms
 
 
 def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
@@ -332,8 +302,10 @@ def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
     # gaining an extra one by rounding; an inf ratio fails before ceil
     windows = horizon / window_s - 1e-9
     if windows > MAX_CELLS // cluster.node_count:
+        # a count just past the cap is printed whole, so that it reads as past it
+        count = f"{math.ceil(windows):,}" if windows < 2**53 else f"{windows:.4g}"
         raise InputError(
-            f"{cluster.node_count} nodes over {windows:.4g} windows of {window_s!r} s make a "
+            f"{cluster.node_count} nodes over {count} windows of {window_s!r} s make a "
             f"cpu table of more than the {MAX_CELLS:,} cells one run may hold; widen the window")
     blocks = horizon * 1000.0 / cluster.block_interval_ms
     if blocks > MAX_BLOCKS:
@@ -373,10 +345,10 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     # the loop runs the recurrence only and records each block's commit time
     # and pool depth; its fill is derived from the depth.  It runs once per
     # proposal, so everything it reads is bound to a local first, and the
-    # round is consensus_round_latency's arithmetic, in the same order.  The
-    # arrivals are searched through a memoryview, whose items are Python
-    # floats, from the first uncommitted write on: every committed write
-    # arrived by an earlier proposal, so the count is searchsorted's.
+    # round is model.consensus_round_latency's arithmetic, in the same
+    # order.  The arrivals are searched through a memoryview, whose items are
+    # Python floats, from the first uncommitted write on: every committed
+    # write arrived by an earlier proposal, so the count is searchsorted's.
     commit_times: list[float] = []
     depths: list[int] = []  # pool depth at each proposal
     i_commit = 0          # writes committed so far (FIFO prefix of write_ts)

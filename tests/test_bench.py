@@ -249,6 +249,66 @@ class TestFindMaxLambda:
             "--duration")
 
 
+class TestBoundRungs:
+    """The doubling ladder takes two probes at 1 -/+ BOUND_MARGIN times the
+    closed-form bound; the bisection and the answer stay the simulator's."""
+
+    @staticmethod
+    def record_probes(monkeypatch):
+        rates = []
+        trial = bench.run_trial
+
+        def recorded(*args, **kwargs):
+            rates.append(args[3])
+            return trial(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "run_trial", recorded)
+        return rates
+
+    def test_seed_0_write_search_probes_the_rungs(self, monkeypatch):
+        rates = self.record_probes(monkeypatch)
+        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.6265797506646
+        # four doublings, the two rungs, then three midpoints
+        assert [round(r, 1) for r in rates] == [100.0, 200.0, 400.0, 800.0, 1334.0, 1416.5,
+                                                1374.6, 1395.4, 1385.0]
+        bound = bench.capacity_bound(default_cluster(), TxKind.WRITE)
+        assert rates[4:6] == [bound * (1 - bench.BOUND_MARGIN), bound * (1 + bench.BOUND_MARGIN)]
+
+    def test_seed_0_read_search_makes_13_probes(self, monkeypatch):
+        rates = self.record_probes(monkeypatch)
+        assert round(find_max_lambda(default_cluster(), TxKind.READ), 1) == 20813.6
+        assert [round(r, 1) for r in rates[7:10]] == [12800.0, 19897.4, 21128.2]
+        assert len(rates) == 13
+
+    def test_infinite_bound_is_the_plain_doubling_search(self, monkeypatch):
+        monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: math.inf)
+        rates = self.record_probes(monkeypatch)
+        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.8954384979825
+        assert [round(r, 1) for r in rates] == [100.0, 200.0, 400.0, 800.0, 1600.0, 1131.4,
+                                                1345.4, 1467.2, 1405.0, 1374.9, 1389.9, 1382.4]
+
+    @pytest.mark.parametrize("factor", [10.0, 0.1])
+    def test_a_wrong_bound_still_finds_the_capacity(self, monkeypatch, factor):
+        want = find_max_lambda(default_cluster(), TxKind.WRITE)
+        true_bound = bench.capacity_bound
+        monkeypatch.setattr(bench, "capacity_bound",
+                            lambda cluster, kind: true_bound(cluster, kind) * factor)
+        got = find_max_lambda(default_cluster(), TxKind.WRITE)
+        assert got != want
+        assert abs(got / want - 1.0) <= bench.DEFAULT_SEARCH_TOLERANCE
+
+    def test_rungs_at_or_below_the_start_add_no_probe(self, monkeypatch):
+        rates = self.record_probes(monkeypatch)
+        # the start lies between the rungs: the upper one is the next probe
+        find_max_lambda(default_cluster(), TxKind.WRITE, start=1340.0)
+        assert [round(r, 1) for r in rates[:2]] == [1340.0, 1416.5]
+        # both rungs at or below the start: the plain doubling search
+        monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: 100.0 / 1.03)
+        rates.clear()
+        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.8954384979825
+        assert len(rates) == 12
+
+
 class TestSharedDraws:
     def count_generators(self, monkeypatch):
         seeds = []

@@ -25,15 +25,13 @@ from chaincap.chainsim import (
     _block_sums,
     _fifo_completions,
     check_run,
-    consensus_round_latency,
     default_cluster,
     load_cluster,
-    quorum,
     read_config,
-    round_base_ms,
     run,
 )
 from chaincap.errors import InputError
+from chaincap.model import consensus_round_latency, quorum, round_base_ms
 
 
 class ReadServer:
@@ -588,6 +586,17 @@ class TestWindows:
             check_run(default_cluster(), 10_000.0 + 1e-5, 0.01)
         with pytest.raises(InputError, match="windows"):
             check_run(default_cluster(), 10.0, 1e-9)
+
+    @pytest.mark.parametrize("horizon,window_s,count", [
+        # a thousandth of a window past the cap needs one window more
+        (10_000.00001, 0.01, "1,000,001"),
+        (1e300, 1.0, "1e+300"),
+        (10.0, 5e-324, "inf"),  # an inf ratio fails before it is rounded up
+    ])
+    def test_cpu_table_message_shows_the_excess(self, horizon, window_s, count):
+        with pytest.raises(InputError) as err:
+            check_run(default_cluster(), horizon, window_s)
+        assert str(err.value).startswith(f"4 nodes over {count} windows of {window_s!r} s ")
 
     def test_block_cap(self, monkeypatch):
         cluster = default_cluster()

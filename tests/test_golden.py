@@ -45,10 +45,10 @@ CASES = {
         "1598e506cb9a7643f4639c3f5aeb2f9a5b9256dd318bac8513d8ab8073310c6d"),
     "capacity-write": (
         ["capacity", "--kind", "write", "--seed", "0"],
-        "6d0cf8db2e121a80e5f92edb887c1f69598af9001b636172d1a8eb2058e4d6e7"),
+        "057542fb6b218e66e6a8f2649f02c35822d9e620e240f2dba13a8f27e84ec780"),
     "capacity-both-nodes": (
         ["capacity", "--kind", "both", "--nodes", "4,5", "--duration", "20", "--seed", "0"],
-        "fab53fe61a622ea92999fbcd1aa931517838f4528610209809189be0f8f9ac4d"),
+        "4a7135e2da8756aef028c4f6e991c585d1faf8e0cd67116b31067c35ddc16d41"),
     "assess-all": (
         ["assess", "--scenario", "all", "--capacity", str(PAPER_CAPACITY_PATH)],
         "b041e5794dd2cd6f1b0f36a7af9414456d7ea3fa5f3a5939a435419cddbf7c3a"),
