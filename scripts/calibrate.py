@@ -7,7 +7,9 @@ arrivals.  The script searches ``write_exec_us`` and ``read_service_us``
 (all other knobs fixed at the ``ClusterConfig`` field defaults in
 src/chaincap/chainsim.py) so that ``bench.find_max_lambda``, run as the
 ``capacity`` command runs it, lands within 2% of each target, then prints the
-values to freeze into the profile.
+values to freeze into the profile.  The shipped profile is measured first: a
+knob whose capacity is already within 2% is printed unchanged, and only the
+others are bisected.
 
 Usage: python3 scripts/calibrate.py [--duration 60] [--seed 0]
 
@@ -37,20 +39,22 @@ def measure(cluster, kind, duration, seed):
 
 
 def tune(base, field, kind, target, duration, seed, lo, hi, iters=20):
-    """Bisect a cost knob: capacity is monotone decreasing in every cost."""
-    best = None
+    """Keep ``base``'s cost knob if its capacity is within REL_TOL of the target,
+    else bisect it in [lo, hi]: capacity is monotone decreasing in every cost."""
+    value = getattr(base, field)
+    cap = measure(base, kind, duration, seed)
+    print(f"  {field}={value:.3f} -> capacity {cap:.1f}")
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        cap = measure(replace(base, **{field: mid}), kind, duration, seed)
-        print(f"  {field}={mid:.3f} -> capacity {cap:.1f}")
-        best = (mid, cap)
         if abs(cap - target) / target <= REL_TOL:
             break
         if cap > target:
-            lo = mid  # too fast, raise the cost
+            lo = value  # too fast, raise the cost
         else:
-            hi = mid
-    return best
+            hi = value
+        value = 0.5 * (lo + hi)
+        cap = measure(replace(base, **{field: value}), kind, duration, seed)
+        print(f"  {field}={value:.3f} -> capacity {cap:.1f}")
+    return value, cap
 
 
 def calibrate(duration: float, seed: int) -> None:

@@ -7,7 +7,10 @@ calibration baseline.
 
 Streams are generated with a counter-based PRNG (Philox) so that identical
 (kind, rate, seed) always reproduce the identical stream, and independent
-trials can simply use different seeds.
+trials can simply use different seeds.  A Poisson stream at rate ``lambda``
+is its seed's unit-rate Poisson epochs (the running sums of ``-log1p(-u)``
+over the seed's uniforms) divided by ``lambda``, so every rate at one seed
+shares one sequence of epochs (:class:`UnitDraws`).
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from .errors import InputError
 # Largest expected event count (rate x horizon) of one stream.  A trial holds
 # its arrival buffer plus, for writes, the latency of every committed write
 # (a capacity probe computes none) and, for reads, the completion times and
-# their windows: a 4M-event trial at a sustainable rate peaked 28 bytes per
-# event above a process with numpy loaded for writes (11 as a probe) and 34 for
-# reads, so this caps one trial near 1.0 GB, and a rate that would exhaust
+# their windows: a 4M-event trial at a sustainable rate, on epochs made for it
+# alone, peaked 27 bytes per event above a process with numpy loaded for writes
+# (11 as a probe) and 34 for reads, and on a shared UnitDraws 8 more (35, 19
+# and 42), the epochs held beside the stream.  So this caps one trial near
+# 1.0 GB, or 1.3 GB with its seed's epochs, and a rate that would exhaust
 # memory is rejected before anything is allocated.  The paper
 # protocol's longest trial, 20k reads/s for 600 s, expects 12M events.
 MAX_EXPECTED_EVENTS = 30_000_000
@@ -114,52 +119,58 @@ def check_event_count(rate: float, horizon: float) -> float:
 
 
 class UnitDraws:
-    """Unit-rate exponential draws ``-log1p(-u)`` of one seed's uniforms.
+    """One seed's unit-rate Poisson epochs ``S_j = sum over i <= j of -log1p(-u_i)``.
 
-    Draw ``i`` divided by a rate is interarrival ``i`` of that seed's Poisson
-    stream at that rate, so trials at one seed can share one buffer and each
-    divide it by their own rate: the probes of a capacity search, which all
-    use one seed, and a campaign's trials at one seed, one per rate.
-    The generator is created at the first draw, and the buffer grows, in
-    stream order, when a call needs more draws than it holds.
+    A Poisson stream at rate ``lambda`` is the unit-rate stream with time
+    scaled by ``1/lambda``, so arrival ``j`` of that seed's stream at any rate
+    is ``S_j / lambda``: trials at one seed share one buffer of epochs and
+    each divides a prefix of it by their own rate, the probes of a capacity
+    search, which all use one seed, and a campaign's trials at one seed, one
+    per rate.  The generator is created at the first draw, and the buffer
+    grows, in stream order, when a call needs more epochs than it holds; the
+    last epoch held is added to the first new draw before the new draws'
+    running sum, so ``S_j`` is the same however the buffer grew.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rng: np.random.Generator | None = None
-        self._draws = np.empty(0)
+        self._epochs = np.empty(0)
 
-    def take(self, start: int, stop: int) -> np.ndarray:
-        """Draws ``start`` to ``stop`` of the stream, as a view of the buffer."""
-        held = self._draws.size
+    def take(self, stop: int) -> np.ndarray:
+        """Epochs ``0`` to ``stop`` of the stream, as a view of the buffer."""
+        held = self._epochs.size
         if stop > held:
             if self._rng is None:
                 self._rng = ArrivalProcess(ArrivalKind.POISSON, 0.0, self.seed).rng()
             grown = np.empty(stop)
-            grown[:held] = self._draws
+            grown[:held] = self._epochs
             more = grown[held:]
             self._rng.random(out=more)
             np.negative(more, out=more)
             np.log1p(more, out=more)
             np.negative(more, out=more)
-            self._draws = grown
-        return self._draws[start:stop]
+            if held:
+                more[0] += grown[held - 1]
+            np.cumsum(more, out=more)
+            self._epochs = grown
+        return self._epochs[:stop]
 
 
 def generate_times(process: ArrivalProcess, horizon: float,
                    draws: UnitDraws | None = None) -> np.ndarray:
     """Arrival timestamps in (0, horizon], non-decreasing.
 
-    Poisson interarrivals are ``-log1p(-u) / rate`` over the process's
-    uniforms, taken in order from ``draws`` (one seed's :class:`UnitDraws`,
-    which a capacity search shares across its probes and a campaign across
-    its rates at that seed) or, without it, from draws made for this call
-    alone and divided in place.  Either way the stream is the same.  Each
-    timestamp is the running sum of those interarrivals, but numpy's vector
-    ``log1p`` may differ from ``math.log1p`` in the last bit, so a scalar
-    replay agrees to within a few ulp, not exactly.  Raises
-    :class:`InputError` if ``check_event_count`` rejects the stream or
-    ``draws`` is of another seed.
+    Poisson timestamp ``j`` is the seed's unit-rate epoch ``S_j`` divided by
+    the rate, for every epoch whose quotient is at most ``horizon``.  The
+    epochs come from ``draws`` (one seed's :class:`UnitDraws`, which a
+    capacity search shares across its probes and a campaign across its rates
+    at that seed) or, without it, from epochs made for this call alone and
+    divided in place.  Either way the stream is the same, and a shorter
+    horizon's stream is a prefix of a longer one's.  numpy's vector ``log1p``
+    may differ from ``math.log1p`` in the last bit, so a scalar replay agrees
+    to within a few ulp, not exactly.  Raises :class:`InputError` if
+    ``check_event_count`` rejects the stream or ``draws`` is of another seed.
     """
     horizon = check_horizon(horizon)
     rate = process.rate
@@ -179,27 +190,23 @@ def generate_times(process: ArrivalProcess, horizon: float,
         raise InputError(f"draws of seed {draws.seed} cannot feed a process of seed "
                          f"{process.seed}")
     chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
-    pieces = []
-    start = 0
-    t = 0.0
-    while True:
-        # interarrivals -> timestamps in one array; draws made for this call
-        # alone are never read again, so they are overwritten
-        unit = draws.take(start, start + chunk)
-        # below ~2e-307/s an interarrival overflows to inf, which lies past
-        # any finite horizon, so the stream is rightly empty
-        with np.errstate(over="ignore"):
-            times = np.divide(unit, rate, out=None if shared else unit)
-        np.cumsum(times, out=times)
-        if pieces:
-            times += t
-        if times[-1] > horizon:
-            pieces.append(times[:times.searchsorted(horizon, side="right")])
-            break
-        pieces.append(times)
-        t = float(times[-1])
-        start += chunk
-    return np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    epochs = draws.take(chunk)
+    # below ~2e-307/s a quotient overflows to inf, which lies past any finite
+    # horizon, so the stream is rightly empty
+    with np.errstate(over="ignore"):
+        while epochs[-1] / rate <= horizon:
+            epochs = draws.take(epochs.size + chunk)
+        # fl(S / rate) is monotone in S, so the cut found among the epochs
+        # moves to the exact one among their quotients in a step or two
+        n = int(epochs.searchsorted(horizon * rate, side="right"))
+        while n < epochs.size and epochs[n] / rate <= horizon:
+            n += 1
+        while n and epochs[n - 1] / rate > horizon:
+            n -= 1
+        # epochs made for this call alone are never read again, so they are
+        # overwritten
+        times = epochs[:n]
+        return np.divide(times, rate, out=None if shared else times)
 
 
 def generate_events(

@@ -243,7 +243,7 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
               draws: UnitDraws | None = None) -> Trial:
     """One simulation at one offered rate; means exclude the warm-up prefix.
 
-    ``draws``, if given, holds ``seed``'s unit draws shared with other trials.
+    ``draws``, if given, holds ``seed``'s unit-rate epochs shared with other trials.
     """
     if lam <= 0:
         raise InputError("trial rate must be > 0")
@@ -259,19 +259,19 @@ def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
 
     Trial i of every rate runs at seed base_seed + i, so the campaign runs
     seed-major: the trials at one seed share its :class:`UnitDraws`, and
-    only one seed's draws are held at a time.  Trials and aggregates are
+    only one seed's epochs are held at a time.  Trials and aggregates are
     reported rate-major, trial after trial within a rate.
     """
     by_rate: dict[float, list[TrialSummary]] = {rate: [] for rate in spec.rates}
     for seed in range(spec.base_seed, spec.base_seed + spec.trials):
         draws = UnitDraws(seed)
-        # the fastest rate runs first, so its stream draws the buffer at full
+        # the fastest rate runs first, so its stream grows the buffer to full
         # length and the slower rates take views of it rather than grow it rate
         # after rate; the summary drops the trial's timeline before the next trial
         for rate in sorted(spec.rates, reverse=True):
             by_rate[rate].append(run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
                                            spec.duration_s, seed=seed, draws=draws).summary())
-        del draws  # before the next seed's draws are made
+        del draws  # before the next seed's epochs are made
     aggregates = []
     for rate, rate_trials in by_rate.items():
         tps = [t.mean_tps for t in rate_trials]
@@ -305,9 +305,9 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     probe.  The capacity is still the simulator's verdict.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
-    function of the rate; the probes share that seed's unit draws, so the
-    search draws its uniforms once.  Raises :class:`CalibrationError` when
-    even the smallest probe is unsteady.
+    function of the rate; the probes share that seed's unit-rate epochs, so
+    the search draws and sums its uniforms once.  Raises
+    :class:`CalibrationError` when even the smallest probe is unsteady.
     """
     if not MIN_SEARCH_TOLERANCE <= tolerance <= MAX_SEARCH_TOLERANCE:
         raise InputError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "

@@ -17,7 +17,6 @@ from chaincap.arrival import (
     ArrivalKind,
     ArrivalProcess,
     TxKind,
-    UnitDraws,
     generate_events,
     generate_times,
 )
@@ -79,7 +78,9 @@ class TestCriterion2GeneratorStatistics:
     def test_ks_against_exponential(self):
         passed = 0
         for seed in range(100):
-            x = UnitDraws(seed).take(0, 100_000) / 50.0
+            # the interarrivals of the stream users get: ~100k at 50/s
+            times = generate_times(ArrivalProcess(ArrivalKind.POISSON, 50.0, seed), 2000.0)
+            x = np.diff(times, prepend=0.0)
             if stats.kstest(x, "expon", args=(0, 1 / 50.0)).pvalue > 0.001:
                 passed += 1
         report(2, f"KS vs Exp(50) passes {passed}/100 seeds", passed >= 99)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaincap.arrival import (
     MAX_EXPECTED_EVENTS,
@@ -35,20 +36,19 @@ def sample_interarrival(rate: float, rng: np.random.Generator) -> float:
             return t
 
 
+def reference_epochs(process: ArrivalProcess, n: int) -> np.ndarray:
+    """The seed's first ``n`` unit-rate epochs: one running sum of its unit draws."""
+    return np.cumsum(-np.log1p(-process.rng().random(n)))
+
+
 def reference_generate_times(process: ArrivalProcess, horizon: float) -> np.ndarray:
-    """Oracle of the Poisson stream: out-of-place deltas, running sum, masked cut."""
-    rate = process.rate
-    rng = process.rng()
-    mean = rate * horizon
-    chunk = max(1024, int(mean + 10.0 * math.sqrt(mean) + 64))
-    pieces, t = [], 0.0
+    """Oracle of the Poisson stream: the epochs divided by the rate, masked at the horizon."""
+    n = 1024
     while True:
-        times = t + np.cumsum(-np.log1p(-rng.random(chunk)) / rate)
+        times = reference_epochs(process, n) / process.rate
         if times[-1] > horizon:
-            pieces.append(times[times <= horizon])
-            return np.concatenate(pieces)
-        pieces.append(times)
-        t = float(times[-1])
+            return times[times <= horizon]
+        n *= 2
 
 
 class ShrunkUniforms:
@@ -86,6 +86,26 @@ class TestGenerateTimesMatchesReference:
         assert got.size > 5 * 1380  # several chunks of mean + 10 sigma + 64 draws
         assert np.array_equal(got, reference_generate_times(process, 100.0))
 
+    @pytest.mark.parametrize("rate", [3.0, 0.7, 1.0, 1e-3])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_horizon_cut_is_exact(self, rate, shared, monkeypatch):
+        # gaps of about 5e-13 / rate seconds between arrivals: every quotient
+        # at or below the horizon is kept and none above it, when the horizon
+        # is one of the quotients or one ulp either side, over several chunks
+        # of epochs
+        monkeypatch.setattr(ArrivalProcess, "rng",
+                            lambda self: ShrunkUniforms(self.seed, 1e-12))
+        process = ArrivalProcess(ArrivalKind.POISSON, rate, 4)
+        quotients = reference_epochs(process, 20_000) / rate
+        draws = UnitDraws(4) if shared else None
+        for k in (0, 1, 1023, 1024, 5000, 12_345):
+            for horizon in (np.nextafter(quotients[k], 0.0), quotients[k],
+                            np.nextafter(quotients[k], math.inf)):
+                got = generate_times(process, float(horizon), draws)
+                want = quotients[quotients <= horizon]
+                assert np.array_equal(got, want)
+                assert want.size in (k, k + 1) and quotients[want.size] > horizon
+
 
 class TestUnitDraws:
     # rising, falling and repeated rates, as the probes of a search come
@@ -99,6 +119,30 @@ class TestUnitDraws:
             got = generate_times(process, 60.0, draws)
             assert np.array_equal(got, generate_times(process, 60.0))
             assert np.array_equal(got, reference_generate_times(process, 60.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, SEED_LIMIT - 1),
+           rates=st.lists(st.sampled_from(RATES), min_size=1, max_size=8))
+    def test_shared_draws_match_fresh_streams_after_any_rates(self, seed, rates):
+        draws = UnitDraws(seed)
+        for rate in rates:
+            process = ArrivalProcess(ArrivalKind.POISSON, rate, seed)
+            assert np.array_equal(generate_times(process, 5.0, draws),
+                                  generate_times(process, 5.0))
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, SEED_LIMIT - 1), rate=st.floats(0.01, 5000.0),
+           h1=st.floats(1e-3, 30.0), h2=st.floats(1e-3, 30.0))
+    def test_shorter_horizon_is_a_prefix(self, seed, rate, h1, h2):
+        h1, h2 = min(h1, h2), max(h1, h2)
+        process = ArrivalProcess(ArrivalKind.POISSON, rate, seed)
+        short = generate_times(process, h1)
+        draws = UnitDraws(seed)
+        long = generate_times(process, h2, draws)
+        assert np.array_equal(long[:short.size], short)
+        assert short.size == long.size or long[short.size] > h1
+        # and from the longer stream's epochs, held already
+        assert np.array_equal(generate_times(process, h1, draws), short)
 
     def test_shared_draws_over_many_chunks(self, monkeypatch):
         monkeypatch.setattr(ArrivalProcess, "rng",
@@ -122,12 +166,15 @@ class TestUnitDraws:
         generate_times(ArrivalProcess(ArrivalKind.POISSON, 500.0, 3), 10.0, draws)
         assert made == [1]
 
-    def test_take_is_stream_order(self):
+    @pytest.mark.parametrize("stops", [[4000], [1, 2, 3, 4000], [10, 1034, 1035, 3000, 4000]])
+    def test_epochs_do_not_depend_on_how_the_buffer_grew(self, stops):
+        want = reference_epochs(ArrivalProcess(ArrivalKind.POISSON, 1.0, 5), 4000)
         draws = UnitDraws(5)
-        head = draws.take(10, 20).copy()
-        u = ArrivalProcess(ArrivalKind.POISSON, 1.0, 5).rng().random(40)
-        assert np.array_equal(draws.take(0, 40), -np.log1p(-u))
-        assert np.array_equal(draws.take(10, 20), head)
+        for stop in stops:
+            assert np.array_equal(draws.take(stop), want[:stop])
+        # a shorter take is a view of the epochs held
+        head = draws.take(20)
+        assert np.array_equal(head, want[:20]) and np.shares_memory(head, draws.take(4000))
 
     def test_draws_of_another_seed_rejected(self):
         with pytest.raises(InputError, match="seed 1"):
@@ -144,16 +191,16 @@ class TestUnitDraws:
 
 
 class TestSampleInterarrival:
-    # the means are taken over the vector draws every probe divides by its
-    # rate; test_generate_times_within_two_ulp_of_scalar_draws ties those
-    # draws to the scalar oracle
+    # the means are taken over the gaps between the unit-rate epochs every
+    # probe divides by its rate; test_epochs_within_two_ulp_of_scalar_draws ties
+    # those epochs to the scalar oracle
     def test_mean_at_rate_one(self):
-        draws = UnitDraws(1).take(0, 10**6) / 1.0
-        assert np.mean(draws) == pytest.approx(1.0, abs=0.01)
+        gaps = np.diff(UnitDraws(1).take(10**6), prepend=0.0) / 1.0
+        assert np.mean(gaps) == pytest.approx(1.0, abs=0.01)
 
     def test_mean_at_rate_two(self):
-        draws = UnitDraws(2).take(0, 10**6) / 2.0
-        assert np.mean(draws) == pytest.approx(0.5, abs=0.005)
+        gaps = np.diff(UnitDraws(2).take(10**6), prepend=0.0) / 2.0
+        assert np.mean(gaps) == pytest.approx(0.5, abs=0.005)
 
     def test_first_draw_matches_inverse_cdf_oracle(self):
         # independent oracle: invert F(t) = 1 - exp(-lambda t) on the same
@@ -164,18 +211,21 @@ class TestSampleInterarrival:
         rng = np.random.Generator(np.random.Philox(key=seed))
         assert sample_interarrival(100.0, rng) == oracle
 
-    def test_generate_times_within_two_ulp_of_scalar_draws(self):
+    def test_epochs_within_two_ulp_of_scalar_draws(self):
         # numpy's vector log1p differs from math.log1p by an ulp on some
-        # uniforms, so the stream matches a scalar replay only to a few ulp
+        # uniforms, so the epochs match a scalar running sum only to a few
+        # ulp; the stream is those epochs divided by the rate, exactly
         for seed in range(200):
             process = ArrivalProcess(ArrivalKind.POISSON, 100.0, seed)
             times = generate_times(process, 1.0)[:5]
+            epochs = UnitDraws(seed).take(times.size)
             rng = process.rng()
-            scalar, t = [], 0.0
+            scalar, epoch = [], 0.0
             for _ in range(times.size):
-                t += sample_interarrival(100.0, rng)
-                scalar.append(t)
-            np.testing.assert_array_max_ulp(times, np.array(scalar), maxulp=2)
+                epoch += sample_interarrival(1.0, rng)
+                scalar.append(epoch)
+            np.testing.assert_array_max_ulp(epochs, np.array(scalar), maxulp=2)
+            assert np.array_equal(times, epochs / 100.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_rates(self, bad):
@@ -270,7 +320,7 @@ class TestGenerateEvents:
                                    TxKind.READ, 10.0)) == 0
 
     def test_rate_whose_interarrivals_overflow_gives_empty_stream(self):
-        # 1/1e-320 overflows to inf: past the horizon, and without a warning
+        # every epoch / 1e-320 overflows to inf: past the horizon, and without a warning
         process = ArrivalProcess(ArrivalKind.POISSON, 1e-320, 0)
         for draws in (None, UnitDraws(0)):
             times = generate_times(process, 10.0, draws)

@@ -6,6 +6,8 @@ tests/test_perfbench_contract.py loads perfbench/spans.py.
 
 import importlib.util
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,28 @@ def test_measure_is_the_capacity_commands_search(tmp_path, capsys):
     reported = json.loads(capsys.readouterr().out)["max_lambda_write"]
     cluster = load_cluster(profile.read_text())
     assert calibrate.measure(cluster, TxKind.WRITE, 20.0, 0) == reported
+
+
+def test_shipped_profile_within_tolerance_is_printed_unchanged(capsys):
+    # 1374.6 write/s and 20813.6 read/s lie within 2% of 1400 and 20500, so
+    # one search per kind runs and neither knob moves
+    assert calibrate.main([]) == 0
+    out = capsys.readouterr().out
+    assert "  write_exec_us = 540.0   (capacity 1374.6)\n" in out
+    assert "  read_service_us = 195.0   (capacity 20813.6)\n" in out
+    assert out.count(" -> capacity ") == 2
+
+
+def test_knob_off_target_is_bisected(capsys, monkeypatch):
+    # at 800 us per write the capacity is far below 1400: the script bisects
+    # that knob from the shipped value and leaves the read knob as it is
+    shipped = calibrate.default_cluster()
+    monkeypatch.setattr(calibrate, "default_cluster",
+                        lambda: replace(shipped, write_exec_us=800.0))
+    assert calibrate.main(["--duration", "20"]) == 0
+    out = capsys.readouterr().out
+    tuned = [line for line in out.split("\n") if line.startswith("  write_exec_us = ")]
+    value, cap = (float(x) for x in re.findall(r"[\d.]+", tuned[0]))
+    assert value < 800.0 and abs(cap - 1400.0) / 1400.0 <= calibrate.REL_TOL
+    assert out.count("  write_exec_us=") > 2
+    assert "  read_service_us = 195.0   " in out

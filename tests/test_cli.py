@@ -95,7 +95,7 @@ class TestSimulateCommand:
         assert all(line.split(",")[2] == "0.0" for line in lines[1:])
 
     def test_tiny_rate_runs_without_warning(self, tmp_path, capsys):
-        # the interarrivals at 1e-320/s overflow to inf; the stream is empty
+        # the arrivals at 1e-320/s overflow to inf; the stream is empty
         out = tmp_path / "run"
         assert main(["simulate", "--kind", "write", "--lambda", "1e-320",
                      "--duration", "10", "--out", str(out)]) == 0
@@ -189,6 +189,15 @@ class TestCapacityCommand:
                      "--duration", "10", "--seed", seed]) == 3
         assert _one_error_line(capsys).startswith(
             "error: no steady operating point at the smallest probe rate 100.0")
+
+    def test_overflowing_start_exits_3_from_an_empty_stream(self, capsys):
+        # every arrival at 1e-320/s is past the horizon: the first probe
+        # commits nothing and is unsteady
+        assert main(["capacity", "--kind", "write", "--start", "1e-320",
+                     "--duration", "10"]) == 3
+        assert _one_error_line(capsys).startswith(
+            "error: no steady operating point at the smallest probe rate 1e-320; "
+            "the cluster profile looks miscalibrated: its mean throughput 0.00 tps")
 
     def test_write_search_prints_json(self, capsys, small_cluster_file):
         assert main(["capacity", "--kind", "write", "--cluster",

@@ -24,11 +24,11 @@ CASES = {
     "simulate-write-poisson": (
         ["simulate", "--kind", "write", "--lambda", "1400", "--duration", "30",
          "--seed", "3"],
-        "6c58aa3c57a8930e6be079b723288c031923697a557a648679be32bb3fb7668a"),
+        "741bb93728d3d0771ebc3477374f942ae7917618be77a7fec14fe1012c5f9350"),
     "simulate-read-poisson": (
         ["simulate", "--kind", "read", "--lambda", "15000", "--duration", "20",
          "--seed", "2"],
-        "b6fbd0a11cb1fcd4df065f90ef7c5a3d6ba5b93c3f7ea4ffa2ae6f87ca7314ae"),
+        "7b646a10f1f919a0a0e8817d82770976ef434048f83295a44473b2a03a1edc19"),
     "simulate-write-deterministic": (
         ["simulate", "--kind", "write", "--lambda", "1200", "--arrival", "deterministic",
          "--duration", "30"],
@@ -36,13 +36,13 @@ CASES = {
     "simulate-write-asymmetric": (
         ["simulate", "--kind", "write", "--cluster", str(ASYMMETRIC_CLUSTER),
          "--lambda", "1500", "--window", "0.7"],
-        "3022b0ecb77e5ac00a5300f22c07c9cc1a2bf72a45772e36d3cd424b62697b33"),
+        "b56917315e6b4daacbe53493292326504f32f6bcdf6f6eafe3cd13991efe6f06"),
     "simulate-zero-rate": (
         ["simulate", "--kind", "write", "--lambda", "0", "--duration", "10"],
         "9dca89678a027cebc516edf9a33f78613d15b21f2fca69ea5abf69c21718acb6"),
     "campaign-write": (
         ["campaign", "--kind", "write", "--rates", "400,800,1200,1400,2800", "--seed", "0"],
-        "1598e506cb9a7643f4639c3f5aeb2f9a5b9256dd318bac8513d8ab8073310c6d"),
+        "9e21c32a0e175c81281a66fa1543f93aaa02690fba5096633586f1dbd4a4587c"),
     "capacity-write": (
         ["capacity", "--kind", "write", "--seed", "0"],
         "057542fb6b218e66e6a8f2649f02c35822d9e620e240f2dba13a8f27e84ec780"),
