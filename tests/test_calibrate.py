@@ -15,6 +15,7 @@ import pytest
 from chaincap.arrival import TxKind
 from chaincap.chainsim import load_cluster
 from chaincap.cli import main
+from chaincap.model import capacity_bound
 
 CALIBRATE_PATH = Path(__file__).resolve().parent.parent / "scripts" / "calibrate.py"
 
@@ -40,15 +41,17 @@ def test_failure_exits_with_one_error_line(capsys, duration, code, message):
     assert err.startswith(message) and len(err.strip().split("\n")) == 1
 
 
-def test_measure_is_the_capacity_commands_search(tmp_path, capsys):
-    # the script tunes against the maximum that `capacity` reports
+@pytest.mark.parametrize("kind", [TxKind.WRITE, TxKind.READ])
+def test_measure_is_the_capacity_commands_search(tmp_path, capsys, kind):
+    # the script measures and confirms each knob with the maximum that
+    # `capacity` reports on that axis
     profile = tmp_path / "small.ini"
     profile.write_text("[config]\nschema_version = 1\n\n[cluster]\nblock_tx_capacity = 70\n")
-    assert main(["capacity", "--kind", "write", "--cluster", str(profile),
+    assert main(["capacity", "--kind", kind.value, "--cluster", str(profile),
                  "--duration", "20"]) == 0
-    reported = json.loads(capsys.readouterr().out)["max_lambda_write"]
+    reported = json.loads(capsys.readouterr().out)[f"max_lambda_{kind.value}"]
     cluster = load_cluster(profile.read_text())
-    assert calibrate.measure(cluster, TxKind.WRITE, 20.0, 0) == reported
+    assert calibrate.measure(cluster, kind, 20.0, 0) == reported
 
 
 def test_shipped_profile_within_tolerance_is_printed_unchanged(capsys):
@@ -61,16 +64,45 @@ def test_shipped_profile_within_tolerance_is_printed_unchanged(capsys):
     assert out.count(" -> capacity ") == 2
 
 
-def test_knob_off_target_is_bisected(capsys, monkeypatch):
-    # at 800 us per write the capacity is far below 1400: the script bisects
-    # that knob from the shipped value and leaves the read knob as it is
+@pytest.mark.parametrize("field,value,kind,target,other", [
+    ("write_exec_us", 800.0, TxKind.WRITE, 1400.0, "  read_service_us = 195.0   "),
+    ("read_service_us", 300.0, TxKind.READ, 20500.0, "  write_exec_us = 540.0   "),
+], ids=["write", "read"])
+def test_knob_off_target_is_solved_and_confirmed(capsys, monkeypatch, field, value, kind,
+                                                 target, other):
+    # far off target, the knob is solved from the bound and confirmed by one
+    # more search on the solved profile; the other knob is left as it is
     shipped = calibrate.default_cluster()
     monkeypatch.setattr(calibrate, "default_cluster",
-                        lambda: replace(shipped, write_exec_us=800.0))
+                        lambda: replace(shipped, **{field: value}))
+    searched = []
+    measure = calibrate.measure
+
+    def recording(cluster, kind_, duration, seed):
+        searched.append((cluster, kind_))
+        return measure(cluster, kind_, duration, seed)
+
+    monkeypatch.setattr(calibrate, "measure", recording)
     assert calibrate.main(["--duration", "20"]) == 0
     out = capsys.readouterr().out
-    tuned = [line for line in out.split("\n") if line.startswith("  write_exec_us = ")]
-    value, cap = (float(x) for x in re.findall(r"[\d.]+", tuned[0]))
-    assert value < 800.0 and abs(cap - 1400.0) / 1400.0 <= calibrate.REL_TOL
-    assert out.count("  write_exec_us=") > 2
-    assert "  read_service_us = 195.0   " in out
+    lines = out.split("\n")
+    assert sum(line.startswith(f"  {field}=") and " -> capacity " in line
+               for line in lines) == 2
+    measured, solved = [cluster for cluster, k in searched if k is kind]
+    assert getattr(measured, field) == value
+    assert capacity_bound(solved, kind) == pytest.approx(target, rel=1e-9)
+    tuned = [line for line in lines if line.startswith(f"  {field} = ")]
+    printed, cap = (float(x) for x in re.findall(r"[\d.]+", tuned[0]))
+    assert printed == round(getattr(solved, field), 1)
+    assert abs(cap - target) / target <= calibrate.REL_TOL
+    assert other in out
+
+
+def test_solved_knob_that_misses_its_target_exits_3(capsys):
+    # at seed 80 the write search stops near 170/s on the shipped and the
+    # solved knob alike, so the confirming search misses the target
+    assert calibrate.main(["--seed", "80"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: write_exec_us = 527.1, solved from capacity_bound "
+                          "for a target of 1400, gives capacity 170.0")
+    assert len(err.strip().split("\n")) == 1
