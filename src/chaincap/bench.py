@@ -1,9 +1,10 @@
 """Workload campaigns against the simulator.
 
 Covers steady-state detection (arrival rate == throughput within tolerance),
-multi-trial Poisson campaigns, maximum-sustainable-rate search (a doubling
-ladder with two rungs aimed at the closed-form ``model.capacity_bound``,
-then bisection), and node-count sweeps.
+multi-trial Poisson campaigns, maximum sustainable rates (for writes a
+doubling ladder with two rungs aimed at the closed-form
+``model.capacity_bound``, then bisection; for reads that bound itself,
+confirmed by two probes), and node-count sweeps.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import statistics
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from operator import attrgetter
 
 from .arrival import (
     MAX_EXPECTED_EVENTS,
@@ -36,17 +38,19 @@ WINDOW_S = 1.0
 WARMUP_FRACTION = 0.1
 STEADY_TOLERANCE = 0.02
 DEFAULT_SEARCH_TOLERANCE = 0.01
-# a capacity search's first probe rate, tx/s
+# a write search's first probe rate, tx/s
 DEFAULT_START_RATE = 100.0
 # hi / lo - 1 cannot fall below one ulp (about 2.2e-16), and near it the
 # geometric midpoint rounds to an endpoint, so a finer tolerance never ends
 MIN_SEARCH_TOLERANCE = 1e-9
 MAX_SEARCH_TOLERANCE = 0.05
-# the search's two probes around model.capacity_bound sit this far either
-# side of it, relative: the lower one below every write capacity the search
-# finds (within 1.1% of the bound over seeds 0..99), the upper one above
-# them, and unsteady for reads too, whose +-2% band still calls 1.019 times
-# the service limit steady
+# the write search's two rungs around model.capacity_bound sit this far
+# either side of it, relative: the lower one below every write capacity the
+# search finds (within 1.1% of the bound over seeds 0..99), the upper one
+# above them.  A read capacity's unsteady probe sits at the upper one too:
+# past the service limit the served rate stays at the limit, so there the
+# throughput falls 1 - 1/1.03 = 2.9% short, outside the +-2% band, which
+# still calls 1.019 times the limit steady
 BOUND_MARGIN = 0.03
 
 # desk-scale defaults keep the acceptance suite laptop-sized
@@ -295,19 +299,31 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                     duration_s: float = DESK_DURATION_S,
                     base_seed: int = 0,
                     start: float = DEFAULT_START_RATE) -> float:
-    """Largest steady arrival rate, by exponential bracketing then bisection.
+    """Largest steady arrival rate: for reads the service limit, for writes
+    the result of exponential bracketing then bisection.
 
-    The bracket doubles from ``start``.  Two rungs at ``1 -/+ BOUND_MARGIN``
-    times ``capacity_bound`` join its ladder: a rung above the last steady
-    probe and at or below the next doubling is probed in that doubling's
-    place, so the search usually brackets the capacity between the two
-    rungs.  A rung at or below ``start``, or an infinite bound, adds no
+    Reads never enter consensus, and each node serves them through a FIFO
+    queue with a fixed service time, which is stable iff the arrival rate is
+    below its service rate (Loynes 1962).  So the read capacity is
+    ``(1 - tolerance)`` times ``capacity_bound``, once the simulator confirms
+    the bound: that rate must be steady, and ``1 + BOUND_MARGIN`` times the
+    bound unsteady, or :class:`CalibrationError` names both probes.  The
+    upper probe runs first, so it grows the shared epochs to full length and
+    a probe past the event cap stops the search before it simulates.
+
+    The write bracket doubles from ``start``, which reads ignore.  Two rungs
+    at ``1 -/+ BOUND_MARGIN`` times ``capacity_bound`` join its ladder: a
+    rung above the last steady probe and at or below the next doubling is
+    probed in that doubling's place, so the search usually brackets the
+    capacity between the two rungs.  A rung at or below ``start`` adds no
     probe.  The capacity is still the simulator's verdict.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
     function of the rate; the probes share that seed's unit-rate epochs, so
     the search draws and sums its uniforms once.  Raises
-    :class:`CalibrationError` when even the smallest probe is unsteady.
+    :class:`CalibrationError` when even the smallest write probe is unsteady,
+    and :class:`InputError` for reads that take no time (``read_service_us =
+    0``), whose capacity has no bound.
     """
     if not MIN_SEARCH_TOLERANCE <= tolerance <= MAX_SEARCH_TOLERANCE:
         raise InputError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
@@ -325,6 +341,24 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
         return run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
                          draws=draws)
 
+    bound = capacity_bound(cluster, kind)
+    if kind is TxKind.READ:
+        if bound == math.inf:
+            raise InputError("read_service_us = 0 serves every read at once, so the read "
+                             "capacity has no bound; give read_service_us > 0")
+        # each probe keeps only (rate, mean tps, steady), so its timeline is
+        # gone before the next probe runs
+        above, below = (attrgetter("lambda_offered", "mean_tps", "steady")(probe(r))
+                        for r in (bound * (1.0 + BOUND_MARGIN), bound * (1.0 - tolerance)))
+        if below[2] and not above[2]:
+            return below[0]
+        raise CalibrationError(
+            f"the simulator does not confirm the read capacity bound {bound:.1f}/s at seed "
+            f"{base_seed}: " + ", ".join(
+                f"{lam:.1f}/s serves {tps:.2f} tps and is {'steady' if steady else 'unsteady'} "
+                f"(must be {want})"
+                for (lam, tps, steady), want in ((below, "steady"), (above, "unsteady"))))
+
     lo = check_rate(start, "start")
     if lo <= 0:
         raise InputError("start rate must be > 0")
@@ -336,9 +370,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
             f"{first.mean_tps:.2f} tps is outside {lo} ±{STEADY_TOLERANCE:.0%} "
             f"[{lo * (1 - STEADY_TOLERANCE):.2f}, {lo * (1 + STEADY_TOLERANCE):.2f}] "
             f"at seed {base_seed}")
-    bound = capacity_bound(cluster, kind)
-    rungs = [r for r in (bound * (1.0 - BOUND_MARGIN), bound * (1.0 + BOUND_MARGIN))
-             if lo < r < math.inf]
+    rungs = [r for r in (bound * (1.0 - BOUND_MARGIN), bound * (1.0 + BOUND_MARGIN)) if lo < r]
     while True:
         hi = rungs.pop(0) if rungs and rungs[0] <= 2.0 * lo else 2.0 * lo
         if not probe(hi).steady:

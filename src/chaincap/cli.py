@@ -259,6 +259,9 @@ def cmd_simulate(args) -> int:
 # --- capacity --------------------------------------------------------------
 
 def cmd_capacity(args) -> int:
+    if args.kind == "read" and args.start_given:
+        raise InputError("--start is the write search's first probe, and a read capacity "
+                         "needs no search; give --kind write or both, or no --start")
     node_counts = _parse_list(args.nodes, int, "--nodes")
     manifest = _output_dir(args, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
@@ -363,6 +366,15 @@ def cmd_assess(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
+class _StoreGiven(argparse.Action):
+    """Store the option's value and set ``<dest>_given``, so that a command can
+    tell a given option from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaincap",
@@ -407,9 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=kinds + ["both"], required=True)
     p.add_argument("--nodes", help="comma-separated node counts, e.g. 4,5,6,7")
     p.add_argument("--tolerance", type=float, default=DEFAULT_SEARCH_TOLERANCE,
-                   help="relative bisection tolerance")
-    p.add_argument("--start", type=float, default=DEFAULT_START_RATE, help="first probe rate")
-    p.set_defaults(func=cmd_capacity)
+                   help="relative tolerance: the write bisection stops within it, and "
+                        "the read capacity is the read service limit less it")
+    p.add_argument("--start", type=float, default=DEFAULT_START_RATE, action=_StoreGiven,
+                   help="first probe rate of the write search; reads take none")
+    p.set_defaults(func=cmd_capacity, start_given=False)
 
     p = sub.add_parser("campaign", parents=[run_opts, trial_opts],
                        help="multi-trial campaign over a rate grid")

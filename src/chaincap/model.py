@@ -2,9 +2,10 @@
 
 The arithmetic of one consensus round, and the capacity it bounds, stated
 once on a :class:`~chaincap.chainsim.ClusterConfig`.  The simulator runs
-the round inline in its block loop; the capacity search aims two of its
-probes at :func:`capacity_bound`.  This module is plain Python and
-imports no numpy.
+the round inline in its block loop; the write search aims two of its
+probes at :func:`capacity_bound`, and the read capacity is that bound
+less the search tolerance.  This module is plain Python and imports no
+numpy.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import io
 import math
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +22,11 @@ from chaincap.bench import (
     sweep_nodes,
     write_campaign_csv,
 )
-from chaincap.chainsim import MetricsTimeline, default_cluster
+from chaincap.chainsim import MetricsTimeline, default_cluster, load_cluster
 from chaincap.errors import CalibrationError, InputError
+
+
+ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 
 
 # a deliberately small cluster for search tests: saturates around 450 tps
@@ -239,14 +243,15 @@ class TestFindMaxLambda:
             "100.0 ±2% [98.00, 102.00] at seed 5")
 
     def test_probe_past_the_event_cap_names_the_search(self, monkeypatch):
-        # the doubling, not the caller, picks the rate that crosses the cap
+        # the search, not the caller, picks the rate that crosses the cap
         monkeypatch.setattr(bench, "MAX_EXPECTED_EVENTS", 200_000)
+        monkeypatch.setattr(bench, "run_trial", _no_trial)
         with pytest.raises(InputError) as err:
             find_max_lambda(default_cluster(), TxKind.READ, duration_s=20.0)
         assert str(err.value) == (
-            "the read capacity search would probe 12800.0/s over 20.0 s, which expects "
-            "2.56e+05 events, more than the 200,000 one trial may hold; give a shorter "
-            "--duration")
+            "the read capacity search would probe 21128.20512820513/s over 20.0 s, which "
+            "expects 4.226e+05 events, more than the 200,000 one trial may hold; give a "
+            "shorter --duration")
 
 
 class TestBoundRungs:
@@ -273,12 +278,6 @@ class TestBoundRungs:
                                                 1374.6, 1395.4, 1385.0]
         bound = bench.capacity_bound(default_cluster(), TxKind.WRITE)
         assert rates[4:6] == [bound * (1 - bench.BOUND_MARGIN), bound * (1 + bench.BOUND_MARGIN)]
-
-    def test_seed_0_read_search_makes_13_probes(self, monkeypatch):
-        rates = self.record_probes(monkeypatch)
-        assert round(find_max_lambda(default_cluster(), TxKind.READ), 1) == 20813.6
-        assert [round(r, 1) for r in rates[7:10]] == [12800.0, 19897.4, 21128.2]
-        assert len(rates) == 13
 
     def test_infinite_bound_is_the_plain_doubling_search(self, monkeypatch):
         monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: math.inf)
@@ -307,6 +306,66 @@ class TestBoundRungs:
         rates.clear()
         assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.8954384979825
         assert len(rates) == 12
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("no trial may run")
+
+
+class TestReadCapacity:
+    """The read capacity is (1 - tolerance) times the closed-form service
+    limit, once one probe below it is steady and one above it is not."""
+
+    def test_seed_0_read_capacity_makes_two_probes(self, monkeypatch):
+        rates = TestBoundRungs.record_probes(monkeypatch)
+        assert find_max_lambda(default_cluster(), TxKind.READ) == 20307.692307692305
+        bound = bench.capacity_bound(default_cluster(), TxKind.READ)
+        assert rates == [bound * (1 + bench.BOUND_MARGIN),
+                         bound * (1 - bench.DEFAULT_SEARCH_TOLERANCE)]
+        assert [round(r, 1) for r in rates] == [21128.2, 20307.7]
+
+    @pytest.mark.parametrize("profile", ["multi", "single", "asymmetric"])
+    @pytest.mark.parametrize("seed", [3, 5, 80, 93])
+    def test_read_capacity_is_below_the_service_limit(self, seed, profile):
+        # seeds whose read bisection once failed at its first probe (3, 5) or
+        # stopped near 150/s (80, 93)
+        cluster = {"multi": default_cluster(),
+                   "single": replace(default_cluster(), read_mode="single"),
+                   "asymmetric": load_cluster(ASYMMETRIC_CLUSTER.read_text())}[profile]
+        limit = bench.capacity_bound(cluster, TxKind.READ)
+        got = find_max_lambda(cluster, TxKind.READ, base_seed=seed)
+        assert got == limit * (1 - bench.DEFAULT_SEARCH_TOLERANCE) <= limit
+
+    @pytest.mark.parametrize("factor,probes", [
+        # the bound halved: the upper probe, at 0.515 times the service limit, is steady
+        (0.5, "10256.4/s at seed 7: 10153.8/s serves 10143.89 tps and is steady (must be "
+              "steady), 10564.1/s serves 10548.57 tps and is steady (must be unsteady)"),
+        # the bound doubled: the lower probe, at 1.98 times the limit, is unsteady
+        (2.0, "41025.6/s at seed 7: 40615.4/s serves 20512.85 tps and is unsteady (must be "
+              "steady), 42256.4/s serves 20512.85 tps and is unsteady (must be unsteady)"),
+    ], ids=["halved", "doubled"])
+    def test_a_wrong_bound_is_a_calibration_error(self, monkeypatch, factor, probes):
+        true_bound = bench.capacity_bound
+        monkeypatch.setattr(bench, "capacity_bound",
+                            lambda cluster, kind: true_bound(cluster, kind) * factor)
+        with pytest.raises(CalibrationError) as err:
+            find_max_lambda(default_cluster(), TxKind.READ, base_seed=7)
+        assert str(err.value) == (
+            "the simulator does not confirm the read capacity bound " + probes)
+
+    def test_first_probe_timeline_is_gone_before_the_second_runs(self, monkeypatch):
+        timelines = []
+        simulate = bench.run
+
+        def recorded(*args, **kwargs):
+            assert all(ref() is None for ref in timelines)
+            timeline = simulate(*args, **kwargs)
+            timelines.append(weakref.ref(timeline))
+            return timeline
+
+        monkeypatch.setattr(bench, "run", recorded)
+        find_max_lambda(default_cluster(), TxKind.READ, duration_s=10.0)
+        assert len(timelines) == 2 and all(ref() is None for ref in timelines)
 
 
 class TestSharedDraws:

@@ -177,11 +177,43 @@ class TestCapacityCommand:
 
     def test_probe_past_the_event_cap_exits_2_before_simulating(self, capsys, monkeypatch):
         monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
-        assert main(["capacity", "--kind", "read", "--start", "4e6", "--duration", "10"]) == 2
+        assert main(["capacity", "--kind", "write", "--start", "4e6", "--duration", "10"]) == 2
         assert _one_error_line(capsys) == (
-            "error: the read capacity search would probe 4000000.0/s over 10.0 s, which "
+            "error: the write capacity search would probe 4000000.0/s over 10.0 s, which "
             "expects 4e+07 events, more than the 30,000,000 one trial may hold; give a "
             "shorter --duration\n")
+
+    def test_start_beside_a_read_search_exits_2(self, capsys, monkeypatch):
+        # a read capacity takes no first probe, so no search would use --start
+        monkeypatch.setattr("chaincap.cli.sweep_nodes", _no_search)
+        assert main(["capacity", "--kind", "read", "--start", "100"]) == 2
+        assert _one_error_line(capsys).startswith(
+            "error: --start is the write search's first probe")
+
+    def test_start_beside_both_kinds_is_the_write_search_start(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr("chaincap.cli.sweep_nodes",
+                            lambda *args, start, **kwargs: searched.append(start) or [
+                                CapacityProfile(node_count=4, max_lambda_read=1.0,
+                                                max_lambda_write=1.0, search_tolerance=0.01)])
+        assert main(["capacity", "--kind", "both", "--start", "250"]) == 0
+        assert searched == [250.0]
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--kind", "read"],
+        ["capacity", "--kind", "both"],
+        ["assess", "--scenario", "aaa"],
+    ], ids=["read", "both", "assess"])
+    def test_reads_that_take_no_time_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        # an infinite service limit has no capacity to confirm, and no
+        # --duration would help; no trial runs
+        monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
+        profile = tmp_path / "instant_reads.ini"
+        profile.write_text("[config]\nschema_version = 1\n\n[cluster]\nread_service_us = 0\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--cluster", str(profile), "--out", str(out)]) == 2
+        assert _one_error_line(capsys).startswith("error: read_service_us = 0 ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["0", "1", "2"])
     def test_cluster_that_cannot_carry_the_first_probe_exits_3(self, capsys, seed):

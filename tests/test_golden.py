@@ -48,7 +48,7 @@ CASES = {
         "057542fb6b218e66e6a8f2649f02c35822d9e620e240f2dba13a8f27e84ec780"),
     "capacity-both-nodes": (
         ["capacity", "--kind", "both", "--nodes", "4,5", "--duration", "20", "--seed", "0"],
-        "4a7135e2da8756aef028c4f6e991c585d1faf8e0cd67116b31067c35ddc16d41"),
+        "88c54a847afd717f042dd396af6f599d964901846ea6867949d76ac47aeadd37"),
     "assess-all": (
         ["assess", "--scenario", "all", "--capacity", str(PAPER_CAPACITY_PATH)],
         "b041e5794dd2cd6f1b0f36a7af9414456d7ea3fa5f3a5939a435419cddbf7c3a"),
