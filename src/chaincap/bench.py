@@ -38,16 +38,17 @@ WINDOW_S = 1.0
 WARMUP_FRACTION = 0.1
 STEADY_TOLERANCE = 0.02
 DEFAULT_SEARCH_TOLERANCE = 0.01
-# a write search's first probe rate, tx/s
-DEFAULT_START_RATE = 100.0
+# the write search's first probe rate, tx/s
+FIRST_PROBE_RATE = 100.0
 # hi / lo - 1 cannot fall below one ulp (about 2.2e-16), and near it the
 # geometric midpoint rounds to an endpoint, so a finer tolerance never ends
 MIN_SEARCH_TOLERANCE = 1e-9
 MAX_SEARCH_TOLERANCE = 0.05
 # the write search's two rungs around model.capacity_bound sit this far
-# either side of it, relative: the lower one below every write capacity the
-# search finds (within 1.1% of the bound over seeds 0..99), the upper one
-# above them.  A read capacity's unsteady probe sits at the upper one too:
+# either side of it, relative.  On the shipped profile at 60 s (bound
+# 1375.2), 80 of seeds 0..99 find 1364.4-1385.0, between the rungs at 1334.0
+# and 1416.5; seeds 80 and 93 find 169.1 and 137.6, and 18 seeds exit 3 at
+# the first probe.  A read capacity's unsteady probe sits at the upper rung too:
 # past the service limit the served rate stays at the limit, so there the
 # throughput falls 1 - 1/1.03 = 2.9% short, outside the +-2% band, which
 # still calls 1.019 times the limit steady
@@ -297,8 +298,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                     arrival_kind: ArrivalKind = ArrivalKind.POISSON,
                     tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                     duration_s: float = DESK_DURATION_S,
-                    base_seed: int = 0,
-                    start: float = DEFAULT_START_RATE) -> float:
+                    base_seed: int = 0) -> float:
     """Largest steady arrival rate: for reads the service limit, for writes
     the result of exponential bracketing then bisection.
 
@@ -311,12 +311,12 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     upper probe runs first, so it grows the shared epochs to full length and
     a probe past the event cap stops the search before it simulates.
 
-    The write bracket doubles from ``start``, which reads ignore.  Two rungs
+    The write bracket doubles from ``FIRST_PROBE_RATE``.  Two rungs
     at ``1 -/+ BOUND_MARGIN`` times ``capacity_bound`` join its ladder: a
     rung above the last steady probe and at or below the next doubling is
     probed in that doubling's place, so the search usually brackets the
-    capacity between the two rungs.  A rung at or below ``start`` adds no
-    probe.  The capacity is still the simulator's verdict.
+    capacity between the two rungs.  A rung at or below the first probe adds
+    no probe.  The capacity is still the simulator's verdict.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
     function of the rate; the probes share that seed's unit-rate epochs, so
@@ -359,9 +359,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                 f"(must be {want})"
                 for (lam, tps, steady), want in ((below, "steady"), (above, "unsteady"))))
 
-    lo = check_rate(start, "start")
-    if lo <= 0:
-        raise InputError("start rate must be > 0")
+    lo = FIRST_PROBE_RATE
     first = probe(lo)
     if not first.steady:
         raise CalibrationError(
@@ -390,8 +388,7 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
                 arrival_kind: ArrivalKind = ArrivalKind.POISSON,
                 tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                 duration_s: float = DESK_DURATION_S,
-                base_seed: int = 0,
-                start: float = DEFAULT_START_RATE) -> list[CapacityProfile]:
+                base_seed: int = 0) -> list[CapacityProfile]:
     """Run the capacity search per node count and kind, ordered by node count.
 
     The axis of a kind not in ``kinds`` is left at inf.
@@ -405,8 +402,7 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
     profiles = []
     for cluster in clusters:
         found = {kind: find_max_lambda(cluster, kind, arrival_kind, tolerance=tolerance,
-                                       duration_s=duration_s, base_seed=base_seed,
-                                       start=start)
+                                       duration_s=duration_s, base_seed=base_seed)
                  for kind in kinds}
         profiles.append(CapacityProfile(node_count=cluster.node_count,
                                         max_lambda_read=found.get(TxKind.READ, math.inf),

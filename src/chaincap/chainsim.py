@@ -26,9 +26,10 @@ from functools import cached_property
 from ._numpy import np
 from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream, check_horizon
 from .errors import InputError
-# run looks round_base_ms up here, so a test can replace it for this module;
-# consensus_round_latency, which run inlines, keeps its name here for the
-# benchmark's trace mode, which wraps it in this namespace
+# run looks round_base_ms up here, so a test can replace it for this module.
+# Nothing calls consensus_round_latency here, since run inlines it; the name
+# stays because perfbench/spans.py wraps it in this namespace, so
+# chainsim.consensus_round_latency.calls reads 0 until ROADMAP item 2 mends that
 from .model import consensus_round_latency, round_base_ms  # noqa: F401
 
 CONFIG_SCHEMA_VERSION = 1

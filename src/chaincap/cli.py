@@ -28,12 +28,13 @@ from .bench import (
     CampaignSpec,
     CapacityProfile,
     DEFAULT_SEARCH_TOLERANCE,
-    DEFAULT_START_RATE,
     DESK_DURATION_S,
     DESK_TRIALS,
     WINDOW_S,
     campaign_json_dict,
-    find_max_lambda,  # unused here; perfbench/spans.py patches this name
+    # uncalled here; perfbench/spans.py wraps this name, so bench.probes reads 0
+    # until ROADMAP item 2 moves that patch point into bench
+    find_max_lambda,  # noqa: F401
     run_campaign,
     sweep_nodes,
     write_campaign_csv,
@@ -259,9 +260,6 @@ def cmd_simulate(args) -> int:
 # --- capacity --------------------------------------------------------------
 
 def cmd_capacity(args) -> int:
-    if args.kind == "read" and args.start_given:
-        raise InputError("--start is the write search's first probe, and a read capacity "
-                         "needs no search; give --kind write or both, or no --start")
     node_counts = _parse_list(args.nodes, int, "--nodes")
     manifest = _output_dir(args, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
@@ -272,7 +270,7 @@ def cmd_capacity(args) -> int:
     kinds = (TxKind.READ, TxKind.WRITE) if args.kind == "both" else (TxKind(args.kind),)
     profiles = sweep_nodes(cluster, node_counts or [cluster.node_count], kinds,
                            ArrivalKind(args.arrival), tolerance=args.tolerance,
-                           duration_s=args.duration, base_seed=args.seed, start=args.start)
+                           duration_s=args.duration, base_seed=args.seed)
 
     docs = [p.to_json_dict() for p in profiles]
     doc = docs[0] if len(docs) == 1 else {"schema_version": 1, "profiles": docs}
@@ -366,15 +364,6 @@ def cmd_assess(args) -> int:
 
 # --- parser ----------------------------------------------------------------
 
-class _StoreGiven(argparse.Action):
-    """Store the option's value and set ``<dest>_given``, so that a command can
-    tell a given option from its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chaincap",
@@ -421,9 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=DEFAULT_SEARCH_TOLERANCE,
                    help="relative tolerance: the write bisection stops within it, and "
                         "the read capacity is the read service limit less it")
-    p.add_argument("--start", type=float, default=DEFAULT_START_RATE, action=_StoreGiven,
-                   help="first probe rate of the write search; reads take none")
-    p.set_defaults(func=cmd_capacity, start_given=False)
+    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("campaign", parents=[run_opts, trial_opts],
                        help="multi-trial campaign over a rate grid")

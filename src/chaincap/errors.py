@@ -13,6 +13,8 @@ class InputError(ChaincapError, ValueError):
 
 
 class CalibrationError(ChaincapError, RuntimeError):
-    """A capacity search could not find any steady operating point (exit 3)."""
+    """The simulator does not bear out a capacity (exit 3): a write search's
+    first probe is unsteady, a read capacity bound is not confirmed by its two
+    probes, or ``scripts/calibrate.py``'s solved knob misses its target."""
 
     exit_code = 3

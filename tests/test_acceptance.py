@@ -53,15 +53,13 @@ def report(criterion: int, label: str, ok: bool) -> None:
 def write_capacity_sweep():
     # one search per node count, reused by criteria 3, 4, and 5
     return sweep_nodes(default_cluster(), [4, 5, 6, 7], (TxKind.WRITE,),
-                       arrival_kind=ArrivalKind.DETERMINISTIC, duration_s=60.0,
-                       start=100.0)
+                       arrival_kind=ArrivalKind.DETERMINISTIC, duration_s=60.0)
 
 
 @pytest.fixture(scope="session")
 def read_capacity_multi():
     return find_max_lambda(default_cluster(), TxKind.READ,
-                           ArrivalKind.DETERMINISTIC, duration_s=60.0,
-                           start=100.0)
+                           ArrivalKind.DETERMINISTIC, duration_s=60.0)
 
 
 class TestCriterion1RateArithmetic:
@@ -144,9 +142,9 @@ class TestCriterion6PoissonVsPeak:
     def test_poisson_capacity_not_above_deterministic(self):
         cluster = replace(default_cluster(), block_tx_capacity=70)
         poisson = find_max_lambda(cluster, TxKind.WRITE, ArrivalKind.POISSON,
-                                  duration_s=30.0, start=100.0)
+                                  duration_s=30.0)
         det = find_max_lambda(cluster, TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                              duration_s=30.0, start=100.0)
+                              duration_s=30.0)
         report(6, f"poisson max {poisson:.1f} <= deterministic max {det:.1f}",
                poisson <= det)
 
@@ -170,7 +168,7 @@ class TestCriterion7ReadIndependence:
     def test_multi_node_reads_scale_with_node_count(self, read_capacity_multi):
         single = find_max_lambda(replace(default_cluster(), read_mode="single"),
                                  TxKind.READ, ArrivalKind.DETERMINISTIC,
-                                 duration_s=60.0, start=100.0)
+                                 duration_s=60.0)
         ratio = read_capacity_multi / single
         n = default_cluster().node_count
         report(7, f"multi/single read capacity ratio {ratio:.2f} vs {n} +/-10%",

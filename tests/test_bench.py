@@ -197,25 +197,26 @@ class TestRunCampaign:
 class TestFindMaxLambda:
     def test_search_converges_on_small_cluster(self):
         lam = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                              duration_s=20.0, start=100.0)
+                              duration_s=20.0)
         # block_tx_capacity 70 over the ~0.155 s full-block round bounds throughput
         assert 350 < lam < 550
 
     def test_search_is_deterministic(self):
-        a = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, start=100.0)
-        b = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, start=100.0)
+        a = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
+        b = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
         assert a == b
 
     def test_doubled_exec_cost_lowers_capacity(self):
-        base = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, start=100.0)
+        base = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
         slower = replace(small_cluster(), write_exec_us=small_cluster().write_exec_us * 2)
-        worse = find_max_lambda(slower, TxKind.WRITE, duration_s=20.0, start=100.0)
+        worse = find_max_lambda(slower, TxKind.WRITE, duration_s=20.0)
         assert worse < base
 
     def test_unsteady_smallest_probe_is_calibration_error(self):
-        with pytest.raises(CalibrationError):
-            find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0,
-                            start=1e6)
+        # one write per block commits under 10 of the first probe's 100/s
+        one_per_block = replace(small_cluster(), block_tx_capacity=1)
+        with pytest.raises(CalibrationError, match="smallest probe rate 100.0;"):
+            find_max_lambda(one_per_block, TxKind.WRITE, duration_s=20.0)
 
     def test_tolerance_domain(self):
         for bad in (0.5, 0.0, 9.99e-10, 1e-17, math.nan):
@@ -296,12 +297,14 @@ class TestBoundRungs:
         assert got != want
         assert abs(got / want - 1.0) <= bench.DEFAULT_SEARCH_TOLERANCE
 
-    def test_rungs_at_or_below_the_start_add_no_probe(self, monkeypatch):
+    def test_rungs_at_or_below_the_first_probe_add_no_probe(self, monkeypatch):
         rates = self.record_probes(monkeypatch)
-        # the start lies between the rungs: the upper one is the next probe
-        find_max_lambda(default_cluster(), TxKind.WRITE, start=1340.0)
-        assert [round(r, 1) for r in rates[:2]] == [1340.0, 1416.5]
-        # both rungs at or below the start: the plain doubling search
+        # the first probe lies between the rungs 97.0 and 103.0: the upper one
+        # is the next probe
+        monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: 100.0)
+        find_max_lambda(default_cluster(), TxKind.WRITE)
+        assert rates[:2] == [100.0, 103.0]
+        # both rungs at or below the first probe: the plain doubling search
         monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: 100.0 / 1.03)
         rates.clear()
         assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.8954384979825
@@ -473,10 +476,9 @@ class TestProbesReadOnlyThroughput:
 
 class TestSweepNodes:
     def test_singleton_matches_direct_search(self):
-        direct = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0,
-                                 start=100.0)
+        direct = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
         profiles = sweep_nodes(small_cluster(), [4], (TxKind.WRITE,),
-                               duration_s=20.0, start=100.0)
+                               duration_s=20.0)
         assert len(profiles) == 1
         assert profiles[0].max_lambda_write == direct
         assert profiles[0].max_lambda_read == math.inf
@@ -484,7 +486,7 @@ class TestSweepNodes:
     def test_idempotence(self):
         # a repeated node count is rejected, so the two searches are two sweeps
         first, second = (sweep_nodes(small_cluster(), [4], (TxKind.WRITE,),
-                                     duration_s=20.0, start=100.0) for _ in range(2))
+                                     duration_s=20.0) for _ in range(2))
         assert first == second
 
     def test_rejects_repeated_node_counts(self):
@@ -499,9 +501,9 @@ class TestSweepNodes:
 class TestPoissonVsDeterministic:
     def test_poisson_capacity_not_above_deterministic(self):
         poisson = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.POISSON,
-                                  duration_s=20.0, start=100.0)
+                                  duration_s=20.0)
         det = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                              duration_s=20.0, start=100.0)
+                              duration_s=20.0)
         assert poisson <= det
 
 

@@ -11,7 +11,6 @@ from chaincap import chainsim
 from chaincap.arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
 from chaincap.bench import (
     DEFAULT_SEARCH_TOLERANCE,
-    DEFAULT_START_RATE,
     DESK_DURATION_S,
     DESK_TRIALS,
     WINDOW_S,
@@ -177,27 +176,18 @@ class TestCapacityCommand:
 
     def test_probe_past_the_event_cap_exits_2_before_simulating(self, capsys, monkeypatch):
         monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
-        assert main(["capacity", "--kind", "write", "--start", "4e6", "--duration", "10"]) == 2
+        assert main(["capacity", "--kind", "read", "--duration", "1500"]) == 2
         assert _one_error_line(capsys) == (
-            "error: the write capacity search would probe 4000000.0/s over 10.0 s, which "
-            "expects 4e+07 events, more than the 30,000,000 one trial may hold; give a "
-            "shorter --duration\n")
+            "error: the read capacity search would probe 21128.20512820513/s over 1500.0 s, "
+            "which expects 3.169e+07 events, more than the 30,000,000 one trial may hold; "
+            "give a shorter --duration\n")
 
-    def test_start_beside_a_read_search_exits_2(self, capsys, monkeypatch):
-        # a read capacity takes no first probe, so no search would use --start
-        monkeypatch.setattr("chaincap.cli.sweep_nodes", _no_search)
-        assert main(["capacity", "--kind", "read", "--start", "100"]) == 2
-        assert _one_error_line(capsys).startswith(
-            "error: --start is the write search's first probe")
-
-    def test_start_beside_both_kinds_is_the_write_search_start(self, monkeypatch):
-        searched = []
-        monkeypatch.setattr("chaincap.cli.sweep_nodes",
-                            lambda *args, start, **kwargs: searched.append(start) or [
-                                CapacityProfile(node_count=4, max_lambda_read=1.0,
-                                                max_lambda_write=1.0, search_tolerance=0.01)])
-        assert main(["capacity", "--kind", "both", "--start", "250"]) == 0
-        assert searched == [250.0]
+    def test_start_is_a_usage_error(self, capsys):
+        # the write search's first probe is a constant
+        with pytest.raises(SystemExit) as excinfo:
+            main(["capacity", "--kind", "write", "--start", "100"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --start 100" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--kind", "read"],
@@ -222,19 +212,9 @@ class TestCapacityCommand:
         assert _one_error_line(capsys).startswith(
             "error: no steady operating point at the smallest probe rate 100.0")
 
-    def test_overflowing_start_exits_3_from_an_empty_stream(self, capsys):
-        # every arrival at 1e-320/s is past the horizon: the first probe
-        # commits nothing and is unsteady
-        assert main(["capacity", "--kind", "write", "--start", "1e-320",
-                     "--duration", "10"]) == 3
-        assert _one_error_line(capsys).startswith(
-            "error: no steady operating point at the smallest probe rate 1e-320; "
-            "the cluster profile looks miscalibrated: its mean throughput 0.00 tps")
-
     def test_write_search_prints_json(self, capsys, small_cluster_file):
         assert main(["capacity", "--kind", "write", "--cluster",
-                     str(small_cluster_file), "--duration", "20",
-                     "--start", "100"]) == 0
+                     str(small_cluster_file), "--duration", "20"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["node_count"] == 4
         assert doc["max_lambda_read"] is None
@@ -445,7 +425,7 @@ def _no_draws(self):
     ["simulate", "--kind", "write", "--lambda", "1e12"],
     ["simulate", "--kind", "read", "--lambda", "1e12", "--duration", "1e-3"],
     ["campaign", "--kind", "write", "--rates", "400,1e12"],
-    ["capacity", "--kind", "write", "--start", "1e12"],
+    ["capacity", "--kind", "read", "--duration", "1500"],
 ])
 def test_event_count_guard_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv):
     # a missing guard fails on the first draw, before allocating a stream
@@ -572,7 +552,6 @@ def test_parser_defaults_are_the_bench_constants():
     parser = build_parser()
     capacity = parser.parse_args(["capacity", "--kind", "write"])
     assert capacity.tolerance == DEFAULT_SEARCH_TOLERANCE
-    assert capacity.start == DEFAULT_START_RATE
     assert capacity.duration == DESK_DURATION_S
     simulate = parser.parse_args(["simulate", "--kind", "write", "--lambda", "1"])
     assert simulate.window == WINDOW_S
