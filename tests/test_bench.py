@@ -310,6 +310,15 @@ class TestBoundRungs:
         assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.8954384979825
         assert len(rates) == 12
 
+    def test_every_write_search_starts_at_the_first_probe_rate(self, monkeypatch):
+        for search in (find_max_lambda, sweep_nodes):
+            assert "start" not in inspect.signature(search).parameters
+        rates = self.record_probes(monkeypatch)
+        sweep_nodes(small_cluster(), [4, 5], (TxKind.WRITE,), duration_s=20.0)
+        # one search per node count, each opening at the constant
+        assert rates[0] == bench.FIRST_PROBE_RATE
+        assert rates.count(bench.FIRST_PROBE_RATE) == 2
+
 
 def _no_trial(*args, **kwargs):
     raise AssertionError("no trial may run")

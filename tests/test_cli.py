@@ -182,10 +182,11 @@ class TestCapacityCommand:
             "which expects 3.169e+07 events, more than the 30,000,000 one trial may hold; "
             "give a shorter --duration\n")
 
-    def test_start_is_a_usage_error(self, capsys):
-        # the write search's first probe is a constant
+    @pytest.mark.parametrize("kind", ["write", "read", "both"])
+    def test_start_is_a_usage_error(self, capsys, kind):
+        # the write search's first probe is a constant, and reads take none
         with pytest.raises(SystemExit) as excinfo:
-            main(["capacity", "--kind", "write", "--start", "100"])
+            main(["capacity", "--kind", kind, "--start", "100"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --start 100" in capsys.readouterr().err
 
