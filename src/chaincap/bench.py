@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
@@ -267,6 +266,8 @@ def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
     only one seed's epochs are held at a time.  Trials and aggregates are
     reported rate-major, trial after trial within a rate.
     """
+    import statistics
+
     by_rate: dict[float, list[TrialSummary]] = {rate: [] for rate in spec.rates}
     for seed in range(spec.base_seed, spec.base_seed + spec.trials):
         draws = UnitDraws(seed)

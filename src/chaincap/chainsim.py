@@ -17,7 +17,6 @@ One run is single-threaded and fully deterministic in its inputs.
 
 from __future__ import annotations
 
-import configparser
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
@@ -395,6 +394,8 @@ def read_config(document: str) -> dict[str, dict[str, str]]:
     ``schema_version = 1`` and is not returned.  Every fault is a one-line
     :class:`InputError`; a repeated section or key names its line.
     """
+    import configparser
+
     # no header can be empty, so [DEFAULT] is an ordinary section, not one
     # whose keys every other section inherits
     parser = configparser.ConfigParser(interpolation=None, strict=True, default_section="")

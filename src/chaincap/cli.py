@@ -11,10 +11,10 @@ Exit codes: 0 success, 2 usage/config error, 3 runtime/calibration error.
 
 from __future__ import annotations
 
+# hashlib, difflib and .assess are imported in the one function that uses
+# each, so that the commands that never need them start without them
 import argparse
 import csv
-import difflib
-import hashlib
 import json
 import sys
 from dataclasses import asdict
@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import __version__
 from .arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
-from .assess import methodology_report, render_report_text
 from .bench import (
     CampaignSpec,
     CapacityProfile,
@@ -142,6 +141,7 @@ def _read_input(path: str, what: str, parse, manifest: OutputDir | None):
         raise InputError(f"{what} {path} is not UTF-8 text: {exc.reason} "
                          f"at byte {exc.start}") from None
     if manifest:
+        import hashlib
         manifest.inputs[str(path)] = hashlib.sha256(data).hexdigest()
     try:
         return parse(text)
@@ -187,6 +187,7 @@ def _parse_list(raw: str | None, conv, flag: str) -> list:
 def _lookup_scenario(catalog: dict, raw: str):
     """The catalog's scenario ``raw``; an unknown id names the closest known one."""
     if raw not in catalog:
+        import difflib
         close = difflib.get_close_matches(raw, catalog, n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise InputError(f"unknown scenario {raw!r}{hint} (known: {', '.join(catalog)})")
@@ -328,6 +329,8 @@ def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
 
 
 def cmd_assess(args) -> int:
+    from .assess import methodology_report, render_report_text
+
     manifest = _required_output_dir(args, seeds={} if args.capacity else {"base_seed": args.seed})
     catalog = _load_catalog_arg(args, manifest)
     capacity = _load_capacity(args, manifest)

@@ -11,7 +11,6 @@ numpy.
 from __future__ import annotations
 
 import math
-import statistics
 from typing import TYPE_CHECKING
 
 from .arrival import TxKind
@@ -70,6 +69,6 @@ def capacity_bound(cluster: ClusterConfig, kind: TxKind) -> float:
         servers = cluster.node_count if cluster.read_mode == "multi" else 1
         return servers * 1e6 / cluster.read_service_us
     full = cluster.block_tx_capacity
-    round_ms = statistics.fmean(consensus_round_latency(cluster, full, full, p)
-                                for p in range(cluster.node_count))
+    round_ms = math.fsum(consensus_round_latency(cluster, full, full, p)
+                         for p in range(cluster.node_count)) / cluster.node_count
     return full * 1000.0 / max(cluster.block_interval_ms, round_ms)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,7 +15,7 @@ import chaincap
 from chaincap.arrival import ArrivalKind, TxKind
 from chaincap.bench import BOUND_MARGIN, run_trial
 from chaincap.chainsim import default_cluster, load_cluster
-from chaincap.model import capacity_bound, round_base_ms
+from chaincap.model import capacity_bound, consensus_round_latency, round_base_ms
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 
@@ -40,6 +41,25 @@ def test_write_bound_averages_the_round_over_proposers():
     round_ms = sum(bases) / 4 + (537.3 + 19.73) * 700 / 1000
     assert capacity_bound(cluster, TxKind.WRITE) == pytest.approx(700_000 / round_ms, rel=1e-12)
     assert round(capacity_bound(cluster, TxKind.WRITE), 1) == 1353.5
+
+
+def fmean_write_bound(cluster):
+    """The write bound with the round averaged by ``statistics.fmean``."""
+    full = cluster.block_tx_capacity
+    round_ms = statistics.fmean(consensus_round_latency(cluster, full, full, p)
+                                for p in range(cluster.node_count))
+    return full * 1000.0 / max(cluster.block_interval_ms, round_ms)
+
+
+@pytest.mark.parametrize("cluster", [
+    *(replace(default_cluster(), node_count=n) for n in range(4, 11)),
+    asymmetric_cluster(),
+    replace(default_cluster(), block_interval_ms=2000.0),
+], ids=[*(f"nodes-{n}" for n in range(4, 11)), "asymmetric", "paced"])
+def test_write_bound_equals_the_fmean_of_the_rounds_bit_for_bit(cluster):
+    # the model sums with math.fsum and divides by N, as fmean does, without
+    # importing statistics
+    assert capacity_bound(cluster, TxKind.WRITE).hex() == fmean_write_bound(cluster).hex()
 
 
 def test_write_bound_is_paced_by_a_longer_block_interval():
