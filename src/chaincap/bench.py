@@ -323,8 +323,9 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     function of the rate; the probes share that seed's unit-rate epochs, so
     the search draws and sums its uniforms once.  Raises
     :class:`CalibrationError` when even the smallest write probe is unsteady,
-    and :class:`InputError` for reads that take no time (``read_service_us =
-    0``), whose capacity has no bound.
+    and :class:`InputError` for reads whose service rate is infinite
+    (``read_service_us = 0``, or so small that the rate overflows), whose
+    capacity has no bound.
     """
     if not MIN_SEARCH_TOLERANCE <= tolerance <= MAX_SEARCH_TOLERANCE:
         raise InputError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
@@ -345,8 +346,11 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     bound = capacity_bound(cluster, kind)
     if kind is TxKind.READ:
         if bound == math.inf:
-            raise InputError("read_service_us = 0 serves every read at once, so the read "
-                             "capacity has no bound; give read_service_us > 0")
+            # the shortest repr, since :g prints the subnormal 1e-320 as 9.99989e-321
+            service_us = repr(cluster.read_service_us).removesuffix(".0")
+            raise InputError(f"read_service_us = {service_us} makes the read service rate "
+                             "infinite, so the read capacity has no bound; give a larger "
+                             "read_service_us")
         # each probe keeps only (rate, mean tps, steady), so its timeline is
         # gone before the next probe runs
         above, below = (attrgetter("lambda_offered", "mean_tps", "steady")(probe(r))

@@ -134,24 +134,6 @@ def _mean_per_window(total: np.ndarray, count: np.ndarray) -> np.ndarray:
         return np.where(count > 0, total / np.maximum(count, 1), 0.0)
 
 
-def _block_sums(values: np.ndarray, fills: np.ndarray) -> np.ndarray:
-    """``np.add.reduce`` of each block's slice of ``values``, bit for bit.
-
-    Block ``b`` holds the next ``fills[b]`` values; an empty block sums to
-    0.0.  reduceat sums a segment as ``x[s] + np.add.reduce(x[s+1:e])``,
-    which rounds differently from ``np.add.reduce(x[s:e])``, so a 0.0 is
-    spliced ahead of each non-empty block's slice: ``0.0 + y`` is ``y``
-    exactly, and one reduceat then gives every block's pairwise sum.
-    """
-    sums = np.zeros(fills.size)
-    full = np.flatnonzero(fills)
-    if full.size:  # reduceat needs at least one segment
-        firsts = (np.cumsum(fills) - fills)[full]
-        spliced = np.insert(values, firsts, 0.0)
-        sums[full] = np.add.reduceat(spliced, firsts + np.arange(full.size))
-    return sums
-
-
 class MetricsTimeline:
     """Per-window metrics of one simulation run plus end-of-run totals.
 
@@ -163,7 +145,10 @@ class MetricsTimeline:
     per-window series cuts off), the per-window committed and served counts
     and the six totals.  Every other series is derived on first access and
     then kept, so a caller that reads only throughput computes no latency,
-    cpu, pool or ledger series.
+    cpu, pool or ledger series.  Each per-window sum is one ``bincount``,
+    which adds in array order: the write latencies in commit order, and a
+    node's cpu work as the reads it served times ``read_service_us``, plus
+    every block's share, plus the pool scans of the blocks it proposed.
     """
 
     def __init__(self, cluster: ClusterConfig, events: EventStream, horizon: float,
@@ -213,8 +198,8 @@ class MetricsTimeline:
 
     @cached_property
     def mean_write_latency_ms(self) -> np.ndarray:
-        latency_sum = self._per_window(self._block_windows,
-                                       _block_sums(self.write_latencies_ms, self._fills))
+        latency_sum = self._per_window(np.repeat(self._block_windows, self._fills),
+                                       self.write_latencies_ms)
         return _mean_per_window(latency_sum, self._committed_count)
 
     @cached_property
@@ -229,25 +214,20 @@ class MetricsTimeline:
         """Share of each node's capacity used, shape (node_count, n_windows)."""
         cluster = self._cluster
         n_nodes = cluster.node_count
-        work_us = np.zeros((n_nodes, self._n_windows))
-        # each node serves a strided view of the reads
-        stride = n_nodes if cluster.read_mode == "multi" else 1
-        for node in range(stride):
-            windows = self._read_windows[node::stride]
-            work_us[node] = self._per_window(
-                windows, np.full(windows.size, cluster.read_service_us))
-        # every node validates each block and handles ~2N messages; the proposer
-        # also scans the pool.  add.at adds in index order, so each cell sums its
-        # blocks' work in commit order, a block's share before its scan.
-        block_us = cluster.write_exec_us * self._fills + cluster.msg_proc_us * 2 * n_nodes
+        # every node executes each block and handles 2N of its messages, so a
+        # block costs each node msg_proc_us * 2N here, though its round's
+        # latency charges msg_proc_us * (2N^2 + N) (see chaincap.model)
+        share_us = self._per_window(self._block_windows, cluster.write_exec_us * self._fills
+                                    + cluster.msg_proc_us * 2 * n_nodes)
         scan_us = cluster.pool_scan_cost_us_per_tx * self._depths
-        pair_windows = np.repeat(self._block_windows, 2)
-        pair_us = np.column_stack((block_us, scan_us)).ravel()
-        proposers = np.arange(self._fills.size) % n_nodes
-        keep = np.ones(pair_us.size, dtype=bool)
+        # node k serves reads k, k + stride, ... and proposes blocks k, k + N, ...
+        stride = n_nodes if cluster.read_mode == "multi" else 1
+        work_us = np.empty((n_nodes, self._n_windows))
         for node in range(n_nodes):
-            keep[1::2] = proposers == node
-            np.add.at(work_us[node], pair_windows[keep], pair_us[keep])
+            served = self._per_window(self._read_windows[node::stride]) if node < stride else 0
+            work_us[node] = (served * cluster.read_service_us + share_us
+                             + self._per_window(self._block_windows[node::n_nodes],
+                                                scan_us[node::n_nodes]))
         return np.minimum(1.0, work_us / (cluster.node_cpu_capacity * self.window_s))
 
     def _at_window_ends(self, running: np.ndarray) -> np.ndarray:

@@ -6,6 +6,13 @@ the round inline in its block loop; the write search aims two of its
 probes at :func:`capacity_bound`, and the read capacity is that bound
 less the search tolerance.  This module is plain Python and imports no
 numpy.
+
+Message handling is charged in two ways that do not agree.  A round's
+latency charges ``msg_proc_us * (2N^2 + N)``, every message of the round
+(72 ms at N = 4 on the shipped profile); the simulator's cpu table charges
+each node ``msg_proc_us * 2N`` per block (16 ms).  The model means the
+round's charge: the calibrated endpoints rest on it, and no verdict reads
+the cpu table.
 """
 
 from __future__ import annotations
@@ -59,9 +66,10 @@ def capacity_bound(cluster: ClusterConfig, kind: TxKind) -> float:
 
     Reads: the service rate of the nodes that serve them, N / read service
     time in multi mode and 1 / read service time in single mode; inf when
-    a read takes no time.  Writes: a full block of B per block cycle, where
-    the cycle is the longer of the block interval and a full round with
-    a pool of B, averaged over proposers (the next proposal waits for both).
+    a read takes no time, or so little that the rate overflows.  Writes: a
+    full block of B per block cycle, where the cycle is the longer of the
+    block interval and a full round with a pool of B, averaged over
+    proposers (the next proposal waits for both).
     """
     if kind is TxKind.READ:
         if cluster.read_service_us == 0:

@@ -1,11 +1,12 @@
 import math
 from dataclasses import fields, replace
 from functools import cached_property
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chaincap.arrival import (
     DEFAULT_WRITE_PAYLOAD_BYTES,
@@ -22,7 +23,6 @@ from chaincap.chainsim import (
     MAX_CELLS,
     ClusterConfig,
     MetricsTimeline,
-    _block_sums,
     _fifo_completions,
     check_run,
     default_cluster,
@@ -32,6 +32,8 @@ from chaincap.chainsim import (
 )
 from chaincap.errors import InputError
 from chaincap.model import consensus_round_latency, quorum, round_base_ms
+
+ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 
 
 class ReadServer:
@@ -59,8 +61,11 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
                   window_s: float = 1.0) -> SimpleNamespace:
     """Scalar oracle of ``run``, every series and total: one round per loop pass.
 
-    Each block calls ``consensus_round_latency`` and adds its counts, latency
-    sum, bytes and cpu work into the window of its commit, in block order.
+    Each block calls ``consensus_round_latency`` and adds its count, bytes,
+    cpu share and pool scan into the window of its commit, in block order,
+    and each of its writes' latencies there one at a time.  A node's cpu
+    work is its served reads times ``read_service_us``, plus the block
+    shares, plus its own scans, each kept apart until the end.
     """
     n_nodes = cluster.node_count
     n_windows = max(1, int(math.ceil(horizon / window_s - 1e-9)))
@@ -73,7 +78,9 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     committed_latency_sum = np.zeros(n_windows)
     served_count = np.zeros(n_windows)
     served_latency_sum = np.zeros(n_windows)
-    work_us = np.zeros((n_nodes, n_windows))
+    read_count = np.zeros((n_nodes, n_windows))
+    share_us = np.zeros(n_windows)
+    scan_us = np.zeros((n_nodes, n_windows))
 
     if cluster.read_mode == "single":
         assignment = np.zeros(read_ts.size, dtype=np.int64)
@@ -89,7 +96,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
             w = window_of(done)
             served_count[w] += 1
             served_latency_sum[w] += (done - arrival) * 1000.0
-            work_us[node, w] += cluster.read_service_us
+            read_count[node, w] += 1
             served_reads += 1
 
     i_commit = blocks = proposer = 0
@@ -110,11 +117,12 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         if fill:
             lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
             committed_count[w] += fill
-            committed_latency_sum[w] += float(lat.sum())
+            for latency in lat:
+                committed_latency_sum[w] += latency
             latencies.append(lat)
             i_commit += fill
-        work_us[:, w] += cluster.write_exec_us * fill + cluster.msg_proc_us * 2 * n_nodes
-        work_us[proposer, w] += cluster.pool_scan_cost_us_per_tx * pool_depth
+        share_us[w] += cluster.write_exec_us * fill + cluster.msg_proc_us * 2 * n_nodes
+        scan_us[proposer, w] += cluster.pool_scan_cost_us_per_tx * pool_depth
         committed.append((t_commit, i_commit))
         proposer = (proposer + 1) % n_nodes
         t_prop = max(t_commit, t_prop + cluster.block_interval_ms / 1000.0)
@@ -133,6 +141,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     for t, size in ledger:
         running += size
         ledger_cum.append((t, running))
+    work_us = read_count * cluster.read_service_us + share_us + scan_us
     arrived_by = [int(np.searchsorted(write_ts, (w + 1) * window_s, side="right"))
                   for w in range(n_windows)]
     return SimpleNamespace(
@@ -548,36 +557,6 @@ class TestRunMatchesScalarReference:
         assert_same_timeline(got, reference_run(cluster, stream([]), 3.3, window_s=0.7))
 
 
-class TestBlockSums:
-    """The per-block latency sums, one reduceat over a zero-spliced array,
-    equal np.add.reduce of each block's slice bit for bit; the golden
-    digests of every write timeline rest on that identity."""
-
-    # block fills around numpy's 8-way unrolled and 128-element pairwise
-    # summation, up to a full block, plus any other size
-    FILL = st.one_of(st.sampled_from([0, 1, 7, 8, 128, 129, 700]), st.integers(0, 1500))
-
-    @settings(deadline=None)
-    @given(fills=st.lists(FILL, max_size=40), seed=st.integers(0, 2**32 - 1))
-    @example(fills=[], seed=0)
-    @example(fills=[0, 0, 0], seed=0)
-    @example(fills=[700], seed=1)
-    @example(fills=[100_000], seed=2)
-    def test_each_block_sums_as_reduce_of_its_slice(self, fills, seed):
-        rng = np.random.default_rng(seed)
-        fills = np.array(fills, dtype=np.int64)
-        n = int(fills.sum())
-        # magnitudes over nine decades, so a different order of additions
-        # would round differently
-        values = rng.random(n) * 10.0 ** rng.integers(-3, 6, n)
-        ends = np.cumsum(fills)
-        expected = np.array([np.add.reduce(values[i:j])
-                             for i, j in zip((ends - fills).tolist(), ends.tolist())])
-        got = _block_sums(values, fills)
-        assert got.shape == fills.shape
-        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
-
-
 class TestWindows:
     def test_window_cap(self):
         # a million 0.01 s windows, and 1e-3 of a window more
@@ -689,6 +668,43 @@ class TestCpuProxy:
         tl = run(default_cluster(), det_writes(2000.0, 20.0), horizon=20.0)
         assert np.all(tl.cpu_utilization >= 0.0)
         assert np.all(tl.cpu_utilization <= 1.0)
+
+
+class TestInvariants:
+    """Properties of every run that hold in any order of additions."""
+
+    PROFILES = {
+        "shipped": default_cluster(),
+        "asymmetric": load_cluster(ASYMMETRIC_CLUSTER.read_text()),
+        "single": replace(default_cluster(), read_mode="single"),
+        "no-scan": replace(default_cluster(), pool_scan_cost_us_per_tx=0.0),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile=st.sampled_from(sorted(PROFILES)), write_rate=st.floats(0.0, 2800.0),
+           read_rate=st.floats(0.0, 25000.0), window_s=st.floats(0.05, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_timeline_invariants(self, profile, write_rate, read_rate, window_s, seed):
+        cluster, horizon = self.PROFILES[profile], 5.0
+        writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, write_rate, seed),
+                                 TxKind.WRITE, horizon)
+        reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, read_rate, seed + 1),
+                                TxKind.READ, horizon)
+        tl = run(cluster, replace(writes, read_times=reads.read_times), horizon, window_s)
+        assert tl.arrived_writes == tl.committed_writes + tl.pending_writes, "write conservation"
+        assert tl.served_reads <= tl.arrived_reads, "served reads exceed arrived"
+        committed = tl.committed_write_tps * tl.window_s
+        assert math.fsum(committed) == pytest.approx(tl.committed_writes, rel=1e-12), \
+            "committed tps times window does not sum to the committed writes"
+        latency_sum = math.fsum(tl.write_latencies_ms)
+        assert math.fsum(tl.mean_write_latency_ms * committed) == pytest.approx(
+            latency_sum, rel=1e-9), "mean write latency times count is not the latency sum"
+        proposers = np.repeat(np.arange(tl.blocks_produced) % cluster.node_count, tl._fills)
+        base_ms = np.array([round_base_ms(cluster, p) for p in range(cluster.node_count)])
+        assert np.all(tl.write_latencies_ms >= base_ms[proposers]), \
+            "a write latency is below its proposer's round_base_ms"
+        assert np.all((tl.cpu_utilization >= 0.0) & (tl.cpu_utilization <= 1.0)), \
+            "a cpu cell lies outside [0, 1]"
 
 
 class TestClusterProfiles:

@@ -190,20 +190,24 @@ class TestCapacityCommand:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --start 100" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["capacity", "--kind", "read"],
-        ["capacity", "--kind", "both"],
-        ["assess", "--scenario", "aaa"],
-    ], ids=["read", "both", "assess"])
-    def test_reads_that_take_no_time_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+    # below about 2e-302 us, N / read_service_us overflows to inf as well
+    @pytest.mark.parametrize("argv,service_us", [
+        (argv, service_us) for service_us in ("0", "1e-320") for argv in (
+            ["capacity", "--kind", "read"],
+            ["capacity", "--kind", "both"],
+            ["assess", "--scenario", "aaa"])
+    ], ids=["read", "both", "assess", "read-1e-320", "both-1e-320", "assess-1e-320"])
+    def test_reads_that_take_no_time_exit_2(self, tmp_path, capsys, monkeypatch, argv,
+                                            service_us):
         # an infinite service limit has no capacity to confirm, and no
         # --duration would help; no trial runs
         monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
         profile = tmp_path / "instant_reads.ini"
-        profile.write_text("[config]\nschema_version = 1\n\n[cluster]\nread_service_us = 0\n")
+        profile.write_text("[config]\nschema_version = 1\n\n[cluster]\n"
+                           f"read_service_us = {service_us}\n")
         out = tmp_path / "out"
         assert main(argv + ["--cluster", str(profile), "--out", str(out)]) == 2
-        assert _one_error_line(capsys).startswith("error: read_service_us = 0 ")
+        assert _one_error_line(capsys).startswith(f"error: read_service_us = {service_us} ")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["0", "1", "2"])

@@ -24,7 +24,7 @@ CASES = {
     "simulate-write-poisson": (
         ["simulate", "--kind", "write", "--lambda", "1400", "--duration", "30",
          "--seed", "3"],
-        "741bb93728d3d0771ebc3477374f942ae7917618be77a7fec14fe1012c5f9350"),
+        "95b99c6eab97119e9aa1fd760a0900ee8618b63e22bb289edd0d8aa3ebe23998"),
     "simulate-read-poisson": (
         ["simulate", "--kind", "read", "--lambda", "15000", "--duration", "20",
          "--seed", "2"],
@@ -32,17 +32,17 @@ CASES = {
     "simulate-write-deterministic": (
         ["simulate", "--kind", "write", "--lambda", "1200", "--arrival", "deterministic",
          "--duration", "30"],
-        "ac52ccbfd9b38c03d0214345895bf0824a9b6403d247599834f445150d0ea707"),
+        "5c333299b7c9d328839fba55588fd06a01133f037b43faf1e41b9ec03a3de085"),
     "simulate-write-asymmetric": (
         ["simulate", "--kind", "write", "--cluster", str(ASYMMETRIC_CLUSTER),
          "--lambda", "1500", "--window", "0.7"],
-        "b56917315e6b4daacbe53493292326504f32f6bcdf6f6eafe3cd13991efe6f06"),
+        "106b755810db93f25664e30754a851b9a6d975bace4fac6048a63bd8394ce0e9"),
     "simulate-zero-rate": (
         ["simulate", "--kind", "write", "--lambda", "0", "--duration", "10"],
         "9dca89678a027cebc516edf9a33f78613d15b21f2fca69ea5abf69c21718acb6"),
     "campaign-write": (
         ["campaign", "--kind", "write", "--rates", "400,800,1200,1400,2800", "--seed", "0"],
-        "9e21c32a0e175c81281a66fa1543f93aaa02690fba5096633586f1dbd4a4587c"),
+        "4dab3d97f479261dd7e13bb25c091da2f46c1493a9875c71478bf0e0516b78f1"),
     "capacity-write": (
         ["capacity", "--kind", "write", "--seed", "0"],
         "057542fb6b218e66e6a8f2649f02c35822d9e620e240f2dba13a8f27e84ec780"),
