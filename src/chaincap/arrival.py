@@ -196,17 +196,11 @@ def generate_times(process: ArrivalProcess, horizon: float,
     with np.errstate(over="ignore"):
         while epochs[-1] / rate <= horizon:
             epochs = draws.take(epochs.size + chunk)
-        # fl(S / rate) is monotone in S, so the cut found among the epochs
-        # moves to the exact one among their quotients in a step or two
-        n = int(epochs.searchsorted(horizon * rate, side="right"))
-        while n < epochs.size and epochs[n] / rate <= horizon:
-            n += 1
-        while n and epochs[n - 1] / rate > horizon:
-            n -= 1
         # epochs made for this call alone are never read again, so they are
         # overwritten
-        times = epochs[:n]
-        return np.divide(times, rate, out=None if shared else times)
+        times = np.divide(epochs, rate, out=None if shared else epochs)
+    # fl(S / rate) is monotone in S, so the quotients are sorted as well
+    return times[:times.searchsorted(horizon, side="right")]
 
 
 def generate_events(

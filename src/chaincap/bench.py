@@ -36,13 +36,11 @@ from .model import capacity_bound
 WINDOW_S = 1.0
 WARMUP_FRACTION = 0.1
 STEADY_TOLERANCE = 0.02
-DEFAULT_SEARCH_TOLERANCE = 0.01
+# relative: the write bisection stops within it, and the read capacity is the
+# read service limit less it
+SEARCH_TOLERANCE = 0.01
 # the write search's first probe rate, tx/s
 FIRST_PROBE_RATE = 100.0
-# hi / lo - 1 cannot fall below one ulp (about 2.2e-16), and near it the
-# geometric midpoint rounds to an endpoint, so a finer tolerance never ends
-MIN_SEARCH_TOLERANCE = 1e-9
-MAX_SEARCH_TOLERANCE = 0.05
 # the write search's two rungs around model.capacity_bound sit this far
 # either side of it, relative.  On the shipped profile at 60 s (bound
 # 1375.2), 80 of seeds 0..99 find 1364.4-1385.0, between the rungs at 1334.0
@@ -297,7 +295,6 @@ def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
 
 def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                     arrival_kind: ArrivalKind = ArrivalKind.POISSON,
-                    tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                     duration_s: float = DESK_DURATION_S,
                     base_seed: int = 0) -> float:
     """Largest steady arrival rate: for reads the service limit, for writes
@@ -306,7 +303,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     Reads never enter consensus, and each node serves them through a FIFO
     queue with a fixed service time, which is stable iff the arrival rate is
     below its service rate (Loynes 1962).  So the read capacity is
-    ``(1 - tolerance)`` times ``capacity_bound``, once the simulator confirms
+    ``capacity_bound * (1 - SEARCH_TOLERANCE)``, once the simulator confirms
     the bound: that rate must be steady, and ``1 + BOUND_MARGIN`` times the
     bound unsteady, or :class:`CalibrationError` names both probes.  The
     upper probe runs first, so it grows the shared epochs to full length and
@@ -317,7 +314,8 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     rung above the last steady probe and at or below the next doubling is
     probed in that doubling's place, so the search usually brackets the
     capacity between the two rungs.  A rung at or below the first probe adds
-    no probe.  The capacity is still the simulator's verdict.
+    no probe.  Bisection stops once the bracket is within ``SEARCH_TOLERANCE``
+    and returns its steady end, so the capacity is the simulator's verdict.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
     function of the rate; the probes share that seed's unit-rate epochs, so
@@ -327,9 +325,6 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     (``read_service_us = 0``, or so small that the rate overflows), whose
     capacity has no bound.
     """
-    if not MIN_SEARCH_TOLERANCE <= tolerance <= MAX_SEARCH_TOLERANCE:
-        raise InputError(f"search tolerance must be in [{MIN_SEARCH_TOLERANCE}, "
-                         f"{MAX_SEARCH_TOLERANCE}], got {tolerance!r}")
     check_duration(cluster, duration_s)
 
     draws = UnitDraws(base_seed)
@@ -354,7 +349,8 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
         # each probe keeps only (rate, mean tps, steady), so its timeline is
         # gone before the next probe runs
         above, below = (attrgetter("lambda_offered", "mean_tps", "steady")(probe(r))
-                        for r in (bound * (1.0 + BOUND_MARGIN), bound * (1.0 - tolerance)))
+                        for r in (bound * (1.0 + BOUND_MARGIN),
+                                  bound * (1.0 - SEARCH_TOLERANCE)))
         if below[2] and not above[2]:
             return below[0]
         raise CalibrationError(
@@ -379,7 +375,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
         if not probe(hi).steady:
             break
         lo = hi
-    while hi / lo - 1.0 > tolerance:
+    while hi / lo - 1.0 > SEARCH_TOLERANCE:
         mid = math.sqrt(lo * hi)
         if probe(mid).steady:
             lo = mid
@@ -391,7 +387,6 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
 def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
                 kinds: tuple[TxKind, ...],
                 arrival_kind: ArrivalKind = ArrivalKind.POISSON,
-                tolerance: float = DEFAULT_SEARCH_TOLERANCE,
                 duration_s: float = DESK_DURATION_S,
                 base_seed: int = 0) -> list[CapacityProfile]:
     """Run the capacity search per node count and kind, ordered by node count.
@@ -406,13 +401,13 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
         check_duration(cluster, duration_s)
     profiles = []
     for cluster in clusters:
-        found = {kind: find_max_lambda(cluster, kind, arrival_kind, tolerance=tolerance,
-                                       duration_s=duration_s, base_seed=base_seed)
+        found = {kind: find_max_lambda(cluster, kind, arrival_kind, duration_s=duration_s,
+                                       base_seed=base_seed)
                  for kind in kinds}
         profiles.append(CapacityProfile(node_count=cluster.node_count,
                                         max_lambda_read=found.get(TxKind.READ, math.inf),
                                         max_lambda_write=found.get(TxKind.WRITE, math.inf),
-                                        search_tolerance=tolerance))
+                                        search_tolerance=SEARCH_TOLERANCE))
     return profiles
 
 

@@ -26,7 +26,6 @@ from .arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
 from .bench import (
     CampaignSpec,
     CapacityProfile,
-    DEFAULT_SEARCH_TOLERANCE,
     DESK_DURATION_S,
     DESK_TRIALS,
     WINDOW_S,
@@ -270,8 +269,8 @@ def cmd_capacity(args) -> int:
                          "give one profile per node count instead")
     kinds = (TxKind.READ, TxKind.WRITE) if args.kind == "both" else (TxKind(args.kind),)
     profiles = sweep_nodes(cluster, node_counts or [cluster.node_count], kinds,
-                           ArrivalKind(args.arrival), tolerance=args.tolerance,
-                           duration_s=args.duration, base_seed=args.seed)
+                           ArrivalKind(args.arrival), duration_s=args.duration,
+                           base_seed=args.seed)
 
     docs = [p.to_json_dict() for p in profiles]
     doc = docs[0] if len(docs) == 1 else {"schema_version": 1, "profiles": docs}
@@ -410,9 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "output directory, print the capacity JSON.")
     p.add_argument("--kind", choices=kinds + ["both"], required=True)
     p.add_argument("--nodes", help="comma-separated node counts, e.g. 4,5,6,7")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_SEARCH_TOLERANCE,
-                   help="relative tolerance: the write bisection stops within it, and "
-                        "the read capacity is the read service limit less it")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("campaign", parents=[run_opts, trial_opts],

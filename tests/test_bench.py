@@ -218,19 +218,6 @@ class TestFindMaxLambda:
         with pytest.raises(CalibrationError, match="smallest probe rate 100.0;"):
             find_max_lambda(one_per_block, TxKind.WRITE, duration_s=20.0)
 
-    def test_tolerance_domain(self):
-        for bad in (0.5, 0.0, 9.99e-10, 1e-17, math.nan):
-            with pytest.raises(InputError, match="search tolerance"):
-                find_max_lambda(small_cluster(), TxKind.WRITE, tolerance=bad)
-
-    def test_finest_tolerance_ends(self):
-        # the bisection narrows its bracket to 1e-9 before rounding stalls it
-        coarse = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                                 duration_s=20.0)
-        fine = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                               tolerance=1e-9, duration_s=20.0)
-        assert coarse <= fine <= coarse * 1.01
-
     def test_calibration_error_names_the_failing_probe(self):
         # seed 5 of the shipped profile commits too much at the first probe
         first = run_trial(default_cluster(), TxKind.WRITE, ArrivalKind.POISSON, 100.0,
@@ -295,7 +282,7 @@ class TestBoundRungs:
                             lambda cluster, kind: true_bound(cluster, kind) * factor)
         got = find_max_lambda(default_cluster(), TxKind.WRITE)
         assert got != want
-        assert abs(got / want - 1.0) <= bench.DEFAULT_SEARCH_TOLERANCE
+        assert abs(got / want - 1.0) <= bench.SEARCH_TOLERANCE
 
     def test_rungs_at_or_below_the_first_probe_add_no_probe(self, monkeypatch):
         rates = self.record_probes(monkeypatch)
@@ -333,7 +320,7 @@ class TestReadCapacity:
         assert find_max_lambda(default_cluster(), TxKind.READ) == 20307.692307692305
         bound = bench.capacity_bound(default_cluster(), TxKind.READ)
         assert rates == [bound * (1 + bench.BOUND_MARGIN),
-                         bound * (1 - bench.DEFAULT_SEARCH_TOLERANCE)]
+                         bound * (1 - bench.SEARCH_TOLERANCE)]
         assert [round(r, 1) for r in rates] == [21128.2, 20307.7]
 
     @pytest.mark.parametrize("profile", ["multi", "single", "asymmetric"])
@@ -346,7 +333,7 @@ class TestReadCapacity:
                    "asymmetric": load_cluster(ASYMMETRIC_CLUSTER.read_text())}[profile]
         limit = bench.capacity_bound(cluster, TxKind.READ)
         got = find_max_lambda(cluster, TxKind.READ, base_seed=seed)
-        assert got == limit * (1 - bench.DEFAULT_SEARCH_TOLERANCE) <= limit
+        assert got == limit * (1 - bench.SEARCH_TOLERANCE) <= limit
 
     @pytest.mark.parametrize("factor,probes", [
         # the bound halved: the upper probe, at 0.515 times the service limit, is steady

@@ -693,6 +693,10 @@ class TestInvariants:
         tl = run(cluster, replace(writes, read_times=reads.read_times), horizon, window_s)
         assert tl.arrived_writes == tl.committed_writes + tl.pending_writes, "write conservation"
         assert tl.served_reads <= tl.arrived_reads, "served reads exceed arrived"
+        assert np.all(np.diff(tl._commit_s) > 0), "commit times do not strictly increase"
+        assert np.all(tl._fills <= cluster.block_tx_capacity), \
+            "a block's fill exceeds block_tx_capacity"
+        assert np.all(tl.pool_depth >= 0), "a pool_depth cell is negative"
         committed = tl.committed_write_tps * tl.window_s
         assert math.fsum(committed) == pytest.approx(tl.committed_writes, rel=1e-12), \
             "committed tps times window does not sum to the committed writes"
@@ -705,6 +709,12 @@ class TestInvariants:
             "a write latency is below its proposer's round_base_ms"
         assert np.all((tl.cpu_utilization >= 0.0) & (tl.cpu_utilization <= 1.0)), \
             "a cpu cell lies outside [0, 1]"
+        served = tl.read_completions_s <= horizon
+        read_ms = (tl.read_completions_s[served] - reads.read_times[served]) * 1000.0
+        # the FIFO recurrence rounds at the scale of the run's times, so a
+        # read served with no wait may come out up to about 1e-12 ms short
+        assert np.all(read_ms >= cluster.read_service_us / 1000.0 - 1e-9), \
+            "a served read's latency is below read_service_us"
 
 
 class TestClusterProfiles:
