@@ -144,6 +144,14 @@ class TestUnitDraws:
         # and from the longer stream's epochs, held already
         assert np.array_equal(generate_times(process, h1, draws), short)
 
+    def test_shared_epochs_are_not_overwritten(self):
+        # only epochs made for one call alone are divided in place
+        draws = UnitDraws(9)
+        epochs = draws.take(4096).copy()
+        for rate in (0.5, 3.0, 1400.0):
+            generate_times(ArrivalProcess(ArrivalKind.POISSON, rate, 9), 2.0, draws)
+            assert np.array_equal(draws.take(4096), epochs)
+
     def test_shared_draws_over_many_chunks(self, monkeypatch):
         monkeypatch.setattr(ArrivalProcess, "rng",
                             lambda self: ShrunkUniforms(self.seed, 0.2))

@@ -307,6 +307,26 @@ class TestBoundRungs:
         assert rates.count(bench.FIRST_PROBE_RATE) == 2
 
 
+    @pytest.mark.parametrize("arrival", [ArrivalKind.POISSON, ArrivalKind.DETERMINISTIC])
+    def test_bisection_stops_within_the_search_tolerance(self, monkeypatch, arrival):
+        for search in (find_max_lambda, sweep_nodes):
+            assert "tolerance" not in inspect.signature(search).parameters
+        trials = []
+        trial = bench.run_trial
+
+        def recorded(*args, **kwargs):
+            trials.append(trial(*args, **kwargs))
+            return trials[-1]
+
+        monkeypatch.setattr(bench, "run_trial", recorded)
+        got = find_max_lambda(small_cluster(), TxKind.WRITE, arrival, duration_s=20.0)
+        # the answer is the largest steady probe, and the nearest unsteady
+        # probe above it lies within SEARCH_TOLERANCE
+        assert got == max(t.lambda_offered for t in trials if t.steady)
+        above = min(t.lambda_offered for t in trials if not t.steady)
+        assert 0.0 < above / got - 1.0 <= bench.SEARCH_TOLERANCE
+
+
 def _no_trial(*args, **kwargs):
     raise AssertionError("no trial may run")
 
@@ -484,6 +504,10 @@ class TestSweepNodes:
         first, second = (sweep_nodes(small_cluster(), [4], (TxKind.WRITE,),
                                      duration_s=20.0) for _ in range(2))
         assert first == second
+
+    def test_sweep_records_the_search_tolerance(self):
+        profiles = sweep_nodes(small_cluster(), [4, 5], (TxKind.READ,), duration_s=20.0)
+        assert [p.search_tolerance for p in profiles] == [bench.SEARCH_TOLERANCE] * 2
 
     def test_rejects_repeated_node_counts(self):
         with pytest.raises(InputError, match="distinct"):

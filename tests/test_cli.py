@@ -12,6 +12,7 @@ from chaincap.arrival import ArrivalKind, ArrivalProcess, TxKind, generate_event
 from chaincap.bench import (
     DESK_DURATION_S,
     DESK_TRIALS,
+    SEARCH_TOLERANCE,
     WINDOW_S,
     CampaignSpec,
     CapacityProfile,
@@ -181,9 +182,10 @@ class TestCapacityCommand:
             "which expects 3.169e+07 events, more than the 30,000,000 one trial may hold; "
             "give a shorter --duration\n")
 
-    @pytest.mark.parametrize("kind", ["write", "read", "both"])
-    @pytest.mark.parametrize("option", [["--start", "100"], ["--tolerance", "0.01"]],
-                             ids=["start", "tolerance"])
+    @pytest.mark.parametrize("kind,option", [
+        (kind, option) for option in (["--start", "100"], ["--tolerance", "0.01"])
+        for kind in ("write", "read", "both")
+    ], ids=["write", "read", "both", "write-tolerance", "read-tolerance", "both-tolerance"])
     def test_start_is_a_usage_error(self, capsys, kind, option):
         # the write search's first probe and its tolerance are constants
         with pytest.raises(SystemExit) as excinfo:
@@ -225,6 +227,11 @@ class TestCapacityCommand:
         assert doc["node_count"] == 4
         assert doc["max_lambda_read"] is None
         assert doc["max_lambda_write"] > 0
+
+    def test_profile_records_the_search_tolerance(self, capsys, small_cluster_file):
+        assert main(["capacity", "--kind", "both", "--cluster",
+                     str(small_cluster_file), "--duration", "20"]) == 0
+        assert json.loads(capsys.readouterr().out)["search_tolerance"] == SEARCH_TOLERANCE
 
 
 HUGE_READS = "[use_case:aaa:access_control]\nreads_per_event = 1" + "0" * 400
