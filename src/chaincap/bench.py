@@ -9,11 +9,9 @@ confirmed by two probes), and node-count sweeps.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from operator import attrgetter
 
 from .arrival import (
     MAX_EXPECTED_EVENTS,
@@ -57,9 +55,17 @@ DESK_DURATION_S = 60
 
 
 def check_duration(cluster: ClusterConfig, duration_s: float) -> None:
-    """Validate a trial duration: at least 10 windows, and a run ``check_run`` accepts."""
+    """Validate a trial duration: at least 10 windows, all of them whole, and a
+    run ``check_run`` accepts.
+
+    A partial last window would count its commits over a whole ``WINDOW_S``
+    and so pull the trial's mean throughput below the offered rate.
+    """
     if not (math.isfinite(duration_s) and duration_s >= 10 * WINDOW_S):
         raise InputError(f"duration must cover at least 10 windows of {WINDOW_S} s, "
+                         f"got {duration_s!r}")
+    if not (duration_s / WINDOW_S).is_integer():
+        raise InputError(f"duration must be a whole number of {WINDOW_S} s windows, "
                          f"got {duration_s!r}")
     check_run(cluster, duration_s, WINDOW_S)
 
@@ -329,14 +335,17 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
 
     draws = UnitDraws(base_seed)
 
-    def probe(lam: float) -> Trial:
+    def probe(lam: float) -> tuple[float, float, bool]:
+        """(rate, mean tps, steady) of a trial at ``lam``; the trial and its
+        timeline are gone before the next probe runs."""
         if lam * duration_s > MAX_EXPECTED_EVENTS:
             raise InputError(
                 f"the {kind.value} capacity search would probe {lam!r}/s over {duration_s!r} s, "
                 f"which expects {lam * duration_s:.4g} events, more than the "
                 f"{MAX_EXPECTED_EVENTS:,} one trial may hold; give a shorter --duration")
-        return run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
-                         draws=draws)
+        trial = run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
+                          draws=draws)
+        return lam, trial.mean_tps, trial.steady
 
     bound = capacity_bound(cluster, kind)
     if kind is TxKind.READ:
@@ -346,11 +355,8 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
             raise InputError(f"read_service_us = {service_us} makes the read service rate "
                              "infinite, so the read capacity has no bound; give a larger "
                              "read_service_us")
-        # each probe keeps only (rate, mean tps, steady), so its timeline is
-        # gone before the next probe runs
-        above, below = (attrgetter("lambda_offered", "mean_tps", "steady")(probe(r))
-                        for r in (bound * (1.0 + BOUND_MARGIN),
-                                  bound * (1.0 - SEARCH_TOLERANCE)))
+        above, below = (probe(r) for r in (bound * (1.0 + BOUND_MARGIN),
+                                           bound * (1.0 - SEARCH_TOLERANCE)))
         if below[2] and not above[2]:
             return below[0]
         raise CalibrationError(
@@ -361,23 +367,25 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                 for (lam, tps, steady), want in ((below, "steady"), (above, "unsteady"))))
 
     lo = FIRST_PROBE_RATE
-    first = probe(lo)
-    if not first.steady:
+    _, first_tps, first_steady = probe(lo)
+    if not first_steady:
         raise CalibrationError(
             f"no steady operating point at the smallest probe rate {lo}; "
             "the cluster profile looks miscalibrated: its mean throughput "
-            f"{first.mean_tps:.2f} tps is outside {lo} ±{STEADY_TOLERANCE:.0%} "
+            f"{first_tps:.2f} tps is outside {lo} ±{STEADY_TOLERANCE:.0%} "
             f"[{lo * (1 - STEADY_TOLERANCE):.2f}, {lo * (1 + STEADY_TOLERANCE):.2f}] "
             f"at seed {base_seed}")
     rungs = [r for r in (bound * (1.0 - BOUND_MARGIN), bound * (1.0 + BOUND_MARGIN)) if lo < r]
     while True:
         hi = rungs.pop(0) if rungs and rungs[0] <= 2.0 * lo else 2.0 * lo
-        if not probe(hi).steady:
+        _, _, steady = probe(hi)
+        if not steady:
             break
         lo = hi
     while hi / lo - 1.0 > SEARCH_TOLERANCE:
         mid = math.sqrt(lo * hi)
-        if probe(mid).steady:
+        _, _, steady = probe(mid)
+        if steady:
             lo = mid
         else:
             hi = mid
@@ -409,38 +417,3 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
                                         max_lambda_write=found.get(TxKind.WRITE, math.inf),
                                         search_tolerance=SEARCH_TOLERANCE))
     return profiles
-
-
-# --- result emitters -------------------------------------------------------
-
-def write_campaign_csv(spec: CampaignSpec, trials: tuple[TrialSummary, ...], fp) -> None:
-    """One row per trial, stable column order."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["lambda_offered", "trial", "seed", "mean_tps",
-                     "mean_latency_ms", "mean_cpu", "steady"])
-    for t in trials:
-        # trial i runs at seed base_seed + i
-        writer.writerow([t.lambda_offered, t.seed - spec.base_seed, t.seed,
-                         t.mean_tps, t.mean_latency_ms, t.mean_cpu, int(t.steady)])
-
-
-def campaign_json_dict(spec: CampaignSpec, aggregates: tuple[RateAggregate, ...]) -> dict:
-    return {
-        "schema_version": 1,
-        "kind": spec.kind.value,
-        "arrival_kind": spec.arrival_kind.value,
-        "node_count": spec.cluster.node_count,
-        "trials": spec.trials,
-        "duration_s": spec.duration_s,
-        "base_seed": spec.base_seed,
-        "steady_tolerance": STEADY_TOLERANCE,
-        "aggregates": [asdict(a) for a in aggregates],
-    }
-
-
-def write_plot_data_csv(aggregates: tuple[RateAggregate, ...], fp) -> None:
-    """Per-figure plot data: arrival rate vs tps, cpu and latency."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["arrival_rate", "tps", "cpu_utilization", "latency_ms"])
-    for a in aggregates:
-        writer.writerow([a.lambda_offered, a.mean_tps, a.mean_cpu, a.mean_latency_ms])

@@ -271,6 +271,10 @@ class MetricsTimeline:
 def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
     """The metric windows covering ``horizon``; the last one may be partial.
 
+    A partial last window's rates divide its counts by the whole
+    ``window_s``, so its tps reads low: ``simulate`` keeps such a window,
+    while ``bench.check_duration`` admits only whole windows to a trial.
+
     Raises :class:`InputError` for a non-finite or non-positive horizon or
     window, for more than MAX_CELLS node-windows in the cpu table, and for
     more than MAX_BLOCKS block proposals.

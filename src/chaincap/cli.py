@@ -28,15 +28,13 @@ from .bench import (
     CapacityProfile,
     DESK_DURATION_S,
     DESK_TRIALS,
+    STEADY_TOLERANCE,
     WINDOW_S,
-    campaign_json_dict,
     # uncalled here; perfbench/spans.py wraps this name, so bench.probes reads 0
     # until ROADMAP item 2 moves that patch point into bench
     find_max_lambda,  # noqa: F401
     run_campaign,
     sweep_nodes,
-    write_campaign_csv,
-    write_plot_data_csv,
 )
 from .chainsim import check_run, default_cluster, load_cluster, run
 from .errors import ChaincapError, InputError
@@ -289,6 +287,38 @@ def cmd_capacity(args) -> int:
 
 # --- campaign --------------------------------------------------------------
 
+def write_campaign_csv(manifest: OutputDir, spec: CampaignSpec, trials) -> Path:
+    """One row per trial, stable column order."""
+    # trial i runs at seed base_seed + i
+    return manifest.write_csv(
+        "campaign.csv",
+        ["lambda_offered", "trial", "seed", "mean_tps", "mean_latency_ms", "mean_cpu", "steady"],
+        ([t.lambda_offered, t.seed - spec.base_seed, t.seed, t.mean_tps, t.mean_latency_ms,
+          t.mean_cpu, int(t.steady)] for t in trials))
+
+
+def campaign_json_dict(spec: CampaignSpec, aggregates) -> dict:
+    return {
+        "schema_version": 1,
+        "kind": spec.kind.value,
+        "arrival_kind": spec.arrival_kind.value,
+        "node_count": spec.cluster.node_count,
+        "trials": spec.trials,
+        "duration_s": spec.duration_s,
+        "base_seed": spec.base_seed,
+        "steady_tolerance": STEADY_TOLERANCE,
+        "aggregates": [asdict(a) for a in aggregates],
+    }
+
+
+def write_plot_data_csv(manifest: OutputDir, spec: CampaignSpec, aggregates) -> Path:
+    """Per-figure plot data: arrival rate vs tps, cpu and latency."""
+    return manifest.write_csv(
+        f"fig_{spec.kind.value}_{spec.cluster.node_count}nodes.csv",
+        ["arrival_rate", "tps", "cpu_utilization", "latency_ms"],
+        ([a.lambda_offered, a.mean_tps, a.mean_cpu, a.mean_latency_ms] for a in aggregates))
+
+
 def cmd_campaign(args) -> int:
     manifest = _required_output_dir(args, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
@@ -299,10 +329,9 @@ def cmd_campaign(args) -> int:
     trials, aggregates = run_campaign(spec)
     if not rates:
         print("warning: empty rate list, vacuous campaign", file=sys.stderr)
-    manifest.write_text("campaign.csv", lambda fp: write_campaign_csv(spec, trials, fp))
+    write_campaign_csv(manifest, spec, trials)
     manifest.write_json("campaign.json", campaign_json_dict(spec, aggregates))
-    manifest.write_text(f"fig_{args.kind}_{cluster.node_count}nodes.csv",
-                        lambda fp: write_plot_data_csv(aggregates, fp))
+    write_plot_data_csv(manifest, spec, aggregates)
     manifest.finish()
     print(f"wrote campaign results to {manifest.dir}")
     return 0

@@ -34,6 +34,7 @@ calibrate = _load_calibrate()
     # the shipped profile's first write probe at seed 0 reads 96.44 tps
     ("10", 3, "error: no steady operating point at the smallest probe rate 100.0"),
     ("5", 2, "error: duration must cover at least 10 windows of 1.0 s, got 5.0"),
+    ("10.5", 2, "error: duration must be a whole number of 1.0 s windows, got 10.5"),
 ])
 def test_failure_exits_with_one_error_line(capsys, duration, code, message):
     assert calibrate.main(["--duration", duration]) == code

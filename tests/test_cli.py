@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -404,7 +405,21 @@ class TestCampaignCommand:
         assert len(csv_lines) == 5  # header + 2 rates x 2 trials
         doc = json.loads((out / "campaign.json").read_text())
         assert len(doc["aggregates"]) == 2
-        assert (out / "fig_write_4nodes.csv").is_file()
+        with (out / "fig_write_4nodes.csv").open() as fp:
+            header, *rows = csv.reader(fp)
+        assert header == ["arrival_rate", "tps", "cpu_utilization", "latency_ms"]
+        assert [[float(v) for v in row] for row in rows] == [
+            [a["lambda_offered"], a["mean_tps"], a["mean_cpu"], a["mean_latency_ms"]]
+            for a in doc["aggregates"]]
+
+    def test_campaign_csv_trial_is_seed_offset(self, tmp_path, small_cluster_file):
+        out = tmp_path / "c"
+        assert main(["campaign", "--kind", "write", "--rates", "40,60",
+                     "--cluster", str(small_cluster_file), "--trials", "2",
+                     "--duration", "20", "--seed", "7", "--out", str(out)]) == 0
+        with (out / "campaign.csv").open() as fp:
+            rows = list(csv.DictReader(fp))
+        assert [(r["trial"], r["seed"]) for r in rows] == [("0", "7"), ("1", "8")] * 2
 
     def test_empty_rates_warns(self, tmp_path, capsys, small_cluster_file):
         assert main(["campaign", "--kind", "write", "--cluster",
@@ -589,6 +604,20 @@ def test_short_or_non_finite_duration_exits_2(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert "duration must cover at least 10 windows" in err
     assert len(err.strip().split("\n")) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--kind", "read"],
+    ["capacity", "--kind", "write"],
+    ["campaign", "--kind", "write", "--rates", "400"],
+])
+def test_fractional_duration_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # a partial last window would read low and could fail a steady probe
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(argv + ["--duration", "10.5", "--out", str(out)]) == 2
+    assert "whole number of 1.0 s windows, got 10.5" in _one_error_line(capsys)
     assert not out.exists()
 
 
