@@ -2,8 +2,8 @@
 
 Transactions reach the blockchain as a stream of read/write events.  The
 stream is either a Poisson process (exponential interarrivals at rate
-``lambda``) or a deterministic comb at spacing ``1/lambda`` used as a
-calibration baseline.
+``lambda``) or a deterministic comb at spacing ``1/lambda``, evenly spaced
+arrivals that probe a peak rate without Poisson bursts.
 
 Streams are generated with a counter-based PRNG (Philox) so that identical
 (kind, rate, seed) always reproduce the identical stream, and independent

@@ -60,8 +60,10 @@ class ClusterConfig:
     """Simulated cluster: topology, consensus costs, and node capacities.
 
     The field defaults are the calibrated profile, and its only copy: cost
-    knobs are tuned so a 4-node cluster saturates near 1400 write tps and
-    near 20500 read tps in multi-node read mode (see scripts/calibrate.py).
+    knobs are set so that on 4 nodes the write capacity bound,
+    ``model.capacity_bound``, lies within 2% of the paper's 1400 write tps
+    and the multi-node read service limit within 2% of its 20500 read tps
+    (see scripts/calibrate.py).
     A profile is checked when built, so an invalid one raises
     :class:`InputError` from the constructor or ``dataclasses.replace``.
     """
@@ -113,6 +115,12 @@ class ClusterConfig:
                 raise InputError(f"rtt_matrix_ms must be {n}x{n}")
             if any(not math.isfinite(v) or v < 0 for row in self.rtt_matrix_ms for v in row):
                 raise InputError("rtt_matrix_ms entries must be finite and >= 0")
+
+    @property
+    def read_servers(self) -> int:
+        """The nodes that serve reads, round-robin from node 0: all N in
+        ``multi`` mode, node 0 alone in ``single`` mode."""
+        return self.node_count if self.read_mode == "multi" else 1
 
     def one_way_ms(self, a: int, b: int) -> float:
         if self.rtt_matrix_ms is not None:
@@ -221,7 +229,7 @@ class MetricsTimeline:
                                     + cluster.msg_proc_us * 2 * n_nodes)
         scan_us = cluster.pool_scan_cost_us_per_tx * self._depths
         # node k serves reads k, k + stride, ... and proposes blocks k, k + N, ...
-        stride = n_nodes if cluster.read_mode == "multi" else 1
+        stride = cluster.read_servers
         work_us = np.empty((n_nodes, self._n_windows))
         for node in range(n_nodes):
             served = self._per_window(self._read_windows[node::stride]) if node < stride else 0
@@ -290,7 +298,8 @@ def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
         count = f"{math.ceil(windows):,}" if windows < 2**53 else f"{windows:.4g}"
         raise InputError(
             f"{cluster.node_count} nodes over {count} windows of {window_s!r} s make a "
-            f"cpu table of more than the {MAX_CELLS:,} cells one run may hold; widen the window")
+            f"cpu table of more than the {MAX_CELLS:,} cells one run may hold; shorten the "
+            "duration or widen the window")
     blocks = horizon * 1000.0 / cluster.block_interval_ms
     if blocks > MAX_BLOCKS:
         raise InputError(
@@ -319,7 +328,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
 
     # --- reads: FIFO queues, no consensus involvement ---
     # round-robin assignment makes each node's reads a strided view
-    stride = n_nodes if cluster.read_mode == "multi" else 1
+    stride = cluster.read_servers
     service_s = cluster.read_service_us * 1e-6
     completions = np.empty(read_ts.size)
     for node in range(stride):

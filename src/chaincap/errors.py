@@ -13,8 +13,9 @@ class InputError(ChaincapError, ValueError):
 
 
 class CalibrationError(ChaincapError, RuntimeError):
-    """The simulator does not bear out a capacity (exit 3): a write search's
-    first probe is unsteady, a read capacity bound is not confirmed by its two
-    probes, or ``scripts/calibrate.py``'s solved knob misses its target."""
+    """A capacity is not borne out (exit 3): a write search's first probe is
+    unsteady, a read capacity bound is not confirmed by its two probes, or
+    the capacity bound at a knob ``scripts/calibrate.py`` solved misses its
+    target."""
 
     exit_code = 3

@@ -64,18 +64,16 @@ def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth:
 def capacity_bound(cluster: ClusterConfig, kind: TxKind) -> float:
     """The fluid limit of the arrival rate the cluster sustains, per second.
 
-    Reads: the service rate of the nodes that serve them, N / read service
-    time in multi mode and 1 / read service time in single mode; inf when
-    a read takes no time, or so little that the rate overflows.  Writes: a
-    full block of B per block cycle, where the cycle is the longer of the
-    block interval and a full round with a pool of B, averaged over
-    proposers (the next proposal waits for both).
+    Reads: the service rate of the nodes that serve them, ``read_servers``
+    / read service time; inf when a read takes no time, or so little that
+    the rate overflows.  Writes: a full block of B per block cycle, where
+    the cycle is the longer of the block interval and a full round with a
+    pool of B, averaged over proposers (the next proposal waits for both).
     """
     if kind is TxKind.READ:
         if cluster.read_service_us == 0:
             return math.inf
-        servers = cluster.node_count if cluster.read_mode == "multi" else 1
-        return servers * 1e6 / cluster.read_service_us
+        return cluster.read_servers * 1e6 / cluster.read_service_us
     full = cluster.block_tx_capacity
     round_ms = math.fsum(consensus_round_latency(cluster, full, full, p)
                          for p in range(cluster.node_count)) / cluster.node_count

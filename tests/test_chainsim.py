@@ -653,6 +653,56 @@ class TestWindows:
                                        + tl.committed_writes * DEFAULT_WRITE_PAYLOAD_BYTES)
 
 
+# every time cost of a profile, in ms or us
+TIME_COSTS = ("rtt_ms", "block_interval_ms", "write_exec_us", "read_service_us",
+              "msg_proc_us", "pool_scan_cost_us_per_tx")
+# (seed, kind, rate): writes just below and near the bound, and heavy reads
+RELATION_CASES = [(seed, kind, rate) for seed in range(5)
+                  for kind, rate in ((TxKind.WRITE, 1350.0), (TxKind.WRITE, 1380.0),
+                                     (TxKind.READ, 20_000.0))]
+
+
+def relation_columns(cluster, kind, rate, seed, horizon, window_s):
+    events = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed), kind, horizon)
+    return run(cluster, events, horizon=horizon, window_s=window_s).columns()
+
+
+class TestMetamorphicRelations:
+    """Two runs that must agree bit for bit, with no oracle between them."""
+
+    @pytest.mark.parametrize("k", [2.0, 0.5])
+    def test_time_scaling(self, k):
+        # every time cost times k, the rate over k, horizon and window times k:
+        # the Poisson epochs divide to k times the times, exactly for a power
+        # of two, so each series is the base run's up to that factor
+        base = default_cluster()
+        scaled = replace(base, **{name: getattr(base, name) * k for name in TIME_COSTS})
+        for seed, kind, rate in RELATION_CASES:
+            want = relation_columns(base, kind, rate, seed, 30.0, 1.0)
+            got = relation_columns(scaled, kind, rate / k, seed, 30.0 * k, k)
+            for name, series in got.items():
+                if name.endswith("_tps"):
+                    series = series * k
+                elif "latency" in name or name == "window_start_s":
+                    series = series / k
+                assert np.array_equal(series, want[name]), (
+                    f"time scaling by {k}: {name} differs at seed {seed}, "
+                    f"{kind.value} at {rate}/s")
+
+    def test_constant_rtt_matrix_is_the_constant_rtt(self):
+        rtt_ms = default_cluster().rtt_ms
+        row = ", ".join([str(rtt_ms)] * 4)
+        matrix = load_cluster("[config]\nschema_version = 1\n\n[cluster]\n\n[rtt_matrix]\n"
+                              + "".join(f"node{i} = {row}\n" for i in range(4)))
+        for seed, kind, rate in RELATION_CASES:
+            want = relation_columns(default_cluster(), kind, rate, seed, 30.0, 1.0)
+            got = relation_columns(matrix, kind, rate, seed, 30.0, 1.0)
+            for name, series in got.items():
+                assert np.array_equal(series, want[name]), (
+                    f"constant rtt matrix: {name} differs at seed {seed}, "
+                    f"{kind.value} at {rate}/s")
+
+
 class TestCpuProxy:
     def test_zero_work(self):
         assert cpu_utilization(0.0, 1e6, 1.0) == 0.0

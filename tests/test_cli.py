@@ -621,6 +621,19 @@ def test_fractional_duration_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--kind", "write"],
+    ["campaign", "--kind", "write", "--rates", "400"],
+])
+def test_duration_past_the_cpu_table_cap_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # neither command has a --window, so the advice must name the duration
+    monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
+    out = tmp_path / "d"
+    assert main(argv + ["--duration", "2e6", "--out", str(out)]) == 2
+    assert "cells one run may hold; shorten the duration" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,seeds", [
     (["capacity", "--kind", "write"], {"base_seed": 0}),
     (["campaign", "--kind", "write", "--rates", "10", "--trials", "1", "--duration", "10"],
