@@ -22,29 +22,27 @@ def _headroom(maximum: float, demand: float):
     return ratio if math.isfinite(ratio) else "inf"
 
 
-def resolve_eta(scenario: ScenarioSpec, eta: float | None) -> float:
-    """Explicit eta wins; fall back to the scenario default; never guess."""
-    if eta is not None:
-        return eta
-    if scenario.default_eta is None:
-        raise InputError(
-            f"eta required: scenario {scenario.id!r} ships no default "
-            "concurrent-event rate; supply one explicitly")
-    return scenario.default_eta
-
-
 def methodology_report(scenario: ScenarioSpec, eta: float | None,
                        capacity: CapacityProfile) -> dict:
-    """Machine-readable assessment report covering every pipeline stage."""
-    eta_value = resolve_eta(scenario, eta)
-    lambda_read, lambda_write = workload_for(scenario, eta_value)
+    """Machine-readable assessment report covering every pipeline stage.
+
+    An explicit eta wins, even 0; otherwise the scenario's default is used,
+    and a scenario that ships none is an error: eta is never guessed.
+    """
+    if eta is None:
+        if scenario.default_eta is None:
+            raise InputError(
+                f"eta required: scenario {scenario.id!r} ships no default "
+                "concurrent-event rate; supply one explicitly")
+        eta = scenario.default_eta
+    lambda_read, lambda_write = workload_for(scenario, eta)
     max_read, max_write = capacity.max_lambda_read, capacity.max_lambda_write
     if not (math.isfinite(max_read) and math.isfinite(max_write)):
         raise InputError("capacity profile must carry finite read and write maxima")
     read_ok, write_ok = lambda_read <= max_read, lambda_write <= max_write
     suitable = read_ok and write_ok
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "scenario": scenario.id,
         "why_on_chain": scenario.notes,
         "what_is_recorded": [
@@ -61,21 +59,15 @@ def methodology_report(scenario: ScenarioSpec, eta: float | None,
         ],
         "arrival_model": {
             "kind": "poisson",
-            "eta": eta_value,
+            "eta": eta,
             "reads_per_event": scenario.reads_per_event,
             "writes_per_event": scenario.writes_per_event,
             "lambda_read": lambda_read,
             "lambda_write": lambda_write,
         },
         "evaluation": capacity.to_json_dict(),
-        # the verdict; "use_case" is always null, a verdict is per scenario
+        # the verdict alone: the rates and capacity it compares are stated above
         "comparison": {
-            "schema_version": 1,
-            "scenario": scenario.id,
-            "use_case": None,
-            "lambda_read": lambda_read,
-            "lambda_write": lambda_write,
-            "capacity": capacity.to_json_dict(),
             "read_ok": read_ok,
             "write_ok": write_ok,
             "suitable": suitable,
@@ -90,12 +82,12 @@ def render_report_text(report: dict) -> str:
     """Human-readable rendering of a methodology report."""
     lines = [f"Scenario: {report['scenario']}", "", "Why on-chain:",
              f"  {report['why_on_chain']}", "", "What is recorded / when:"]
-    triggers = {t["use_case"]: t["trigger"] for t in report["when"]}
-    for uc in report["what_is_recorded"]:
+    # both lists hold the scenario's use cases in the same order
+    for uc, when in zip(report["what_is_recorded"], report["when"]):
         lines.append(f"  - {uc['use_case']}: {uc['reads_per_event']} read(s), "
                      f"{uc['writes_per_event']} write(s) per event")
-        if triggers.get(uc["use_case"]):
-            lines.append(f"      when: {triggers[uc['use_case']]}")
+        if when["trigger"]:
+            lines.append(f"      when: {when['trigger']}")
     am = report["arrival_model"]
     lines += [
         "",

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
+from .arrival import ArrivalKind, ArrivalProcess, TxKind, check_rate, generate_events
 from .bench import (
     CampaignSpec,
     CapacityProfile,
@@ -237,9 +237,8 @@ def cmd_scenarios(args) -> int:
 def cmd_simulate(args) -> int:
     manifest = _required_output_dir(args, seeds={"seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
-    if args.rate < 0:
-        raise InputError(f"--lambda must be >= 0, got {args.rate}")
-    process = ArrivalProcess(kind=ArrivalKind(args.arrival), rate=args.rate, seed=args.seed)
+    process = ArrivalProcess(kind=ArrivalKind(args.arrival),
+                             rate=check_rate(args.rate, "--lambda"), seed=args.seed)
     check_run(cluster, args.duration, args.window)  # reject a bad run before drawing
     events = generate_events(process, TxKind(args.kind), args.duration)
     timeline = run(cluster, events, horizon=args.duration, window_s=args.window)
@@ -374,8 +373,8 @@ def cmd_assess(args) -> int:
     else:
         specs = [_lookup_scenario(catalog, args.scenario)]
 
-    columns = ["scenario", "use_case", "lambda_read", "lambda_write", "read_ok",
-               "write_ok", "headroom_read", "headroom_write"]
+    columns = ["scenario", "lambda_read", "lambda_write", "read_ok", "write_ok",
+               "headroom_read", "headroom_write"]
     summary_rows = []
     # every report is built, and so checked, before the first file is written
     for report in [methodology_report(spec, args.eta, capacity) for spec in specs]:
@@ -383,11 +382,12 @@ def cmd_assess(args) -> int:
         manifest.write_json(f"verdict_{sid}.json", report)
         if args.text:
             print(render_report_text(report))
-        v = report["comparison"]
-        summary_rows.append([int(v[c]) if isinstance(v[c], bool) else v[c] for c in columns])
+        am, v = report["arrival_model"], report["comparison"]
+        summary_rows.append([sid, am["lambda_read"], am["lambda_write"], int(v["read_ok"]),
+                             int(v["write_ok"]), v["headroom_read"], v["headroom_write"]])
         label = "suitable" if v["suitable"] else "unsuitable"
         print(f"{sid}: {label} "
-              f"(lambda_read={v['lambda_read']}, lambda_write={v['lambda_write']})")
+              f"(lambda_read={am['lambda_read']}, lambda_write={am['lambda_write']})")
     manifest.write_csv("summary.csv", columns, summary_rows)
     manifest.finish()
     return 0

@@ -55,13 +55,6 @@ class ScenarioSpec:
     notes: str = ""
     default_eta: float | None = None
 
-    def __post_init__(self):
-        if not self.use_cases:
-            raise InputError(f"scenario {self.id} must have at least one use case")
-        names = [uc.name for uc in self.use_cases]
-        if len(set(names)) != len(names):
-            raise InputError(f"duplicate use-case names in scenario {self.id}")
-
     @property
     def reads_per_event(self) -> int:
         return sum(uc.reads_per_event for uc in self.use_cases)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from chaincap.assess import methodology_report, render_report_text, resolve_eta
+from chaincap.assess import methodology_report, render_report_text
 from chaincap.bench import CapacityProfile
 from chaincap.errors import InputError
 from chaincap.scenarios import ScenarioSpec, UseCaseSpec, builtin_scenarios
@@ -93,19 +93,6 @@ class TestAssess:
         assert va == vb
 
 
-class TestEtaResolution:
-    def test_explicit_eta_wins(self):
-        spec = CATALOG["aaa"]
-        assert resolve_eta(spec, 12.0) == 12.0
-
-    def test_default_eta_fallback(self):
-        assert resolve_eta(CATALOG["aaa"], None) == 8333.0
-
-    def test_missing_eta_is_loud(self):
-        with pytest.raises(InputError, match="eta required"):
-            resolve_eta(CATALOG["resource_sharing"], None)
-
-
 class TestMethodologyReport:
     def test_aaa_report_comparison_stage(self, paper_capacity):
         report = methodology_report(CATALOG["aaa"], 8333, paper_capacity)
@@ -122,6 +109,12 @@ class TestMethodologyReport:
                                     None, paper_capacity)
         assert report["comparison"]["suitable"]
         assert report["arrival_model"]["eta"] == 0.0115
+
+    @pytest.mark.parametrize("eta", [12.0, 0.0])
+    def test_explicit_eta_beats_the_default(self, paper_capacity, eta):
+        # aaa ships 8333/s; an explicit eta, 0 among them, is used as given
+        am = methodology_report(CATALOG["aaa"], eta, paper_capacity)["arrival_model"]
+        assert (am["eta"], am["lambda_read"], am["lambda_write"]) == (eta, 5 * eta, eta)
 
     def test_missing_eta_raises(self, paper_capacity):
         with pytest.raises(InputError, match="eta required"):

@@ -662,9 +662,13 @@ RELATION_CASES = [(seed, kind, rate) for seed in range(5)
                                      (TxKind.READ, 20_000.0))]
 
 
-def relation_columns(cluster, kind, rate, seed, horizon, window_s):
+def relation_run(cluster, kind, rate, seed, horizon, window_s):
     events = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed), kind, horizon)
-    return run(cluster, events, horizon=horizon, window_s=window_s).columns()
+    return run(cluster, events, horizon=horizon, window_s=window_s)
+
+
+def relation_columns(cluster, kind, rate, seed, horizon, window_s):
+    return relation_run(cluster, kind, rate, seed, horizon, window_s).columns()
 
 
 class TestMetamorphicRelations:
@@ -701,6 +705,36 @@ class TestMetamorphicRelations:
                 assert np.array_equal(series, want[name]), (
                     f"constant rtt matrix: {name} differs at seed {seed}, "
                     f"{kind.value} at {rate}/s")
+
+    def test_reads_leave_the_write_columns_alone(self):
+        # the reverse of test_without_blocks: reads joining the stream add
+        # read and cpu series, and move no write, pool or ledger series
+        cluster = default_cluster()
+        for seed, kind, rate in RELATION_CASES:
+            if kind is not TxKind.WRITE:
+                continue
+            writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed), kind, 30.0)
+            reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 20_000.0, seed + 1),
+                                    TxKind.READ, 30.0)
+            want = run(cluster, writes, horizon=30.0).columns()
+            got = run(cluster, replace(writes, read_times=reads.read_times), horizon=30.0).columns()
+            for name in ("committed_write_tps", "mean_write_latency_ms", "pool_depth",
+                         "ledger_bytes"):
+                assert np.array_equal(got[name], want[name]), (
+                    f"reads joining: {name} differs at seed {seed}, writes at {rate}/s")
+
+    def test_shorter_horizon_is_a_prefix(self):
+        # a window that closes before the short run's last commit has seen
+        # every block, write and read the long run puts in it; 12.5 s ends in
+        # a partial window, which is not compared
+        for seed, kind, rate in RELATION_CASES:
+            short = relation_run(default_cluster(), kind, rate, seed, 12.5, 1.0)
+            want = relation_columns(default_cluster(), kind, rate, seed, 30.0, 1.0)
+            closed = int(short._commit_s[-1])  # the 1 s windows it closes
+            for name, series in short.columns().items():
+                assert np.array_equal(series[:closed], want[name][:closed]), (
+                    f"horizon prefix: {name} differs in the first {closed} windows at "
+                    f"seed {seed}, {kind.value} at {rate}/s")
 
 
 class TestCpuProxy:

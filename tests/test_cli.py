@@ -132,6 +132,13 @@ class TestSimulateCommand:
         assert list(columns) == header.split(",")
         assert all(len(values) == tl.n_windows for values in columns.values())
 
+    @pytest.mark.parametrize("rate", ["-1", "nan", "inf"])
+    def test_bad_lambda_names_the_flag(self, tmp_path, capsys, rate):
+        out = tmp_path / "run"
+        assert main(["simulate", "--kind", "write", "--lambda", rate, "--out", str(out)]) == 2
+        assert "--lambda" in _one_error_line(capsys)
+        assert not out.exists()
+
     def test_missing_cluster_file(self, tmp_path, capsys):
         assert main(["simulate", "--kind", "write", "--lambda", "10",
                      "--cluster", str(tmp_path / "nope.ini"),
@@ -531,6 +538,8 @@ def test_too_many_nodes_exits_2_before_searching(tmp_path, capsys, monkeypatch):
 
 
 WRITES_20S = ["--kind", "write", "--lambda", "10", "--duration", "20"]
+# after a [cluster] that sets nothing: a 4-node [rtt_matrix] without its node3 row
+RTT_ROWS = "\n[rtt_matrix]\nnode0 = 0,1,1,1\nnode1 = 1,0,1,1\nnode2 = 1,1,0,1\n"
 # one block commits near 0.22 s, and its cpu work in a 1e-5 s window overflows
 # a capacity of 1e-300
 WRITES_1E5_WINDOWS = ["--kind", "write", "--lambda", "10", "--duration", "0.3",
@@ -559,6 +568,16 @@ WRITES_1E5_WINDOWS = ["--kind", "write", "--lambda", "10", "--duration", "0.3",
     # past a million reads at one node, the FIFO's service time sums overflow
     ("read_service_us = 1.7e308\nread_mode = single",
      ["--kind", "read", "--lambda", "110000", "--duration", "10"], None),
+    # values and RTT rows the profile rejects, each named in its one line
+    ("block_tx_capacity = 0", WRITES_20S, "block_tx_capacity must be >= 1, got 0"),
+    ("empty_block_bytes = -1", WRITES_20S, "empty_block_bytes must be >= 0, got -1"),
+    ("read_mode = Multi", WRITES_20S, "read_mode must be 'multi' or 'single', got 'Multi'"),
+    ("node_count = 4.0", WRITES_20S, "[cluster] node_count: expected int, got '4.0'"),
+    (RTT_ROWS, WRITES_20S, "[rtt_matrix]: missing row 'node3'"),
+    (RTT_ROWS.replace("1,0,1,1", "1,0,x,1") + "node3 = 1,1,1,0\n", WRITES_20S,
+     "[rtt_matrix] node1: expected comma-separated floats"),
+    (RTT_ROWS + "node3 = 1,1,1,0\nnode4 = 1,1,1,1\n", WRITES_20S,
+     "[rtt_matrix]: unexpected rows ['node4']"),
 ])
 def test_cluster_value_out_of_range_exits_2_or_runs_clean(tmp_path, capsys, keys, argv, message):
     profile = tmp_path / "p.ini"
@@ -682,13 +701,18 @@ def test_campaign_last_seed_outside_key_range_exits_2(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-def test_campaign_zero_rate_exits_2_before_drawing(tmp_path, capsys, monkeypatch):
-    # a rate the trials would reject must stop the campaign before its first trial
+@pytest.mark.parametrize("rates,trials,message", [
+    ("400,0", "2", "trial rate must be > 0"),
+    ("400", "0", "trials must be >= 1, got 0"),
+])
+def test_campaign_zero_rate_or_trials_exits_2_before_drawing(tmp_path, capsys, monkeypatch,
+                                                             rates, trials, message):
+    # a campaign the trials would reject must stop before its first trial
     monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
     out = tmp_path / "d"
-    assert main(["campaign", "--kind", "write", "--rates", "400,0", "--trials", "2",
+    assert main(["campaign", "--kind", "write", "--rates", rates, "--trials", trials,
                  "--out", str(out)]) == 2
-    assert "trial rate must be > 0" in _one_error_line(capsys)
+    assert message in _one_error_line(capsys)
     assert not out.exists()
 
 

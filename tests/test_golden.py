@@ -51,15 +51,15 @@ CASES = {
         "88c54a847afd717f042dd396af6f599d964901846ea6867949d76ac47aeadd37"),
     "assess-all": (
         ["assess", "--scenario", "all", "--capacity", str(PAPER_CAPACITY_PATH)],
-        "b041e5794dd2cd6f1b0f36a7af9414456d7ea3fa5f3a5939a435419cddbf7c3a"),
+        "b9be2436463d0f7445b9dd6bc8b178f1fd073e1a899968a39a95fdf37183c5f9"),
     "assess-explicit-eta": (
         ["assess", "--scenario", "resource_sharing", "--eta", "50",
          "--capacity", str(PAPER_CAPACITY_PATH)],
-        "2b9d48bf6e8734d2221fd4f2edc607b266fe53f65d1cdd96764f559f30397c4e"),
+        "bbc63b7aba0c26f7f305729f136080ed48a7cfe34eeb0f73f7ea042e2b71756c"),
     # zero demand: both headrooms are written as "inf"
     "assess-zero-eta": (
         ["assess", "--scenario", "aaa", "--eta", "0", "--capacity", str(PAPER_CAPACITY_PATH)],
-        "48fc576161d84e3ea6a54231a111dca6dc13e92b6352fa76eb2141264a83c2b6"),
+        "33b40771350ccd95a7caea8e536150ebfef2f7a3a3608c6a709b182abf493ab5"),
 }
 
 # stdout of assess --text: the rendered methodology reports and summary lines

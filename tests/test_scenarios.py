@@ -46,6 +46,9 @@ class TestCatalog:
             assert spec.use_cases
             for uc in spec.use_cases:
                 assert uc.reads_per_event + uc.writes_per_event >= 1
+            # an override replaces a use case by name, so a name must be unique
+            names = [uc.name for uc in spec.use_cases]
+            assert len(set(names)) == len(names), spec.id
 
     def test_default_eta_only_for_operator_backed_scenarios(self):
         with_eta = {sid for sid, s in CATALOG.items() if s.default_eta is not None}
@@ -138,15 +141,29 @@ class TestLoadScenarios:
         uc = use_cases(catalog["aaa"])["bulk_audit"]
         assert (uc.reads_per_event, uc.writes_per_event) == (2, 0)
 
+    @pytest.mark.parametrize("field", ["reads_per_event", "writes_per_event"])
     @pytest.mark.parametrize("section,value", [
-        ("use_case:aaa:access_control", "reads_per_event = -3"),  # an existing use case
-        ("use_case:aaa:bulk", "reads_per_event = -1\nwrites_per_event = 1"),  # a new one
+        ("use_case:aaa:access_control", -3),  # an existing use case
+        ("use_case:aaa:bulk", -1),  # a new one
     ])
-    def test_negative_multiplicity_names_the_field(self, section, value):
-        doc = f"[config]\nschema_version = 1\n\n[{section}]\n{value}\n"
+    def test_negative_multiplicity_names_the_field(self, section, value, field):
+        doc = f"[config]\nschema_version = 1\n\n[{section}]\n{field} = {value}\n"
         with pytest.raises(InputError,
-                           match=rf"^\[{section}\]: reads_per_event must be >= 0, got -\d$"):
+                           match=rf"^\[{section}\]: {field} must be >= 0, got {value}$"):
             load_scenarios(doc)
+
+    @pytest.mark.parametrize("section,value,message", [
+        ("use_case:aaa:access_control", "reads_per_event = x",
+         "[use_case:aaa:access_control] reads_per_event: expected an integer, got 'x'"),
+        ("use_case:aaa", "reads_per_event = 1",
+         "[use_case:aaa]: expected use_case:<scenario>:<name>"),
+        ("scenario:aaa", "eta = abc", "[scenario:aaa] eta: could not convert string"),
+    ])
+    def test_malformed_override_names_its_section(self, section, value, message):
+        doc = f"[config]\nschema_version = 1\n\n[{section}]\n{value}\n"
+        with pytest.raises(InputError) as excinfo:
+            load_scenarios(doc)
+        assert str(excinfo.value).startswith(message)
 
     @pytest.mark.parametrize("section,key", [
         ("scenario:aaa", "etaa"),
