@@ -169,8 +169,9 @@ def generate_times(process: ArrivalProcess, horizon: float,
     divided in place.  Either way the stream is the same, and a shorter
     horizon's stream is a prefix of a longer one's.  numpy's vector ``log1p``
     may differ from ``math.log1p`` in the last bit, so a scalar replay agrees
-    to within a few ulp, not exactly.  Raises :class:`InputError` if
-    ``check_event_count`` rejects the stream or ``draws`` is of another seed.
+    to within a few ulp, not exactly.  ``draws`` must be of the process's
+    seed, unchecked.  Raises :class:`InputError` if ``check_event_count``
+    rejects the stream.
     """
     horizon = check_horizon(horizon)
     rate = process.rate
@@ -186,9 +187,6 @@ def generate_times(process: ArrivalProcess, horizon: float,
     shared = draws is not None
     if not shared:
         draws = UnitDraws(process.seed)
-    elif draws.seed != process.seed:
-        raise InputError(f"draws of seed {draws.seed} cannot feed a process of seed "
-                         f"{process.seed}")
     chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
     epochs = draws.take(chunk)
     # below ~2e-307/s a quotient overflows to inf, which lies past any finite

@@ -313,16 +313,12 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
         window_s: float = 1.0) -> MetricsTimeline:
     """Simulate the cluster against the writes and reads of ``events``.
 
-    Each of its arrays must be sorted by time and fit within ``horizon``.
+    Each of its arrays must be non-decreasing and end by ``horizon``,
+    unchecked: ``generate_events`` over the same horizon makes such streams.
     The simulation is deterministic and draws no randomness.
     """
     n_windows = check_run(cluster, horizon, window_s)
     write_ts, read_ts = events.write_times, events.read_times
-    for times in (write_ts, read_ts):
-        if not np.all(times[1:] >= times[:-1]):
-            raise InputError("events must be sorted by time")
-        if times.size and times[-1] > horizon:
-            raise InputError("horizon must cover the last event timestamp")
 
     n_nodes = cluster.node_count
 

@@ -21,7 +21,6 @@ import math
 from typing import TYPE_CHECKING
 
 from .arrival import TxKind
-from .errors import InputError
 
 if TYPE_CHECKING:
     from .chainsim import ClusterConfig
@@ -51,11 +50,9 @@ def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth:
     """Wall-clock milliseconds for one three-phase round.
 
     ``round_base_ms`` plus block execution and the proposer's pool scan.
-    Monotone non-decreasing in block_fill and pool_depth.
+    Monotone non-decreasing in block_fill and pool_depth.  ``block_fill``
+    must not exceed ``block_tx_capacity``, unchecked.
     """
-    if block_fill > cluster.block_tx_capacity:
-        raise InputError(
-            f"block_fill {block_fill} exceeds block_tx_capacity {cluster.block_tx_capacity}")
     exec_ms = cluster.write_exec_us * block_fill / 1000.0
     scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
     return round_base_ms(cluster, proposer) + exec_ms + scan_ms

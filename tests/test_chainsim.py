@@ -212,11 +212,6 @@ class TestConsensusParams:
         assert bases == [consensus_round_latency(cluster, 0, 0, p) for p in range(7)]
         assert len(set(bases)) > 1  # the quorum-th peer latency depends on the proposer
 
-    def test_fill_beyond_capacity_rejected(self):
-        cluster = default_cluster()
-        with pytest.raises(InputError):
-            consensus_round_latency(cluster, cluster.block_tx_capacity + 1, 0)
-
 
 class TestConfigValidation:
     def test_minimum_node_count(self):
@@ -323,18 +318,6 @@ class TestRunBasics:
         a_columns, b_columns = a.columns(), b.columns()
         assert list(a_columns) == list(b_columns)
         assert all(np.array_equal(a_columns[c], b_columns[c]) for c in a_columns)
-
-    def test_unsorted_events_rejected(self):
-        with pytest.raises(InputError):
-            run(default_cluster(), stream([1.0, 0.5]), horizon=5.0)
-        with pytest.raises(InputError):
-            run(default_cluster(), stream([1.0, 0.5], write=False), horizon=5.0)
-
-    def test_horizon_must_cover_events(self):
-        with pytest.raises(InputError):
-            run(default_cluster(), stream([9.0]), horizon=5.0)
-        with pytest.raises(InputError):
-            run(default_cluster(), stream([9.0], write=False), horizon=5.0)
 
     def test_invalid_config_fails_before_simulation(self):
         with pytest.raises(InputError):
