@@ -123,8 +123,11 @@ def load_scenarios(document: str) -> dict[str, ScenarioSpec]:
             if "eta" in keys:
                 try:
                     eta = check_rate(float(keys["eta"]), "eta")
-                except ValueError as exc:
+                except InputError as exc:
                     raise InputError(f"[{section}] eta: {exc}") from None
+                except ValueError:
+                    raise InputError(f"[{section}] eta: expected a number, "
+                                     f"got {keys['eta']!r}") from None
                 catalog[sid] = replace(catalog[sid], default_eta=eta)
             continue
         fields = {

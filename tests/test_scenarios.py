@@ -157,7 +157,9 @@ class TestLoadScenarios:
          "[use_case:aaa:access_control] reads_per_event: expected an integer, got 'x'"),
         ("use_case:aaa", "reads_per_event = 1",
          "[use_case:aaa]: expected use_case:<scenario>:<name>"),
-        ("scenario:aaa", "eta = abc", "[scenario:aaa] eta: could not convert string"),
+        ("scenario:aaa", "eta = abc", "[scenario:aaa] eta: expected a number, got 'abc'"),
+        ("scenario:aaa", "eta = -1",
+         "[scenario:aaa] eta: eta must be a finite non-negative rate, got -1.0"),
     ])
     def test_malformed_override_names_its_section(self, section, value, message):
         doc = f"[config]\nschema_version = 1\n\n[{section}]\n{value}\n"
