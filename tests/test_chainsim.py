@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaincap.arrival import (
     DEFAULT_WRITE_PAYLOAD_BYTES,
@@ -737,22 +737,39 @@ class TestCpuProxy:
         assert np.all(tl.cpu_utilization <= 1.0)
 
 
+@st.composite
+def cluster_profiles(draw) -> ClusterConfig:
+    """The shipped profile with 4 to 7 nodes, any block size, a drawn per-pair
+    RTT matrix (a->b apart from b->a), the pool scan cost 0 or shipped, and
+    either read mode."""
+    shipped = default_cluster()
+    n = draw(st.integers(4, 7))
+    rtt_ms = st.floats(0.0, 200.0)
+    matrix = tuple(tuple(0.0 if a == b else draw(rtt_ms) for b in range(n)) for a in range(n))
+    return replace(shipped, node_count=n, rtt_matrix_ms=matrix,
+                   block_tx_capacity=draw(st.integers(1, 2 * shipped.block_tx_capacity)),
+                   pool_scan_cost_us_per_tx=draw(
+                       st.sampled_from([0.0, shipped.pool_scan_cost_us_per_tx])),
+                   read_mode=draw(st.sampled_from(["multi", "single"])))
+
+
 class TestInvariants:
     """Properties of every run that hold in any order of additions."""
 
-    PROFILES = {
-        "shipped": default_cluster(),
-        "asymmetric": load_cluster(ASYMMETRIC_CLUSTER.read_text()),
-        "single": replace(default_cluster(), read_mode="single"),
-        "no-scan": replace(default_cluster(), pool_scan_cost_us_per_tx=0.0),
-    }
-
     @settings(max_examples=100, deadline=None)
-    @given(profile=st.sampled_from(sorted(PROFILES)), write_rate=st.floats(0.0, 2800.0),
+    @given(cluster=cluster_profiles(), write_rate=st.floats(0.0, 2800.0),
            read_rate=st.floats(0.0, 25000.0), window_s=st.floats(0.05, 3.0),
            seed=st.integers(0, 2**32 - 1))
-    def test_timeline_invariants(self, profile, write_rate, read_rate, window_s, seed):
-        cluster, horizon = self.PROFILES[profile], 5.0
+    @example(cluster=default_cluster(), write_rate=1400.0, read_rate=20000.0, window_s=1.0,
+             seed=0)
+    @example(cluster=load_cluster(ASYMMETRIC_CLUSTER.read_text()), write_rate=1500.0,
+             read_rate=900.0, window_s=0.7, seed=1)
+    @example(cluster=replace(default_cluster(), read_mode="single"), write_rate=300.0,
+             read_rate=8000.0, window_s=0.3, seed=2)
+    @example(cluster=replace(default_cluster(), pool_scan_cost_us_per_tx=0.0),
+             write_rate=2800.0, read_rate=0.0, window_s=2.5, seed=3)
+    def test_timeline_invariants(self, cluster, write_rate, read_rate, window_s, seed):
+        horizon = 5.0
         writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, write_rate, seed),
                                  TxKind.WRITE, horizon)
         reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, read_rate, seed + 1),
