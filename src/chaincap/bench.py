@@ -58,8 +58,8 @@ def check_duration(cluster: ClusterConfig, duration_s: float) -> None:
     """Validate a trial duration: at least 10 windows, all of them whole, and a
     run ``check_run`` accepts.
 
-    A partial last window would count its commits over a whole ``WINDOW_S``
-    and so pull the trial's mean throughput below the offered rate.
+    A partial last window's rates are per its own width, but a trial's means
+    weigh each window equally, so a short one would weigh as a whole one.
     """
     if not (math.isfinite(duration_s) and duration_s >= 10 * WINDOW_S):
         raise InputError(f"duration must cover at least 10 windows of {WINDOW_S} s, "

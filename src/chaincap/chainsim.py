@@ -174,8 +174,12 @@ class MetricsTimeline:
         self._read_windows[read_completions_s > horizon] = n_windows
         self._committed_count = self._per_window(self._block_windows, self._fills)
         self._served_count = self._per_window(self._read_windows)
-        self.committed_write_tps = self._committed_count / window_s
-        self.served_read_tps = self._served_count / window_s
+        # the rule of check_run: a partial last window's rates are per its width
+        self._widths = np.full(n_windows, window_s)
+        if n_windows - horizon / window_s > 1e-9:
+            self._widths[-1] = horizon - (n_windows - 1) * window_s
+        self.committed_write_tps = self._committed_count / self._widths
+        self.served_read_tps = self._served_count / self._widths
         self.arrived_writes = int(events.write_times.size)
         self.committed_writes = int(self._fills.sum())
         self.pending_writes = self.arrived_writes - self.committed_writes
@@ -236,7 +240,7 @@ class MetricsTimeline:
             work_us[node] = (served * cluster.read_service_us + share_us
                              + self._per_window(self._block_windows[node::n_nodes],
                                                 scan_us[node::n_nodes]))
-        return np.minimum(1.0, work_us / (cluster.node_cpu_capacity * self.window_s))
+        return np.minimum(1.0, work_us / (cluster.node_cpu_capacity * self._widths))
 
     def _at_window_ends(self, running: np.ndarray) -> np.ndarray:
         """``running`` (one value per block) after the last block committed by
@@ -279,9 +283,11 @@ class MetricsTimeline:
 def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
     """The metric windows covering ``horizon``; the last one may be partial.
 
-    A partial last window's rates divide its counts by the whole
-    ``window_s``, so its tps reads low: ``simulate`` keeps such a window,
-    while ``bench.check_duration`` admits only whole windows to a trial.
+    The last window is partial when the horizon falls more than 1e-9 of a
+    window short of its end.  Its rates and cpu share are per its own
+    width, ``horizon`` less its start; every other window's are per
+    ``window_s``.  ``simulate`` keeps such a window, while
+    ``bench.check_duration`` admits only whole windows to a trial.
 
     Raises :class:`InputError` for a non-finite or non-positive horizon or
     window, for more than MAX_CELLS node-windows in the cpu table, and for

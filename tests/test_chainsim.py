@@ -57,6 +57,15 @@ def cpu_utilization(work_us: float, node_cpu_capacity: float, window_s: float) -
     return min(1.0, work_us / (node_cpu_capacity * window_s * 1.0))
 
 
+def window_widths(horizon: float, window_s: float, n_windows: int) -> list[float]:
+    """Each window's width: ``window_s``, but a last window that ends more than
+    1e-9 of a window past the horizon is cut there."""
+    last = n_windows - 1
+    partial = n_windows - horizon / window_s > 1e-9
+    return [horizon - last * window_s if partial and w == last else window_s
+            for w in range(n_windows)]
+
+
 def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
                   window_s: float = 1.0) -> SimpleNamespace:
     """Scalar oracle of ``run``, every series and total: one round per loop pass.
@@ -65,10 +74,12 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     cpu share and pool scan into the window of its commit, in block order,
     and each of its writes' latencies there one at a time.  A node's cpu
     work is its served reads times ``read_service_us``, plus the block
-    shares, plus its own scans, each kept apart until the end.
+    shares, plus its own scans, each kept apart until the end.  Rates and
+    cpu shares are per each window's width.
     """
     n_nodes = cluster.node_count
     n_windows = max(1, int(math.ceil(horizon / window_s - 1e-9)))
+    widths = window_widths(horizon, window_s, n_windows)
     write_ts, read_ts = events.write_times, events.read_times
 
     def window_of(t: float) -> int:
@@ -146,14 +157,14 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
                   for w in range(n_windows)]
     return SimpleNamespace(
         window_s=window_s,
-        committed_write_tps=committed_count / window_s,
-        served_read_tps=served_count / window_s,
+        committed_write_tps=np.array([c / width for c, width in zip(committed_count, widths)]),
+        served_read_tps=np.array([c / width for c, width in zip(served_count, widths)]),
         mean_write_latency_ms=np.array([s / c if c else 0.0 for s, c in
                                         zip(committed_latency_sum, committed_count)]),
         mean_read_latency_ms=np.array([s / c if c else 0.0 for s, c in
                                        zip(served_latency_sum, served_count)]),
-        cpu_utilization=np.array([[cpu_utilization(work, cluster.node_cpu_capacity, window_s)
-                                   for work in row] for row in work_us]),
+        cpu_utilization=np.array([[cpu_utilization(work, cluster.node_cpu_capacity, width)
+                                   for work, width in zip(row, widths)] for row in work_us]),
         pool_depth=np.array(arrived_by, dtype=np.int64) - at_window_ends(committed),
         ledger_bytes=at_window_ends(ledger_cum),
         arrived_writes=int(write_ts.size),
@@ -609,31 +620,48 @@ class TestWindows:
         with pytest.raises(InputError, match="window"):
             run(default_cluster(), stream([1.0]), horizon=10.0, window_s=bad)
 
-    @pytest.mark.parametrize("horizon,window_s,n_windows", [
-        (0.9, 0.3, 3),    # 0.9 / 0.3 rounds above 3; the slack keeps it at 3
-        (10.0, 0.3, 34),  # the last window, [9.9, 10], is partial
+    @pytest.mark.parametrize("horizon,window_s,n_windows,last_width", [
+        # 0.9 / 0.3 rounds above 3; the slack keeps it at 3
+        pytest.param(0.9, 0.3, 3, 0.3, id="whole"),
+        # the last window, [9.9, 10], is partial
+        pytest.param(10.0, 0.3, 34, 10.0 - 33 * 0.3, id="partial"),
     ])
-    def test_window_rounding(self, horizon, window_s, n_windows):
+    def test_window_rounding(self, horizon, window_s, n_windows, last_width):
         cluster = default_cluster()
         events = merged_stream(300.0, 900.0, horizon, seed=3)
         tl = run(cluster, events, horizon=horizon, window_s=window_s)
         assert check_run(cluster, horizon, window_s) == tl.n_windows == n_windows
         assert tl.cpu_utilization.shape == (cluster.node_count, n_windows)
-        # served reads: the scalar FIFO's completions within the horizon
+        widths = np.array([window_s] * (n_windows - 1) + [last_width])
+        # served reads: the scalar FIFO's completions within the horizon, and
+        # each window's rate is its count over its width
         server = ReadServer(cluster)
         done = np.array([server.serve_read(i % cluster.node_count, float(t))
                          for i, t in enumerate(events.read_times)])
-        served = np.rint(tl.served_read_tps * window_s).astype(np.int64)
-        assert served.sum() == tl.served_reads == np.count_nonzero(done <= horizon)
-        last = (n_windows - 1) * window_s
-        assert served[-1] == np.count_nonzero((done >= last) & (done <= horizon))
-        committed = np.rint(tl.committed_write_tps * window_s).astype(np.int64)
+        served = np.bincount(np.minimum(done[done <= horizon] / window_s, n_windows - 1)
+                             .astype(np.int64), minlength=n_windows)
+        assert np.array_equal(tl.served_read_tps, served / widths)
+        assert served.sum() == tl.served_reads
+        committed = np.rint(tl.committed_write_tps * widths).astype(np.int64)
+        assert np.array_equal(tl.committed_write_tps, committed / widths)
         assert committed.sum() == tl.committed_writes > 0
         assert tl.arrived_writes == events.write_times.size
         assert tl.arrived_reads == events.read_times.size
         assert tl.pool_depth[-1] == tl.pending_writes == tl.arrived_writes - tl.committed_writes
         assert tl.ledger_bytes[-1] == (tl.blocks_produced * cluster.empty_block_bytes
                                        + tl.committed_writes * DEFAULT_WRITE_PAYLOAD_BYTES)
+
+    def test_partial_last_window_reads_the_offered_rate(self):
+        # 10.5 s of 1 s windows ends in a half window; per its own half second
+        # it reads as the whole windows before it, not at half their rates
+        reads = generate_events(ArrivalProcess(ArrivalKind.DETERMINISTIC, 1000.0, 0),
+                                TxKind.READ, 10.5)
+        events = replace(det_writes(100.0, 10.5), read_times=reads.read_times)
+        tl = run(default_cluster(), events, horizon=10.5)
+        assert tl.n_windows == 11
+        assert tl.committed_write_tps[-1] == pytest.approx(100.0, rel=0.02)
+        assert tl.served_read_tps[-1] == pytest.approx(1000.0, rel=0.02)
+        assert tl.cpu_utilization[:, -1] == pytest.approx(tl.cpu_utilization[:, -2], rel=0.02)
 
 
 # every time cost of a profile, in ms or us
@@ -781,9 +809,9 @@ class TestInvariants:
         assert np.all(tl._fills <= cluster.block_tx_capacity), \
             "a block's fill exceeds block_tx_capacity"
         assert np.all(tl.pool_depth >= 0), "a pool_depth cell is negative"
-        committed = tl.committed_write_tps * tl.window_s
+        committed = tl.committed_write_tps * window_widths(horizon, window_s, tl.n_windows)
         assert math.fsum(committed) == pytest.approx(tl.committed_writes, rel=1e-12), \
-            "committed tps times window does not sum to the committed writes"
+            "committed tps times window width does not sum to the committed writes"
         latency_sum = math.fsum(tl.write_latencies_ms)
         assert math.fsum(tl.mean_write_latency_ms * committed) == pytest.approx(
             latency_sum, rel=1e-9), "mean write latency times count is not the latency sum"
