@@ -174,8 +174,7 @@ class MetricsTimeline:
         self._read_windows[read_completions_s > horizon] = n_windows
         self._committed_count = self._per_window(self._block_windows, self._fills)
         self._served_count = self._per_window(self._read_windows)
-        # the rule of check_run: a partial last window's rates are per its width
-        self._widths = np.full(n_windows, window_s)
+        self._widths = np.full(n_windows, window_s)  # the last may be partial: see check_run
         if n_windows - horizon / window_s > 1e-9:
             self._widths[-1] = horizon - (n_windows - 1) * window_s
         self.committed_write_tps = self._committed_count / self._widths
@@ -283,11 +282,10 @@ class MetricsTimeline:
 def check_run(cluster: ClusterConfig, horizon: float, window_s: float) -> int:
     """The metric windows covering ``horizon``; the last one may be partial.
 
-    The last window is partial when the horizon falls more than 1e-9 of a
-    window short of its end.  Its rates and cpu share are per its own
-    width, ``horizon`` less its start; every other window's are per
-    ``window_s``.  ``simulate`` keeps such a window, while
-    ``bench.check_duration`` admits only whole windows to a trial.
+    A last window that ends more than 1e-9 of a window past the horizon is
+    partial: its rates and cpu share are per its width, ``horizon`` less its
+    start.  ``simulate`` keeps it; ``bench.check_duration`` admits only whole
+    windows to a trial.
 
     Raises :class:`InputError` for a non-finite or non-positive horizon or
     window, for more than MAX_CELLS node-windows in the cpu table, and for
