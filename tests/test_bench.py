@@ -409,6 +409,28 @@ class TestSharedDraws:
                                   trials=2, duration_s=20.0))
         assert seeds == []
 
+    @pytest.mark.parametrize("caller", [
+        pytest.param(lambda: find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0,
+                                             base_seed=7), id="search"),
+        pytest.param(lambda: run_campaign(CampaignSpec(
+            cluster=small_cluster(), kind=TxKind.WRITE, rates=(40.0, 80.0), trials=2,
+            duration_s=20.0, base_seed=2)), id="campaign"),
+    ])
+    def test_every_stream_takes_draws_of_its_own_seed(self, monkeypatch, caller):
+        # generate_times does not check that the draws it is handed are of the
+        # process's seed; both callers that share draws must make them so
+        seeds = []
+        generate = bench.generate_events
+
+        def recorded(process, kind, horizon, draws=None):
+            assert draws is not None and draws.seed == process.seed
+            seeds.append(process.seed)
+            return generate(process, kind, horizon, draws=draws)
+
+        monkeypatch.setattr(bench, "generate_events", recorded)
+        caller()
+        assert seeds
+
     def test_campaign_holds_one_seeds_draws_at_a_time(self, monkeypatch):
         held = []
         make = bench.UnitDraws

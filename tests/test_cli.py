@@ -120,6 +120,22 @@ class TestSimulateCommand:
         assert main(args + ["--out", str(b)]) == 0
         assert read_outputs(a) == read_outputs(b)
 
+    def test_partial_last_window_reads_the_offered_rate(self, tmp_path):
+        # 10.5 s of 1 s windows ends in a half window, whose rate and cpu share
+        # are per its own half second
+        out = tmp_path / "run"
+        assert main(["simulate", "--kind", "write", "--lambda", "100",
+                     "--arrival", "deterministic", "--duration", "10.5",
+                     "--out", str(out)]) == 0
+        with (out / "timeline.csv").open() as fp:
+            rows = list(csv.DictReader(fp))
+        assert len(rows) == 11 and float(rows[-1]["window_start_s"]) == 10.0
+        tps = float(rows[-1]["committed_write_tps"])
+        assert (tps * 0.5).is_integer() and tps == pytest.approx(100.0, rel=0.02)
+        for node in range(4):
+            cpu = f"cpu_utilization_node{node}"
+            assert float(rows[-1][cpu]) == pytest.approx(float(rows[-2][cpu]), rel=0.02)
+
     def test_timeline_header_is_the_column_names(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--kind", "write", "--lambda", "300", "--duration", "10",
@@ -392,6 +408,16 @@ class TestAssessCommand:
         err = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("warning: skipping")]
         assert len(err) == 1 and err[0].startswith("error: aaa: eta ")
+        assert not out.exists()
+
+    def test_non_numeric_override_eta_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "overrides.ini"
+        path.write_text("[config]\nschema_version = 1\n\n[scenario:aaa]\neta = abc\n")
+        out = tmp_path / "a"
+        assert main(["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH),
+                     "--overrides", str(path), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == (f"error: scenario override file {path}: "
+                                           "[scenario:aaa] eta: expected a number, got 'abc'\n")
         assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
