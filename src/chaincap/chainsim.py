@@ -266,9 +266,14 @@ class MetricsTimeline:
         """The timeline table: each column name and its per-window series."""
         windows = np.arange(self.n_windows)
         cpu = enumerate(self.cpu_utilization)
+        # k x window carries float noise (2.0999999999999996 for k = 3 at 0.7 s),
+        # so each start is rounded to the decimals of the window's shortest
+        # repr; past 22 decimals 10^decimals is inexact, and k x window stays
+        starts = windows * self.window_s
+        decimals = len(np.format_float_positional(self.window_s).partition(".")[2])
         return {
             "window_index": windows,
-            "window_start_s": windows * self.window_s,
+            "window_start_s": np.round(starts, decimals) if decimals <= 22 else starts,
             "committed_write_tps": self.committed_write_tps,
             "served_read_tps": self.served_read_tps,
             "mean_write_latency_ms": self.mean_write_latency_ms,

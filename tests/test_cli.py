@@ -136,6 +136,16 @@ class TestSimulateCommand:
             cpu = f"cpu_utilization_node{node}"
             assert float(rows[-1][cpu]) == pytest.approx(float(rows[-2][cpu]), rel=0.02)
 
+    def test_window_starts_print_as_decimals(self, tmp_path):
+        # 83 x 0.7 is 58.099999999999994 in floats; the start prints as 58.1
+        out = tmp_path / "run"
+        assert main(["simulate", "--kind", "write", "--lambda", "0", "--window", "0.7",
+                     "--out", str(out)]) == 0
+        with (out / "timeline.csv").open() as fp:
+            starts = [row["window_start_s"] for row in csv.DictReader(fp)]
+        assert starts[83] == "58.1"
+        assert starts == [str(k * 7 / 10) for k in range(len(starts))]
+
     def test_timeline_header_is_the_column_names(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--kind", "write", "--lambda", "300", "--duration", "10",
