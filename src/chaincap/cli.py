@@ -322,6 +322,8 @@ def cmd_campaign(args) -> int:
     manifest = _required_output_dir(args, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     rates = tuple(_parse_list(args.rates, float, "--rates"))
+    if args.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {args.trials}")
     spec = CampaignSpec(cluster=cluster, kind=TxKind(args.kind), rates=rates,
                         arrival_kind=ArrivalKind(args.arrival), trials=args.trials,
                         duration_s=args.duration, base_seed=args.seed)

@@ -739,7 +739,7 @@ def test_campaign_last_seed_outside_key_range_exits_2(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("rates,trials,message", [
     ("400,0", "2", "trial rate must be > 0"),
-    ("400", "0", "trials must be >= 1, got 0"),
+    ("400", "0", "--trials must be >= 1, got 0"),
 ])
 def test_campaign_zero_rate_or_trials_exits_2_before_drawing(tmp_path, capsys, monkeypatch,
                                                              rates, trials, message):
