@@ -664,6 +664,22 @@ class TestWindows:
         assert tl.cpu_utilization[:, -1] == pytest.approx(tl.cpu_utilization[:, -2], rel=0.02)
 
 
+@st.composite
+def cluster_profiles(draw) -> ClusterConfig:
+    """The shipped profile with 4 to 7 nodes, any block size, a drawn per-pair
+    RTT matrix (a->b apart from b->a), the pool scan cost 0 or shipped, and
+    either read mode."""
+    shipped = default_cluster()
+    n = draw(st.integers(4, 7))
+    rtt_ms = st.floats(0.0, 200.0)
+    matrix = tuple(tuple(0.0 if a == b else draw(rtt_ms) for b in range(n)) for a in range(n))
+    return replace(shipped, node_count=n, rtt_matrix_ms=matrix,
+                   block_tx_capacity=draw(st.integers(1, 2 * shipped.block_tx_capacity)),
+                   pool_scan_cost_us_per_tx=draw(
+                       st.sampled_from([0.0, shipped.pool_scan_cost_us_per_tx])),
+                   read_mode=draw(st.sampled_from(["multi", "single"])))
+
+
 # every time cost of a profile, in ms or us
 TIME_COSTS = ("rtt_ms", "block_interval_ms", "write_exec_us", "read_service_us",
               "msg_proc_us", "pool_scan_cost_us_per_tx")
@@ -671,6 +687,25 @@ TIME_COSTS = ("rtt_ms", "block_interval_ms", "write_exec_us", "read_service_us",
 RELATION_CASES = [(seed, kind, rate) for seed in range(5)
                   for kind, rate in ((TxKind.WRITE, 1350.0), (TxKind.WRITE, 1380.0),
                                      (TxKind.READ, 20_000.0))]
+# drawn cases per relation beside RELATION_CASES, which keep the class under 3 s
+MAX_RELATION_EXAMPLES = 10
+# a drawn case's seed and (kind, rate): writes up to about twice the shipped
+# bound, reads up to 1.25 x its read service limit
+relation_seeds = st.integers(0, 2**32 - 1)
+write_loads = st.tuples(st.just(TxKind.WRITE), st.floats(0.0, 2800.0))
+read_rates = st.floats(0.0, 25_000.0)
+relation_loads = st.one_of(write_loads, st.tuples(st.just(TxKind.READ), read_rates))
+
+
+def relation_examples(kinds=tuple(TxKind), **fixed):
+    """One ``@example`` on the shipped profile per RELATION_CASES entry of ``kinds``."""
+    def apply(test):
+        for seed, kind, rate in RELATION_CASES:
+            if kind in kinds:
+                test = example(cluster=default_cluster(), load=(kind, rate), seed=seed,
+                               **fixed)(test)
+        return test
+    return apply
 
 
 def relation_run(cluster, kind, rate, seed, horizon, window_s):
@@ -685,67 +720,82 @@ def relation_columns(cluster, kind, rate, seed, horizon, window_s):
 class TestMetamorphicRelations:
     """Two runs that must agree bit for bit, with no oracle between them."""
 
-    @pytest.mark.parametrize("k", [2.0, 0.5])
-    def test_time_scaling(self, k):
-        # every time cost times k, the rate over k, horizon and window times k:
-        # the Poisson epochs divide to k times the times, exactly for a power
-        # of two, so each series is the base run's up to that factor
-        base = default_cluster()
-        scaled = replace(base, **{name: getattr(base, name) * k for name in TIME_COSTS})
-        for seed, kind, rate in RELATION_CASES:
-            want = relation_columns(base, kind, rate, seed, 30.0, 1.0)
-            got = relation_columns(scaled, kind, rate / k, seed, 30.0 * k, k)
-            for name, series in got.items():
-                if name.endswith("_tps"):
-                    series = series * k
-                elif "latency" in name or name == "window_start_s":
-                    series = series / k
-                assert np.array_equal(series, want[name]), (
-                    f"time scaling by {k}: {name} differs at seed {seed}, "
-                    f"{kind.value} at {rate}/s")
+    @settings(max_examples=MAX_RELATION_EXAMPLES, deadline=None)
+    @given(cluster=cluster_profiles(), load=relation_loads, seed=relation_seeds,
+           k=st.sampled_from([0.25, 0.5, 2.0, 4.0]))
+    @relation_examples(k=2.0)
+    @relation_examples(k=0.5)
+    def test_time_scaling(self, cluster, load, seed, k):
+        # every time cost, each [rtt_matrix] entry too, times k, the rate over
+        # k, horizon and window times k: the Poisson epochs divide to k times
+        # the times, exactly for a power of two, so each series is the base
+        # run's up to that factor
+        kind, rate = load
+        matrix = cluster.rtt_matrix_ms
+        scaled = replace(cluster, **{name: getattr(cluster, name) * k for name in TIME_COSTS},
+                         rtt_matrix_ms=matrix and tuple(tuple(v * k for v in row)
+                                                        for row in matrix))
+        want = relation_columns(cluster, kind, rate, seed, 30.0, 1.0)
+        got = relation_columns(scaled, kind, rate / k, seed, 30.0 * k, k)
+        for name, series in got.items():
+            if name.endswith("_tps"):
+                series = series * k
+            elif "latency" in name or name == "window_start_s":
+                series = series / k
+            assert np.array_equal(series, want[name]), (
+                f"time scaling by {k}: {name} differs at seed {seed}, "
+                f"{kind.value} at {rate}/s")
 
-    def test_constant_rtt_matrix_is_the_constant_rtt(self):
-        rtt_ms = default_cluster().rtt_ms
-        row = ", ".join([str(rtt_ms)] * 4)
-        matrix = load_cluster("[config]\nschema_version = 1\n\n[cluster]\n\n[rtt_matrix]\n"
-                              + "".join(f"node{i} = {row}\n" for i in range(4)))
-        for seed, kind, rate in RELATION_CASES:
-            want = relation_columns(default_cluster(), kind, rate, seed, 30.0, 1.0)
-            got = relation_columns(matrix, kind, rate, seed, 30.0, 1.0)
-            for name, series in got.items():
-                assert np.array_equal(series, want[name]), (
-                    f"constant rtt matrix: {name} differs at seed {seed}, "
-                    f"{kind.value} at {rate}/s")
+    @settings(max_examples=MAX_RELATION_EXAMPLES, deadline=None)
+    @given(cluster=cluster_profiles(), load=relation_loads, seed=relation_seeds)
+    @relation_examples()
+    def test_constant_rtt_matrix_is_the_constant_rtt(self, cluster, load, seed):
+        kind, rate = load
+        base = replace(cluster, rtt_matrix_ms=None)
+        n = base.node_count
+        matrix = replace(base, rtt_matrix_ms=tuple(
+            tuple(0.0 if a == b else base.rtt_ms for b in range(n)) for a in range(n)))
+        want = relation_columns(base, kind, rate, seed, 30.0, 1.0)
+        got = relation_columns(matrix, kind, rate, seed, 30.0, 1.0)
+        for name, series in got.items():
+            assert np.array_equal(series, want[name]), (
+                f"constant rtt matrix: {name} differs at seed {seed}, "
+                f"{kind.value} at {rate}/s")
 
-    def test_reads_leave_the_write_columns_alone(self):
+    @settings(max_examples=MAX_RELATION_EXAMPLES, deadline=None)
+    @given(cluster=cluster_profiles(), load=write_loads, read_rate=read_rates,
+           seed=relation_seeds)
+    @relation_examples(kinds=(TxKind.WRITE,), read_rate=20_000.0)
+    def test_reads_leave_the_write_columns_alone(self, cluster, load, read_rate, seed):
         # the reverse of test_without_blocks: reads joining the stream add
         # read and cpu series, and move no write, pool or ledger series
-        cluster = default_cluster()
-        for seed, kind, rate in RELATION_CASES:
-            if kind is not TxKind.WRITE:
-                continue
-            writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed), kind, 30.0)
-            reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, 20_000.0, seed + 1),
-                                    TxKind.READ, 30.0)
-            want = run(cluster, writes, horizon=30.0).columns()
-            got = run(cluster, replace(writes, read_times=reads.read_times), horizon=30.0).columns()
-            for name in ("committed_write_tps", "mean_write_latency_ms", "pool_depth",
-                         "ledger_bytes"):
-                assert np.array_equal(got[name], want[name]), (
-                    f"reads joining: {name} differs at seed {seed}, writes at {rate}/s")
+        _, write_rate = load
+        writes = generate_events(ArrivalProcess(ArrivalKind.POISSON, write_rate, seed),
+                                 TxKind.WRITE, 30.0)
+        reads = generate_events(ArrivalProcess(ArrivalKind.POISSON, read_rate, seed + 1),
+                                TxKind.READ, 30.0)
+        want = run(cluster, writes, horizon=30.0).columns()
+        got = run(cluster, replace(writes, read_times=reads.read_times), horizon=30.0).columns()
+        for name in ("committed_write_tps", "mean_write_latency_ms", "pool_depth",
+                     "ledger_bytes"):
+            assert np.array_equal(got[name], want[name]), (
+                f"reads joining: {name} differs at seed {seed}, writes at {write_rate}/s")
 
-    def test_shorter_horizon_is_a_prefix(self):
+    @settings(max_examples=MAX_RELATION_EXAMPLES, deadline=None)
+    @given(cluster=cluster_profiles(), load=relation_loads, seed=relation_seeds)
+    @relation_examples()
+    def test_shorter_horizon_is_a_prefix(self, cluster, load, seed):
         # a window that closes before the short run's last commit has seen
         # every block, write and read the long run puts in it; 12.5 s ends in
         # a partial window, which is not compared
-        for seed, kind, rate in RELATION_CASES:
-            short = relation_run(default_cluster(), kind, rate, seed, 12.5, 1.0)
-            want = relation_columns(default_cluster(), kind, rate, seed, 30.0, 1.0)
-            closed = int(short._commit_s[-1])  # the 1 s windows it closes
-            for name, series in short.columns().items():
-                assert np.array_equal(series[:closed], want[name][:closed]), (
-                    f"horizon prefix: {name} differs in the first {closed} windows at "
-                    f"seed {seed}, {kind.value} at {rate}/s")
+        kind, rate = load
+        short = relation_run(cluster, kind, rate, seed, 12.5, 1.0)
+        want = relation_columns(cluster, kind, rate, seed, 30.0, 1.0)
+        closed = int(short._commit_s[-1])  # the 1 s windows it closes
+        for name, series in short.columns().items():
+            assert np.array_equal(series[:closed], want[name][:closed]), (
+                f"horizon prefix: {name} differs in the first {closed} windows at "
+                f"seed {seed}, {kind.value} at {rate}/s")
 
 
 class TestCpuProxy:
@@ -763,22 +813,6 @@ class TestCpuProxy:
         tl = run(default_cluster(), det_writes(2000.0, 20.0), horizon=20.0)
         assert np.all(tl.cpu_utilization >= 0.0)
         assert np.all(tl.cpu_utilization <= 1.0)
-
-
-@st.composite
-def cluster_profiles(draw) -> ClusterConfig:
-    """The shipped profile with 4 to 7 nodes, any block size, a drawn per-pair
-    RTT matrix (a->b apart from b->a), the pool scan cost 0 or shipped, and
-    either read mode."""
-    shipped = default_cluster()
-    n = draw(st.integers(4, 7))
-    rtt_ms = st.floats(0.0, 200.0)
-    matrix = tuple(tuple(0.0 if a == b else draw(rtt_ms) for b in range(n)) for a in range(n))
-    return replace(shipped, node_count=n, rtt_matrix_ms=matrix,
-                   block_tx_capacity=draw(st.integers(1, 2 * shipped.block_tx_capacity)),
-                   pool_scan_cost_us_per_tx=draw(
-                       st.sampled_from([0.0, shipped.pool_scan_cost_us_per_tx])),
-                   read_mode=draw(st.sampled_from(["multi", "single"])))
 
 
 class TestInvariants:
