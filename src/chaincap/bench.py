@@ -224,10 +224,12 @@ class Trial:
 
     @cached_property
     def mean_latency_ms(self) -> float:
-        """Mean latency over the post-warm-up windows, weighted by throughput."""
-        timeline = self._timeline
-        lat = (timeline.mean_write_latency_ms if self._kind is TxKind.WRITE
-               else timeline.mean_read_latency_ms)[self._skip:]
+        """Mean latency over the post-warm-up windows: of the writes committed
+        in them, from block-level sums, or the per-window read means weighted
+        by throughput."""
+        if self._kind is TxKind.WRITE:
+            return self._timeline.write_latency_mean_ms(self._skip)
+        lat = self._timeline.mean_read_latency_ms[self._skip:]
         total = self._tps.sum()
         return float((lat * self._tps).sum() / total) if total > 0 else 0.0
 

@@ -153,7 +153,10 @@ class MetricsTimeline:
     per-window series cuts off), the per-window committed and served counts
     and the six totals.  Every other series is derived on first access and
     then kept, so a caller that reads only throughput computes no latency,
-    cpu, pool or ledger series.  Each per-window sum is one ``bincount``,
+    cpu, pool or ledger series.  The write latency series holds each
+    committed write's latency; ``write_latency_mean_ms`` takes the mean over
+    a range of windows from block-level sums instead, with no array of one
+    entry per write.  Each per-window sum is one ``bincount``,
     which adds in array order: the write latencies in commit order, and a
     node's cpu work as the reads it served times ``read_service_us``, plus
     every block's share, plus the pool scans of the blocks it proposed.
@@ -206,6 +209,26 @@ class MetricsTimeline:
         np.subtract(latencies, self._events.write_times[:latencies.size], out=latencies)
         latencies *= 1000.0
         return latencies
+
+    def write_latency_mean_ms(self, first_window: int) -> float:
+        """Mean latency of the writes committed in windows ``first_window`` on;
+        0.0 if none is.
+
+        Blocks commit in window order, and each commits the next ``fill``
+        writes, so the blocks from the first in ``first_window`` on commit one
+        contiguous range of ``write_times``.  Those writes' latencies sum to
+        the blocks' fill x commit time less the writes' arrival times, so the
+        mean takes two sums and makes no per-write array.
+        """
+        first = int(np.searchsorted(self._block_windows, first_window))
+        fills = self._fills[first:]
+        count = int(fills.sum())
+        if count == 0:
+            return 0.0
+        committed = float(np.dot(fills, self._commit_s[first:]))
+        arrived = float(self._events.write_times[self.committed_writes - count:
+                                                 self.committed_writes].sum())
+        return (committed - arrived) * 1000.0 / count
 
     @cached_property
     def mean_write_latency_ms(self) -> np.ndarray:

@@ -5,13 +5,23 @@ import weakref
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaincap import bench
-from chaincap.arrival import SEED_LIMIT, ArrivalKind, ArrivalProcess, TxKind
+from chaincap.arrival import (
+    SEED_LIMIT,
+    ArrivalKind,
+    ArrivalProcess,
+    EventStream,
+    TxKind,
+    generate_events,
+)
 from chaincap.bench import (
     CampaignSpec,
     CapacityProfile,
+    Trial,
     check_duration,
     detect_steady_state,
     find_max_lambda,
@@ -19,8 +29,10 @@ from chaincap.bench import (
     run_trial,
     sweep_nodes,
 )
-from chaincap.chainsim import MetricsTimeline, default_cluster, load_cluster
+from chaincap.chainsim import MetricsTimeline, default_cluster, load_cluster, run
 from chaincap.errors import CalibrationError, InputError
+from chaincap.model import capacity_bound
+from test_chainsim import cluster_profiles
 
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
@@ -88,6 +100,61 @@ class TestRunTrial:
         monkeypatch.setattr(ArrivalProcess, "rng", no_draws)
         with pytest.raises(InputError):
             run_trial(default_cluster(), TxKind.WRITE, ArrivalKind.POISSON, bad, 20.0, seed=0)
+
+
+class TestTrialWriteLatency:
+    """A write trial's mean latency, from block-level sums, against the
+    latencies of its writes one by one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cluster=cluster_profiles(), load=st.floats(0.01, 3.0), seed=st.integers(0, 2**32 - 1))
+    @example(cluster=default_cluster(), load=2.0, seed=0)
+    def test_mean_of_the_writes_committed_after_warm_up(self, cluster, load, seed):
+        # the offered rate is load times the profile's capacity bound, so a
+        # load past 1 overloads the chain and one near 0 may commit nothing
+        rate = load * capacity_bound(cluster, TxKind.WRITE)
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed),
+                                 TxKind.WRITE, 10.0)
+        timeline = run(cluster, events, horizon=10.0, window_s=bench.WINDOW_S)
+        got = Trial(TxKind.WRITE, rate, seed, timeline).mean_latency_ms
+        # each committed write's commit time, and whether its window is past warm-up
+        commit_s = np.repeat(timeline._commit_s, timeline._fills)
+        windows = np.minimum(commit_s / bench.WINDOW_S, timeline.n_windows - 1).astype(np.int64)
+        after = windows >= int(timeline.n_windows * bench.WARMUP_FRACTION)
+        latencies = timeline.write_latencies_ms[after]
+        if latencies.size == 0:
+            assert got == 0.0
+            return
+        want = math.fsum(latencies) / latencies.size
+        # The trial sums fill x commit time over at most m blocks (A) and the
+        # arrival times of n writes (B).  Whatever the order of additions, each
+        # sum errs by at most its term count x eps x its magnitude, and each
+        # product by eps; the difference, x 1000 and / n round by eps each of
+        # the result, and each reference latency by 2 eps.  So the relative gap
+        # is at most eps x ((m + 1) A + n B) / (A - B) + 6 eps.
+        eps = np.finfo(np.float64).eps
+        committed = math.fsum(commit_s[after])
+        arrived = math.fsum(events.write_times[:commit_s.size][after])
+        m, n = timeline.blocks_produced, latencies.size
+        rel = eps * ((m + 1) * committed + n * arrived) / (committed - arrived) + 6 * eps
+        assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0)
+
+    def test_no_write_committed_after_warm_up_reads_zero(self):
+        # one write, committed in the first of ten windows, which is warm-up
+        events = EventStream(write_times=np.array([0.05]), read_times=np.empty(0))
+        timeline = run(default_cluster(), events, horizon=10.0, window_s=bench.WINDOW_S)
+        assert timeline.committed_writes == 1
+        assert Trial(TxKind.WRITE, 0.1, 0, timeline).mean_latency_ms == 0.0
+
+    def test_a_write_campaign_makes_no_per_write_array(self, monkeypatch):
+        def per_write(timeline):
+            raise AssertionError("a write trial built an array with one entry per write")
+
+        for name in ("write_latencies_ms", "mean_write_latency_ms"):
+            monkeypatch.setattr(MetricsTimeline, name, property(per_write))
+        trials, _ = run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
+                                              rates=(40.0, 900.0), trials=2, duration_s=20.0))
+        assert all(t.mean_latency_ms > 0.0 for t in trials)
 
 
 class TestRunCampaign:
@@ -488,7 +555,8 @@ class TestProbesReadOnlyThroughput:
             raise AssertionError("a capacity probe computed a series its verdict never reads")
 
         for name in ("mean_write_latency_ms", "mean_read_latency_ms", "cpu_utilization",
-                     "pool_depth", "ledger_bytes", "write_latencies_ms"):
+                     "pool_depth", "ledger_bytes", "write_latencies_ms",
+                     "write_latency_mean_ms"):
             monkeypatch.setattr(MetricsTimeline, name, property(unread))
         assert find_max_lambda(small_cluster(), kind, duration_s=20.0) == want
 
