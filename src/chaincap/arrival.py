@@ -126,35 +126,54 @@ class UnitDraws:
     is ``S_j / lambda``: trials at one seed share one buffer of epochs and
     each divides a prefix of it by their own rate, the probes of a capacity
     search, which all use one seed, and a campaign's trials at one seed, one
-    per rate.  The generator is created at the first draw, and the buffer
-    grows, in stream order, when a call needs more epochs than it holds; the
-    last epoch held is added to the first new draw before the new draws'
-    running sum, so ``S_j`` is the same however the buffer grew.
+    per rate.  The generator is created at the first draw, and the epochs
+    grow, in stream order, when a call needs more than are held; the last
+    epoch held is added to the first new draw before the new draws' running
+    sum, so ``S_j`` is the same however they grew.
+
+    ``reuse`` hands this object the buffer of another seed's draws, which
+    forgets its epochs, as :meth:`forget` does: this seed's epochs overwrite
+    the buffer in place, and it is reallocated only if a take needs more
+    room.  A campaign hands each seed's buffer to the next, so one buffer,
+    sized by its fastest rate, serves every seed, and only one seed's epochs
+    are alive at a time.  An epoch view taken before the hand-over is
+    overwritten by it.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, reuse: UnitDraws | None = None):
         self.seed = seed
+        self.forget()
+        if reuse is not None:
+            self._buffer = reuse._buffer
+            reuse.forget()
+
+    def forget(self) -> None:
+        """Drop the epochs and the buffer; a later take draws the seed's
+        stream again from its first uniform, bit for bit."""
         self._rng: np.random.Generator | None = None
-        self._epochs = np.empty(0)
+        self._held = 0
+        self._buffer = np.empty(0)
 
     def take(self, stop: int) -> np.ndarray:
         """Epochs ``0`` to ``stop`` of the stream, as a view of the buffer."""
-        held = self._epochs.size
+        held = self._held
         if stop > held:
             if self._rng is None:
                 self._rng = ArrivalProcess(ArrivalKind.POISSON, 0.0, self.seed).rng()
-            grown = np.empty(stop)
-            grown[:held] = self._epochs
-            more = grown[held:]
+            if stop > self._buffer.size:
+                grown = np.empty(stop)
+                grown[:held] = self._buffer[:held]
+                self._buffer = grown
+            more = self._buffer[held:stop]
             self._rng.random(out=more)
             np.negative(more, out=more)
             np.log1p(more, out=more)
             np.negative(more, out=more)
             if held:
-                more[0] += grown[held - 1]
+                more[0] += self._buffer[held - 1]
             np.cumsum(more, out=more)
-            self._epochs = grown
-        return self._epochs[:stop]
+            self._held = stop
+        return self._buffer[:stop]
 
 
 def generate_times(process: ArrivalProcess, horizon: float,

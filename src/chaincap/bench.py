@@ -269,21 +269,24 @@ def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
 
     Trial i of every rate runs at seed base_seed + i, so the campaign runs
     seed-major: the trials at one seed share its :class:`UnitDraws`, and
-    only one seed's epochs are held at a time.  Trials and aggregates are
-    reported rate-major, trial after trial within a rate.
+    each seed's draws take over the epoch buffer of the seed before, so one
+    buffer serves the campaign and holds one seed's epochs at a time.  Trials
+    and aggregates are reported rate-major, trial after trial within a rate.
     """
     import statistics
 
     by_rate: dict[float, list[TrialSummary]] = {rate: [] for rate in spec.rates}
+    draws = None
     for seed in range(spec.base_seed, spec.base_seed + spec.trials):
-        draws = UnitDraws(seed)
-        # the fastest rate runs first, so its stream grows the buffer to full
-        # length and the slower rates take views of it rather than grow it rate
-        # after rate; the summary drops the trial's timeline before the next trial
+        draws = UnitDraws(seed, reuse=draws)
+        # the fastest rate runs first, so its stream sizes the buffer and the
+        # slower rates take views of it rather than grow it rate after rate;
+        # the summary drops the trial's timeline before the next trial
         for rate in sorted(spec.rates, reverse=True):
             by_rate[rate].append(run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
                                            spec.duration_s, seed=seed, draws=draws).summary())
-        del draws  # before the next seed's epochs are made
+    # a trial's arguments kept past the campaign hold no epochs either
+    draws.forget()
     aggregates = []
     for rate, rate_trials in by_rate.items():
         tps = [t.mean_tps for t in rate_trials]

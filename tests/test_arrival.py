@@ -184,6 +184,32 @@ class TestUnitDraws:
         head = draws.take(20)
         assert np.array_equal(head, want[:20]) and np.shares_memory(head, draws.take(4000))
 
+    @pytest.mark.parametrize("stops", [[100, 4000, 5000, 7000], [7000], [1, 5000]])
+    def test_draws_that_take_over_a_buffer_match_fresh_draws(self, stops):
+        # the inherited buffer holds 5000 of seed 3's epochs; seed 4 takes
+        # below and beyond that size, and overwrites the buffer in place
+        longer = UnitDraws(3)
+        inherited = longer.take(5000)
+        draws = UnitDraws(4, reuse=longer)
+        want = reference_epochs(ArrivalProcess(ArrivalKind.POISSON, 1.0, 4), max(stops))
+        for i, stop in enumerate(stops):
+            got = draws.take(stop)
+            assert np.array_equal(got, want[:stop])
+            assert np.array_equal(got, UnitDraws(4).take(stop))
+            # the buffer is reallocated only once a take needs more room
+            assert np.shares_memory(got, inherited) == (max(stops[:i + 1]) <= inherited.size)
+
+    def test_emptied_draws_redraw_their_own_seed(self):
+        longer = UnitDraws(3)
+        want = longer.take(5000).copy()
+        draws = UnitDraws(4, reuse=longer)
+        # seed 4's epochs overwrite the handed-over buffer in place
+        fresh = draws.take(4000).copy()
+        assert np.array_equal(longer.take(5000), want)
+        # which draws in a buffer of its own, leaving the other seed's epochs be
+        assert np.array_equal(draws.take(4000), fresh)
+        assert not np.shares_memory(longer.take(5000), draws.take(4000))
+
     def test_events_pass_draws_on(self, monkeypatch):
         draws = UnitDraws(8)
         process = ArrivalProcess(ArrivalKind.POISSON, 40.0, 8)

@@ -16,6 +16,7 @@ from chaincap.arrival import (
     ArrivalProcess,
     EventStream,
     TxKind,
+    UnitDraws,
     generate_events,
 )
 from chaincap.bench import (
@@ -499,20 +500,29 @@ class TestSharedDraws:
         assert seeds
 
     def test_campaign_holds_one_seeds_draws_at_a_time(self, monkeypatch):
-        held = []
-        make = bench.UnitDraws
+        # every UnitDraws is kept, as a caller that records each trial's
+        # arguments keeps them, so only the hand-over can free a seed's epochs
+        kept, buffers = [], []  # buffers: (weakref to a buffer, seed of its epochs)
+        take = UnitDraws.take
 
-        def recorded(seed):
-            # every earlier seed's draws are gone before the next seed's exist
-            assert all(ref() is None for ref in held)
-            draws = make(seed)
-            held.append(weakref.ref(draws))
-            return draws
+        def recorded(draws, stop):
+            epochs = take(draws, stop)
+            buffer = epochs.base
+            # a buffer that held another seed's epochs is gone, or holds this seed's now
+            assert all(ref() is None or ref() is buffer
+                       for ref, seed in buffers if seed != draws.seed)
+            # and the seeds take over one buffer, which no take outgrows here
+            assert all(ref() is buffer for ref, _ in buffers)
+            kept.append(draws)
+            buffers.append((weakref.ref(buffer), draws.seed))
+            return epochs
 
-        monkeypatch.setattr(bench, "UnitDraws", recorded)
+        monkeypatch.setattr(UnitDraws, "take", recorded)
         run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                                   rates=(40.0, 80.0), trials=3, duration_s=20.0))
-        assert len(held) == 3 and all(ref() is None for ref in held)
+        assert {seed for _, seed in buffers} == {0, 1, 2}
+        assert len({id(draws) for draws in kept}) == 3
+        assert all(ref() is None for ref, _ in buffers)
 
     @pytest.mark.parametrize("kind,rates", [(TxKind.WRITE, (60.0, 900.0, 300.0)),
                                             (TxKind.READ, (30000.0, 3000.0))])
