@@ -153,10 +153,10 @@ class MetricsTimeline:
     per-window series cuts off), the per-window committed and served counts
     and the six totals.  Every other series is derived on first access and
     then kept, so a caller that reads only throughput computes no latency,
-    cpu, pool or ledger series.  The write latency series holds each
-    committed write's latency; ``write_latency_mean_ms`` takes the mean over
-    a range of windows from block-level sums instead, with no array of one
-    entry per write.  Each per-window sum is one ``bincount``,
+    cpu, pool or ledger series.  ``write_latency_mean_ms`` takes the mean
+    write latency over a range of windows from block-level sums, without the
+    array of one latency per write that the write latency series build.
+    Each per-window sum is one ``bincount``,
     which adds in array order: the write latencies in commit order, and a
     node's cpu work as the reads it served times ``read_service_us``, plus
     every block's share, plus the pool scans of the blocks it proposed.
