@@ -228,7 +228,7 @@ class Trial:
         in them, from block-level sums, or the per-window read means weighted
         by throughput."""
         if self._kind is TxKind.WRITE:
-            return self._timeline.write_latency_mean_ms(self._skip)
+            return self._timeline.committed_write_latency_mean_ms(self._skip)
         lat = self._timeline.mean_read_latency_ms[self._skip:]
         total = self._tps.sum()
         return float((lat * self._tps).sum() / total) if total > 0 else 0.0

@@ -153,13 +153,13 @@ class MetricsTimeline:
     per-window series cuts off), the per-window committed and served counts
     and the six totals.  Every other series is derived on first access and
     then kept, so a caller that reads only throughput computes no latency,
-    cpu, pool or ledger series.  ``write_latency_mean_ms`` takes the mean
-    write latency over a range of windows from block-level sums, without the
-    array of one latency per write that the write latency series build.
-    Each per-window sum is one ``bincount``,
-    which adds in array order: the write latencies in commit order, and a
-    node's cpu work as the reads it served times ``read_service_us``, plus
-    every block's share, plus the pool scans of the blocks it proposed.
+    cpu, pool or ledger series.  ``committed_write_latency_mean_ms`` takes
+    the mean write latency over a range of windows from block-level sums,
+    without the array of one latency per write that the write latency series
+    build.  Each per-window sum is one ``bincount``, which adds in array
+    order: the write latencies in commit order, and a node's cpu work as the
+    reads it served times ``read_service_us``, plus every block's share, plus
+    the pool scans of the blocks it proposed.
     """
 
     def __init__(self, cluster: ClusterConfig, events: EventStream, horizon: float,
@@ -210,25 +210,32 @@ class MetricsTimeline:
         latencies *= 1000.0
         return latencies
 
-    def write_latency_mean_ms(self, first_window: int) -> float:
+    def committed_write_latency_mean_ms(self, first_window: int) -> float:
         """Mean latency of the writes committed in windows ``first_window`` on;
         0.0 if none is.
 
         Blocks commit in window order, and each commits the next ``fill``
         writes, so the blocks from the first in ``first_window`` on commit one
-        contiguous range of ``write_times``.  Those writes' latencies sum to
-        the blocks' fill x commit time less the writes' arrival times, so the
-        mean takes two sums and makes no per-write array.
+        contiguous range of ``write_times``.  A block's writes' latencies sum
+        to its fill x commit time less their arrival times; taking that
+        difference block by block, before the blocks are added, keeps the
+        commit times' magnitude from cancelling in one large difference, and
+        no per-write array is made.  Every sum is ``np.add.reduce`` or
+        ``np.add.reduceat``, which add in the same order on every machine.
         """
         first = int(np.searchsorted(self._block_windows, first_window))
         fills = self._fills[first:]
         count = int(fills.sum())
         if count == 0:
             return 0.0
-        committed = float(np.dot(fills, self._commit_s[first:]))
-        arrived = float(self._events.write_times[self.committed_writes - count:
-                                                 self.committed_writes].sum())
-        return (committed - arrived) * 1000.0 / count
+        # reduceat would give an empty block the next block's first write
+        nonempty = fills > 0
+        fills = fills[nonempty]
+        arrived = np.add.reduceat(
+            self._events.write_times[self.committed_writes - count:self.committed_writes],
+            np.cumsum(fills) - fills)
+        latency_sums = fills * self._commit_s[first:][nonempty] - arrived
+        return float(np.add.reduce(latency_sums)) * 1000.0 / count
 
     @cached_property
     def mean_write_latency_ms(self) -> np.ndarray:

@@ -127,18 +127,43 @@ class TestTrialWriteLatency:
             assert got == 0.0
             return
         want = math.fsum(latencies) / latencies.size
-        # The trial sums fill x commit time over at most m blocks (A) and the
-        # arrival times of n writes (B).  Whatever the order of additions, each
-        # sum errs by at most its term count x eps x its magnitude, and each
-        # product by eps; the difference, x 1000 and / n round by eps each of
-        # the result, and each reference latency by 2 eps.  So the relative gap
-        # is at most eps x ((m + 1) A + n B) / (A - B) + 6 eps.
+        # Block by block, the trial takes fill x commit time less the sum of
+        # the block's arrival times, then adds the at most m differences.  A
+        # product errs by at most eps of itself, a block's sum of k arrivals by
+        # (k - 1) eps of that sum, a difference by eps of itself, and the sum
+        # of differences by m eps of their total.  With A = sum of fill x
+        # commit time, B = sum of the n arrivals and F the largest fill, the
+        # sum errs by at most eps (A + F B) + (m + 1) eps (A - B); x 1000 and
+        # / n round by eps each, and each reference latency by 2 eps and their
+        # mean by eps.  So the relative gap is at most
+        # eps (A + F B) / (A - B) + (m + 6) eps.
         eps = np.finfo(np.float64).eps
         committed = math.fsum(commit_s[after])
         arrived = math.fsum(events.write_times[:commit_s.size][after])
-        m, n = timeline.blocks_produced, latencies.size
-        rel = eps * ((m + 1) * committed + n * arrived) / (committed - arrived) + 6 * eps
+        m, fill = timeline.blocks_produced, int(timeline._fills.max())
+        rel = eps * (committed + fill * arrived) / (committed - arrived) + (m + 6) * eps
         assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0)
+
+    def test_block_sums_add_in_numpys_own_order(self):
+        # Each block's arrivals add as the first plus np.add.reduce of the
+        # rest, reduceat's order, and the blocks' differences add by
+        # np.add.reduce: numpy's own reductions, which add in one order on
+        # every machine, where a BLAS dot product's order depends on the cpu
+        # and the thread count.  So the mean is this loop's, bit for bit.
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 400.0, 0),
+                                 TxKind.WRITE, 60.0)
+        timeline = run(default_cluster(), events, horizon=60.0, window_s=bench.WINDOW_S)
+        skip = int(timeline.n_windows * bench.WARMUP_FRACTION)
+        first = int(np.searchsorted(timeline._block_windows, skip))
+        start = end = int(timeline._fills[:first].sum())
+        sums = []
+        for fill, commit_s in zip(timeline._fills[first:], timeline._commit_s[first:]):
+            if fill:
+                arrivals = events.write_times[end:end + fill]
+                sums.append(fill * commit_s - (arrivals[0] + np.add.reduce(arrivals[1:])))
+                end += fill
+        want = float(np.add.reduce(np.array(sums))) * 1000.0 / (end - start)
+        assert Trial(TxKind.WRITE, 400.0, 0, timeline).mean_latency_ms == want
 
     def test_no_write_committed_after_warm_up_reads_zero(self):
         # one write, committed in the first of ten windows, which is warm-up
@@ -566,7 +591,7 @@ class TestProbesReadOnlyThroughput:
 
         for name in ("mean_write_latency_ms", "mean_read_latency_ms", "cpu_utilization",
                      "pool_depth", "ledger_bytes", "write_latencies_ms",
-                     "write_latency_mean_ms"):
+                     "committed_write_latency_mean_ms"):
             monkeypatch.setattr(MetricsTimeline, name, property(unread))
         assert find_max_lambda(small_cluster(), kind, duration_s=20.0) == want
 
