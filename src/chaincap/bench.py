@@ -218,20 +218,19 @@ class Trial:
         self._timeline = timeline
         self._skip = int(timeline.n_windows * WARMUP_FRACTION)
         tps = timeline.committed_write_tps if kind is TxKind.WRITE else timeline.served_read_tps
-        self._tps = tps[self._skip:]
-        self.mean_tps = float(self._tps.mean())
+        self.mean_tps = float(tps[self._skip:].mean())
         self.steady = detect_steady_state(lam, self.mean_tps)
 
     @cached_property
     def mean_latency_ms(self) -> float:
-        """Mean latency over the post-warm-up windows: of the writes committed
-        in them, from block-level sums, or the per-window read means weighted
-        by throughput."""
-        if self._kind is TxKind.WRITE:
-            return self._timeline.committed_write_latency_mean_ms(self._skip)
-        lat = self._timeline.mean_read_latency_ms[self._skip:]
-        total = self._tps.sum()
-        return float((lat * self._tps).sum() / total) if total > 0 else 0.0
+        """Mean latency of the writes committed, or the reads served, in the
+        post-warm-up windows: their latency sums over their counts."""
+        timeline = self._timeline
+        sums, counts = ((timeline.write_latency_sum_ms, timeline.committed_count)
+                        if self._kind is TxKind.WRITE
+                        else (timeline.read_latency_sum_ms, timeline.served_count))
+        count = counts[self._skip:].sum()
+        return float(sums[self._skip:].sum() / count) if count > 0 else 0.0
 
     @cached_property
     def mean_cpu(self) -> float:
@@ -344,10 +343,16 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
         """(rate, mean tps, steady) of a trial at ``lam``; the trial and its
         timeline are gone before the next probe runs."""
         if lam * duration_s > MAX_EXPECTED_EVENTS:
+            windows = math.floor(MAX_EXPECTED_EVENTS / (lam * WINDOW_S))
+            if lam * windows * WINDOW_S > MAX_EXPECTED_EVENTS:  # the quotient rounded up
+                windows -= 1
+            hint = (f"give a --duration of at most {windows * WINDOW_S:g} s" if windows >= 10
+                    else f"even the shortest --duration, {10 * WINDOW_S:g} s, does not fit; "
+                         "give fewer nodes")
             raise InputError(
-                f"the {kind.value} capacity search would probe {lam!r}/s over {duration_s!r} s, "
-                f"which expects {lam * duration_s:.4g} events, more than the "
-                f"{MAX_EXPECTED_EVENTS:,} one trial may hold; give a shorter --duration")
+                f"the {kind.value} capacity search at {cluster.node_count} nodes would probe "
+                f"{lam!r}/s over {duration_s!r} s, which expects {lam * duration_s:.4g} events, "
+                f"more than the {MAX_EXPECTED_EVENTS:,} one trial may hold; {hint}")
         trial = run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
                           draws=draws)
         return lam, trial.mean_tps, trial.steady

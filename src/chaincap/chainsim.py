@@ -153,13 +153,17 @@ class MetricsTimeline:
     per-window series cuts off), the per-window committed and served counts
     and the six totals.  Every other series is derived on first access and
     then kept, so a caller that reads only throughput computes no latency,
-    cpu, pool or ledger series.  ``committed_write_latency_mean_ms`` takes
-    the mean write latency over a range of windows from block-level sums,
-    without the array of one latency per write that the write latency series
-    build.  Each per-window sum is one ``bincount``, which adds in array
-    order: the write latencies in commit order, and a node's cpu work as the
-    reads it served times ``read_service_us``, plus every block's share, plus
-    the pool scans of the blocks it proposed.
+    cpu, pool or ledger series.
+
+    Each kind's latency is one per-window sum, and each mean latency that
+    sum over the window's count.  A read adds its own latency.  A block's
+    writes' latencies sum to its fill x commit time less their arrival
+    times, so each non-empty block adds that difference, and no array with
+    one entry per write is made.  Each per-window sum is one ``bincount``,
+    which adds in array order: the blocks' differences in commit order, the
+    read latencies in read order, and a node's cpu work as the reads it
+    served times ``read_service_us``, plus every block's share, plus the
+    pool scans of the blocks it proposed.
     """
 
     def __init__(self, cluster: ClusterConfig, events: EventStream, horizon: float,
@@ -175,18 +179,18 @@ class MetricsTimeline:
         # a read still queued at the horizon goes to one bin past the run
         self._read_windows = self._window_of(read_completions_s)
         self._read_windows[read_completions_s > horizon] = n_windows
-        self._committed_count = self._per_window(self._block_windows, self._fills)
-        self._served_count = self._per_window(self._read_windows)
+        self.committed_count = self._per_window(self._block_windows, self._fills)
+        self.served_count = self._per_window(self._read_windows)
         self._widths = np.full(n_windows, window_s)  # the last may be partial: see check_run
         if n_windows - horizon / window_s > 1e-9:
             self._widths[-1] = horizon - (n_windows - 1) * window_s
-        self.committed_write_tps = self._committed_count / self._widths
-        self.served_read_tps = self._served_count / self._widths
+        self.committed_write_tps = self.committed_count / self._widths
+        self.served_read_tps = self.served_count / self._widths
         self.arrived_writes = int(events.write_times.size)
         self.committed_writes = int(self._fills.sum())
         self.pending_writes = self.arrived_writes - self.committed_writes
         self.arrived_reads = int(events.read_times.size)
-        self.served_reads = int(self._served_count.sum())
+        self.served_reads = int(self.served_count.sum())
         self.blocks_produced = commit_s.size
 
     def _window_of(self, t: np.ndarray) -> np.ndarray:
@@ -195,60 +199,47 @@ class MetricsTimeline:
             return np.minimum(t / self.window_s, self._n_windows - 1).astype(np.int64)
 
     def _per_window(self, windows: np.ndarray, weights=None) -> np.ndarray:
-        """Per-window sums, in array order, over the entries within the run."""
-        return np.bincount(windows, weights=weights, minlength=self._n_windows + 1)[:-1]
+        """Per-window sums, in array order, over the entries within the run;
+        weighted sums are float, though bincount makes int zeros of no entries."""
+        sums = np.bincount(windows, weights=weights, minlength=self._n_windows + 1)[:-1]
+        return sums if weights is None else sums.astype(np.float64, copy=False)
 
     @property
     def n_windows(self) -> int:
         return self._n_windows
 
     @cached_property
-    def write_latencies_ms(self) -> np.ndarray:
-        """Each committed write's latency, block after block."""
-        latencies = np.repeat(self._commit_s, self._fills)
-        np.subtract(latencies, self._events.write_times[:latencies.size], out=latencies)
-        latencies *= 1000.0
-        return latencies
+    def write_latency_sum_ms(self) -> np.ndarray:
+        """Sum of the latencies of the writes committed in each window.
 
-    def committed_write_latency_mean_ms(self, first_window: int) -> float:
-        """Mean latency of the writes committed in windows ``first_window`` on;
-        0.0 if none is.
-
-        Blocks commit in window order, and each commits the next ``fill``
-        writes, so the blocks from the first in ``first_window`` on commit one
-        contiguous range of ``write_times``.  A block's writes' latencies sum
-        to its fill x commit time less their arrival times; taking that
-        difference block by block, before the blocks are added, keeps the
-        commit times' magnitude from cancelling in one large difference, and
-        no per-write array is made.  Every sum is ``np.add.reduce`` or
-        ``np.add.reduceat``, which add in the same order on every machine.
+        Each block commits the next ``fill`` writes, so one ``reduceat`` over
+        the committed writes sums each non-empty block's arrival times, and
+        the block adds its fill x commit time less that sum.  Taking the
+        difference block by block keeps the commit times' magnitude from
+        cancelling in one large difference.
         """
-        first = int(np.searchsorted(self._block_windows, first_window))
-        fills = self._fills[first:]
-        count = int(fills.sum())
-        if count == 0:
-            return 0.0
+        nonempty = self._fills > 0
+        fills = self._fills[nonempty]
         # reduceat would give an empty block the next block's first write
-        nonempty = fills > 0
-        fills = fills[nonempty]
-        arrived = np.add.reduceat(
-            self._events.write_times[self.committed_writes - count:self.committed_writes],
-            np.cumsum(fills) - fills)
-        latency_sums = fills * self._commit_s[first:][nonempty] - arrived
-        return float(np.add.reduce(latency_sums)) * 1000.0 / count
+        arrived = np.add.reduceat(self._events.write_times[:self.committed_writes],
+                                  np.cumsum(fills) - fills)
+        latency_ms = (fills * self._commit_s[nonempty] - arrived) * 1000.0
+        return self._per_window(self._block_windows[nonempty], latency_ms)
+
+    @cached_property
+    def read_latency_sum_ms(self) -> np.ndarray:
+        """Sum of the latencies of the reads served in each window."""
+        with np.errstate(over="ignore"):  # only a read completing past the run
+            latency_ms = (self.read_completions_s - self._events.read_times) * 1000.0
+        return self._per_window(self._read_windows, latency_ms)
 
     @cached_property
     def mean_write_latency_ms(self) -> np.ndarray:
-        latency_sum = self._per_window(np.repeat(self._block_windows, self._fills),
-                                       self.write_latencies_ms)
-        return _mean_per_window(latency_sum, self._committed_count)
+        return _mean_per_window(self.write_latency_sum_ms, self.committed_count)
 
     @cached_property
     def mean_read_latency_ms(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # only a read completing past the run
-            latency_ms = (self.read_completions_s - self._events.read_times) * 1000.0
-        latency_sum = self._per_window(self._read_windows, latency_ms)
-        return _mean_per_window(latency_sum, self._served_count)
+        return _mean_per_window(self.read_latency_sum_ms, self.served_count)
 
     @cached_property
     def cpu_utilization(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +34,7 @@ from chaincap.bench import (
 from chaincap.chainsim import MetricsTimeline, default_cluster, load_cluster, run
 from chaincap.errors import CalibrationError, InputError
 from chaincap.model import capacity_bound
-from test_chainsim import cluster_profiles
+from test_chainsim import cluster_profiles, write_latencies_ms
 
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
@@ -103,9 +104,9 @@ class TestRunTrial:
             run_trial(default_cluster(), TxKind.WRITE, ArrivalKind.POISSON, bad, 20.0, seed=0)
 
 
-class TestTrialWriteLatency:
-    """A write trial's mean latency, from block-level sums, against the
-    latencies of its writes one by one."""
+class TestTrialLatency:
+    """A trial's mean latency, its post-warm-up windows' latency sums over
+    their counts, against the latencies of its writes or reads one by one."""
 
     @settings(max_examples=40, deadline=None)
     @given(cluster=cluster_profiles(), load=st.floats(0.01, 3.0), seed=st.integers(0, 2**32 - 1))
@@ -122,48 +123,100 @@ class TestTrialWriteLatency:
         commit_s = np.repeat(timeline._commit_s, timeline._fills)
         windows = np.minimum(commit_s / bench.WINDOW_S, timeline.n_windows - 1).astype(np.int64)
         after = windows >= int(timeline.n_windows * bench.WARMUP_FRACTION)
-        latencies = timeline.write_latencies_ms[after]
+        latencies = write_latencies_ms(timeline)[after]
         if latencies.size == 0:
             assert got == 0.0
             return
         want = math.fsum(latencies) / latencies.size
-        # Block by block, the trial takes fill x commit time less the sum of
-        # the block's arrival times, then adds the at most m differences.  A
-        # product errs by at most eps of itself, a block's sum of k arrivals by
-        # (k - 1) eps of that sum, a difference by eps of itself, and the sum
-        # of differences by m eps of their total.  With A = sum of fill x
-        # commit time, B = sum of the n arrivals and F the largest fill, the
-        # sum errs by at most eps (A + F B) + (m + 1) eps (A - B); x 1000 and
-        # / n round by eps each, and each reference latency by 2 eps and their
-        # mean by eps.  So the relative gap is at most
-        # eps (A + F B) / (A - B) + (m + 6) eps.
+        # Block by block, the timeline takes fill x commit time less the sum
+        # of the block's arrival times, then x 1000, and the trial adds the
+        # at most m differences, by window and then across windows.  A
+        # product errs by at most eps of itself, a block's sum of k arrivals
+        # by (k - 1) eps of that sum, a difference and its x 1000 by eps of
+        # itself each, and the sum of the positive differences, in any order,
+        # by (m - 1) eps of their total.  With A = sum of fill x commit time,
+        # B = sum of the n arrivals and F the largest fill, the sum errs by at
+        # most eps (A + F B) + (m + 1) eps (A - B); / n rounds by eps, and
+        # each reference latency by 2 eps and their mean by eps.  So the
+        # relative gap is at most eps (A + F B) / (A - B) + (m + 5) eps.
         eps = np.finfo(np.float64).eps
         committed = math.fsum(commit_s[after])
         arrived = math.fsum(events.write_times[:commit_s.size][after])
         m, fill = timeline.blocks_produced, int(timeline._fills.max())
-        rel = eps * (committed + fill * arrived) / (committed - arrived) + (m + 6) * eps
+        rel = eps * (committed + fill * arrived) / (committed - arrived) + (m + 5) * eps
         assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0)
 
-    def test_block_sums_add_in_numpys_own_order(self):
+    @settings(max_examples=40, deadline=None)
+    @given(cluster=cluster_profiles(), load=st.floats(0.01, 1.5), seed=st.integers(0, 2**32 - 1))
+    @example(cluster=default_cluster(), load=1.2, seed=0)
+    def test_mean_of_the_reads_served_after_warm_up(self, cluster, load, seed):
+        # load times the read service limit: past 1 reads still queue at the horizon
+        rate = load * capacity_bound(cluster, TxKind.READ)
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed),
+                                 TxKind.READ, 10.0)
+        timeline = run(cluster, events, horizon=10.0, window_s=bench.WINDOW_S)
+        got = Trial(TxKind.READ, rate, seed, timeline).mean_latency_ms
+        done = timeline.read_completions_s
+        windows = np.minimum(done / bench.WINDOW_S, timeline.n_windows - 1).astype(np.int64)
+        after = (done <= 10.0) & (windows >= int(timeline.n_windows * bench.WARMUP_FRACTION))
+        latencies = (done - events.read_times)[after] * 1000.0
+        if latencies.size == 0:
+            assert got == 0.0
+            return
+        want = math.fsum(latencies) / latencies.size
+        # The timeline's latencies are these, bit for bit.  The trial adds at
+        # most K of them in a window, one after another, and then the W
+        # windows' sums: positive terms, so the sum errs by at most
+        # (K - 1 + W - 1) eps of itself.  / n rounds by eps, and so does the
+        # reference mean, so the relative gap is at most (K + W) eps.
+        eps = np.finfo(np.float64).eps
+        per_window = np.bincount(windows[after], minlength=timeline.n_windows)
+        rel = (int(per_window.max()) + timeline.n_windows) * eps
+        assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0)
+
+    def test_window_sums_add_in_numpys_own_order(self):
         # Each block's arrivals add as the first plus np.add.reduce of the
-        # rest, reduceat's order, and the blocks' differences add by
-        # np.add.reduce: numpy's own reductions, which add in one order on
-        # every machine, where a BLAS dot product's order depends on the cpu
-        # and the thread count.  So the mean is this loop's, bit for bit.
+        # rest, reduceat's order; each window adds its blocks' differences in
+        # commit order, bincount's order; and the trial adds the windows by
+        # np.add.reduce.  These are numpy's own reductions, which add in one
+        # order on every machine, where a BLAS dot product's order depends
+        # on the cpu and the thread count.  So the mean is this loop's, bit
+        # for bit.
         events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 400.0, 0),
                                  TxKind.WRITE, 60.0)
         timeline = run(default_cluster(), events, horizon=60.0, window_s=bench.WINDOW_S)
         skip = int(timeline.n_windows * bench.WARMUP_FRACTION)
-        first = int(np.searchsorted(timeline._block_windows, skip))
-        start = end = int(timeline._fills[:first].sum())
-        sums = []
-        for fill, commit_s in zip(timeline._fills[first:], timeline._commit_s[first:]):
+        sums, counts = [0.0] * timeline.n_windows, [0] * timeline.n_windows
+        start = 0
+        for fill, commit_s in zip(timeline._fills.tolist(), timeline._commit_s.tolist()):
             if fill:
-                arrivals = events.write_times[end:end + fill]
-                sums.append(fill * commit_s - (arrivals[0] + np.add.reduce(arrivals[1:])))
-                end += fill
-        want = float(np.add.reduce(np.array(sums))) * 1000.0 / (end - start)
+                window = min(int(commit_s / bench.WINDOW_S), timeline.n_windows - 1)
+                arrivals = events.write_times[start:start + fill]
+                sums[window] += (fill * commit_s
+                                 - (arrivals[0] + np.add.reduce(arrivals[1:]))) * 1000.0
+                counts[window] += fill
+                start += fill
+        want = float(np.add.reduce(np.array(sums[skip:]))) / sum(counts[skip:])
         assert Trial(TxKind.WRITE, 400.0, 0, timeline).mean_latency_ms == want
+
+    def test_read_window_sums_add_in_numpys_own_order(self):
+        # each window adds its reads' latencies in read order, and the trial
+        # adds the windows by np.add.reduce, as for writes; a read still
+        # queued at the horizon adds to no window
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, 22_000.0, 0),
+                                 TxKind.READ, 20.0)
+        timeline = run(default_cluster(), events, horizon=20.0, window_s=bench.WINDOW_S)
+        assert timeline.served_reads < timeline.arrived_reads
+        skip = int(timeline.n_windows * bench.WARMUP_FRACTION)
+        sums, counts = [0.0] * timeline.n_windows, [0] * timeline.n_windows
+        for arrival, done in zip(events.read_times.tolist(),
+                                 timeline.read_completions_s.tolist()):
+            if done <= 20.0:
+                window = min(int(done / bench.WINDOW_S), timeline.n_windows - 1)
+                sums[window] += (done - arrival) * 1000.0
+                counts[window] += 1
+        want = float(np.add.reduce(np.array(sums[skip:]))) / sum(counts[skip:])
+        assert Trial(TxKind.READ, 22_000.0, 0, timeline).mean_latency_ms == want
 
     def test_no_write_committed_after_warm_up_reads_zero(self):
         # one write, committed in the first of ten windows, which is warm-up
@@ -173,14 +226,36 @@ class TestTrialWriteLatency:
         assert Trial(TxKind.WRITE, 0.1, 0, timeline).mean_latency_ms == 0.0
 
     def test_a_write_campaign_makes_no_per_write_array(self, monkeypatch):
-        def per_write(timeline):
-            raise AssertionError("a write trial built an array with one entry per write")
+        # A trial's mean reads the latency sums, not the per-window means,
+        # and the sums take arrays with one entry per block or per window.
+        # At 900/s the blocks are full, 70 writes each, so those arrays take
+        # about 1 byte per committed write, and an array of one float64 per
+        # write would take 8.
+        def per_window_mean(timeline):
+            raise AssertionError("a write trial computed a per-window mean latency")
 
-        for name in ("write_latencies_ms", "mean_write_latency_ms"):
-            monkeypatch.setattr(MetricsTimeline, name, property(per_write))
+        for name in ("mean_write_latency_ms", "mean_read_latency_ms"):
+            monkeypatch.setattr(MetricsTimeline, name, property(per_window_mean))
+        mean_latency = Trial.mean_latency_ms.func
+        peaks = []
+
+        def traced(trial):
+            tracemalloc.start()
+            try:
+                return mean_latency(trial)
+            finally:
+                peaks.append((trial.lambda_offered, tracemalloc.get_traced_memory()[1],
+                              trial._timeline.committed_writes))
+                tracemalloc.stop()
+
+        monkeypatch.setattr(Trial, "mean_latency_ms", property(traced))
         trials, _ = run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                                               rates=(40.0, 900.0), trials=2, duration_s=20.0))
         assert all(t.mean_latency_ms > 0.0 for t in trials)
+        assert len(peaks) == 4
+        for rate, peak, committed in peaks:
+            if rate == 900.0:
+                assert peak < 2 * committed, f"{peak} B traced for {committed} committed writes"
 
 
 class TestRunCampaign:
@@ -325,9 +400,19 @@ class TestFindMaxLambda:
         with pytest.raises(InputError) as err:
             find_max_lambda(default_cluster(), TxKind.READ, duration_s=20.0)
         assert str(err.value) == (
-            "the read capacity search would probe 21128.20512820513/s over 20.0 s, which "
-            "expects 4.226e+05 events, more than the 200,000 one trial may hold; give a "
-            "shorter --duration")
+            "the read capacity search at 4 nodes would probe 21128.20512820513/s over 20.0 s, "
+            "which expects 4.226e+05 events, more than the 200,000 one trial may hold; even "
+            "the shortest --duration, 10 s, does not fit; give fewer nodes")
+
+    @pytest.mark.parametrize("cap,longest", [(211_283, 10), (300_000, 14)])
+    def test_probe_past_the_event_cap_gives_the_longest_duration_that_fits(
+            self, monkeypatch, cap, longest):
+        # the read search's upper probe is 21128.2.../s, which 10 windows hold
+        # at a cap of 211,283 events and 14 windows at 300,000
+        monkeypatch.setattr(bench, "MAX_EXPECTED_EVENTS", cap)
+        monkeypatch.setattr(bench, "run_trial", _no_trial)
+        with pytest.raises(InputError, match=f"give a --duration of at most {longest} s$"):
+            find_max_lambda(default_cluster(), TxKind.READ, duration_s=20.0)
 
 
 class TestBoundRungs:
@@ -589,9 +674,8 @@ class TestProbesReadOnlyThroughput:
         def unread(timeline):
             raise AssertionError("a capacity probe computed a series its verdict never reads")
 
-        for name in ("mean_write_latency_ms", "mean_read_latency_ms", "cpu_utilization",
-                     "pool_depth", "ledger_bytes", "write_latencies_ms",
-                     "committed_write_latency_mean_ms"):
+        for name in ("write_latency_sum_ms", "read_latency_sum_ms", "mean_write_latency_ms",
+                     "mean_read_latency_ms", "cpu_utilization", "pool_depth", "ledger_bytes"):
             monkeypatch.setattr(MetricsTimeline, name, property(unread))
         assert find_max_lambda(small_cluster(), kind, duration_s=20.0) == want
 
@@ -653,7 +737,43 @@ class TestPoissonVsDeterministic:
         assert poisson <= det
 
 
+# any JSON value, as json.loads returns it: NaN and Infinity included, and
+# integers past the float range
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12)
+# an object of the keys a capacity profile has, mostly of their JSON types,
+# or of a --nodes sweep's, or with a key no profile has
+positive_floats = st.floats(0.0, 1e6, exclude_min=True)
+profile_documents = st.fixed_dictionaries({
+    "schema_version": st.just(1) | st.just(1) | json_values,
+    "node_count": st.integers(0, 2000) | st.integers(0, 2000) | json_values,
+}, optional={
+    "max_lambda_read": positive_floats | st.floats() | st.none() | json_values,
+    "max_lambda_write": positive_floats | st.floats() | st.none() | json_values,
+    "search_tolerance": positive_floats | st.floats() | st.integers() | json_values,
+    "source": st.text(max_size=8) | json_values,
+})
+odd_documents = st.fixed_dictionaries({"schema_version": st.just(1), "node_count": st.just(4)},
+                                      optional={"profiles": json_values, "extra": json_values})
+capacity_documents = st.one_of(json_values, profile_documents, profile_documents,
+                               profile_documents, odd_documents)
+
+
 class TestCapacityProfile:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=capacity_documents)
+    def test_a_json_value_loads_or_raises_input_error(self, doc):
+        # any other exception, or a RuntimeWarning (an error in this suite), fails
+        try:
+            profile = CapacityProfile.from_json_dict(doc)
+        except InputError:
+            return
+        assert isinstance(profile, CapacityProfile)
+
     def test_json_round_trip(self):
         p = CapacityProfile(node_count=4, max_lambda_read=20500.0,
                             max_lambda_write=1400.0, search_tolerance=0.01)

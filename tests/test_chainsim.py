@@ -72,7 +72,9 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
 
     Each block calls ``consensus_round_latency`` and adds its count, bytes,
     cpu share and pool scan into the window of its commit, in block order,
-    and each of its writes' latencies there one at a time.  A node's cpu
+    and a non-empty block its writes' latency sum there: its fill x commit
+    time less its arrivals, which add as the first plus ``np.add.reduce`` of
+    the rest, ``np.add.reduceat``'s order.  A node's cpu
     work is its served reads times ``read_service_us``, plus the block
     shares, plus its own scans, each kept apart until the end.  Rates and
     cpu shares are per each window's width.
@@ -87,7 +89,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
 
     committed_count = np.zeros(n_windows)
     committed_latency_sum = np.zeros(n_windows)
-    served_count = np.zeros(n_windows)
+    served_count = np.zeros(n_windows, dtype=np.int64)
     served_latency_sum = np.zeros(n_windows)
     read_count = np.zeros((n_nodes, n_windows))
     share_us = np.zeros(n_windows)
@@ -113,7 +115,6 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
     i_commit = blocks = proposer = 0
     ledger: list[tuple[float, int]] = []    # (commit time, block bytes)
     committed: list[tuple[float, int]] = []  # (commit time, committed total)
-    latencies = [np.empty(0)]
     t_prop = cluster.block_interval_ms / 1000.0
     while t_prop <= horizon + 1e-12:
         pool_depth = int(np.searchsorted(write_ts, t_prop, side="right")) - i_commit
@@ -126,11 +127,10 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         ledger.append((t_commit, cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * fill))
         w = window_of(t_commit)
         if fill:
-            lat = (t_commit - write_ts[i_commit:i_commit + fill]) * 1000.0
+            arrivals = write_ts[i_commit:i_commit + fill]
             committed_count[w] += fill
-            for latency in lat:
-                committed_latency_sum[w] += latency
-            latencies.append(lat)
+            committed_latency_sum[w] += (fill * t_commit
+                                         - (arrivals[0] + np.add.reduce(arrivals[1:]))) * 1000.0
             i_commit += fill
         share_us[w] += cluster.write_exec_us * fill + cluster.msg_proc_us * 2 * n_nodes
         scan_us[proposer, w] += cluster.pool_scan_cost_us_per_tx * pool_depth
@@ -159,6 +159,10 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         window_s=window_s,
         committed_write_tps=np.array([c / width for c, width in zip(committed_count, widths)]),
         served_read_tps=np.array([c / width for c, width in zip(served_count, widths)]),
+        committed_count=committed_count,
+        served_count=served_count,
+        write_latency_sum_ms=committed_latency_sum,
+        read_latency_sum_ms=served_latency_sum,
         mean_write_latency_ms=np.array([s / c if c else 0.0 for s, c in
                                         zip(committed_latency_sum, committed_count)]),
         mean_read_latency_ms=np.array([s / c if c else 0.0 for s, c in
@@ -174,8 +178,14 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         served_reads=served_reads,
         blocks_produced=blocks,
         read_completions_s=completions,
-        write_latencies_ms=np.concatenate(latencies),
     )
+
+
+def write_latencies_ms(timeline: MetricsTimeline) -> np.ndarray:
+    """Each committed write's latency, block after block, one at a time: the
+    per-write array ``run`` never makes."""
+    commit_s = np.repeat(timeline._commit_s, timeline._fills)
+    return (commit_s - timeline._events.write_times[:commit_s.size]) * 1000.0
 
 
 def stream(times, write=True):
@@ -297,7 +307,7 @@ class TestRunBasics:
         cluster = default_cluster()
         tl = run(cluster, stream([0.0]), horizon=5.0)
         assert tl.committed_writes == 1
-        latency = float(tl.write_latencies_ms[0])
+        latency = float(write_latencies_ms(tl)[0])
         assert latency >= cluster.block_interval_ms / 2
         assert latency >= 3 * cluster.rtt_ms / 2  # one full consensus round
 
@@ -446,10 +456,11 @@ def merged_stream(write_rate, read_rate, horizon, seed):
 
 # every series and count a run reports; the lazily derived ones included
 TIMELINE_FIELDS = (
-    "window_s", "committed_write_tps", "served_read_tps", "mean_write_latency_ms",
+    "window_s", "committed_write_tps", "served_read_tps", "committed_count", "served_count",
+    "write_latency_sum_ms", "read_latency_sum_ms", "mean_write_latency_ms",
     "mean_read_latency_ms", "cpu_utilization", "pool_depth", "ledger_bytes",
     "arrived_writes", "committed_writes", "pending_writes", "arrived_reads",
-    "served_reads", "blocks_produced", "read_completions_s", "write_latencies_ms",
+    "served_reads", "blocks_produced", "read_completions_s",
 )
 
 
@@ -846,12 +857,12 @@ class TestInvariants:
         committed = tl.committed_write_tps * window_widths(horizon, window_s, tl.n_windows)
         assert math.fsum(committed) == pytest.approx(tl.committed_writes, rel=1e-12), \
             "committed tps times window width does not sum to the committed writes"
-        latency_sum = math.fsum(tl.write_latencies_ms)
+        latencies = write_latencies_ms(tl)
         assert math.fsum(tl.mean_write_latency_ms * committed) == pytest.approx(
-            latency_sum, rel=1e-9), "mean write latency times count is not the latency sum"
+            math.fsum(latencies), rel=1e-9), "mean write latency times count is not the latency sum"
         proposers = np.repeat(np.arange(tl.blocks_produced) % cluster.node_count, tl._fills)
         base_ms = np.array([round_base_ms(cluster, p) for p in range(cluster.node_count)])
-        assert np.all(tl.write_latencies_ms >= base_ms[proposers]), \
+        assert np.all(latencies >= base_ms[proposers]), \
             "a write latency is below its proposer's round_base_ms"
         assert np.all((tl.cpu_utilization >= 0.0) & (tl.cpu_utilization <= 1.0)), \
             "a cpu cell lies outside [0, 1]"
@@ -973,3 +984,59 @@ class TestReadConfig:
             read_config(doc)
         assert str(excinfo.value).startswith(message)
         assert "\n" not in str(excinfo.value)
+
+
+# the sections of a cluster profile and of a scenario override, each with
+# the keys it takes; both documents use read_config's grammar
+CLUSTER_INI_KEYS = {
+    "cluster": tuple(f.name for f in fields(ClusterConfig) if f.name != "rtt_matrix_ms"),
+    "rtt_matrix": tuple(f"node{i}" for i in range(6)),
+}
+SCENARIO_INI_KEYS = {
+    "scenario:aaa": ("eta",),
+    "scenario:id_mgmt": ("eta",),
+    "use_case:aaa:authentication": ("reads_per_event", "writes_per_event"),
+    "use_case:id_mgmt:new": ("reads_per_event", "writes_per_event"),
+}
+# values each parse step must face beside plausible ones
+ODD_VALUES = ("", "-1", "-0", "1e400", "-1e400", "1e-320", "nan", "inf", "-inf", "1_000", "0x10",
+              "1" * 5000, "two words", "multi", "single")
+JUNK_LINES = ("; comment", "# comment", "  indented", "not ini", "= 1", "[", "[]", "[config]",
+              "schema_version = 2", "node_count = 5", "[scenario:aaa]", "[rtt_matrix]",
+              "[scenario:nope]", "[use_case:aaa]", "[DEFAULT]", "[other]")
+
+
+@st.composite
+def ini_documents(draw, sections: dict[str, tuple[str, ...]]) -> str:
+    """A document of ``sections`` and their keys, each at most once, mostly
+    with plausible values, at times without its [config] or with a junk
+    line: a drawn key or line, or a header of a section of its own."""
+    text = st.text(min_size=1, max_size=12)
+    integer = st.integers(0, 2000).map(str)
+    number = st.one_of(integer, integer, st.floats(0.0, 1e4).map(repr))
+    row = st.lists(number, min_size=3, max_size=6).map(",".join)
+    value = st.one_of(number, number, row, st.sampled_from(ODD_VALUES), text)
+    known = st.sampled_from(sorted(sections))
+    lines = ["[config]", "schema_version = 1"] if draw(st.integers(0, 9)) else []
+    for section in draw(st.lists(known, min_size=1, max_size=3, unique=True)):
+        lines.append(f"[{section}]")
+        pairs = st.lists(st.tuples(st.sampled_from(sections[section]), value), max_size=7,
+                         unique_by=lambda pair: pair[0])
+        lines += [f"{key} = {raw}" for key, raw in draw(pairs)]
+    junk = st.one_of(st.sampled_from(JUNK_LINES), text,
+                     st.tuples(text, value).map(" = ".join))
+    for _ in range(draw(st.integers(0, 4)) // 3):
+        lines.insert(draw(st.integers(0, len(lines))), draw(junk))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+class TestLoadClusterFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=ini_documents(CLUSTER_INI_KEYS))
+    def test_a_document_loads_or_raises_input_error(self, doc):
+        # any other exception, or a RuntimeWarning (an error in this suite), fails
+        try:
+            cluster = load_cluster(doc)
+        except InputError:
+            return
+        assert isinstance(cluster, ClusterConfig)

@@ -212,9 +212,20 @@ class TestCapacityCommand:
         monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
         assert main(["capacity", "--kind", "read", "--duration", "1500"]) == 2
         assert _one_error_line(capsys) == (
-            "error: the read capacity search would probe 21128.20512820513/s over 1500.0 s, "
-            "which expects 3.169e+07 events, more than the 30,000,000 one trial may hold; "
-            "give a shorter --duration\n")
+            "error: the read capacity search at 4 nodes would probe 21128.20512820513/s over "
+            "1500.0 s, which expects 3.169e+07 events, more than the 30,000,000 one trial may "
+            "hold; give a --duration of at most 1419 s\n")
+        assert 21128.20512820513 * 1419 <= 30_000_000 < 21128.20512820513 * 1420
+
+    def test_probe_past_the_event_cap_at_the_shortest_duration_asks_for_fewer_nodes(
+            self, capsys):
+        # the 4-node search runs, then the 1000-node one stops at its first
+        # probe, which 10 windows, the shortest duration, cannot hold
+        assert main(["capacity", "--kind", "read", "--duration", "10", "--nodes", "4,1000"]) == 2
+        assert _one_error_line(capsys) == (
+            "error: the read capacity search at 1000 nodes would probe 5282051.282051282/s "
+            "over 10.0 s, which expects 5.282e+07 events, more than the 30,000,000 one trial "
+            "may hold; even the shortest --duration, 10 s, does not fit; give fewer nodes\n")
 
     @pytest.mark.parametrize("kind,option", [
         (kind, option) for option in (["--start", "100"], ["--tolerance", "0.01"])

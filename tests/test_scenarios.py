@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chaincap.errors import InputError
 from chaincap.scenarios import (
@@ -9,6 +9,7 @@ from chaincap.scenarios import (
     load_scenarios,
     workload_for,
 )
+from test_chainsim import SCENARIO_INI_KEYS, ini_documents
 
 CATALOG = builtin_scenarios()
 
@@ -214,3 +215,15 @@ class TestLoadScenarios:
         with pytest.raises(InputError):
             load_scenarios(doc)
 
+
+class TestLoadScenariosFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(doc=ini_documents(SCENARIO_INI_KEYS))
+    def test_a_document_loads_or_raises_input_error(self, doc):
+        # any other exception, or a RuntimeWarning (an error in this suite), fails
+        try:
+            catalog = load_scenarios(doc)
+        except InputError:
+            return
+        assert list(catalog) == list(CATALOG)
+        assert all(isinstance(spec, ScenarioSpec) for spec in catalog.values())
