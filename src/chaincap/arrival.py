@@ -26,13 +26,13 @@ from .errors import InputError
 # Largest expected event count (rate x horizon) of one stream.  A run holds
 # its arrival buffer, 8 bytes per event, and what its kind derives from it.
 # Over a 4M-event run at a sustainable rate, peak RSS above a process that had
-# made one small run rose 8 bytes per event for a write trial on epochs made
-# for it alone, 16 for a campaign's write trial or a probe, which hold their
-# seed's epochs beside the stream, 24 for a write simulate, which makes each
-# write's latency and window, and 32 for a read trial (40 on its seed's
-# epochs), which makes the completion times and their windows (Linux, Python
-# 3.11, numpy 2.4).  So this caps a campaign's write trial near 0.5 GB, a
-# write simulate near 0.7 GB and a read trial near 1.0 GB, or 1.2 GB with its
+# made one small run rose 8 bytes per event for a write simulate (8.6) or a
+# write trial on epochs made for it alone, whose latencies are per-block sums,
+# 16 for a campaign's write trial or a probe, which hold their seed's epochs
+# beside the stream, and 32 for a read trial (40 on its seed's epochs), which
+# makes the completion times, their windows and latencies (Linux, Python
+# 3.11, numpy 2.4).  So this caps a write simulate near 0.26 GB, a campaign's
+# write trial near 0.5 GB and a read trial near 1.0 GB, or 1.2 GB with its
 # seed's epochs, and a rate that would exhaust memory is rejected before
 # anything is allocated.  The paper protocol's longest trial, 20k reads/s for
 # 600 s, expects 12M events.
