@@ -132,14 +132,16 @@ class UnitDraws:
     per rate.  The generator is created at the first draw, and the epochs
     grow, in stream order, when a call needs more than are held; the last
     epoch held is added to the first new draw before the new draws' running
-    sum, so ``S_j`` is the same however they grew.
+    sum, so ``S_j`` is the same however they grew.  :meth:`reserve` sizes
+    the draws for a stream, so a caller that reserves for its fastest stream
+    before its first trial draws the seed's uniforms in one call.
 
     ``reuse`` hands this object the buffer of another seed's draws, which
     forgets its epochs, as :meth:`forget` does: this seed's epochs overwrite
     the buffer in place, and it is reallocated only if a take needs more
     room.  A campaign hands each seed's buffer to the next, so one buffer,
-    sized by its fastest rate, serves every seed, and only one seed's epochs
-    are alive at a time.  An epoch view taken before the hand-over is
+    reserved for its fastest rate, serves every seed, and only one seed's
+    epochs are alive at a time.  An epoch view taken before the hand-over is
     overwritten by it.
     """
 
@@ -178,26 +180,45 @@ class UnitDraws:
             self._held = stop
         return self._buffer[:stop]
 
+    def reserve(self, rate: float, horizon: float) -> np.ndarray:
+        """The epochs a stream at ``rate`` > 0 over ``horizon`` divides: the
+        shortest prefix of whole chunks, each the stream's expected count
+        plus ten standard deviations and 64 (at least 1024), whose last
+        epoch over ``rate`` lies past ``horizon``.  Epochs not yet held are
+        drawn, so a later call for a slower rate or a shorter horizon draws
+        nothing unless its stream outruns its own first chunk.
+        """
+        expected = rate * horizon
+        chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
+        epochs = self.take(chunk)
+        # below ~2e-307/s a quotient overflows to inf, which lies past any
+        # finite horizon, so one chunk covers the stream
+        with np.errstate(over="ignore"):
+            while epochs[-1] / rate <= horizon:
+                epochs = self.take(epochs.size + chunk)
+        return epochs
+
 
 def generate_times(process: ArrivalProcess, horizon: float,
                    draws: UnitDraws | None = None) -> np.ndarray:
     """Arrival timestamps in (0, horizon], non-decreasing.
 
     Poisson timestamp ``j`` is the seed's unit-rate epoch ``S_j`` divided by
-    the rate, for every epoch whose quotient is at most ``horizon``.  The
-    epochs come from ``draws`` (one seed's :class:`UnitDraws`, which a
-    capacity search shares across its probes and a campaign across its rates
-    at that seed) or, without it, from epochs made for this call alone and
-    divided in place.  Either way the stream is the same, and a shorter
-    horizon's stream is a prefix of a longer one's.  numpy's vector ``log1p``
-    may differ from ``math.log1p`` in the last bit, so a scalar replay agrees
-    to within a few ulp, not exactly.  ``draws`` must be of the process's
-    seed, unchecked.  Raises :class:`InputError` if ``check_event_count``
-    rejects the stream.
+    the rate, for every epoch whose quotient is at most ``horizon``; the
+    epochs divided are those ``UnitDraws.reserve`` gives.  They come from
+    ``draws`` (one seed's :class:`UnitDraws`, which a capacity search shares
+    across its probes and a campaign across its rates at that seed, each
+    having reserved them for its fastest stream) or, without it, from epochs
+    made for this call alone and divided in place.  Either way the stream is
+    the same, and a shorter horizon's stream is a prefix of a longer one's.
+    numpy's vector ``log1p`` may differ from ``math.log1p`` in the last bit,
+    so a scalar replay agrees to within a few ulp, not exactly.  ``draws``
+    must be of the process's seed, unchecked.  Raises :class:`InputError` if
+    ``check_event_count`` rejects the stream.
     """
     horizon = check_horizon(horizon)
     rate = process.rate
-    expected = check_event_count(rate, horizon)
+    check_event_count(rate, horizon)
     if rate == 0.0:
         return np.empty(0, dtype=np.float64)
 
@@ -209,15 +230,11 @@ def generate_times(process: ArrivalProcess, horizon: float,
     shared = draws is not None
     if not shared:
         draws = UnitDraws(process.seed)
-    chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
-    epochs = draws.take(chunk)
-    # below ~2e-307/s a quotient overflows to inf, which lies past any finite
-    # horizon, so the stream is rightly empty
+    epochs = draws.reserve(rate, horizon)
+    # below ~2e-307/s every quotient overflows to inf, so the stream is
+    # rightly empty; epochs made for this call alone are never read again,
+    # so they are overwritten
     with np.errstate(over="ignore"):
-        while epochs[-1] / rate <= horizon:
-            epochs = draws.take(epochs.size + chunk)
-        # epochs made for this call alone are never read again, so they are
-        # overwritten
         times = np.divide(epochs, rate, out=None if shared else epochs)
     # fl(S / rate) is monotone in S, so the quotients are sorted as well
     return times[:times.searchsorted(horizon, side="right")]

@@ -267,10 +267,14 @@ def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
     trials and the per-rate aggregates.
 
     Trial i of every rate runs at seed base_seed + i, so the campaign runs
-    seed-major: the trials at one seed share its :class:`UnitDraws`, and
-    each seed's draws take over the epoch buffer of the seed before, so one
-    buffer serves the campaign and holds one seed's epochs at a time.  Trials
-    and aggregates are reported rate-major, trial after trial within a rate.
+    seed-major: the trials at one seed share its :class:`UnitDraws`, which a
+    Poisson campaign reserves for its fastest rate before the seed's first
+    trial, so each seed draws its uniforms in one call and every trial
+    divides a prefix of them.  Each seed's draws take over the epoch buffer
+    of the seed before, so one buffer serves the campaign and holds one
+    seed's epochs at a time.  Trials run in ``rates`` order at each seed, and
+    trials and aggregates are reported rate-major, trial after trial within
+    a rate.
     """
     import statistics
 
@@ -278,10 +282,10 @@ def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
     draws = None
     for seed in range(spec.base_seed, spec.base_seed + spec.trials):
         draws = UnitDraws(seed, reuse=draws)
-        # the fastest rate runs first, so its stream sizes the buffer and the
-        # slower rates take views of it rather than grow it rate after rate;
+        if spec.rates and spec.arrival_kind is ArrivalKind.POISSON:
+            draws.reserve(max(spec.rates), spec.duration_s)
         # the summary drops the trial's timeline before the next trial
-        for rate in sorted(spec.rates, reverse=True):
+        for rate in spec.rates:
             by_rate[rate].append(run_trial(spec.cluster, spec.kind, spec.arrival_kind, rate,
                                            spec.duration_s, seed=seed, draws=draws).summary())
     # a trial's arguments kept past the campaign hold no epochs either
@@ -303,6 +307,52 @@ def run_campaign(spec: CampaignSpec) -> tuple[tuple[TrialSummary, ...],
     return tuple(t for rate_trials in by_rate.values() for t in rate_trials), tuple(aggregates)
 
 
+def _check_probe(cluster: ClusterConfig, kind: TxKind, lam: float,
+                 duration_s: float) -> None:
+    """:class:`InputError`, naming the search and a duration that fits, if a
+    capacity search's probe at ``lam`` passes the event cap."""
+    if lam * duration_s <= MAX_EXPECTED_EVENTS:
+        return
+    windows = math.floor(MAX_EXPECTED_EVENTS / (lam * WINDOW_S))
+    if lam * windows * WINDOW_S > MAX_EXPECTED_EVENTS:  # the quotient rounded up
+        windows -= 1
+    hint = (f"give a --duration of at most {windows * WINDOW_S:g} s" if windows >= 10
+            else f"even the shortest --duration, {10 * WINDOW_S:g} s, does not fit; "
+                 "give fewer nodes")
+    raise InputError(
+        f"the {kind.value} capacity search at {cluster.node_count} nodes would probe "
+        f"{lam!r}/s over {duration_s!r} s, which expects {lam * duration_s:.4g} events, "
+        f"more than the {MAX_EXPECTED_EVENTS:,} one trial may hold; {hint}")
+
+
+def _plan_search(cluster: ClusterConfig, kind: TxKind,
+                 duration_s: float) -> tuple[float, float]:
+    """The ``capacity_bound`` a capacity search aims at and its largest
+    planned probe, once ``_check_probe`` accepts that probe.
+
+    For reads that probe is the upper one, ``1 + BOUND_MARGIN`` times the
+    bound.  For writes it is the larger of ``FIRST_PROBE_RATE`` and the upper
+    rung, which the ladder reaches unless a probe below it is unsteady; an
+    infinite rung is never probed.  A ladder still steady at the upper rung
+    doubles past it, and each such probe is checked when it comes.  Raises
+    :class:`InputError` for an infinite read bound, before the cap.
+    """
+    bound = capacity_bound(cluster, kind)
+    upper = bound * (1.0 + BOUND_MARGIN)
+    if kind is TxKind.READ:
+        if bound == math.inf:
+            # the shortest repr, since :g prints the subnormal 1e-320 as 9.99989e-321
+            service_us = repr(cluster.read_service_us).removesuffix(".0")
+            raise InputError(f"read_service_us = {service_us} makes the read service rate "
+                             "infinite, so the read capacity has no bound; give a larger "
+                             "read_service_us")
+        largest = upper
+    else:
+        largest = max(FIRST_PROBE_RATE, upper) if upper < math.inf else FIRST_PROBE_RATE
+    _check_probe(cluster, kind, largest, duration_s)
+    return bound, largest
+
+
 def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
                     arrival_kind: ArrivalKind = ArrivalKind.POISSON,
                     duration_s: float = DESK_DURATION_S,
@@ -315,9 +365,7 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     below its service rate (Loynes 1962).  So the read capacity is
     ``capacity_bound * (1 - SEARCH_TOLERANCE)``, once the simulator confirms
     the bound: that rate must be steady, and ``1 + BOUND_MARGIN`` times the
-    bound unsteady, or :class:`CalibrationError` names both probes.  The
-    upper probe runs first, so it grows the shared epochs to full length and
-    a probe past the event cap stops the search before it simulates.
+    bound unsteady, or :class:`CalibrationError` names both probes.
 
     The write bracket doubles from ``FIRST_PROBE_RATE``.  Two rungs
     at ``1 -/+ BOUND_MARGIN`` times ``capacity_bound`` join its ladder: a
@@ -328,45 +376,32 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     and returns its steady end, so the capacity is the simulator's verdict.
 
     Each probe reuses ``base_seed`` so the steady predicate is a deterministic
-    function of the rate; the probes share that seed's unit-rate epochs, so
-    the search draws and sums its uniforms once.  Raises
+    function of the rate; the probes share that seed's unit-rate epochs.
+    Before the first probe the search checks its largest planned probe
+    against the event cap (:func:`_plan_search`) and, for a Poisson stream,
+    reserves that probe's epochs, so it draws and sums its uniforms in one
+    call unless its ladder doubles past the upper rung.  Raises
     :class:`CalibrationError` when even the smallest write probe is unsteady,
     and :class:`InputError` for reads whose service rate is infinite
     (``read_service_us = 0``, or so small that the rate overflows), whose
-    capacity has no bound.
+    capacity has no bound, and for a probe past the event cap.
     """
     check_duration(cluster, duration_s)
-
+    bound, largest = _plan_search(cluster, kind, duration_s)
     draws = UnitDraws(base_seed)
+    if arrival_kind is ArrivalKind.POISSON:
+        draws.reserve(largest, duration_s)
 
     def probe(lam: float) -> tuple[float, float, bool]:
         """(rate, mean tps, steady) of a trial at ``lam``; the trial and its
         timeline are gone before the next probe runs."""
-        if lam * duration_s > MAX_EXPECTED_EVENTS:
-            windows = math.floor(MAX_EXPECTED_EVENTS / (lam * WINDOW_S))
-            if lam * windows * WINDOW_S > MAX_EXPECTED_EVENTS:  # the quotient rounded up
-                windows -= 1
-            hint = (f"give a --duration of at most {windows * WINDOW_S:g} s" if windows >= 10
-                    else f"even the shortest --duration, {10 * WINDOW_S:g} s, does not fit; "
-                         "give fewer nodes")
-            raise InputError(
-                f"the {kind.value} capacity search at {cluster.node_count} nodes would probe "
-                f"{lam!r}/s over {duration_s!r} s, which expects {lam * duration_s:.4g} events, "
-                f"more than the {MAX_EXPECTED_EVENTS:,} one trial may hold; {hint}")
+        _check_probe(cluster, kind, lam, duration_s)
         trial = run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
                           draws=draws)
         return lam, trial.mean_tps, trial.steady
 
-    bound = capacity_bound(cluster, kind)
     if kind is TxKind.READ:
-        if bound == math.inf:
-            # the shortest repr, since :g prints the subnormal 1e-320 as 9.99989e-321
-            service_us = repr(cluster.read_service_us).removesuffix(".0")
-            raise InputError(f"read_service_us = {service_us} makes the read service rate "
-                             "infinite, so the read capacity has no bound; give a larger "
-                             "read_service_us")
-        above, below = (probe(r) for r in (bound * (1.0 + BOUND_MARGIN),
-                                           bound * (1.0 - SEARCH_TOLERANCE)))
+        above, below = (probe(r) for r in (largest, bound * (1.0 - SEARCH_TOLERANCE)))
         if below[2] and not above[2]:
             return below[0]
         raise CalibrationError(
@@ -409,14 +444,17 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
                 base_seed: int = 0) -> list[CapacityProfile]:
     """Run the capacity search per node count and kind, ordered by node count.
 
-    The axis of a kind not in ``kinds`` is left at inf.
+    The axis of a kind not in ``kinds`` is left at inf.  Every node count's
+    profile, run and searches' largest planned probes are checked, as
+    :func:`find_max_lambda` checks them, before the first search.
     """
     if len(set(node_counts)) != len(node_counts):
         raise InputError(f"node counts must be distinct, got {node_counts!r}")
-    # every profile, and its run, is checked before the first search
     clusters = [replace(base_cluster, node_count=n) for n in sorted(node_counts)]
     for cluster in clusters:
         check_duration(cluster, duration_s)
+        for kind in kinds:
+            _plan_search(cluster, kind, duration_s)
     profiles = []
     for cluster in clusters:
         found = {kind: find_max_lambda(cluster, kind, arrival_kind, duration_s=duration_s,

@@ -353,12 +353,14 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     n_nodes = cluster.node_count
 
     # --- reads: FIFO queues, no consensus involvement ---
-    # round-robin assignment makes each node's reads a strided view
+    # round-robin assignment makes each node's reads a strided view; a stream
+    # of writes alone runs no queue
     stride = cluster.read_servers
     service_s = cluster.read_service_us * 1e-6
     completions = np.empty(read_ts.size)
-    for node in range(stride):
-        completions[node::stride] = _fifo_completions(read_ts[node::stride], service_s)
+    if read_ts.size:
+        for node in range(stride):
+            completions[node::stride] = _fifo_completions(read_ts[node::stride], service_s)
 
     # --- writes: sequential proposer-rotating block production ---
     # the loop runs the recurrence only and records each block's commit time

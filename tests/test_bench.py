@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chaincap import bench
+from chaincap import bench, chainsim
 from chaincap.arrival import (
     SEED_LIMIT,
     ArrivalKind,
@@ -38,6 +39,7 @@ from test_chainsim import cluster_profiles, write_latencies_ms
 
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
+SLOW_CLUSTER = Path(__file__).parent / "data" / "slow_cluster.ini"
 
 
 # a deliberately small cluster for search tests: saturates around 450 tps
@@ -315,8 +317,8 @@ class TestRunCampaign:
                 assert type(value) in (int, float, bool), (field.name, type(value))
 
     def test_rows_are_rate_major(self):
-        # the trials run seed-major, fastest rate first, but are reported in
-        # the order of the rate grid, trial after trial within a rate
+        # the trials run seed-major, but are reported in the order of the
+        # rate grid, trial after trial within a rate
         spec = CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                             rates=(80.0, 40.0, 60.0), trials=2, duration_s=20.0, base_seed=4)
         trials, aggregates = run_campaign(spec)
@@ -324,7 +326,7 @@ class TestRunCampaign:
             (80.0, 4), (80.0, 5), (40.0, 4), (40.0, 5), (60.0, 4), (60.0, 5)]
         assert [a.lambda_offered for a in aggregates] == [80.0, 40.0, 60.0]
 
-    def test_trials_run_seed_major_fastest_rate_first(self, monkeypatch):
+    def test_trials_run_seed_major_in_rate_order(self, monkeypatch):
         calls = []
         trial = bench.run_trial
 
@@ -337,7 +339,7 @@ class TestRunCampaign:
         run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                                   rates=(40.0, 80.0, 60.0), trials=2, duration_s=20.0,
                                   base_seed=6))
-        assert calls == [(6, 80.0), (6, 60.0), (6, 40.0), (7, 80.0), (7, 60.0), (7, 40.0)]
+        assert calls == [(6, 40.0), (6, 80.0), (6, 60.0), (7, 40.0), (7, 80.0), (7, 60.0)]
 
     def test_no_timeline_outlives_its_trial(self, monkeypatch):
         timelines = []
@@ -403,6 +405,18 @@ class TestFindMaxLambda:
             "the read capacity search at 4 nodes would probe 21128.20512820513/s over 20.0 s, "
             "which expects 4.226e+05 events, more than the 200,000 one trial may hold; even "
             "the shortest --duration, 10 s, does not fit; give fewer nodes")
+
+    def test_a_write_search_checks_its_upper_rung_before_its_first_probe(self, monkeypatch):
+        # the upper rung, 1416.5/s over 60 s, expects 84,990 events; the
+        # ladder would reach it only after four steady probes
+        monkeypatch.setattr(bench, "MAX_EXPECTED_EVENTS", 80_000)
+        monkeypatch.setattr(bench, "run_trial", _no_trial)
+        rung = bench.capacity_bound(default_cluster(), TxKind.WRITE) * (1 + bench.BOUND_MARGIN)
+        with pytest.raises(InputError, match=(
+                rf"^the write capacity search at 4 nodes would probe {re.escape(repr(rung))}/s "
+                r"over 60 s, "
+                r"which expects 8\.499e\+04 events, .* at most 56 s$")):
+            find_max_lambda(default_cluster(), TxKind.WRITE)
 
     @pytest.mark.parametrize("cap,longest", [(211_283, 10), (300_000, 14)])
     def test_probe_past_the_event_cap_gives_the_longest_duration_that_fits(
@@ -504,6 +518,10 @@ def _no_trial(*args, **kwargs):
     raise AssertionError("no trial may run")
 
 
+def _no_generator(process):
+    raise AssertionError("a deterministic stream draws no uniform")
+
+
 class TestReadCapacity:
     """The read capacity is (1 - tolerance) times the closed-form service
     limit, once one probe below it is steady and one above it is not."""
@@ -567,11 +585,45 @@ class TestSharedDraws:
             find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=1)
         assert seeds == [7, 1]
 
+    @staticmethod
+    def record_uniforms(monkeypatch) -> list[int]:
+        """The size of each ``random`` call that the draws make, in order."""
+        sizes = []
+        make = ArrivalProcess.rng
+
+        class Recorded:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, *, out):
+                sizes.append(out.size)
+                return self.rng.random(out=out)
+
+        monkeypatch.setattr(ArrivalProcess, "rng", lambda process: Recorded(make(process)))
+        return sizes
+
+    def test_a_write_search_draws_once_for_its_largest_planned_probe(self, monkeypatch):
+        sizes = self.record_uniforms(monkeypatch)
+        queues = []
+        fifo = chainsim._fifo_completions
+        monkeypatch.setattr(chainsim, "_fifo_completions",
+                            lambda *args: queues.append(args) or fifo(*args))
+        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.6265797506646
+        # the upper rung, 1416.5/s over 60 s: 84,990 expected events plus ten
+        # standard deviations and 64, drawn before the first probe
+        assert sizes == [87_969]
+        assert queues == []
+        # the slow profile's upper rung, 8.76/s, lies below the first probe,
+        # 100/s, which reserves 6,000 events plus ten standard deviations and 64
+        sizes.clear()
+        with pytest.raises(CalibrationError, match="smallest probe rate 100.0;"):
+            find_max_lambda(load_cluster(SLOW_CLUSTER.read_text()), TxKind.WRITE)
+        assert sizes == [6_838]
+
     def test_deterministic_search_draws_nothing(self, monkeypatch):
-        seeds = self.count_generators(monkeypatch)
+        monkeypatch.setattr(ArrivalProcess, "rng", _no_generator)
         find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
                         duration_s=20.0)
-        assert seeds == []
 
     def test_one_generator_per_campaign_seed(self, monkeypatch):
         seeds = self.count_generators(monkeypatch)
@@ -581,11 +633,10 @@ class TestSharedDraws:
         assert seeds == [2, 3, 4]
 
     def test_deterministic_campaign_draws_nothing(self, monkeypatch):
-        seeds = self.count_generators(monkeypatch)
+        monkeypatch.setattr(ArrivalProcess, "rng", _no_generator)
         run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
                                   rates=(40.0, 80.0), arrival_kind=ArrivalKind.DETERMINISTIC,
                                   trials=2, duration_s=20.0))
-        assert seeds == []
 
     @pytest.mark.parametrize("caller", [
         pytest.param(lambda: find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0,

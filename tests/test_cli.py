@@ -218,9 +218,10 @@ class TestCapacityCommand:
         assert 21128.20512820513 * 1419 <= 30_000_000 < 21128.20512820513 * 1420
 
     def test_probe_past_the_event_cap_at_the_shortest_duration_asks_for_fewer_nodes(
-            self, capsys):
-        # the 4-node search runs, then the 1000-node one stops at its first
-        # probe, which 10 windows, the shortest duration, cannot hold
+            self, capsys, monkeypatch):
+        # the 1000-node search's upper probe, which 10 windows, the shortest
+        # duration, cannot hold, stops the sweep before the 4-node search runs
+        monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
         assert main(["capacity", "--kind", "read", "--duration", "10", "--nodes", "4,1000"]) == 2
         assert _one_error_line(capsys) == (
             "error: the read capacity search at 1000 nodes would probe 5282051.282051282/s "
