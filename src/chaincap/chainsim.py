@@ -25,11 +25,11 @@ from functools import cached_property
 from ._numpy import np
 from .arrival import DEFAULT_WRITE_PAYLOAD_BYTES, EventStream, check_horizon
 from .errors import InputError
-# run looks round_base_ms up here, so a test can replace it for this module.
+# run looks round_bases_ms up here, so a test can replace it for this module.
 # Nothing calls consensus_round_latency here, since run inlines it; the name
 # stays because perfbench/spans.py wraps it in this namespace, so
 # chainsim.consensus_round_latency.calls reads 0 until ROADMAP item 2 mends that
-from .model import consensus_round_latency, round_base_ms  # noqa: F401
+from .model import consensus_round_latency, round_bases_ms  # noqa: F401
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -47,11 +47,11 @@ MAX_CELLS = 4_000_000
 # 854,700 blocks: 1.6 s, 134 MB peak RSS), so a horizon far beyond this is
 # rejected before the loop starts.
 MAX_BLOCKS = 1_000_000
-# Largest node_count of a profile.  A run's cost grows with its square:
-# round_base_ms sorts N - 1 peers for each of N proposers, and the cpu table
-# holds N cells per window.  A 10 s simulate took 0.25 s at 1000 nodes and
-# 3.2 s at 4000, and at 1000 nodes one round's message handling alone,
-# msg_proc_us * (2N^2 + N), is 4 s on the shipped profile.
+# Largest node_count of a profile.  An [rtt_matrix] holds N^2 entries, parsed
+# and then sorted row by row: a 10 s write simulate at 1000 nodes took 0.32 s
+# with one and 0.10 s without, numpy import included, on one Xeon core.  At
+# 1000 nodes one round's message handling alone, msg_proc_us * (2N^2 + N),
+# is 4002 s on the shipped profile, and the cpu table holds N cells a window.
 MAX_NODES = 1000
 
 
@@ -121,11 +121,6 @@ class ClusterConfig:
         """The nodes that serve reads, round-robin from node 0: all N in
         ``multi`` mode, node 0 alone in ``single`` mode."""
         return self.node_count if self.read_mode == "multi" else 1
-
-    def one_way_ms(self, a: int, b: int) -> float:
-        if self.rtt_matrix_ms is not None:
-            return self.rtt_matrix_ms[a][b] / 2.0
-        return self.rtt_ms / 2.0
 
 
 def _fifo_completions(arrivals: np.ndarray, service_s: float) -> np.ndarray:
@@ -373,7 +368,7 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     commit_times: list[float] = []
     depths: list[int] = []  # pool depth at each proposal
     i_commit = 0          # writes committed so far (FIFO prefix of write_ts)
-    base_ms = [round_base_ms(cluster, p) for p in range(n_nodes)]
+    base_ms = round_bases_ms(cluster)
     capacity = cluster.block_tx_capacity
     exec_us = cluster.write_exec_us
     scan_us = cluster.pool_scan_cost_us_per_tx

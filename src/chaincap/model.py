@@ -1,11 +1,10 @@
 """Closed forms of the cluster model.
 
 The arithmetic of one consensus round, and the capacity it bounds, stated
-once on a :class:`~chaincap.chainsim.ClusterConfig`.  The simulator runs
-the round inline in its block loop; the write search aims two of its
-probes at :func:`capacity_bound`, and the read capacity is that bound
-less the search tolerance.  This module is plain Python and imports no
-numpy.
+once on a :class:`~chaincap.chainsim.ClusterConfig`.  The block loop reads
+each proposer's fixed part from :func:`round_bases_ms` and runs the rest
+inline; the write search aims two probes at :func:`capacity_bound`, and the
+read capacity is that bound less the search tolerance; no numpy is imported.
 
 Message handling is charged in two ways that do not agree.  A round's
 latency charges ``msg_proc_us * (2N^2 + N)``, every message of the round
@@ -31,31 +30,36 @@ def quorum(node_count: int) -> int:
     return 2 * ((node_count - 1) // 3) + 1
 
 
-def round_base_ms(cluster: ClusterConfig, proposer: int) -> float:
-    """The part of a round that depends only on the proposer, in milliseconds.
+def round_bases_ms(cluster: ClusterConfig) -> list[float]:
+    """Each proposer's part of a round that depends on nothing else, in ms.
 
     Three one-way hops at the quorum-th smallest peer latency, plus handling
-    of the round's messages.
+    of the round's messages; without an ``[rtt_matrix]`` all are one value.
     """
     n = cluster.node_count
-    peers = sorted(cluster.one_way_ms(proposer, b) for b in range(n) if b != proposer)
-    hop_ms = peers[quorum(n) - 1]
     # one pre-prepare broadcast (N) plus all-to-all prepare and commit (N^2 each)
     msg_ms = cluster.msg_proc_us * (2 * n * n + n) / 1000.0
-    return 3.0 * hop_ms + msg_ms
+    if cluster.rtt_matrix_ms is None:
+        return [3.0 * (cluster.rtt_ms / 2.0) + msg_ms] * n
+    # halving is monotone, so it may follow the sort
+    return [3.0 * (sorted(row[:p] + row[p + 1:])[quorum(n) - 1] / 2.0) + msg_ms
+            for p, row in enumerate(cluster.rtt_matrix_ms)]
+
+
+def _round_ms(cluster: ClusterConfig, base_ms: float, block_fill: int, pool_depth: int) -> float:
+    return (base_ms + cluster.write_exec_us * block_fill / 1000.0
+            + cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0)
 
 
 def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth: int,
                             proposer: int = 0) -> float:
     """Wall-clock milliseconds for one three-phase round.
 
-    ``round_base_ms`` plus block execution and the proposer's pool scan.
-    Monotone non-decreasing in block_fill and pool_depth.  ``block_fill``
-    must not exceed ``block_tx_capacity``, unchecked.
+    The proposer's ``round_bases_ms`` plus block execution and its pool
+    scan.  Monotone non-decreasing in block_fill and pool_depth.
+    ``block_fill`` must not exceed ``block_tx_capacity``, unchecked.
     """
-    exec_ms = cluster.write_exec_us * block_fill / 1000.0
-    scan_ms = cluster.pool_scan_cost_us_per_tx * pool_depth / 1000.0
-    return round_base_ms(cluster, proposer) + exec_ms + scan_ms
+    return _round_ms(cluster, round_bases_ms(cluster)[proposer], block_fill, pool_depth)
 
 
 def capacity_bound(cluster: ClusterConfig, kind: TxKind) -> float:
@@ -72,6 +76,6 @@ def capacity_bound(cluster: ClusterConfig, kind: TxKind) -> float:
             return math.inf
         return cluster.read_servers * 1e6 / cluster.read_service_us
     full = cluster.block_tx_capacity
-    round_ms = math.fsum(consensus_round_latency(cluster, full, full, p)
-                         for p in range(cluster.node_count)) / cluster.node_count
+    round_ms = math.fsum(_round_ms(cluster, base, full, full)
+                         for base in round_bases_ms(cluster)) / cluster.node_count
     return full * 1000.0 / max(cluster.block_interval_ms, round_ms)

@@ -31,7 +31,7 @@ from chaincap.chainsim import (
     run,
 )
 from chaincap.errors import InputError
-from chaincap.model import consensus_round_latency, quorum, round_base_ms
+from chaincap.model import consensus_round_latency, quorum, round_bases_ms
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 
@@ -229,7 +229,7 @@ class TestConsensusParams:
 
     def test_round_base_is_the_empty_round(self):
         cluster = asymmetric_cluster(7, 700)
-        bases = [round_base_ms(cluster, p) for p in range(7)]
+        bases = round_bases_ms(cluster)
         assert bases == [consensus_round_latency(cluster, 0, 0, p) for p in range(7)]
         assert len(set(bases)) > 1  # the quorum-th peer latency depends on the proposer
 
@@ -590,7 +590,7 @@ class TestWindows:
         # a run past the cap fails before its first round, not after hours of them
         def no_rounds(*args):
             raise AssertionError("no round may be simulated past the block cap")
-        monkeypatch.setattr(chainsim, "round_base_ms", no_rounds)
+        monkeypatch.setattr(chainsim, "round_bases_ms", no_rounds)
         with pytest.raises(InputError, match="block proposals"):
             run(cluster, stream([]), horizon=at_cap * 1.001, window_s=1.0)
 
@@ -604,7 +604,7 @@ class TestWindows:
 
         def no_rounds(*args):
             raise AssertionError("no round may be simulated past the cpu table cap")
-        monkeypatch.setattr(chainsim, "round_base_ms", no_rounds)
+        monkeypatch.setattr(chainsim, "round_bases_ms", no_rounds)
         with pytest.raises(InputError, match="cpu table"):
             run(cluster, stream([]), horizon=at_cap + 1.0, window_s=1.0)
 
@@ -861,9 +861,9 @@ class TestInvariants:
         assert math.fsum(tl.mean_write_latency_ms * committed) == pytest.approx(
             math.fsum(latencies), rel=1e-9), "mean write latency times count is not the latency sum"
         proposers = np.repeat(np.arange(tl.blocks_produced) % cluster.node_count, tl._fills)
-        base_ms = np.array([round_base_ms(cluster, p) for p in range(cluster.node_count)])
+        base_ms = np.array(round_bases_ms(cluster))
         assert np.all(latencies >= base_ms[proposers]), \
-            "a write latency is below its proposer's round_base_ms"
+            "a write latency is below its proposer's round_bases_ms"
         assert np.all((tl.cpu_utilization >= 0.0) & (tl.cpu_utilization <= 1.0)), \
             "a cpu cell lies outside [0, 1]"
         served = tl.read_completions_s <= horizon

@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import re
 import shlex
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chaincap import chainsim
+from chaincap import bench, chainsim
 from chaincap.arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
 from chaincap.bench import (
     DESK_DURATION_S,
@@ -17,6 +23,7 @@ from chaincap.bench import (
     WINDOW_S,
     CampaignSpec,
     CapacityProfile,
+    detect_steady_state,
 )
 from chaincap.chainsim import (
     MAX_CELLS,
@@ -28,6 +35,7 @@ from chaincap.chainsim import (
 )
 from chaincap.cli import PAPER_CAPACITY_PATH, build_parser, main
 from chaincap.errors import CalibrationError, ChaincapError, InputError
+from chaincap.model import capacity_bound
 from chaincap.scenarios import builtin_scenarios, load_scenarios
 
 
@@ -548,7 +556,7 @@ def _no_rounds(*args):
 def test_too_many_blocks_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv):
     # a missing guard fails on the first draw or the first round, not hours later
     monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
-    monkeypatch.setattr(chainsim, "round_base_ms", _no_rounds)
+    monkeypatch.setattr(chainsim, "round_bases_ms", _no_rounds)
     out = tmp_path / "d"
     assert main(argv + ["--out", str(out)]) == 2
     assert "block proposals" in _one_error_line(capsys)
@@ -564,7 +572,7 @@ def test_too_many_nodes_in_profile_exits_2(tmp_path, capsys, monkeypatch, node_c
                                            message):
     # a missing bound fails on the first round, not after N^2 work per proposer
     monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
-    monkeypatch.setattr(chainsim, "round_base_ms", _no_rounds)
+    monkeypatch.setattr(chainsim, "round_bases_ms", _no_rounds)
     profile = tmp_path / "big.ini"
     profile.write_text(f"[config]\nschema_version = 1\n\n[cluster]\nnode_count = {node_count}\n")
     out = tmp_path / "d"
@@ -577,7 +585,7 @@ def test_too_many_nodes_in_profile_exits_2(tmp_path, capsys, monkeypatch, node_c
 def test_too_many_nodes_exits_2_before_searching(tmp_path, capsys, monkeypatch):
     # every node count is checked before the 4-node search runs its first round
     monkeypatch.setattr(ArrivalProcess, "rng", _no_draws)
-    monkeypatch.setattr(chainsim, "round_base_ms", _no_rounds)
+    monkeypatch.setattr(chainsim, "round_bases_ms", _no_rounds)
     out = tmp_path / "d"
     assert main(["capacity", "--kind", "write", "--nodes", f"4,{MAX_NODES + 1}",
                  "--out", str(out)]) == 2
@@ -927,3 +935,59 @@ def small_cluster_file(tmp_path):
         "[config]\nschema_version = 1\n\n[cluster]\nnode_count = 4\n"
         "block_tx_capacity = 70\n")
     return path
+
+
+# --- drawn argv --------------------------------------------------------------
+
+# tokens that are bad for most flags: non-finite, negative, empty, huge, malformed
+BAD_TOKENS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "", "1e309", "9" * 30,
+                              "9" * 5000, "abc", ",", "4,", "4,,5", "0x10", "1e-320", "-0"])
+
+
+def _flag(name, values):
+    """``[name, value]``, mostly with a value drawn from ``values``, else with
+    a bad token; or nothing."""
+    def given_as(tokens):
+        return st.tuples(st.just(name), tokens).map(list)
+    return st.one_of(given_as(values), given_as(values), given_as(BAD_TOKENS), st.just([]))
+
+
+CAPACITY_ARGV = st.tuples(
+    _flag("--kind", st.sampled_from(["read", "write", "both"])),
+    _flag("--nodes", st.lists(st.sampled_from([3, 4, 5, 7, 10, MAX_NODES, MAX_NODES + 1]),
+                              min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns)))),
+    _flag("--duration", st.one_of(st.sampled_from(["10", "60", "10.5", "9", "1e5", "1e6"]),
+                                  st.floats(allow_nan=False).map(repr))),
+    _flag("--seed", st.integers(-1, 2**64).map(str)),
+    _flag("--arrival", st.sampled_from([a.value for a in ArrivalKind])),
+).map(lambda flags: ["capacity"] + [token for flag in flags for token in flag])
+
+
+def _fluid_trial(cluster, kind, arrival_kind, lam, duration_s, seed, draws=None):
+    """A trial that serves the offered rate up to the capacity bound."""
+    tps = min(lam, capacity_bound(cluster, kind))
+    return SimpleNamespace(mean_tps=tps, steady=detect_steady_state(lam, tps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=CAPACITY_ARGV)
+def test_drawn_capacity_argv_exits_cleanly(argv):
+    # each draw exits 0, 2 or 3 with one stderr line, which argparse prefixes
+    # with its usage lines; a RuntimeWarning or any exception out of main fails
+    err = io.StringIO()
+    with mock.patch.object(bench, "run_trial", _fluid_trial), \
+            mock.patch.object(bench.UnitDraws, "reserve", lambda *args: None), \
+            warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code, prefix = main(argv), "error: "
+        except SystemExit as exc:  # argparse rejects the command line
+            code, prefix = exc.code, "chaincap capacity: error: "
+    lines = err.getvalue().splitlines()
+    if prefix != "error: ":
+        assert lines[0].startswith("usage: ") and all(line.startswith(" ") for line in lines[1:-1])
+        lines = lines[-1:]
+    assert code in (0, 2, 3), (argv, code, lines)
+    assert len(lines) == (code != 0), (argv, lines)
+    assert code == 0 or lines[0].startswith(prefix), (argv, lines)

@@ -15,7 +15,7 @@ import chaincap
 from chaincap.arrival import ArrivalKind, TxKind
 from chaincap.bench import BOUND_MARGIN, run_trial
 from chaincap.chainsim import default_cluster, load_cluster
-from chaincap.model import capacity_bound, consensus_round_latency, round_base_ms
+from chaincap.model import capacity_bound, consensus_round_latency, round_bases_ms
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 
@@ -36,7 +36,7 @@ def test_write_bound_averages_the_round_over_proposers():
     # per-pair RTTs give each proposer its own round; a full block's round
     # adds execution and the scan of a pool of one full block
     cluster = asymmetric_cluster()
-    bases = [round_base_ms(cluster, p) for p in range(4)]
+    bases = round_bases_ms(cluster)
     assert len(set(bases)) == 4
     round_ms = sum(bases) / 4 + (537.3 + 19.73) * 700 / 1000
     assert capacity_bound(cluster, TxKind.WRITE) == pytest.approx(700_000 / round_ms, rel=1e-12)
@@ -52,14 +52,36 @@ def fmean_write_bound(cluster):
 
 
 @pytest.mark.parametrize("cluster", [
-    *(replace(default_cluster(), node_count=n) for n in range(4, 11)),
+    *(replace(default_cluster(), node_count=n) for n in (*range(4, 11), 1000)),
     asymmetric_cluster(),
     replace(default_cluster(), block_interval_ms=2000.0),
-], ids=[*(f"nodes-{n}" for n in range(4, 11)), "asymmetric", "paced"])
+], ids=[*(f"nodes-{n}" for n in (*range(4, 11), 1000)), "asymmetric", "paced"])
 def test_write_bound_equals_the_fmean_of_the_rounds_bit_for_bit(cluster):
     # the model sums with math.fsum and divides by N, as fmean does, without
     # importing statistics
     assert capacity_bound(cluster, TxKind.WRITE).hex() == fmean_write_bound(cluster).hex()
+
+
+@pytest.mark.parametrize("node_count", [4, 7, 10])
+def test_a_constant_rtt_matrix_gives_the_bases_of_rtt_ms(node_count):
+    cluster = replace(default_cluster(), node_count=node_count)
+    matrix = tuple(tuple(0.0 if a == b else cluster.rtt_ms for b in range(node_count))
+                   for a in range(node_count))
+    bases = round_bases_ms(cluster)
+    assert len(bases) == node_count
+    assert [b.hex() for b in round_bases_ms(replace(cluster, rtt_matrix_ms=matrix))] == \
+        [b.hex() for b in bases]
+
+
+def test_the_bound_sorts_no_peers_without_a_matrix(monkeypatch):
+    # every peer is rtt_ms / 2 away, so no proposer's peers need sorting
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a profile without a matrix sorted its peers")
+    cluster = replace(default_cluster(), node_count=1000)
+    monkeypatch.setattr(chaincap.model, "sorted", no_sort, raising=False)
+    # 45 ms of hops, 4002 s of messages, and a full block's execution and scan
+    round_ms = 45.0 + 2000.0 * (2 * 1000**2 + 1000) / 1000 + 378.0 + 14.0
+    assert capacity_bound(cluster, TxKind.WRITE) == pytest.approx(700_000 / round_ms, rel=1e-12)
 
 
 def test_write_bound_is_paced_by_a_longer_block_interval():
