@@ -254,8 +254,6 @@ def run_trial(cluster: ClusterConfig, kind: TxKind, arrival_kind: ArrivalKind,
 
     ``draws``, if given, holds ``seed``'s unit-rate epochs shared with other trials.
     """
-    if lam <= 0:
-        raise InputError("trial rate must be > 0")
     process = ArrivalProcess(kind=arrival_kind, rate=lam, seed=seed)
     events = generate_events(process, kind, duration_s, draws=draws)
     return Trial(kind, lam, seed, run(cluster, events, horizon=duration_s, window_s=WINDOW_S))

@@ -31,7 +31,7 @@ from .bench import (
     STEADY_TOLERANCE,
     WINDOW_S,
     # uncalled here; perfbench/spans.py wraps this name, so bench.probes reads 0
-    # until ROADMAP item 2 moves that patch point into bench
+    # until ROADMAP item 26 moves that patch point into bench
     find_max_lambda,  # noqa: F401
     run_campaign,
     sweep_nodes,
@@ -59,8 +59,10 @@ class OutputDir:
     before writing anything leaves no directory behind.
     """
 
-    def __init__(self, out_dir: Path, argv: list[str], seeds: dict):
-        self.dir = out_dir
+    def __init__(self, out_dir: str, argv: list[str], seeds: dict):
+        if not out_dir:
+            raise InputError("--out must name a directory, got ''")
+        self.dir = Path(out_dir)
         self.argv = argv
         self.seeds = seeds
         self.inputs: dict[str, str] = {}
@@ -158,18 +160,6 @@ def _load_catalog_arg(args, manifest: OutputDir | None = None):
     return builtin_scenarios()
 
 
-def _output_dir(args, seeds: dict) -> OutputDir | None:
-    """The OutputDir named by --out, or None if it is not given."""
-    return OutputDir(Path(args.out), args.argv, seeds) if args.out else None
-
-
-def _required_output_dir(args, seeds: dict) -> OutputDir:
-    manifest = _output_dir(args, seeds)
-    if manifest is None:
-        raise InputError("an output directory is required (--out)")
-    return manifest
-
-
 def _parse_list(raw: str | None, conv, flag: str) -> list:
     """A comma-separated option value as a list of ``conv`` values."""
     if not raw:
@@ -235,7 +225,7 @@ def cmd_scenarios(args) -> int:
 # --- simulate --------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    manifest = _required_output_dir(args, seeds={"seed": args.seed})
+    manifest = OutputDir(args.out, args.argv, seeds={"seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     process = ArrivalProcess(kind=ArrivalKind(args.arrival),
                              rate=check_rate(args.rate, "--lambda"), seed=args.seed)
@@ -258,7 +248,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_capacity(args) -> int:
     node_counts = _parse_list(args.nodes, int, "--nodes")
-    manifest = _output_dir(args, seeds={"base_seed": args.seed})
+    # an empty --out, like none, prints the JSON
+    manifest = OutputDir(args.out, args.argv, {"base_seed": args.seed}) if args.out else None
     cluster = _load_cluster_arg(args, manifest)
     if cluster.rtt_matrix_ms is not None and set(node_counts) - {cluster.node_count}:
         raise InputError(f"--nodes {args.nodes} cannot rescope the profile's "
@@ -319,7 +310,7 @@ def write_plot_data_csv(manifest: OutputDir, spec: CampaignSpec, aggregates) -> 
 
 
 def cmd_campaign(args) -> int:
-    manifest = _required_output_dir(args, seeds={"base_seed": args.seed})
+    manifest = OutputDir(args.out, args.argv, seeds={"base_seed": args.seed})
     cluster = _load_cluster_arg(args, manifest)
     rates = tuple(_parse_list(args.rates, float, "--rates"))
     if args.trials < 1:
@@ -328,12 +319,13 @@ def cmd_campaign(args) -> int:
                         arrival_kind=ArrivalKind(args.arrival), trials=args.trials,
                         duration_s=args.duration, base_seed=args.seed)
     trials, aggregates = run_campaign(spec)
-    if not rates:
-        print("warning: empty rate list, vacuous campaign", file=sys.stderr)
     write_campaign_csv(manifest, spec, trials)
     manifest.write_json("campaign.json", campaign_json_dict(spec, aggregates))
     write_plot_data_csv(manifest, spec, aggregates)
     manifest.finish()
+    # warned of once nothing more can fail, so that a failure prints its error alone
+    if not rates:
+        print("warning: empty rate list, vacuous campaign", file=sys.stderr)
     print(f"wrote campaign results to {manifest.dir}")
     return 0
 
@@ -360,18 +352,16 @@ def _load_capacity(args, manifest: OutputDir | None) -> CapacityProfile:
 def cmd_assess(args) -> int:
     from .assess import methodology_report, render_report_text
 
-    manifest = _required_output_dir(args, seeds={} if args.capacity else {"base_seed": args.seed})
+    manifest = OutputDir(args.out, args.argv,
+                         seeds={} if args.capacity else {"base_seed": args.seed})
     catalog = _load_catalog_arg(args, manifest)
     capacity = _load_capacity(args, manifest)
 
+    skipped = []
     if args.scenario == "all":
         specs = []
         for spec in catalog.values():
-            if args.eta is None and spec.default_eta is None:
-                print(f"warning: skipping {spec.id}: eta required and no "
-                      "default is shipped", file=sys.stderr)
-                continue
-            specs.append(spec)
+            (skipped if args.eta is None and spec.default_eta is None else specs).append(spec)
     else:
         specs = [_lookup_scenario(catalog, args.scenario)]
 
@@ -392,13 +382,25 @@ def cmd_assess(args) -> int:
               f"(lambda_read={am['lambda_read']}, lambda_write={am['lambda_write']})")
     manifest.write_csv("summary.csv", columns, summary_rows)
     manifest.finish()
+    # named once nothing more can fail, so that a failure prints its error alone
+    for spec in skipped:
+        print(f"warning: skipping {spec.id}: eta required and no default is shipped",
+              file=sys.stderr)
     return 0
 
 
 # --- parser ----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects a command line with an InputError, which main reports as it
+    reports any bad input, instead of argparse's usage lines and exit."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaincap",
         description="Capacity assessment for consortium-blockchain 6G workloads.")
     parser.add_argument("--version", action="version", version=f"chaincap {__version__}")
@@ -412,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="cluster profile file (INI); default: shipped profile")
     run_opts.add_argument("--seed", type=int,
                           help="base seed (default 0); assess takes none beside --capacity")
-    run_opts.add_argument("--out", help="output directory")
     trial_opts = argparse.ArgumentParser(add_help=False)
     trial_opts.add_argument("--arrival", choices=[a.value for a in ArrivalKind],
                             default=ArrivalKind.POISSON.value)
@@ -432,6 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="rate", type=float, required=True,
                    help="offered arrival rate (tx/s)")
     p.add_argument("--window", type=float, default=WINDOW_S, help="metrics window (s)")
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("capacity", parents=[run_opts, trial_opts],
@@ -440,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "output directory, print the capacity JSON.")
     p.add_argument("--kind", choices=kinds + ["both"], required=True)
     p.add_argument("--nodes", help="comma-separated node counts, e.g. 4,5,6,7")
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("campaign", parents=[run_opts, trial_opts],
@@ -448,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", help="comma-separated offered rates")
     p.add_argument("--trials", type=int, default=DESK_TRIALS,
                    help="trials per rate; the paper's protocol is --trials 5 --duration 600")
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("assess", parents=[run_opts, catalog_opts],
@@ -457,22 +461,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", help="capacity profile JSON (e.g. the shipped paper.json); "
                                       "searched on --cluster when not given")
     p.add_argument("--text", action="store_true", help="print full methodology reports")
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_assess)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = sys.argv[1:] if argv is None else argv
-    # an omitted --seed is 0, except beside assess --capacity, where no search runs
-    if getattr(args, "seed", 0) is None and not getattr(args, "capacity", None):
-        args.seed = 0
-    if args.command == "scenarios" and (args.action == "show") != bool(args.id):
-        parser.error("scenarios show requires an id" if args.action == "show"
-                     else f"scenarios list takes no id, got {args.id!r}")
     try:
+        args = build_parser().parse_args(argv)
+        args.argv = sys.argv[1:] if argv is None else argv
+        # an omitted --seed is 0, except beside assess --capacity, where no search runs
+        if getattr(args, "seed", 0) is None and not getattr(args, "capacity", None):
+            args.seed = 0
+        if args.command == "scenarios" and (args.action == "show") != bool(args.id):
+            raise InputError("scenarios show requires an id" if args.action == "show"
+                             else f"scenarios list takes no id, got {args.id!r}")
         return args.func(args)
     except ChaincapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -41,6 +42,7 @@ from chaincap.scenarios import builtin_scenarios, load_scenarios
 
 # one write per block: the first probe of a write search is never steady
 SLOW_CLUSTER = Path(__file__).parent / "data" / "slow_cluster.ini"
+ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 # the catalog's ids in catalog order, as the unknown-id error lists them
 KNOWN_IDS = ("public_key_mgmt, id_mgmt, aaa, context_info, data_mgmt_trading, "
              "resource_sharing, trading_settlement")
@@ -85,12 +87,10 @@ class TestScenariosCommand:
         assert "when:" in out
 
     def test_list_with_an_id_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["scenarios", "list", "aaa"])
-        assert excinfo.value.code == 2
+        assert main(["scenarios", "list", "aaa"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "scenarios list takes no id, got 'aaa'" in captured.err
+        assert captured.err == "error: scenarios list takes no id, got 'aaa'\n"
 
 
 class TestSimulateCommand:
@@ -191,7 +191,8 @@ class TestSimulateCommand:
         # the output directory is --out alone; an environment variable is not read
         monkeypatch.setenv("CHAINCAP_OUT", str(tmp_path / "envout"))
         assert main(["simulate", "--kind", "write", "--lambda", "10"]) == 2
-        assert _one_error_line(capsys).strip() == "error: an output directory is required (--out)"
+        assert _one_error_line(capsys) == ("error: chaincap simulate: the following arguments "
+                                           "are required: --out\n")
         assert not (tmp_path / "envout").exists()
 
 
@@ -242,10 +243,9 @@ class TestCapacityCommand:
     ], ids=["write", "read", "both", "write-tolerance", "read-tolerance", "both-tolerance"])
     def test_start_is_a_usage_error(self, capsys, kind, option):
         # the write search's first probe and its tolerance are constants
-        with pytest.raises(SystemExit) as excinfo:
-            main(["capacity", "--kind", kind, *option])
-        assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert main(["capacity", "--kind", kind, *option]) == 2
+        assert _one_error_line(capsys) == (f"error: chaincap: unrecognized arguments: "
+                                           f"{' '.join(option)}\n")
 
     # below about 2e-302 us, N / read_service_us overflows to inf as well
     @pytest.mark.parametrize("argv,service_us", [
@@ -434,10 +434,8 @@ class TestAssessCommand:
         out = tmp_path / "a"
         assert main(["assess", "--capacity", str(PAPER_CAPACITY_PATH), *argv,
                      "--out", str(out)]) == 2
-        # --scenario all also warns about each scenario it skips
-        err = [line for line in capsys.readouterr().err.splitlines()
-               if not line.startswith("warning: skipping")]
-        assert len(err) == 1 and err[0].startswith("error: aaa: eta ")
+        # --scenario all warns of the scenarios it skips only once it succeeds
+        assert _one_error_line(capsys).startswith("error: aaa: eta ")
         assert not out.exists()
 
     def test_non_numeric_override_eta_exits_2(self, tmp_path, capsys):
@@ -506,6 +504,31 @@ def test_failed_command_leaves_no_output_dir(tmp_path, argv):
     out = tmp_path / "d"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "write", "--lambda", "10"],
+    ["campaign", "--kind", "write", "--rates", "400"],
+    ["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH)],
+])
+def test_empty_out_names_no_directory(tmp_path, monkeypatch, capsys, argv):
+    # the parser requires --out, but an empty value would write into the cwd
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", ""]) == 2
+    assert _one_error_line(capsys) == "error: --out must name a directory, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--kind", "write", "--duration", "10"],  # warns of its empty rate list
+    ["assess", "--scenario", "all", "--capacity", str(PAPER_CAPACITY_PATH)],  # of skips
+])
+def test_a_command_that_would_warn_prints_only_its_error_when_it_fails(tmp_path, capsys,
+                                                                        argv):
+    taken = tmp_path / "file"
+    taken.touch()
+    assert main(argv + ["--out", str(taken / "out")]) == 2
+    assert "cannot create output directory" in _one_error_line(capsys)
 
 
 def _no_draws(self):
@@ -655,10 +678,10 @@ def test_parser_defaults_are_the_bench_constants():
     parser = build_parser()
     capacity = parser.parse_args(["capacity", "--kind", "write"])
     assert capacity.duration == DESK_DURATION_S
-    simulate = parser.parse_args(["simulate", "--kind", "write", "--lambda", "1"])
+    simulate = parser.parse_args(["simulate", "--kind", "write", "--lambda", "1", "--out", "o"])
     assert simulate.window == WINDOW_S
     assert simulate.arrival == ArrivalKind.POISSON.value
-    campaign = parser.parse_args(["campaign", "--kind", "write"])
+    campaign = parser.parse_args(["campaign", "--kind", "write", "--out", "o"])
     assert campaign.trials == DESK_TRIALS
     # the library's campaign shape and the command's are one default
     spec_defaults = {f.name: f.default for f in dataclasses.fields(CampaignSpec)}
@@ -942,52 +965,149 @@ def small_cluster_file(tmp_path):
 # tokens that are bad for most flags: non-finite, negative, empty, huge, malformed
 BAD_TOKENS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "", "1e309", "9" * 30,
                               "9" * 5000, "abc", ",", "4,", "4,,5", "0x10", "1e-320", "-0"])
+# a campaign runs every trial it is given: 10**30 of them would never end
+TRIAL_TOKENS = BAD_TOKENS.filter(lambda token: token != "9" * 30)
 
 
-def _flag(name, values):
+def _flag(name, values, bad=BAD_TOKENS):
     """``[name, value]``, mostly with a value drawn from ``values``, else with
     a bad token; or nothing."""
     def given_as(tokens):
         return st.tuples(st.just(name), tokens).map(list)
-    return st.one_of(given_as(values), given_as(values), given_as(BAD_TOKENS), st.just([]))
+    return st.one_of(given_as(values), given_as(values), given_as(values), given_as(bad),
+                     st.just([]))
 
 
-CAPACITY_ARGV = st.tuples(
+def _positional(values):
+    """``[value]``, drawn as :func:`_flag` draws a flag's value; or nothing."""
+    return _flag("", values).map(lambda tokens: tokens[1:])
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def _argv(command, *flags):
+    """``[command, ...]`` with each drawn flag's tokens in turn."""
+    return st.tuples(*flags).map(lambda drawn: [command] + [t for flag in drawn for t in flag])
+
+
+# paths under "{tmp}", a fresh directory per draw that holds OVERRIDES and a
+# file named "file", under which no output directory can be made
+OVERRIDES = "[config]\nschema_version = 1\n\n[scenario:aaa]\neta = 50\n"
+SEED_FLAG = _flag("--seed", st.integers(-1, 2**64).map(str))
+ARRIVAL_FLAG = _flag("--arrival", st.sampled_from([a.value for a in ArrivalKind]))
+CLUSTER_FLAG = _flag("--cluster", st.sampled_from([str(SLOW_CLUSTER), str(ASYMMETRIC_CLUSTER)]))
+OVERRIDES_FLAG = _flag("--overrides", st.just("{tmp}/overrides.ini"))
+OUT_FLAG = st.sampled_from([["--out", "{tmp}/out"]] * 3
+                           + [[], ["--out", ""], ["--out", "{tmp}/file/out"]])
+KIND_FLAG = _flag("--kind", st.sampled_from([k.value for k in TxKind]))
+
+CAPACITY_ARGV = _argv(
+    "capacity",
     _flag("--kind", st.sampled_from(["read", "write", "both"])),
     _flag("--nodes", st.lists(st.sampled_from([3, 4, 5, 7, 10, MAX_NODES, MAX_NODES + 1]),
                               min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns)))),
     _flag("--duration", st.one_of(st.sampled_from(["10", "60", "10.5", "9", "1e5", "1e6"]),
                                   st.floats(allow_nan=False).map(repr))),
-    _flag("--seed", st.integers(-1, 2**64).map(str)),
-    _flag("--arrival", st.sampled_from([a.value for a in ArrivalKind])),
-).map(lambda flags: ["capacity"] + [token for flag in flags for token in flag])
+    SEED_FLAG, ARRIVAL_FLAG)
+
+# simulate draws real streams, so its valid rates and durations are small:
+# an idle 1e5 s run alone takes over a second
+SIMULATE_ARGV = _argv(
+    "simulate", KIND_FLAG,
+    _flag("--lambda", st.one_of(st.sampled_from(["0", "1e-320"]),
+                                st.floats(0, 3000).map(repr))),
+    _flag("--duration", st.sampled_from(["1", "10", "20", "0.5"])),
+    _flag("--window", st.sampled_from(["1", "0.5", "2.5", "0.1"])),
+    SEED_FLAG, ARRIVAL_FLAG, CLUSTER_FLAG, OUT_FLAG)
+
+CAMPAIGN_ARGV = _argv(
+    "campaign", KIND_FLAG,
+    _flag("--rates", st.lists(st.sampled_from(["0", "1", "400", "1400", "2800", "1e-320"]),
+                              max_size=3).map(",".join)),
+    _flag("--trials", st.integers(-1, 3).map(str), bad=TRIAL_TOKENS),
+    _flag("--duration", st.sampled_from(["10", "60", "10.5", "9", "1e5", "1e6"])),
+    SEED_FLAG, ARRIVAL_FLAG, CLUSTER_FLAG, OUT_FLAG)
+
+ASSESS_ARGV = _argv(
+    "assess",
+    _flag("--scenario", st.sampled_from([*builtin_scenarios(), "all", "aab"])),
+    _flag("--eta", st.one_of(st.sampled_from(["0", "50", "1e300"]),
+                             st.floats(0, 1e4).map(repr))),
+    # --capacity takes the place of a search, and so of --seed and --cluster
+    st.one_of(_flag("--capacity", st.just(str(PAPER_CAPACITY_PATH))),
+              st.tuples(SEED_FLAG, CLUSTER_FLAG).map(lambda flags: flags[0] + flags[1])),
+    OVERRIDES_FLAG, _switch("--text"), OUT_FLAG)
+
+SCENARIOS_ARGV = _argv(
+    "scenarios",
+    _positional(st.sampled_from(["list", "show"])),
+    _positional(st.sampled_from([*builtin_scenarios(), "aab"])),
+    _switch("--json"), OVERRIDES_FLAG)
 
 
 def _fluid_trial(cluster, kind, arrival_kind, lam, duration_s, seed, draws=None):
     """A trial that serves the offered rate up to the capacity bound."""
     tps = min(lam, capacity_bound(cluster, kind))
-    return SimpleNamespace(mean_tps=tps, steady=detect_steady_state(lam, tps))
+    steady = detect_steady_state(lam, tps)
+    summary = bench.TrialSummary(lam, tps, 0.0, 0.0, steady, seed)
+    return SimpleNamespace(mean_tps=tps, steady=steady, summary=lambda: summary)
+
+
+def _exits_cleanly(argv, stub_trials=True):
+    """main(argv) exits 0, 2 or 3: a failure with one ``error:`` line on
+    stderr, a success with ``warning:`` lines at most.  A RuntimeWarning or
+    any exception out of main fails.  With ``stub_trials``, every trial is
+    fluid and draws nothing."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        Path(tmp, "file").touch()
+        Path(tmp, "overrides.ini").write_text(OVERRIDES)
+        argv = [token.replace("{tmp}", tmp) for token in argv]
+        if stub_trials:
+            stack.enter_context(mock.patch.object(bench, "run_trial", _fluid_trial))
+            stack.enter_context(mock.patch.object(bench.UnitDraws, "reserve",
+                                                  lambda *args: None))
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("error", RuntimeWarning)
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2, 3), (argv, code, lines)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    else:
+        assert all(line.startswith("warning: ") for line in lines), (argv, lines)
 
 
 @settings(max_examples=150, deadline=None)
 @given(argv=CAPACITY_ARGV)
 def test_drawn_capacity_argv_exits_cleanly(argv):
-    # each draw exits 0, 2 or 3 with one stderr line, which argparse prefixes
-    # with its usage lines; a RuntimeWarning or any exception out of main fails
-    err = io.StringIO()
-    with mock.patch.object(bench, "run_trial", _fluid_trial), \
-            mock.patch.object(bench.UnitDraws, "reserve", lambda *args: None), \
-            warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code, prefix = main(argv), "error: "
-        except SystemExit as exc:  # argparse rejects the command line
-            code, prefix = exc.code, "chaincap capacity: error: "
-    lines = err.getvalue().splitlines()
-    if prefix != "error: ":
-        assert lines[0].startswith("usage: ") and all(line.startswith(" ") for line in lines[1:-1])
-        lines = lines[-1:]
-    assert code in (0, 2, 3), (argv, code, lines)
-    assert len(lines) == (code != 0), (argv, lines)
-    assert code == 0 or lines[0].startswith(prefix), (argv, lines)
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=SIMULATE_ARGV)
+def test_drawn_simulate_argv_exits_cleanly(argv):
+    # generate_times reads the epochs that UnitDraws.reserve returns
+    _exits_cleanly(argv, stub_trials=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=CAMPAIGN_ARGV)
+def test_drawn_campaign_argv_exits_cleanly(argv):
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=ASSESS_ARGV)
+def test_drawn_assess_argv_exits_cleanly(argv):
+    _exits_cleanly(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=SCENARIOS_ARGV)
+def test_drawn_scenarios_argv_exits_cleanly(argv):
+    _exits_cleanly(argv)
