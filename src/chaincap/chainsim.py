@@ -63,7 +63,7 @@ class ClusterConfig:
     knobs are set so that on 4 nodes the write capacity bound,
     ``model.capacity_bound``, lies within 2% of the paper's 1400 write tps
     and the multi-node read service limit within 2% of its 20500 read tps
-    (see scripts/calibrate.py).
+    (see tests/test_calibrate.py).
     A profile is checked when built, so an invalid one raises
     :class:`InputError` from the constructor or ``dataclasses.replace``.
     """

@@ -248,8 +248,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_capacity(args) -> int:
     node_counts = _parse_list(args.nodes, int, "--nodes")
-    # an empty --out, like none, prints the JSON
-    manifest = OutputDir(args.out, args.argv, {"base_seed": args.seed}) if args.out else None
+    manifest = (OutputDir(args.out, args.argv, {"base_seed": args.seed})
+                if args.out is not None else None)
     cluster = _load_cluster_arg(args, manifest)
     if cluster.rtt_matrix_ms is not None and set(node_counts) - {cluster.node_count}:
         raise InputError(f"--nodes {args.nodes} cannot rescope the profile's "

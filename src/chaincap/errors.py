@@ -14,8 +14,6 @@ class InputError(ChaincapError, ValueError):
 
 class CalibrationError(ChaincapError, RuntimeError):
     """A capacity is not borne out (exit 3): a write search's first probe is
-    unsteady, a read capacity bound is not confirmed by its two probes, or
-    the capacity bound at a knob ``scripts/calibrate.py`` solved misses its
-    target."""
+    unsteady, or a read capacity bound is not confirmed by its two probes."""
 
     exit_code = 3

@@ -290,6 +290,12 @@ class TestRunCampaign:
         trials, _ = run_campaign(spec(SEED_LIMIT - 3, 3))
         assert trials[-1].seed == SEED_LIMIT - 1
 
+    def test_trials_must_be_positive(self):
+        # the CLI names --trials first; this guards library callers
+        with pytest.raises(InputError, match=r"^trials must be >= 1, got 0$"):
+            CampaignSpec(cluster=default_cluster(), kind=TxKind.WRITE, rates=(400.0,),
+                         trials=0)
+
     def test_repeated_rate_rejected(self):
         # a repeated rate would run trial i twice at seed base_seed + i
         with pytest.raises(InputError, match="distinct"):
@@ -427,6 +433,12 @@ class TestFindMaxLambda:
         monkeypatch.setattr(bench, "run_trial", _no_trial)
         with pytest.raises(InputError, match=f"give a --duration of at most {longest} s$"):
             find_max_lambda(default_cluster(), TxKind.READ, duration_s=20.0)
+
+    def test_a_quotient_rounded_up_gives_one_window_less(self):
+        # 30,000,000 / 909090.90...92 rounds to 33.0, but 33 windows at that
+        # rate expect 30000000.000000004 events, past the cap, and 32 fit
+        with pytest.raises(InputError, match="give a --duration of at most 32 s$"):
+            bench._check_probe(default_cluster(), TxKind.READ, 909090.9090909092, 60.0)
 
 
 class TestBoundRungs:

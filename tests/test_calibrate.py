@@ -1,99 +1,81 @@
-"""scripts/calibrate.py checks each knob against ``model.capacity_bound``.
+"""The calibrator: the shipped cost knobs meet the paper's two capacities.
 
-No other test imports the script, so it is loaded from its file, as
-tests/test_perfbench_contract.py loads perfbench/spans.py.
+Targets: the 4-node write and multi-node read capacities of the shipped
+reference endpoints, src/chaincap/data/paper.json.  Each endpoint calibrates
+one closed form of ``model.capacity_bound``: the write endpoint the fluid
+bound, a full block per block cycle, through ``write_exec_us``; the read
+endpoint the nodes' service limit, N / read service time, through
+``read_service_us``.  A shipped knob whose bound lies more than ``REL_TOL``
+off its target fails, naming the value ``solve`` finds, to freeze into the
+``ClusterConfig`` defaults in src/chaincap/chainsim.py.
 """
 
-import importlib.util
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-from chaincap import bench
 from chaincap.arrival import TxKind
+from chaincap.chainsim import default_cluster
 from chaincap.cli import PAPER_CAPACITY_PATH, main
 from chaincap.model import capacity_bound
 
-CALIBRATE_PATH = Path(__file__).resolve().parent.parent / "scripts" / "calibrate.py"
+REL_TOL = 0.02
+PAPER = json.loads(PAPER_CAPACITY_PATH.read_text())
+KNOBS = [("write_exec_us", TxKind.WRITE, PAPER["max_lambda_write"]),
+         ("read_service_us", TxKind.READ, PAPER["max_lambda_read"])]
 
 
-def _load_calibrate():
-    spec = importlib.util.spec_from_file_location("calibrate_script", CALIBRATE_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def solve(cluster, field, kind, target):
+    """The cost knob ``field`` at which ``capacity_bound`` is ``target``: 1/bound
+    is affine in either knob (in ``write_exec_us`` while a full round outlasts
+    ``block_interval_ms``), so its values at two points fix the line."""
+    value = getattr(cluster, field)
+    inv = 1.0 / capacity_bound(cluster, kind)
+    slope = 1.0 / capacity_bound(replace(cluster, **{field: value + 1.0}), kind) - inv
+    return value + (1.0 / target - inv) / slope
 
 
-calibrate = _load_calibrate()
+@pytest.mark.parametrize("field,kind,target", KNOBS, ids=["write", "read"])
+def test_shipped_knob_bound_lies_within_tolerance(field, kind, target):
+    # bounds of 1375.2 write/s and 20512.8 read/s lie within 2% of 1400 and 20500
+    shipped = default_cluster()
+    bound = capacity_bound(shipped, kind)
+    assert abs(bound - target) / target <= REL_TOL, (
+        f"{field} = {getattr(shipped, field)} gives bound {bound:.1f}, more than "
+        f"{REL_TOL:.0%} off {target:.0f}; freeze {field} = "
+        f"{solve(shipped, field, kind, target):.1f} into the ClusterConfig defaults")
 
 
-@pytest.mark.parametrize("option", [["--seed", "0"], ["--duration", "60"]])
-def test_any_option_is_a_usage_error(capsys, option):
-    with pytest.raises(SystemExit) as exc:
-        calibrate.main(option)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
-
-
-def _no_simulation(*args, **kwargs):
-    raise AssertionError("the calibrator runs no simulation")
-
-
-def test_shipped_profile_within_tolerance_is_printed_unchanged(capsys, monkeypatch):
-    # bounds of 1375.2 write/s and 20512.8 read/s lie within 2% of 1400 and
-    # 20500, so neither knob moves, and two runs print the same bytes
-    monkeypatch.setattr(bench, "run_trial", _no_simulation)
-    assert calibrate.main([]) == 0
-    out = capsys.readouterr().out
-    assert "  write_exec_us=540.000 -> bound 1375.2\n" in out
-    assert "  write_exec_us = 540.0   (bound 1375.2)\n" in out
-    assert "  read_service_us = 195.0   (bound 20512.8)\n" in out
-    assert out.count(" -> bound ") == 2
-    assert calibrate.main([]) == 0
-    assert capsys.readouterr().out == out
-
-
-@pytest.mark.parametrize("field,value,frozen,other", [
-    ("write_exec_us", 800.0, "  write_exec_us = 527.1   (bound 1400.0)\n",
-     "  read_service_us = 195.0   (bound 20512.8)\n"),
-    ("read_service_us", 300.0, "  read_service_us = 195.1   (bound 20500.0)\n",
-     "  write_exec_us = 540.0   (bound 1375.2)\n"),
+@pytest.mark.parametrize("field,kind,target,value,solved", [
+    (*KNOBS[0], 800.0, "527.1"),
+    (*KNOBS[1], 300.0, "195.1"),
 ], ids=["write", "read"])
-def test_knob_off_target_is_solved(capsys, monkeypatch, field, value, frozen, other):
-    # far off target, the knob is solved so that its bound meets the target;
-    # the other knob is left as it is
-    shipped = calibrate.default_cluster()
-    monkeypatch.setattr(calibrate, "default_cluster",
-                        lambda: replace(shipped, **{field: value}))
-    assert calibrate.main([]) == 0
-    out = capsys.readouterr().out
-    assert f"  {field}={value:.3f} -> bound " in out
-    assert out.count(f"  {field}=") == 2
-    assert frozen in out and other in out
+def test_knob_off_target_is_solved(field, kind, target, value, solved):
+    # far off target, the knob is solved so that its bound meets the target
+    cluster = replace(default_cluster(), **{field: value})
+    knob = solve(cluster, field, kind, target)
+    assert f"{knob:.1f}" == solved
+    assert capacity_bound(replace(cluster, **{field: knob}), kind) == pytest.approx(target)
 
 
-def test_solved_knob_that_misses_its_target_exits_3(capsys, monkeypatch):
+def test_solve_misses_a_target_across_a_paced_round():
     # a 520 ms block interval paces the solved knob's round, so 1/bound is not
     # affine across the solve: 527.1 gives 700 writes per 520 ms, not 1400/s
-    shipped = calibrate.default_cluster()
-    paced = replace(shipped, write_exec_us=600.0, block_interval_ms=520.0)
+    paced = replace(default_cluster(), write_exec_us=600.0, block_interval_ms=520.0)
     assert capacity_bound(paced, TxKind.WRITE) == pytest.approx(1270.4, abs=0.05)
-    monkeypatch.setattr(calibrate, "default_cluster", lambda: paced)
-    assert calibrate.main([]) == 3
-    err = capsys.readouterr().err
-    assert err == ("error: write_exec_us = 527.1, solved from capacity_bound for a target "
-                   "of 1400, gives bound 1346.2, more than 2% off\n")
+    knob = solve(paced, "write_exec_us", TxKind.WRITE, 1400.0)
+    assert f"{knob:.1f}" == "527.1"
+    bound = capacity_bound(replace(paced, write_exec_us=knob), TxKind.WRITE)
+    assert bound == pytest.approx(1346.2, abs=0.05)
 
 
 def test_simulated_endpoints_lie_within_tolerance(tmp_path, capsys):
     # the capacity searches on the shipped profile read 1374.6 write/s and
     # 20307.7 read/s at seed 0; a change to the arrival stream, the simulator
     # or the search that takes either more than 2% off its target fails here
-    paper = json.loads(PAPER_CAPACITY_PATH.read_text())
     assert main(["capacity", "--kind", "both", "--seed", "0", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     simulated = json.loads((tmp_path / "capacity.json").read_text())
     for key in ("max_lambda_write", "max_lambda_read"):
-        assert abs(simulated[key] - paper[key]) / paper[key] <= calibrate.REL_TOL, key
+        assert abs(simulated[key] - PAPER[key]) / PAPER[key] <= REL_TOL, key

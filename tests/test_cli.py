@@ -510,9 +510,11 @@ def test_failed_command_leaves_no_output_dir(tmp_path, argv):
     ["simulate", "--kind", "write", "--lambda", "10"],
     ["campaign", "--kind", "write", "--rates", "400"],
     ["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH)],
+    ["capacity", "--kind", "write"],
 ])
 def test_empty_out_names_no_directory(tmp_path, monkeypatch, capsys, argv):
-    # the parser requires --out, but an empty value would write into the cwd
+    # an empty --out would write into the cwd; capacity prints its JSON only
+    # when --out is omitted
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", ""]) == 2
     assert _one_error_line(capsys) == "error: --out must name a directory, got ''\n"
