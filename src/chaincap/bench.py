@@ -52,6 +52,12 @@ BOUND_MARGIN = 0.03
 # desk-scale defaults keep the acceptance suite laptop-sized
 DESK_TRIALS = 3
 DESK_DURATION_S = 60
+# most trials one campaign may run, over all its rates.  A campaign keeps
+# every trial's summary: over 100k of them tracemalloc read 264 bytes each
+# (Python 3.11), so this holds the summaries near 0.26 GB, the scale of a
+# write simulate's event cap.  A campaign with no rates still walks its seeds,
+# so it counts as one rate.
+MAX_CAMPAIGN_TRIALS = 1_000_000
 
 
 def check_duration(cluster: ClusterConfig, duration_s: float) -> None:
@@ -85,6 +91,10 @@ class CampaignSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise InputError(f"trials must be >= 1, got {self.trials}")
+        most = MAX_CAMPAIGN_TRIALS // max(1, len(self.rates))
+        if self.trials > most:
+            raise InputError(f"trials must be <= {most:,} at {len(self.rates)} rates, as one "
+                             f"campaign may run {MAX_CAMPAIGN_TRIALS:,} trials, got {self.trials}")
         check_duration(self.cluster, self.duration_s)
         # trial i runs at seed base_seed + i
         check_seed(self.base_seed, "base_seed")
@@ -330,10 +340,11 @@ def _plan_search(cluster: ClusterConfig, kind: TxKind,
 
     For reads that probe is the upper one, ``1 + BOUND_MARGIN`` times the
     bound.  For writes it is the larger of ``FIRST_PROBE_RATE`` and the upper
-    rung, which the ladder reaches unless a probe below it is unsteady; an
-    infinite rung is never probed.  A ladder still steady at the upper rung
-    doubles past it, and each such probe is checked when it comes.  Raises
-    :class:`InputError` for an infinite read bound, before the cap.
+    rung, which the ladder reaches unless a probe below it is unsteady.  A
+    ladder still steady at the upper rung doubles past it, and each such probe
+    is checked when it comes.  The caller has run ``check_duration``, whose
+    block cap keeps the write bound finite.  Raises :class:`InputError` for an
+    infinite read bound, before the cap.
     """
     bound = capacity_bound(cluster, kind)
     upper = bound * (1.0 + BOUND_MARGIN)
@@ -346,7 +357,7 @@ def _plan_search(cluster: ClusterConfig, kind: TxKind,
                              "read_service_us")
         largest = upper
     else:
-        largest = max(FIRST_PROBE_RATE, upper) if upper < math.inf else FIRST_PROBE_RATE
+        largest = max(FIRST_PROBE_RATE, upper)
     _check_probe(cluster, kind, largest, duration_s)
     return bound, largest
 

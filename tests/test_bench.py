@@ -296,6 +296,19 @@ class TestRunCampaign:
             CampaignSpec(cluster=default_cluster(), kind=TxKind.WRITE, rates=(400.0,),
                          trials=0)
 
+    @pytest.mark.parametrize("rates", [(), (400.0,), (400.0, 800.0)],
+                             ids=["no-rates", "one-rate", "two-rates"])
+    def test_trials_times_rates_are_capped(self, rates):
+        # a campaign with no rates still walks its seeds, so it counts as one rate
+        most = bench.MAX_CAMPAIGN_TRIALS // max(1, len(rates))
+        assert most * max(1, len(rates)) == bench.MAX_CAMPAIGN_TRIALS
+        CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=rates, trials=most,
+                     duration_s=20.0)
+        with pytest.raises(InputError, match=rf"^trials must be <= {most:,} at {len(rates)} "
+                                             rf"rates, .* got {most + 1}$"):
+            CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=rates,
+                         trials=most + 1, duration_s=20.0)
+
     def test_repeated_rate_rejected(self):
         # a repeated rate would run trial i twice at seed base_seed + i
         with pytest.raises(InputError, match="distinct"):
@@ -465,13 +478,6 @@ class TestBoundRungs:
                                                 1374.6, 1395.4, 1385.0]
         bound = bench.capacity_bound(default_cluster(), TxKind.WRITE)
         assert rates[4:6] == [bound * (1 - bench.BOUND_MARGIN), bound * (1 + bench.BOUND_MARGIN)]
-
-    def test_infinite_bound_is_the_plain_doubling_search(self, monkeypatch):
-        monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: math.inf)
-        rates = self.record_probes(monkeypatch)
-        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.8954384979825
-        assert [round(r, 1) for r in rates] == [100.0, 200.0, 400.0, 800.0, 1600.0, 1131.4,
-                                                1345.4, 1467.2, 1405.0, 1374.9, 1389.9, 1382.4]
 
     @pytest.mark.parametrize("factor", [10.0, 0.1])
     def test_a_wrong_bound_still_finds_the_capacity(self, monkeypatch, factor):

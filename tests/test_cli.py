@@ -267,10 +267,14 @@ class TestCapacityCommand:
         assert _one_error_line(capsys).startswith(f"error: read_service_us = {service_us} ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", ["0", "1", "2"])
-    def test_cluster_that_cannot_carry_the_first_probe_exits_3(self, capsys, seed):
-        assert main(["capacity", "--kind", "write", "--cluster", str(SLOW_CLUSTER),
-                     "--duration", "10", "--seed", seed]) == 3
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(["--cluster", str(SLOW_CLUSTER), "--seed", seed], id=seed)
+          for seed in ("0", "1", "2")),
+        # one round's messages take 4002 s at 1000 nodes, so a 10 s probe commits no block
+        pytest.param(["--nodes", "1000"], id="nodes-1000"),
+    ])
+    def test_cluster_that_cannot_carry_the_first_probe_exits_3(self, capsys, argv):
+        assert main(["capacity", "--kind", "write", "--duration", "10", *argv]) == 3
         assert _one_error_line(capsys).startswith(
             "error: no steady operating point at the smallest probe rate 100.0")
 
@@ -457,16 +461,17 @@ class TestAssessCommand:
 
 
 class TestCampaignCommand:
-    def test_campaign_outputs(self, tmp_path, small_cluster_file):
+    @pytest.mark.parametrize("kind,rates", [("write", "40,60"), ("read", "2000,3000")])
+    def test_campaign_outputs(self, tmp_path, small_cluster_file, kind, rates):
         out = tmp_path / "c"
-        assert main(["campaign", "--kind", "write", "--rates", "40,60",
+        assert main(["campaign", "--kind", kind, "--rates", rates,
                      "--cluster", str(small_cluster_file), "--trials", "2",
                      "--duration", "20", "--out", str(out)]) == 0
         csv_lines = (out / "campaign.csv").read_text().strip().split("\n")
         assert len(csv_lines) == 5  # header + 2 rates x 2 trials
         doc = json.loads((out / "campaign.json").read_text())
         assert len(doc["aggregates"]) == 2
-        with (out / "fig_write_4nodes.csv").open() as fp:
+        with (out / f"fig_{kind}_4nodes.csv").open() as fp:
             header, *rows = csv.reader(fp)
         assert header == ["arrival_rate", "tps", "cpu_utilization", "latency_ms"]
         assert [[float(v) for v in row] for row in rows] == [
@@ -676,6 +681,12 @@ def test_cluster_value_out_of_range_exits_2_or_runs_clean(tmp_path, capsys, keys
     assert all(math.isfinite(cell) and cell >= 0 for cell in cells)
 
 
+def test_no_command_is_a_usage_error(capsys):
+    assert main([]) == 2
+    assert _one_error_line(capsys) == ("error: chaincap: the following arguments are "
+                                       "required: command\n")
+
+
 def test_parser_defaults_are_the_bench_constants():
     parser = build_parser()
     capacity = parser.parse_args(["capacity", "--kind", "write"])
@@ -785,6 +796,9 @@ def test_campaign_last_seed_outside_key_range_exits_2(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("rates,trials,message", [
     ("400,0", "2", "trial rate must be > 0"),
     ("400", "0", "--trials must be >= 1, got 0"),
+    # the cap on trials x rates: without it this campaign would never end
+    pytest.param("400", "9" * 30, "trials must be <= 1,000,000 at 1 rates, as one campaign "
+                 f"may run 1,000,000 trials, got {'9' * 30}", id="trial-cap"),
 ])
 def test_campaign_zero_rate_or_trials_exits_2_before_drawing(tmp_path, capsys, monkeypatch,
                                                              rates, trials, message):
@@ -967,16 +981,14 @@ def small_cluster_file(tmp_path):
 # tokens that are bad for most flags: non-finite, negative, empty, huge, malformed
 BAD_TOKENS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "", "1e309", "9" * 30,
                               "9" * 5000, "abc", ",", "4,", "4,,5", "0x10", "1e-320", "-0"])
-# a campaign runs every trial it is given: 10**30 of them would never end
-TRIAL_TOKENS = BAD_TOKENS.filter(lambda token: token != "9" * 30)
 
 
-def _flag(name, values, bad=BAD_TOKENS):
+def _flag(name, values):
     """``[name, value]``, mostly with a value drawn from ``values``, else with
     a bad token; or nothing."""
     def given_as(tokens):
         return st.tuples(st.just(name), tokens).map(list)
-    return st.one_of(given_as(values), given_as(values), given_as(values), given_as(bad),
+    return st.one_of(given_as(values), given_as(values), given_as(values), given_as(BAD_TOKENS),
                      st.just([]))
 
 
@@ -1028,7 +1040,7 @@ CAMPAIGN_ARGV = _argv(
     "campaign", KIND_FLAG,
     _flag("--rates", st.lists(st.sampled_from(["0", "1", "400", "1400", "2800", "1e-320"]),
                               max_size=3).map(",".join)),
-    _flag("--trials", st.integers(-1, 3).map(str), bad=TRIAL_TOKENS),
+    _flag("--trials", st.integers(-1, 3).map(str)),
     _flag("--duration", st.sampled_from(["10", "60", "10.5", "9", "1e5", "1e6"])),
     SEED_FLAG, ARRIVAL_FLAG, CLUSTER_FLAG, OUT_FLAG)
 
