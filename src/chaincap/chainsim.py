@@ -28,7 +28,7 @@ from .errors import InputError
 # run looks round_bases_ms up here, so a test can replace it for this module.
 # Nothing calls consensus_round_latency here, since run inlines it; the name
 # stays because perfbench/spans.py wraps it in this namespace, so
-# chainsim.consensus_round_latency.calls reads 0 until ROADMAP item 26 mends that
+# chainsim.consensus_round_latency.calls reads 0 until ROADMAP item 2 mends that
 from .model import consensus_round_latency, round_bases_ms  # noqa: F401
 
 CONFIG_SCHEMA_VERSION = 1

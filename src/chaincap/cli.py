@@ -15,6 +15,7 @@ from __future__ import annotations
 # each, so that the commands that never need them start without them
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -31,7 +32,7 @@ from .bench import (
     STEADY_TOLERANCE,
     WINDOW_S,
     # uncalled here; perfbench/spans.py wraps this name, so bench.probes reads 0
-    # until ROADMAP item 26 moves that patch point into bench
+    # until ROADMAP item 2 moves that patch point into bench
     find_max_lambda,  # noqa: F401
     run_campaign,
     sweep_nodes,
@@ -425,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("id", nargs="?", help="scenario id (for 'show')")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_scenarios)
 
     p = sub.add_parser("simulate", parents=[run_opts, trial_opts],
                        help="run one simulation and export the timeline")
@@ -434,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offered arrival rate (tx/s)")
     p.add_argument("--window", type=float, default=WINDOW_S, help="metrics window (s)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("capacity", parents=[run_opts, trial_opts],
                        help="find maximum sustainable arrival rates",
@@ -443,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=kinds + ["both"], required=True)
     p.add_argument("--nodes", help="comma-separated node counts, e.g. 4,5,6,7")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("campaign", parents=[run_opts, trial_opts],
                        help="multi-trial campaign over a rate grid")
@@ -452,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=DESK_TRIALS,
                    help="trials per rate; the paper's protocol is --trials 5 --duration 600")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser("assess", parents=[run_opts, catalog_opts],
                        help="scenario suitability verdicts")
@@ -462,14 +459,18 @@ def build_parser() -> argparse.ArgumentParser:
                                       "searched on --cluster when not given")
     p.add_argument("--text", action="store_true", help="print full methodology reports")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_assess)
 
     return parser
 
 
+# main's parser, built on its first call: building takes about 1 ms, which an
+# in-process caller of main would otherwise pay on every call
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _main_parser().parse_args(argv)
         args.argv = sys.argv[1:] if argv is None else argv
         # an omitted --seed is 0, except beside assess --capacity, where no search runs
         if getattr(args, "seed", 0) is None and not getattr(args, "capacity", None):
@@ -477,7 +478,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "scenarios" and (args.action == "show") != bool(args.id):
             raise InputError("scenarios show requires an id" if args.action == "show"
                              else f"scenarios list takes no id, got {args.id!r}")
-        return args.func(args)
+        # looked up by name at each call, so a replaced cmd_* runs
+        return globals()[f"cmd_{args.command}"](args)
     except ChaincapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

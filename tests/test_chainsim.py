@@ -31,7 +31,7 @@ from chaincap.chainsim import (
     run,
 )
 from chaincap.errors import InputError
-from chaincap.model import consensus_round_latency, quorum, round_bases_ms
+from chaincap.model import capacity_bound, consensus_round_latency, quorum, round_bases_ms
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 
@@ -872,6 +872,86 @@ class TestInvariants:
         # read served with no wait may come out up to about 1e-12 ms short
         assert np.all(read_ms >= cluster.read_service_us / 1000.0 - 1e-9), \
             "a served read's latency is below read_service_us"
+
+
+def loop_write_departures(cluster: ClusterConfig, timeline: MetricsTimeline) -> np.ndarray:
+    """Each write's commit time as the block loop counted its pool (inf past
+    the last block but one).  Block k is proposed at the later of the last
+    commit and one interval after the last proposal; the loop saw a pool of
+    ``depths[k]`` then, so the writes arrived by that time less that pool
+    were committed before it, and the writes between two such counts left
+    with the block between."""
+    commit_s, arrivals = timeline._commit_s, timeline._events.write_times
+    interval_s = cluster.block_interval_ms / 1000.0
+    proposed = np.empty(commit_s.size)
+    t_prop = interval_s
+    for k, t_commit in enumerate(commit_s):
+        proposed[k] = t_prop
+        t_prop = max(t_commit, t_prop + interval_s)
+    before = np.searchsorted(arrivals, proposed, side="right") - timeline._depths
+    departures = np.full(arrivals.size, np.inf)
+    for k in range(1, commit_s.size):
+        departures[before[k - 1]:before[k]] = commit_s[k - 1]
+    return departures
+
+
+def assert_littles_law(what: str, arrivals, departures, latency_sum_ms, t0: int, t1: int):
+    """Little's law (Little 1961) over the 1 s windows [t0, t1): the time the
+    items spend in the system there, L x T, and the latencies of the items
+    that leave there, lambda x W x T, differ by at most the edge terms.
+
+    The latencies exceed the area by the time before t0 of the items in the
+    system at t0 that leave in the interval, at most ``at_start``; they fall
+    short of it by the time inside the interval of the items still in the
+    system at t1, ``at_end``.
+    """
+    area = math.fsum(np.clip(np.minimum(departures, t1) - np.maximum(arrivals, t0), 0.0, None))
+    in_at_start = (arrivals < t0) & (departures >= t0)
+    at_start = math.fsum(t0 - arrivals[in_at_start])
+    in_at_end = (arrivals < t1) & (departures >= t1)
+    at_end = math.fsum(t1 - np.maximum(arrivals[in_at_end], t0))
+    latencies = math.fsum(latency_sum_ms[t0:t1]) / 1000.0
+    # the run sums latencies in ms per block or read, each rounded at the
+    # scale of the run's times
+    rounding = 1e-9 * t1 * arrivals.size
+    assert area - at_end - rounding <= latencies <= area + at_start + rounding, (
+        f"Little's law L = lambda W fails for {what} over [{t0}, {t1}) s: the latencies "
+        f"sum to {latencies!r} s, the time in the system to {area!r} s, and the edge "
+        f"terms allow -{at_end!r} s and +{at_start!r} s")
+
+
+# seconds of warm-up before the law's windows, and of one run
+LITTLE_WARM_UP_S = 5
+LITTLE_HORIZON_S = 15.0
+
+
+class TestLittlesLaw:
+    """L = lambda W over post-warm-up windows: the pool as the block loop
+    counted it against the latencies the timeline sums, and the read queues
+    against the read latencies."""
+
+    @pytest.mark.parametrize("kind", list(TxKind))
+    @settings(max_examples=MAX_RELATION_EXAMPLES, deadline=None)
+    @given(cluster=cluster_profiles(), load=st.floats(0.0, 1.25), seed=relation_seeds)
+    @example(cluster=default_cluster(), load=0.9, seed=0)
+    @example(cluster=default_cluster(), load=1.1, seed=1)
+    def test_littles_law(self, kind, cluster, load, seed):
+        # the load is a share of the profile's capacity bound
+        rate = load * capacity_bound(cluster, kind)
+        events = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed), kind,
+                                 LITTLE_HORIZON_S)
+        tl = run(cluster, events, horizon=LITTLE_HORIZON_S)
+        what = f"{kind.value}s at {rate}/s, seed {seed}"
+        if kind is TxKind.WRITE:
+            # the windows closed before the last commit, whose departures the
+            # loop's counts give
+            assert_littles_law(what, events.write_times, loop_write_departures(cluster, tl),
+                               tl.write_latency_sum_ms, LITTLE_WARM_UP_S,
+                               int(tl._commit_s[-1]))
+        else:
+            assert_littles_law(what, events.read_times, tl.read_completions_s,
+                               tl.read_latency_sum_ms, LITTLE_WARM_UP_S,
+                               int(LITTLE_HORIZON_S))
 
 
 class TestClusterProfiles:

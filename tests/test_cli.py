@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -15,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaincap import bench, chainsim
+from chaincap import bench, chainsim, cli
 from chaincap.arrival import ArrivalKind, ArrivalProcess, TxKind, generate_events
 from chaincap.bench import (
     DESK_DURATION_S,
@@ -839,6 +840,40 @@ def test_one_error_class_per_exit_code(capsys, monkeypatch):
         monkeypatch.setattr("chaincap.cli.cmd_scenarios", fail)
         assert main(["scenarios", "list"]) == code
         assert _one_error_line(capsys) == "error: one line\n"
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, monkeypatch):
+    # an in-process caller of main, such as this suite or perfbench, pays for
+    # the parser once, and a rejected command line leaves nothing in it that
+    # changes what the next one does
+    paper, out = str(PAPER_CAPACITY_PATH), str(tmp_path / "a")
+    valid = [["scenarios", "show", "aaa", "--json"],
+             ["assess", "--scenario", "aaa", "--eta", "3", "--capacity", paper, "--out", out]]
+    rejected = [["capacity", "--kind", "write", "--seed", "abc"],
+                ["assess", "--scenario", "aaa", "--eta", "abc", "--capacity", paper,
+                 "--out", out],
+                ["scenarios", "show"],
+                ["scenarios", "list", "--bogus"]]
+
+    def outcomes():
+        return [(main(argv), capsys.readouterr().out) for argv in valid]
+
+    cli._main_parser.cache_clear()
+    alone = outcomes()
+    assert [code for code, _ in alone] == [0, 0]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in rejected:
+        assert main(argv) == 2
+        _one_error_line(capsys)
+        assert outcomes() == alone
+    assert built == []
 
 
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
