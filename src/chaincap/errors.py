@@ -14,6 +14,6 @@ class InputError(ChaincapError, ValueError):
 
 class CalibrationError(ChaincapError, RuntimeError):
     """A capacity is not borne out (exit 3): a write search's first probe is
-    unsteady, or a read capacity bound is not confirmed by its two probes."""
+    unsteady."""
 
     exit_code = 3

@@ -219,24 +219,42 @@ class TestCapacityCommand:
         assert len(err.strip().split("\n")) == 1
 
     def test_probe_past_the_event_cap_exits_2_before_simulating(self, capsys, monkeypatch):
+        # the upper rung, 1416.5/s
         monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
-        assert main(["capacity", "--kind", "read", "--duration", "1500"]) == 2
+        assert main(["capacity", "--kind", "write", "--duration", "22000"]) == 2
         assert _one_error_line(capsys) == (
-            "error: the read capacity search at 4 nodes would probe 21128.20512820513/s over "
-            "1500.0 s, which expects 3.169e+07 events, more than the 30,000,000 one trial may "
-            "hold; give a --duration of at most 1419 s\n")
-        assert 21128.20512820513 * 1419 <= 30_000_000 < 21128.20512820513 * 1420
+            "error: the write capacity search at 4 nodes would probe 1416.5029469548133/s over "
+            "22000.0 s, which expects 3.116e+07 events, more than the 30,000,000 one trial may "
+            "hold; give a --duration of at most 21178 s\n")
+        assert 1416.5029469548133 * 21178 <= 30_000_000 < 1416.5029469548133 * 21179
 
-    def test_probe_past_the_event_cap_at_the_shortest_duration_asks_for_fewer_nodes(
-            self, capsys, monkeypatch):
-        # the 1000-node search's upper probe, which 10 windows, the shortest
-        # duration, cannot hold, stops the sweep before the 4-node search runs
+    def test_probe_past_the_event_cap_at_the_shortest_duration_asks_for_a_lower_bound(
+            self, tmp_path, capsys, monkeypatch):
+        # a block of 10,000 each millisecond at no cost: the upper rung,
+        # 1.03e7/s, which 10 windows, the shortest duration, cannot hold.
+        # Fewer nodes would not lower that rung, so the hint does not ask for them
         monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
-        assert main(["capacity", "--kind", "read", "--duration", "10", "--nodes", "4,1000"]) == 2
+        path = tmp_path / "fast.ini"
+        path.write_text("[config]\nschema_version = 1\n\n[cluster]\nblock_interval_ms = 1\n"
+                        "block_tx_capacity = 10000\nrtt_ms = 0\nwrite_exec_us = 0\n"
+                        "msg_proc_us = 0\npool_scan_cost_us_per_tx = 0\n")
+        assert main(["capacity", "--kind", "write", "--cluster", str(path),
+                     "--duration", "10"]) == 2
         assert _one_error_line(capsys) == (
-            "error: the read capacity search at 1000 nodes would probe 5282051.282051282/s "
-            "over 10.0 s, which expects 5.282e+07 events, more than the 30,000,000 one trial "
-            "may hold; even the shortest --duration, 10 s, does not fit; give fewer nodes\n")
+            "error: the write capacity search at 4 nodes would probe 10300000.0/s over "
+            "10.0 s, which expects 1.03e+08 events, more than the 30,000,000 one trial may "
+            "hold; even the shortest --duration, 10 s, does not fit; give a profile with a "
+            "lower write bound, such as a longer block_interval_ms or a smaller "
+            "block_tx_capacity\n")
+
+    def test_a_read_capacity_at_1000_nodes_and_the_shortest_duration_makes_no_probe(
+            self, capsys, monkeypatch):
+        # the closed form needs no trial, so no event cap applies to it
+        monkeypatch.setattr("chaincap.bench.run_trial", _no_search)
+        assert main(["capacity", "--kind", "read", "--duration", "10", "--nodes", "4,1000"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [p["max_lambda_read"] for p in doc["profiles"]] == [20307.692307692305,
+                                                                   5076923.076923077]
 
     @pytest.mark.parametrize("kind,option", [
         (kind, option) for option in (["--start", "100"], ["--tolerance", "0.01"])
@@ -547,7 +565,7 @@ def _no_draws(self):
     ["simulate", "--kind", "write", "--lambda", "1e12"],
     ["simulate", "--kind", "read", "--lambda", "1e12", "--duration", "1e-3"],
     ["campaign", "--kind", "write", "--rates", "400,1e12"],
-    ["capacity", "--kind", "read", "--duration", "1500"],
+    ["capacity", "--kind", "write", "--duration", "22000"],
 ])
 def test_event_count_guard_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv):
     # a missing guard fails on the first draw, before allocating a stream

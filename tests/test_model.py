@@ -10,10 +10,18 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import chaincap
-from chaincap.arrival import ArrivalKind, TxKind
-from chaincap.bench import BOUND_MARGIN, run_trial
+from chaincap.arrival import SEED_LIMIT, ArrivalKind, TxKind
+from chaincap.bench import (
+    BOUND_MARGIN,
+    SEARCH_TOLERANCE,
+    STEADY_TOLERANCE,
+    WARMUP_FRACTION,
+    WINDOW_S,
+    run_trial,
+)
 from chaincap.chainsim import default_cluster, load_cluster
 from chaincap.model import capacity_bound, consensus_round_latency, round_bases_ms
 
@@ -119,6 +127,45 @@ def test_simulator_is_steady_below_the_bound_and_not_above(cluster, kind):
         trial = run_trial(cluster, kind, ArrivalKind.DETERMINISTIC, bound * factor, 20.0,
                           seed=0)
         assert trial.steady is steady, factor
+
+
+# The read capacity is the closed form, so the simulator must agree with it
+# under Poisson arrivals: (1 - SEARCH_TOLERANCE) x bound steady and
+# (1 + BOUND_MARGIN) x bound not.  Past the bound the served rate stays at it,
+# 1 - 1/1.03 = 2.9% short of the offered rate, outside the band; below it the
+# served rate is the arrivals' own, whose Poisson noise over n post-warm-up
+# arrivals is 1/sqrt(n).  NOISE_SIGMAS of it fit in the band once
+# n >= (NOISE_SIGMAS / STEADY_TOLERANCE)^2, which sets the smallest bound drawn.
+READ_PROBE_S = 20.0
+NOISE_SIGMAS = 5
+POST_WARMUP_S = READ_PROBE_S - int(READ_PROBE_S / WINDOW_S * WARMUP_FRACTION) * WINDOW_S
+MIN_READ_BOUND = ((NOISE_SIGMAS / STEADY_TOLERANCE) ** 2
+                  / ((1.0 - SEARCH_TOLERANCE) * POST_WARMUP_S))
+# the largest keeps an example near 0.1 s; the shipped profile's is 20512.8
+MAX_READ_BOUND = 25_000.0
+
+
+@st.composite
+def read_profiles(draw):
+    """The shipped profile with 4 to 10 nodes, either read mode, and a read
+    service time whose bound lies in [MIN_READ_BOUND, MAX_READ_BOUND]."""
+    cluster = replace(default_cluster(), node_count=draw(st.integers(4, 10)),
+                      read_mode=draw(st.sampled_from(["multi", "single"])))
+    servers_us = cluster.read_servers * 1e6
+    return replace(cluster, read_service_us=draw(
+        st.floats(servers_us / MAX_READ_BOUND, servers_us / MIN_READ_BOUND)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cluster=read_profiles(), seed=st.integers(0, SEED_LIMIT - 1))
+@example(cluster=default_cluster(), seed=0)
+def test_simulator_serves_the_read_capacity_and_not_past_the_bound(cluster, seed):
+    bound = capacity_bound(cluster, TxKind.READ)
+    assert MIN_READ_BOUND * (1 - 1e-12) <= bound <= MAX_READ_BOUND * (1 + 1e-12)
+    for factor, steady in ((1.0 - SEARCH_TOLERANCE, True), (1.0 + BOUND_MARGIN, False)):
+        trial = run_trial(cluster, TxKind.READ, ArrivalKind.POISSON, bound * factor,
+                          READ_PROBE_S, seed=seed)
+        assert trial.steady is steady, (factor, trial.mean_tps)
 
 
 def test_import_loads_no_numpy_and_no_simulator():

@@ -84,8 +84,11 @@ def test_package_import_loads_no_submodule():
     ["--version"],
     ["scenarios", "list"],
     ["scenarios", "show", "aaa", "--json"],
+    # a read capacity is a closed form, with no probe to simulate
+    ["capacity", "--kind", "read"],
+    ["capacity", "--kind", "read", "--nodes", "4,1000", "--duration", "10"],
 ])
-def test_catalog_commands_load_no_numpy_and_no_deferred_module(argv):
+def test_commands_that_simulate_nothing_load_no_numpy_and_no_deferred_module(argv):
     result = run_main(argv)
     assert (result["exit"], result["numpy"], result["deferred"]) == (0, [], [])
 
