@@ -150,6 +150,12 @@ class MetricsTimeline:
     then kept, so a caller that reads only throughput computes no latency,
     cpu, pool or ledger series.
 
+    The block loop's record is public, one entry per committed block in
+    commit order: ``commit_s``, the commit time in s; ``depths``, the pool
+    depth at its proposal; and ``fills``, the writes it committed.  When no
+    block committed all three are empty, so no proposal is told apart from a
+    proposal at depth 0.
+
     Each kind's latency is one per-window sum, and each mean latency that
     sum over the window's count.  A read adds its own latency.  A block's
     writes' latencies sum to its fill x commit time less their arrival
@@ -168,13 +174,13 @@ class MetricsTimeline:
         self.read_completions_s = read_completions_s
         self._cluster, self._events = cluster, events
         self._n_windows = n_windows
-        self._commit_s, self._depths = commit_s, depths
-        self._fills = np.minimum(depths, cluster.block_tx_capacity)
+        self.commit_s, self.depths = commit_s, depths
+        self.fills = np.minimum(depths, cluster.block_tx_capacity)
         self._block_windows = self._window_of(commit_s)
         # a read still queued at the horizon goes to one bin past the run
         self._read_windows = self._window_of(read_completions_s)
         self._read_windows[read_completions_s > horizon] = n_windows
-        self.committed_count = self._per_window(self._block_windows, self._fills)
+        self.committed_count = self._per_window(self._block_windows, self.fills)
         self.served_count = self._per_window(self._read_windows)
         self._widths = np.full(n_windows, window_s)  # the last may be partial: see check_run
         if n_windows - horizon / window_s > 1e-9:
@@ -182,7 +188,7 @@ class MetricsTimeline:
         self.committed_write_tps = self.committed_count / self._widths
         self.served_read_tps = self.served_count / self._widths
         self.arrived_writes = int(events.write_times.size)
-        self.committed_writes = int(self._fills.sum())
+        self.committed_writes = int(self.fills.sum())
         self.pending_writes = self.arrived_writes - self.committed_writes
         self.arrived_reads = int(events.read_times.size)
         self.served_reads = int(self.served_count.sum())
@@ -213,12 +219,12 @@ class MetricsTimeline:
         difference block by block keeps the commit times' magnitude from
         cancelling in one large difference.
         """
-        nonempty = self._fills > 0
-        fills = self._fills[nonempty]
+        nonempty = self.fills > 0
+        fills = self.fills[nonempty]
         # reduceat would give an empty block the next block's first write
         arrived = np.add.reduceat(self._events.write_times[:self.committed_writes],
                                   np.cumsum(fills) - fills)
-        latency_ms = (fills * self._commit_s[nonempty] - arrived) * 1000.0
+        latency_ms = (fills * self.commit_s[nonempty] - arrived) * 1000.0
         return self._per_window(self._block_windows[nonempty], latency_ms)
 
     @cached_property
@@ -244,9 +250,9 @@ class MetricsTimeline:
         # every node executes each block and handles 2N of its messages, so a
         # block costs each node msg_proc_us * 2N here, though its round's
         # latency charges msg_proc_us * (2N^2 + N) (see chaincap.model)
-        share_us = self._per_window(self._block_windows, cluster.write_exec_us * self._fills
+        share_us = self._per_window(self._block_windows, cluster.write_exec_us * self.fills
                                     + cluster.msg_proc_us * 2 * n_nodes)
-        scan_us = cluster.pool_scan_cost_us_per_tx * self._depths
+        scan_us = cluster.pool_scan_cost_us_per_tx * self.depths
         # node k serves reads k, k + stride, ... and proposes blocks k, k + N, ...
         stride = cluster.read_servers
         work_us = np.empty((n_nodes, self._n_windows))
@@ -260,7 +266,7 @@ class MetricsTimeline:
     def _at_window_ends(self, running: np.ndarray) -> np.ndarray:
         """``running`` (one value per block) after the last block committed by
         each window end; 0 before the first."""
-        blocks_by = np.searchsorted(self._commit_s, self._window_ends(), side="right")
+        blocks_by = np.searchsorted(self.commit_s, self._window_ends(), side="right")
         return np.concatenate(([0], running))[blocks_by]
 
     def _window_ends(self) -> np.ndarray:
@@ -270,12 +276,12 @@ class MetricsTimeline:
     def pool_depth(self) -> np.ndarray:
         """Pending writes at each window end."""
         arrived_by = np.searchsorted(self._events.write_times, self._window_ends(), side="right")
-        return (arrived_by - self._at_window_ends(np.cumsum(self._fills))).astype(np.int64)
+        return (arrived_by - self._at_window_ends(np.cumsum(self.fills))).astype(np.int64)
 
     @cached_property
     def ledger_bytes(self) -> np.ndarray:
         """Ledger size at each window end."""
-        block_bytes = self._cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * self._fills
+        block_bytes = self._cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * self.fills
         return self._at_window_ends(np.cumsum(block_bytes)).astype(np.int64)
 
     def columns(self) -> dict[str, np.ndarray]:
@@ -362,7 +368,8 @@ def run(cluster: ClusterConfig, events: EventStream, horizon: float,
     # and pool depth; its fill is derived from the depth.  It runs once per
     # proposal, so everything it reads is bound to a local first, and the
     # round is model.consensus_round_latency's arithmetic, in the same
-    # order.  The arrivals are searched through a memoryview, whose items are
+    # order, so the gap to the next proposal is the proposer's cycle in
+    # model.block_cycles_ms.  The arrivals are searched through a memoryview, whose items are
     # Python floats, from the first uncommitted write on: every committed
     # write arrived by an earlier proposal, so the count is searchsorted's.
     commit_times: list[float] = []

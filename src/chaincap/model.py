@@ -1,10 +1,14 @@
 """Closed forms of the cluster model.
 
 The arithmetic of one consensus round, and the capacity it bounds, stated
-once on a :class:`~chaincap.chainsim.ClusterConfig`.  The block loop reads
-each proposer's fixed part from :func:`round_bases_ms` and runs the rest
-inline; the write search aims two probes at :func:`capacity_bound`, and the
-read capacity is that bound less the search tolerance; no numpy is imported.
+once on a :class:`~chaincap.chainsim.ClusterConfig`.  A proposer's block
+cycle, the time from its proposal to the next one, is the longer of the
+block interval and its round: :func:`block_cycles_ms` states it, and the
+write bound is a full block per cycle, averaged over a rotation of
+proposers.  The block loop reads each proposer's fixed part from
+:func:`round_bases_ms` and runs the rest inline; the write search aims two
+probes at :func:`capacity_bound`, and the read capacity is that bound less
+the search tolerance; no numpy is imported.
 
 Message handling is charged in two ways that do not agree.  A round's
 latency charges ``msg_proc_us * (2N^2 + N)``, every message of the round
@@ -62,20 +66,29 @@ def consensus_round_latency(cluster: ClusterConfig, block_fill: int, pool_depth:
     return _round_ms(cluster, round_bases_ms(cluster)[proposer], block_fill, pool_depth)
 
 
+def block_cycles_ms(cluster: ClusterConfig, depth: int) -> list[float]:
+    """Each proposer's block cycle at pool depth ``depth``, in ms, in proposer order.
+
+    The next proposal waits for both the commit and one block interval, so a
+    cycle is the longer of ``block_interval_ms`` and the proposer's round,
+    which fills ``min(depth, block_tx_capacity)`` and scans ``depth``.
+    """
+    fill = min(depth, cluster.block_tx_capacity)
+    return [max(cluster.block_interval_ms, _round_ms(cluster, base, fill, depth))
+            for base in round_bases_ms(cluster)]
+
+
 def capacity_bound(cluster: ClusterConfig, kind: TxKind) -> float:
     """The fluid limit of the arrival rate the cluster sustains, per second.
 
     Reads: the service rate of the nodes that serve them, ``read_servers``
     / read service time; inf when a read takes no time, or so little that
-    the rate overflows.  Writes: a full block of B per block cycle, where
-    the cycle is the longer of the block interval and a full round with a
-    pool of B, averaged over proposers (the next proposal waits for both).
+    the rate overflows.  Writes: a full block of B per block cycle, each
+    proposer's ``block_cycles_ms`` at a pool of B averaged over a rotation.
     """
     if kind is TxKind.READ:
         if cluster.read_service_us == 0:
             return math.inf
         return cluster.read_servers * 1e6 / cluster.read_service_us
     full = cluster.block_tx_capacity
-    round_ms = math.fsum(_round_ms(cluster, base, full, full)
-                         for base in round_bases_ms(cluster)) / cluster.node_count
-    return full * 1000.0 / max(cluster.block_interval_ms, round_ms)
+    return full * 1000.0 / (math.fsum(block_cycles_ms(cluster, full)) / cluster.node_count)

@@ -129,7 +129,7 @@ class TestTrialLatency:
         timeline = run(cluster, events, horizon=10.0, window_s=bench.WINDOW_S)
         got = Trial(TxKind.WRITE, rate, seed, timeline).mean_latency_ms
         # each committed write's commit time, and whether its window is past warm-up
-        commit_s = np.repeat(timeline._commit_s, timeline._fills)
+        commit_s = np.repeat(timeline.commit_s, timeline.fills)
         windows = np.minimum(commit_s / bench.WINDOW_S, timeline.n_windows - 1).astype(np.int64)
         after = windows >= int(timeline.n_windows * bench.WARMUP_FRACTION)
         latencies = write_latencies_ms(timeline)[after]
@@ -151,7 +151,7 @@ class TestTrialLatency:
         eps = np.finfo(np.float64).eps
         committed = math.fsum(commit_s[after])
         arrived = math.fsum(events.write_times[:commit_s.size][after])
-        m, fill = timeline.blocks_produced, int(timeline._fills.max())
+        m, fill = timeline.blocks_produced, int(timeline.fills.max())
         rel = eps * (committed + fill * arrived) / (committed - arrived) + (m + 5) * eps
         assert math.isclose(got, want, rel_tol=rel, abs_tol=0.0)
 
@@ -197,7 +197,7 @@ class TestTrialLatency:
         skip = int(timeline.n_windows * bench.WARMUP_FRACTION)
         sums, counts = [0.0] * timeline.n_windows, [0] * timeline.n_windows
         start = 0
-        for fill, commit_s in zip(timeline._fills.tolist(), timeline._commit_s.tolist()):
+        for fill, commit_s in zip(timeline.fills.tolist(), timeline.commit_s.tolist()):
             if fill:
                 window = min(int(commit_s / bench.WINDOW_S), timeline.n_windows - 1)
                 arrivals = events.write_times[start:start + fill]

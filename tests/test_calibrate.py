@@ -28,8 +28,9 @@ KNOBS = [("write_exec_us", TxKind.WRITE, PAPER["max_lambda_write"]),
 
 def solve(cluster, field, kind, target):
     """The cost knob ``field`` at which ``capacity_bound`` is ``target``: 1/bound
-    is affine in either knob (in ``write_exec_us`` while a full round outlasts
-    ``block_interval_ms``), so its values at two points fix the line."""
+    is affine in either knob (in ``write_exec_us`` only while every proposer's
+    full round outlasts ``block_interval_ms``, so that no proposer's block
+    cycle is the interval), so its values at two points fix the line."""
     value = getattr(cluster, field)
     inv = 1.0 / capacity_bound(cluster, kind)
     slope = 1.0 / capacity_bound(replace(cluster, **{field: value + 1.0}), kind) - inv

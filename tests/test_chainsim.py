@@ -114,6 +114,7 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
 
     i_commit = blocks = proposer = 0
     ledger: list[tuple[float, int]] = []    # (commit time, block bytes)
+    commit_s, depths, fills = [], [], []    # one entry per committed block
     committed: list[tuple[float, int]] = []  # (commit time, committed total)
     t_prop = cluster.block_interval_ms / 1000.0
     while t_prop <= horizon + 1e-12:
@@ -124,6 +125,9 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         if t_commit > horizon:
             break
         blocks += 1
+        commit_s.append(t_commit)
+        depths.append(pool_depth)
+        fills.append(fill)
         ledger.append((t_commit, cluster.empty_block_bytes + DEFAULT_WRITE_PAYLOAD_BYTES * fill))
         w = window_of(t_commit)
         if fill:
@@ -178,13 +182,16 @@ def reference_run(cluster: ClusterConfig, events: EventStream, horizon: float,
         served_reads=served_reads,
         blocks_produced=blocks,
         read_completions_s=completions,
+        commit_s=np.array(commit_s, dtype=np.float64),
+        depths=np.array(depths, dtype=np.int64),
+        fills=np.array(fills, dtype=np.int64),
     )
 
 
 def write_latencies_ms(timeline: MetricsTimeline) -> np.ndarray:
     """Each committed write's latency, block after block, one at a time: the
     per-write array ``run`` never makes."""
-    commit_s = np.repeat(timeline._commit_s, timeline._fills)
+    commit_s = np.repeat(timeline.commit_s, timeline.fills)
     return (commit_s - timeline._events.write_times[:commit_s.size]) * 1000.0
 
 
@@ -302,6 +309,15 @@ class TestRunBasics:
         assert np.all(np.diff(tl.ledger_bytes) >= 0)
         # idle consensus overhead still burns some cpu
         assert tl.cpu_utilization.mean() > 0
+
+    def test_no_commit_leaves_an_empty_record(self):
+        # the first round, proposed at 0.1 s, takes over 720 ms and commits
+        # past the 0.5 s horizon, so no block has a depth, not even 0
+        cluster = replace(default_cluster(), msg_proc_us=20_000.0)
+        tl = run(cluster, det_writes(1000.0, 0.5), horizon=0.5)
+        assert tl.arrived_writes == 500 and tl.blocks_produced == 0
+        for name in ("commit_s", "depths", "fills"):
+            assert getattr(tl, name).size == 0, name
 
     def test_single_write_first_block(self):
         cluster = default_cluster()
@@ -460,7 +476,7 @@ TIMELINE_FIELDS = (
     "write_latency_sum_ms", "read_latency_sum_ms", "mean_write_latency_ms",
     "mean_read_latency_ms", "cpu_utilization", "pool_depth", "ledger_bytes",
     "arrived_writes", "committed_writes", "pending_writes", "arrived_reads",
-    "served_reads", "blocks_produced", "read_completions_s",
+    "served_reads", "blocks_produced", "read_completions_s", "commit_s", "depths", "fills",
 )
 
 
@@ -523,7 +539,7 @@ class TestRunMatchesScalarReference:
                                  TxKind.WRITE, 12.0)
         got = run(cluster, events, horizon=12.0)
         assert_same_timeline(got, reference_run(cluster, events, 12.0))
-        commit_s, fills, depths = (a.tolist() for a in (got._commit_s, got._fills, got._depths))
+        commit_s, fills, depths = (a.tolist() for a in (got.commit_s, got.fills, got.depths))
         steps = set()
         for k in range(1, len(commit_s)):
             round_s = consensus_round_latency(cluster, fills[k], depths[k],
@@ -802,7 +818,7 @@ class TestMetamorphicRelations:
         kind, rate = load
         short = relation_run(cluster, kind, rate, seed, 12.5, 1.0)
         want = relation_columns(cluster, kind, rate, seed, 30.0, 1.0)
-        closed = int(short._commit_s[-1])  # the 1 s windows it closes
+        closed = int(short.commit_s[-1])  # the 1 s windows it closes
         for name, series in short.columns().items():
             assert np.array_equal(series[:closed], want[name][:closed]), (
                 f"horizon prefix: {name} differs in the first {closed} windows at "
@@ -850,8 +866,8 @@ class TestInvariants:
         tl = run(cluster, replace(writes, read_times=reads.read_times), horizon, window_s)
         assert tl.arrived_writes == tl.committed_writes + tl.pending_writes, "write conservation"
         assert tl.served_reads <= tl.arrived_reads, "served reads exceed arrived"
-        assert np.all(np.diff(tl._commit_s) > 0), "commit times do not strictly increase"
-        assert np.all(tl._fills <= cluster.block_tx_capacity), \
+        assert np.all(np.diff(tl.commit_s) > 0), "commit times do not strictly increase"
+        assert np.all(tl.fills <= cluster.block_tx_capacity), \
             "a block's fill exceeds block_tx_capacity"
         assert np.all(tl.pool_depth >= 0), "a pool_depth cell is negative"
         committed = tl.committed_write_tps * window_widths(horizon, window_s, tl.n_windows)
@@ -860,7 +876,7 @@ class TestInvariants:
         latencies = write_latencies_ms(tl)
         assert math.fsum(tl.mean_write_latency_ms * committed) == pytest.approx(
             math.fsum(latencies), rel=1e-9), "mean write latency times count is not the latency sum"
-        proposers = np.repeat(np.arange(tl.blocks_produced) % cluster.node_count, tl._fills)
+        proposers = np.repeat(np.arange(tl.blocks_produced) % cluster.node_count, tl.fills)
         base_ms = np.array(round_bases_ms(cluster))
         assert np.all(latencies >= base_ms[proposers]), \
             "a write latency is below its proposer's round_bases_ms"
@@ -874,21 +890,29 @@ class TestInvariants:
             "a served read's latency is below read_service_us"
 
 
-def loop_write_departures(cluster: ClusterConfig, timeline: MetricsTimeline) -> np.ndarray:
-    """Each write's commit time as the block loop counted its pool (inf past
-    the last block but one).  Block k is proposed at the later of the last
-    commit and one interval after the last proposal; the loop saw a pool of
-    ``depths[k]`` then, so the writes arrived by that time less that pool
-    were committed before it, and the writes between two such counts left
-    with the block between."""
-    commit_s, arrivals = timeline._commit_s, timeline._events.write_times
+def loop_proposal_times(cluster: ClusterConfig, timeline: MetricsTimeline) -> np.ndarray:
+    """Each committed block's proposal time, and one more entry for the next
+    proposal after the last commit.  Block k is proposed at the later of the
+    last commit and one interval after the last proposal, the loop's rule."""
     interval_s = cluster.block_interval_ms / 1000.0
-    proposed = np.empty(commit_s.size)
+    proposed = np.empty(timeline.commit_s.size + 1)
     t_prop = interval_s
-    for k, t_commit in enumerate(commit_s):
+    for k, t_commit in enumerate(timeline.commit_s.tolist()):
         proposed[k] = t_prop
         t_prop = max(t_commit, t_prop + interval_s)
-    before = np.searchsorted(arrivals, proposed, side="right") - timeline._depths
+    proposed[-1] = t_prop
+    return proposed
+
+
+def loop_write_departures(cluster: ClusterConfig, timeline: MetricsTimeline) -> np.ndarray:
+    """Each write's commit time as the block loop counted its pool (inf past
+    the last block but one).  The loop saw a pool of ``depths[k]`` at block
+    k's proposal, so the writes arrived by that time less that pool were
+    committed before it, and the writes between two such counts left with
+    the block between."""
+    commit_s, arrivals = timeline.commit_s, timeline._events.write_times
+    proposed = loop_proposal_times(cluster, timeline)[:-1]
+    before = np.searchsorted(arrivals, proposed, side="right") - timeline.depths
     departures = np.full(arrivals.size, np.inf)
     for k in range(1, commit_s.size):
         departures[before[k - 1]:before[k]] = commit_s[k - 1]
@@ -947,7 +971,7 @@ class TestLittlesLaw:
             # loop's counts give
             assert_littles_law(what, events.write_times, loop_write_departures(cluster, tl),
                                tl.write_latency_sum_ms, LITTLE_WARM_UP_S,
-                               int(tl._commit_s[-1]))
+                               int(tl.commit_s[-1]))
         else:
             assert_littles_law(what, events.read_times, tl.read_completions_s,
                                tl.read_latency_sum_ms, LITTLE_WARM_UP_S,

@@ -814,7 +814,7 @@ def test_campaign_last_seed_outside_key_range_exits_2(tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize("rates,trials,message", [
     ("400,0", "2", "trial rate must be > 0"),
-    ("400", "0", "--trials must be >= 1, got 0"),
+    ("400", "0", "trials must be >= 1, got 0"),
     # the cap on trials x rates: without it this campaign would never end
     pytest.param("400", "9" * 30, "trials must be <= 1,000,000 at 1 rates, as one campaign "
                  f"may run 1,000,000 trials, got {'9' * 30}", id="trial-cap"),

@@ -9,11 +9,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import chaincap
-from chaincap.arrival import SEED_LIMIT, ArrivalKind, TxKind
+from chaincap.arrival import SEED_LIMIT, ArrivalKind, ArrivalProcess, TxKind, generate_events
 from chaincap.bench import (
     BOUND_MARGIN,
     SEARCH_TOLERANCE,
@@ -22,14 +23,30 @@ from chaincap.bench import (
     WINDOW_S,
     run_trial,
 )
-from chaincap.chainsim import default_cluster, load_cluster
-from chaincap.model import capacity_bound, consensus_round_latency, round_bases_ms
+from chaincap.chainsim import default_cluster, load_cluster, run
+from chaincap.model import (
+    block_cycles_ms,
+    capacity_bound,
+    consensus_round_latency,
+    round_bases_ms,
+)
+
+from test_chainsim import cluster_profiles, loop_proposal_times
 
 ASYMMETRIC_CLUSTER = Path(__file__).parent / "data" / "asymmetric_cluster.ini"
 
 
 def asymmetric_cluster():
     return load_cluster(ASYMMETRIC_CLUSTER.read_text())
+
+
+def straddling_cluster(block_interval_ms):
+    """The shipped profile with proposers 1 and 2 200 ms from node 3: bases of
+    72, 372, 372 and 72 ms and full rounds of 464 and 764 ms, so an interval
+    between them paces proposers 0 and 3 alone."""
+    near, far = (0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 200.0)
+    return replace(default_cluster(), block_interval_ms=block_interval_ms,
+                   rtt_matrix_ms=(near, far, far, near))
 
 
 @pytest.mark.parametrize("node_count,bound", [
@@ -51,19 +68,30 @@ def test_write_bound_averages_the_round_over_proposers():
     assert round(capacity_bound(cluster, TxKind.WRITE), 1) == 1353.5
 
 
+def test_write_bound_averages_each_proposers_cycle():
+    # proposers 0 and 3 wait out the 600 ms interval; 1 and 2 run 764 ms rounds
+    cluster = straddling_cluster(600.0)
+    assert block_cycles_ms(cluster, 700) == [600.0, 764.0, 764.0, 600.0]
+    assert capacity_bound(cluster, TxKind.WRITE) == 700_000 / ((600 + 764 + 764 + 600) / 4)
+    assert round(capacity_bound(cluster, TxKind.WRITE), 2) == 1026.39
+
+
 def fmean_write_bound(cluster):
-    """The write bound with the round averaged by ``statistics.fmean``."""
+    """The write bound with each proposer's cycle, the longer of the interval
+    and its full round, averaged by ``statistics.fmean``."""
     full = cluster.block_tx_capacity
-    round_ms = statistics.fmean(consensus_round_latency(cluster, full, full, p)
-                                for p in range(cluster.node_count))
-    return full * 1000.0 / max(cluster.block_interval_ms, round_ms)
+    cycle_ms = statistics.fmean(
+        max(cluster.block_interval_ms, consensus_round_latency(cluster, full, full, p))
+        for p in range(cluster.node_count))
+    return full * 1000.0 / cycle_ms
 
 
 @pytest.mark.parametrize("cluster", [
     *(replace(default_cluster(), node_count=n) for n in (*range(4, 11), 1000)),
     asymmetric_cluster(),
     replace(default_cluster(), block_interval_ms=2000.0),
-], ids=[*(f"nodes-{n}" for n in (*range(4, 11), 1000)), "asymmetric", "paced"])
+    straddling_cluster(600.0),
+], ids=[*(f"nodes-{n}" for n in (*range(4, 11), 1000)), "asymmetric", "paced", "straddling"])
 def test_write_bound_equals_the_fmean_of_the_rounds_bit_for_bit(cluster):
     # the model sums with math.fsum and divides by N, as fmean does, without
     # importing statistics
@@ -98,6 +126,28 @@ def test_write_bound_is_paced_by_a_longer_block_interval():
     assert capacity_bound(cluster, TxKind.WRITE) == 350.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(cluster=cluster_profiles(), interval_ms=st.floats(20.0, 1500.0), load=st.floats(0.0, 1.5),
+       seed=st.integers(0, SEED_LIMIT - 1))
+@example(cluster=straddling_cluster(600.0), interval_ms=600.0, load=1.0, seed=0)
+def test_each_block_cycle_is_the_models(cluster, interval_ms, load, seed):
+    # block k's proposer, k mod N, saw a pool of depths[k], and the next
+    # proposal follows it by that proposer's cycle at that depth; the loop
+    # adds the same cycle in s to the proposal time, which rounds by half an
+    # ulp of the time, and so does the difference taken here
+    cluster = replace(cluster, block_interval_ms=interval_ms)
+    rate = load * capacity_bound(cluster, TxKind.WRITE)
+    events = generate_events(ArrivalProcess(ArrivalKind.POISSON, rate, seed), TxKind.WRITE, 10.0)
+    timeline = run(cluster, events, horizon=10.0)
+    proposed = loop_proposal_times(cluster, timeline)
+    gaps = np.diff(proposed)
+    for k, depth in enumerate(timeline.depths.tolist()):
+        cycle_s = block_cycles_ms(cluster, depth)[k % cluster.node_count] / 1000.0
+        assert abs(gaps[k] - cycle_s) <= 2 * np.finfo(np.float64).eps * proposed[k + 1], (
+            f"block {k} at depth {depth}: the loop's cycle is {gaps[k]!r} s, the model's "
+            f"{cycle_s!r} s")
+
+
 @pytest.mark.parametrize("read_mode,bound", [("multi", 4e6 / 195), ("single", 1e6 / 195)])
 def test_read_bound_is_the_service_rate(read_mode, bound):
     cluster = replace(default_cluster(), read_mode=read_mode)
@@ -110,22 +160,32 @@ def test_reads_that_take_no_time_are_unbounded(read_mode):
     assert capacity_bound(cluster, TxKind.READ) == math.inf
 
 
-@pytest.mark.parametrize("cluster,kind", [
-    (default_cluster(), TxKind.WRITE),
-    (replace(default_cluster(), node_count=7), TxKind.WRITE),
-    (replace(default_cluster(), block_tx_capacity=70), TxKind.WRITE),
-    (asymmetric_cluster(), TxKind.WRITE),
-    (default_cluster(), TxKind.READ),
-    (replace(default_cluster(), read_mode="single"), TxKind.READ),
-    (asymmetric_cluster(), TxKind.READ),
-], ids=["write-4", "write-7", "write-small-blocks", "write-asymmetric", "read-multi",
-        "read-single", "read-asymmetric"])
-def test_simulator_is_steady_below_the_bound_and_not_above(cluster, kind):
+# Proposers whose rounds straddle the interval run 60 s.  Over 20 s the block
+# of 700 writes still in flight at the horizon is about 3.6% of the writes
+# after warm-up, which alone reads the 500 ms case's lower trial as unsteady,
+# and the 700 ms case's upper trial reads steady.
+STRADDLING_INTERVALS_MS = (500.0, 550.0, 600.0, 700.0)
+
+
+@pytest.mark.parametrize("cluster,kind,duration_s", [
+    (default_cluster(), TxKind.WRITE, 20.0),
+    (replace(default_cluster(), node_count=7), TxKind.WRITE, 20.0),
+    (replace(default_cluster(), block_tx_capacity=70), TxKind.WRITE, 20.0),
+    (asymmetric_cluster(), TxKind.WRITE, 20.0),
+    *((straddling_cluster(interval), TxKind.WRITE, 60.0)
+      for interval in STRADDLING_INTERVALS_MS),
+    (default_cluster(), TxKind.READ, 20.0),
+    (replace(default_cluster(), read_mode="single"), TxKind.READ, 20.0),
+    (asymmetric_cluster(), TxKind.READ, 20.0),
+], ids=["write-4", "write-7", "write-small-blocks", "write-asymmetric",
+        *(f"write-straddling-{interval:.0f}ms" for interval in STRADDLING_INTERVALS_MS),
+        "read-multi", "read-single", "read-asymmetric"])
+def test_simulator_is_steady_below_the_bound_and_not_above(cluster, kind, duration_s):
     # evenly spaced arrivals carry no noise, so the margin decides each verdict
     bound = capacity_bound(cluster, kind)
     for factor, steady in ((1.0 - BOUND_MARGIN, True), (1.0 + BOUND_MARGIN, False)):
-        trial = run_trial(cluster, kind, ArrivalKind.DETERMINISTIC, bound * factor, 20.0,
-                          seed=0)
+        trial = run_trial(cluster, kind, ArrivalKind.DETERMINISTIC, bound * factor,
+                          duration_s, seed=0)
         assert trial.steady is steady, factor
 
 
