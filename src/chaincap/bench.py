@@ -1,10 +1,10 @@
 """Workload campaigns against the simulator.
 
 Covers steady-state detection (arrival rate == throughput within tolerance),
-multi-trial Poisson campaigns, maximum sustainable rates (for writes a
-doubling ladder with two rungs aimed at the closed-form
-``model.capacity_bound``, then bisection; for reads that bound less the
-search tolerance, with no simulation), and node-count sweeps.
+multi-trial Poisson campaigns, maximum sustainable rates (for reads
+:func:`read_capacity`, the closed-form ``model.capacity_bound`` less the
+search tolerance; for writes :func:`find_max_lambda`, a doubling ladder with
+two rungs aimed at that bound, then bisection), and node-count sweeps.
 """
 
 from __future__ import annotations
@@ -347,9 +347,14 @@ def _plan_search(cluster: ClusterConfig, duration_s: float) -> tuple[float, floa
     return bound, largest
 
 
-def _read_capacity(cluster: ClusterConfig) -> float:
-    """``capacity_bound * (1 - SEARCH_TOLERANCE)`` for reads; :class:`InputError`
-    if the read service rate is infinite, so that the capacity has no bound."""
+def read_capacity(cluster: ClusterConfig) -> float:
+    """``capacity_bound * (1 - SEARCH_TOLERANCE)`` for reads, with no probe.
+
+    Each node serves its reads through a FIFO queue with a fixed service
+    time, which is stable iff the arrival rate is below its service rate
+    (Loynes 1962).  :class:`InputError` if that rate is infinite, so that the
+    capacity has no bound.
+    """
     bound = capacity_bound(cluster, TxKind.READ)
     if bound == math.inf:
         # the shortest repr, since :g prints the subnormal 1e-320 as 9.99989e-321
@@ -360,22 +365,13 @@ def _read_capacity(cluster: ClusterConfig) -> float:
     return bound * (1.0 - SEARCH_TOLERANCE)
 
 
-def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
+def find_max_lambda(cluster: ClusterConfig,
                     arrival_kind: ArrivalKind = ArrivalKind.POISSON,
                     duration_s: float = DESK_DURATION_S,
                     base_seed: int = 0) -> float:
-    """Largest steady arrival rate: for reads the service limit, for writes
-    the result of exponential bracketing then bisection.
+    """Largest steady write arrival rate: exponential bracketing, then bisection.
 
-    Reads never enter consensus, and each node serves them through a FIFO
-    queue with a fixed service time, which is stable iff the arrival rate is
-    below its service rate (Loynes 1962).  So the read capacity is
-    ``capacity_bound * (1 - SEARCH_TOLERANCE)``, with no probe and no draw,
-    whatever ``arrival_kind`` and ``base_seed``; ``duration_s`` is still
-    checked.  The simulator's agreement with that bound is a property of the
-    test suite.
-
-    The write bracket doubles from ``FIRST_PROBE_RATE``.  Two rungs
+    The bracket doubles from ``FIRST_PROBE_RATE``.  Two rungs
     at ``1 -/+ BOUND_MARGIN`` times ``capacity_bound`` join its ladder: a
     rung above the last steady probe and at or below the next doubling is
     probed in that doubling's place, so the search usually brackets the
@@ -389,14 +385,10 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
     against the event cap (:func:`_plan_search`) and, for a Poisson stream,
     reserves that probe's epochs, so it draws and sums its uniforms in one
     call unless its ladder doubles past the upper rung.  Raises
-    :class:`CalibrationError` when even the smallest write probe is unsteady,
-    and :class:`InputError` for a write probe past the event cap and for
-    reads whose service rate is infinite (``read_service_us = 0``, or so
-    small that the rate overflows), whose capacity has no bound.
+    :class:`CalibrationError` when even the smallest probe is unsteady, and
+    :class:`InputError` for a probe past the event cap.
     """
     check_duration(cluster, duration_s)
-    if kind is TxKind.READ:
-        return _read_capacity(cluster)
     bound, largest = _plan_search(cluster, duration_s)
     draws = UnitDraws(base_seed)
     if arrival_kind is ArrivalKind.POISSON:
@@ -406,8 +398,8 @@ def find_max_lambda(cluster: ClusterConfig, kind: TxKind,
         """(mean tps, steady) of a trial at ``lam``; the trial and its
         timeline are gone before the next probe runs."""
         _check_probe(cluster, lam, duration_s)
-        trial = run_trial(cluster, kind, arrival_kind, lam, duration_s, seed=base_seed,
-                          draws=draws)
+        trial = run_trial(cluster, TxKind.WRITE, arrival_kind, lam, duration_s,
+                          seed=base_seed, draws=draws)
         return trial.mean_tps, trial.steady
 
     lo = FIRST_PROBE_RATE
@@ -441,30 +433,30 @@ def sweep_nodes(base_cluster: ClusterConfig, node_counts: list[int],
                 arrival_kind: ArrivalKind = ArrivalKind.POISSON,
                 duration_s: float = DESK_DURATION_S,
                 base_seed: int = 0) -> list[CapacityProfile]:
-    """Run the capacity search per node count and kind, ordered by node count.
+    """Each node count's capacity profile, ordered by node count: its read
+    axis from :func:`read_capacity`, its write axis from :func:`find_max_lambda`.
 
     The axis of a kind not in ``kinds`` is left at inf.  Every node count's
-    profile and run, its read bound and its write search's largest planned
-    probe are checked, as :func:`find_max_lambda` checks them, before the
-    first write search.
+    profile and run, its read capacity and its write search's largest planned
+    probe are checked, as :func:`find_max_lambda` checks them, and then
+    ``base_seed``, all before the first write search.
     """
     if len(set(node_counts)) != len(node_counts):
         raise InputError(f"node counts must be distinct, got {node_counts!r}")
     clusters = [replace(base_cluster, node_count=n) for n in sorted(node_counts)]
+    reads = {}
     for cluster in clusters:
         check_duration(cluster, duration_s)
         for kind in kinds:
             if kind is TxKind.READ:
-                _read_capacity(cluster)
+                reads[cluster.node_count] = read_capacity(cluster)
             else:
                 _plan_search(cluster, duration_s)
-    profiles = []
-    for cluster in clusters:
-        found = {kind: find_max_lambda(cluster, kind, arrival_kind, duration_s=duration_s,
-                                       base_seed=base_seed)
-                 for kind in kinds}
-        profiles.append(CapacityProfile(node_count=cluster.node_count,
-                                        max_lambda_read=found.get(TxKind.READ, math.inf),
-                                        max_lambda_write=found.get(TxKind.WRITE, math.inf),
-                                        search_tolerance=SEARCH_TOLERANCE))
-    return profiles
+    check_seed(base_seed)
+    return [CapacityProfile(node_count=cluster.node_count,
+                            max_lambda_read=reads.get(cluster.node_count, math.inf),
+                            max_lambda_write=(find_max_lambda(cluster, arrival_kind, duration_s,
+                                                              base_seed)
+                                              if TxKind.WRITE in kinds else math.inf),
+                            search_tolerance=SEARCH_TOLERANCE)
+            for cluster in clusters]

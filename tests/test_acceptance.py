@@ -21,7 +21,13 @@ from chaincap.arrival import (
     generate_times,
 )
 from chaincap.assess import methodology_report
-from chaincap.bench import CapacityProfile, find_max_lambda, run_trial, sweep_nodes
+from chaincap.bench import (
+    CapacityProfile,
+    find_max_lambda,
+    read_capacity,
+    run_trial,
+    sweep_nodes,
+)
 from chaincap.chainsim import default_cluster, run
 from chaincap.cli import PAPER_CAPACITY_PATH, main
 from chaincap.scenarios import ScenarioSpec, UseCaseSpec, builtin_scenarios, workload_for
@@ -58,8 +64,7 @@ def write_capacity_sweep():
 
 @pytest.fixture(scope="session")
 def read_capacity_multi():
-    return find_max_lambda(default_cluster(), TxKind.READ,
-                           ArrivalKind.DETERMINISTIC, duration_s=60.0)
+    return read_capacity(default_cluster())
 
 
 class TestCriterion1RateArithmetic:
@@ -141,10 +146,8 @@ class TestCriterion5SaturationShape:
 class TestCriterion6PoissonVsPeak:
     def test_poisson_capacity_not_above_deterministic(self):
         cluster = replace(default_cluster(), block_tx_capacity=70)
-        poisson = find_max_lambda(cluster, TxKind.WRITE, ArrivalKind.POISSON,
-                                  duration_s=30.0)
-        det = find_max_lambda(cluster, TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                              duration_s=30.0)
+        poisson = find_max_lambda(cluster, ArrivalKind.POISSON, duration_s=30.0)
+        det = find_max_lambda(cluster, ArrivalKind.DETERMINISTIC, duration_s=30.0)
         report(6, f"poisson max {poisson:.1f} <= deterministic max {det:.1f}",
                poisson <= det)
 
@@ -166,9 +169,7 @@ class TestCriterion7ReadIndependence:
         report(7, "read completions identical with and without a 1400/s write load", ok)
 
     def test_multi_node_reads_scale_with_node_count(self, read_capacity_multi):
-        single = find_max_lambda(replace(default_cluster(), read_mode="single"),
-                                 TxKind.READ, ArrivalKind.DETERMINISTIC,
-                                 duration_s=60.0)
+        single = read_capacity(replace(default_cluster(), read_mode="single"))
         ratio = read_capacity_multi / single
         n = default_cluster().node_count
         report(7, f"multi/single read capacity ratio {ratio:.2f} vs {n} +/-10%",

@@ -28,6 +28,7 @@ from chaincap.bench import (
     check_duration,
     detect_steady_state,
     find_max_lambda,
+    read_capacity,
     run_campaign,
     run_trial,
     sweep_nodes,
@@ -88,7 +89,7 @@ class TestCheckDuration:
             CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE, rates=(40.0,),
                          trials=1, duration_s=bad)
         with pytest.raises(InputError, match="at least 10 windows"):
-            find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=bad)
+            find_max_lambda(small_cluster(), duration_s=bad)
 
 
 class TestRunTrial:
@@ -387,27 +388,26 @@ class TestRunCampaign:
 
 class TestFindMaxLambda:
     def test_search_converges_on_small_cluster(self):
-        lam = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                              duration_s=20.0)
+        lam = find_max_lambda(small_cluster(), ArrivalKind.DETERMINISTIC, duration_s=20.0)
         # block_tx_capacity 70 over the ~0.155 s full-block round bounds throughput
         assert 350 < lam < 550
 
     def test_search_is_deterministic(self):
-        a = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
-        b = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
+        a = find_max_lambda(small_cluster(), duration_s=20.0)
+        b = find_max_lambda(small_cluster(), duration_s=20.0)
         assert a == b
 
     def test_doubled_exec_cost_lowers_capacity(self):
-        base = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
+        base = find_max_lambda(small_cluster(), duration_s=20.0)
         slower = replace(small_cluster(), write_exec_us=small_cluster().write_exec_us * 2)
-        worse = find_max_lambda(slower, TxKind.WRITE, duration_s=20.0)
+        worse = find_max_lambda(slower, duration_s=20.0)
         assert worse < base
 
     def test_unsteady_smallest_probe_is_calibration_error(self):
         # one write per block commits under 10 of the first probe's 100/s
         one_per_block = replace(small_cluster(), block_tx_capacity=1)
         with pytest.raises(CalibrationError, match="smallest probe rate 100.0;"):
-            find_max_lambda(one_per_block, TxKind.WRITE, duration_s=20.0)
+            find_max_lambda(one_per_block, duration_s=20.0)
 
     def test_calibration_error_names_the_failing_probe(self):
         # seed 5 of the shipped profile commits too much at the first probe
@@ -415,7 +415,7 @@ class TestFindMaxLambda:
                           60.0, seed=5)
         assert f"{first.mean_tps:.2f}" == "102.28"
         with pytest.raises(CalibrationError) as err:
-            find_max_lambda(default_cluster(), TxKind.WRITE, base_seed=5)
+            find_max_lambda(default_cluster(), base_seed=5)
         assert str(err.value) == (
             "no steady operating point at the smallest probe rate 100.0; the cluster "
             "profile looks miscalibrated: its mean throughput 102.28 tps is outside "
@@ -427,7 +427,7 @@ class TestFindMaxLambda:
         # validators would not lower it, so the hint names what does
         monkeypatch.setattr(bench, "run_trial", _no_trial)
         with pytest.raises(InputError) as err:
-            find_max_lambda(FAST_CLUSTER, TxKind.WRITE, duration_s=20.0)
+            find_max_lambda(FAST_CLUSTER, duration_s=20.0)
         assert str(err.value) == (
             "the write capacity search at 4 nodes would probe 10300000.0/s over 20.0 s, "
             "which expects 2.06e+08 events, more than the 30,000,000 one trial may hold; even "
@@ -444,7 +444,7 @@ class TestFindMaxLambda:
                 rf"^the write capacity search at 4 nodes would probe {re.escape(repr(rung))}/s "
                 r"over 60 s, "
                 r"which expects 8\.499e\+04 events, .* at most 56 s$")):
-            find_max_lambda(default_cluster(), TxKind.WRITE)
+            find_max_lambda(default_cluster())
 
     @pytest.mark.parametrize("cap,longest", [(14_166, 10), (20_000, 14)])
     def test_probe_past_the_event_cap_gives_the_longest_duration_that_fits(
@@ -454,7 +454,7 @@ class TestFindMaxLambda:
         monkeypatch.setattr(bench, "MAX_EXPECTED_EVENTS", cap)
         monkeypatch.setattr(bench, "run_trial", _no_trial)
         with pytest.raises(InputError, match=f"give a --duration of at most {longest} s$"):
-            find_max_lambda(default_cluster(), TxKind.WRITE, duration_s=20.0)
+            find_max_lambda(default_cluster(), duration_s=20.0)
 
     def test_a_quotient_rounded_up_gives_one_window_less(self):
         # 30,000,000 / 909090.90...92 rounds to 33.0, but 33 windows at that
@@ -481,7 +481,7 @@ class TestBoundRungs:
 
     def test_seed_0_write_search_probes_the_rungs(self, monkeypatch):
         rates = self.record_probes(monkeypatch)
-        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.6265797506646
+        assert find_max_lambda(default_cluster()) == 1374.6265797506646
         # four doublings, the two rungs, then three midpoints
         assert [round(r, 1) for r in rates] == [100.0, 200.0, 400.0, 800.0, 1334.0, 1416.5,
                                                 1374.6, 1395.4, 1385.0]
@@ -490,11 +490,11 @@ class TestBoundRungs:
 
     @pytest.mark.parametrize("factor", [10.0, 0.1])
     def test_a_wrong_bound_still_finds_the_capacity(self, monkeypatch, factor):
-        want = find_max_lambda(default_cluster(), TxKind.WRITE)
+        want = find_max_lambda(default_cluster())
         true_bound = bench.capacity_bound
         monkeypatch.setattr(bench, "capacity_bound",
                             lambda cluster, kind: true_bound(cluster, kind) * factor)
-        got = find_max_lambda(default_cluster(), TxKind.WRITE)
+        got = find_max_lambda(default_cluster())
         assert got != want
         assert abs(got / want - 1.0) <= bench.SEARCH_TOLERANCE
 
@@ -503,12 +503,12 @@ class TestBoundRungs:
         # the first probe lies between the rungs 97.0 and 103.0: the upper one
         # is the next probe
         monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: 100.0)
-        find_max_lambda(default_cluster(), TxKind.WRITE)
+        find_max_lambda(default_cluster())
         assert rates[:2] == [100.0, 103.0]
         # both rungs at or below the first probe: the plain doubling search
         monkeypatch.setattr(bench, "capacity_bound", lambda cluster, kind: 100.0 / 1.03)
         rates.clear()
-        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.8954384979825
+        assert find_max_lambda(default_cluster()) == 1374.8954384979825
         assert len(rates) == 12
 
     def test_every_write_search_starts_at_the_first_probe_rate(self, monkeypatch):
@@ -533,7 +533,7 @@ class TestBoundRungs:
             return trials[-1]
 
         monkeypatch.setattr(bench, "run_trial", recorded)
-        got = find_max_lambda(small_cluster(), TxKind.WRITE, arrival, duration_s=20.0)
+        got = find_max_lambda(small_cluster(), arrival, duration_s=20.0)
         # the answer is the largest steady probe, and the nearest unsteady
         # probe above it lies within SEARCH_TOLERANCE
         assert got == max(t.lambda_offered for t in trials if t.steady)
@@ -543,6 +543,10 @@ class TestBoundRungs:
 
 def _no_trial(*args, **kwargs):
     raise AssertionError("no trial may run")
+
+
+def _no_write_search(*args, **kwargs):
+    raise AssertionError("a read sweep enters no write search")
 
 
 def _no_generator(process):
@@ -556,22 +560,36 @@ class TestReadCapacity:
     @pytest.mark.parametrize("arrival_kind", list(ArrivalKind))
     def test_a_read_capacity_runs_no_trial_and_draws_nothing(self, monkeypatch, arrival_kind):
         monkeypatch.setattr(bench, "run_trial", _no_trial)
+        monkeypatch.setattr(bench, "find_max_lambda", _no_write_search)
         monkeypatch.setattr(ArrivalProcess, "rng", _no_generator)
+        computed = []
+        monkeypatch.setattr(bench, "read_capacity",
+                            lambda cluster: computed.append(cluster.node_count)
+                            or read_capacity(cluster))
         for seed in (0, 7):
-            assert find_max_lambda(default_cluster(), TxKind.READ, arrival_kind,
-                                   base_seed=seed) == 20307.692307692305
+            computed.clear()
+            profiles = sweep_nodes(default_cluster(), [4, 1000], (TxKind.READ,), arrival_kind,
+                                   duration_s=10.0, base_seed=seed)
+            # once per node count
+            assert computed == [4, 1000]
+            assert profiles[0].max_lambda_read == 20307.692307692305
+            assert [p.max_lambda_read for p in profiles] == [
+                read_capacity(replace(default_cluster(), node_count=n)) for n in (4, 1000)]
+            assert all(p.max_lambda_write == math.inf for p in profiles)
 
     @pytest.mark.parametrize("profile", ["multi", "single", "asymmetric"])
     @pytest.mark.parametrize("seed", [3, 5, 80, 93])
     def test_read_capacity_is_below_the_service_limit(self, seed, profile):
         # seeds whose read bisection once failed at its first probe (3, 5) or
-        # stopped near 150/s (80, 93)
+        # stopped near 150/s (80, 93); a sweep at any of them reads the same
         cluster = {"multi": default_cluster(),
                    "single": replace(default_cluster(), read_mode="single"),
                    "asymmetric": load_cluster(ASYMMETRIC_CLUSTER.read_text())}[profile]
         limit = bench.capacity_bound(cluster, TxKind.READ)
-        got = find_max_lambda(cluster, TxKind.READ, base_seed=seed)
+        got = read_capacity(cluster)
         assert got == limit * (1 - bench.SEARCH_TOLERANCE) <= limit
+        [swept] = sweep_nodes(cluster, [cluster.node_count], (TxKind.READ,), base_seed=seed)
+        assert swept.max_lambda_read == got
 
 
 class TestSharedDraws:
@@ -588,11 +606,11 @@ class TestSharedDraws:
 
     def test_one_generator_per_search(self, monkeypatch):
         seeds = self.count_generators(monkeypatch)
-        find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=7)
+        find_max_lambda(small_cluster(), duration_s=20.0, base_seed=7)
         assert seeds == [7]
         # a search that stops at its first probe makes one as well
         with pytest.raises(CalibrationError):
-            find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=1)
+            find_max_lambda(small_cluster(), duration_s=20.0, base_seed=1)
         assert seeds == [7, 1]
 
     @staticmethod
@@ -618,7 +636,7 @@ class TestSharedDraws:
         fifo = chainsim._fifo_completions
         monkeypatch.setattr(chainsim, "_fifo_completions",
                             lambda *args: queues.append(args) or fifo(*args))
-        assert find_max_lambda(default_cluster(), TxKind.WRITE) == 1374.6265797506646
+        assert find_max_lambda(default_cluster()) == 1374.6265797506646
         # the upper rung, 1416.5/s over 60 s: 84,990 expected events plus ten
         # standard deviations and 64, drawn before the first probe
         assert sizes == [87_969]
@@ -627,13 +645,12 @@ class TestSharedDraws:
         # 100/s, which reserves 6,000 events plus ten standard deviations and 64
         sizes.clear()
         with pytest.raises(CalibrationError, match="smallest probe rate 100.0;"):
-            find_max_lambda(load_cluster(SLOW_CLUSTER.read_text()), TxKind.WRITE)
+            find_max_lambda(load_cluster(SLOW_CLUSTER.read_text()))
         assert sizes == [6_838]
 
     def test_deterministic_search_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(ArrivalProcess, "rng", _no_generator)
-        find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                        duration_s=20.0)
+        find_max_lambda(small_cluster(), ArrivalKind.DETERMINISTIC, duration_s=20.0)
 
     def test_one_generator_per_campaign_seed(self, monkeypatch):
         seeds = self.count_generators(monkeypatch)
@@ -649,7 +666,7 @@ class TestSharedDraws:
                                   trials=2, duration_s=20.0))
 
     @pytest.mark.parametrize("caller", [
-        pytest.param(lambda: find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0,
+        pytest.param(lambda: find_max_lambda(small_cluster(), duration_s=20.0,
                                              base_seed=7), id="search"),
         pytest.param(lambda: run_campaign(CampaignSpec(
             cluster=small_cluster(), kind=TxKind.WRITE, rates=(40.0, 80.0), trials=2,
@@ -717,7 +734,7 @@ class TestSharedDraws:
             return result
 
         monkeypatch.setattr(bench, "run_trial", recorded)
-        find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0, base_seed=8)
+        find_max_lambda(small_cluster(), duration_s=20.0, base_seed=8)
         assert len(probes) > 5
         rates = [args[3] for args, _ in probes]
         assert max(rates) > rates[-1]  # some probes after a larger one
@@ -729,7 +746,7 @@ class TestProbesReadOnlyThroughput:
     """A probe's verdict reads throughput only; latency and cpu stay uncomputed."""
 
     def test_capacity_unchanged_when_unread_series_raise(self, monkeypatch):
-        want = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
+        want = find_max_lambda(small_cluster(), duration_s=20.0)
 
         def unread(timeline):
             raise AssertionError("a capacity probe computed a series its verdict never reads")
@@ -737,7 +754,7 @@ class TestProbesReadOnlyThroughput:
         for name in ("write_latency_sum_ms", "read_latency_sum_ms", "mean_write_latency_ms",
                      "mean_read_latency_ms", "cpu_utilization", "pool_depth", "ledger_bytes"):
             monkeypatch.setattr(MetricsTimeline, name, property(unread))
-        assert find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0) == want
+        assert find_max_lambda(small_cluster(), duration_s=20.0) == want
 
     def test_first_probe_timeline_is_gone_before_the_second_runs(self, monkeypatch):
         # the write search at 10 s and seed 0 stops at its first probe, so 20 s
@@ -751,13 +768,13 @@ class TestProbesReadOnlyThroughput:
             return timeline
 
         monkeypatch.setattr(bench, "run", recorded)
-        find_max_lambda(default_cluster(), TxKind.WRITE, duration_s=20.0)
+        find_max_lambda(default_cluster(), duration_s=20.0)
         assert len(timelines) >= 2 and all(ref() is None for ref in timelines)
 
 
 class TestSweepNodes:
     def test_singleton_matches_direct_search(self):
-        direct = find_max_lambda(small_cluster(), TxKind.WRITE, duration_s=20.0)
+        direct = find_max_lambda(small_cluster(), duration_s=20.0)
         profiles = sweep_nodes(small_cluster(), [4], (TxKind.WRITE,),
                                duration_s=20.0)
         assert len(profiles) == 1
@@ -785,10 +802,8 @@ class TestSweepNodes:
 
 class TestPoissonVsDeterministic:
     def test_poisson_capacity_not_above_deterministic(self):
-        poisson = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.POISSON,
-                                  duration_s=20.0)
-        det = find_max_lambda(small_cluster(), TxKind.WRITE, ArrivalKind.DETERMINISTIC,
-                              duration_s=20.0)
+        poisson = find_max_lambda(small_cluster(), ArrivalKind.POISSON, duration_s=20.0)
+        det = find_max_lambda(small_cluster(), ArrivalKind.DETERMINISTIC, duration_s=20.0)
         assert poisson <= det
 
 

@@ -792,6 +792,9 @@ def _one_error_line(capsys) -> str:
     ["simulate", "--kind", "write", "--lambda", "10"],
     ["simulate", "--kind", "write", "--lambda", "10", "--arrival", "deterministic"],
     ["capacity", "--kind", "write"],
+    # a read capacity draws nothing, but its seed is checked all the same
+    ["capacity", "--kind", "read"],
+    ["capacity", "--kind", "both", "--nodes", "4,5"],
     ["assess", "--scenario", "aaa"],  # no --capacity: falls back to a search
     ["campaign", "--kind", "write", "--rates", "400"],
 ])

@@ -10,7 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from chaincap import cli
+from chaincap import bench, cli
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -44,3 +44,17 @@ def test_traced_command_records_its_emit_spans(tmp_path):
     assert names[0] == spans.ROOT_SPAN
     assert {"emit.write_text", "emit.manifest"} <= set(names)
     spans.check_span_tree(tracer.spans)
+
+
+def test_traced_write_search_records_trials_that_replay():
+    # the benchmark's trace mode replays its largest trial under tracemalloc
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        code = cli.main(["capacity", "--kind", "write", "--duration", "10", "--seed", "1"])
+    assert code == 0
+    trials = [s for s in tracer.spans if s.name == "bench.run_trial"]
+    assert trials
+    spans.check_span_tree(tracer.spans)
+    args, kwargs = spans.largest_trial_call(tracer.spans)
+    [recorded] = [s.attrs["steady"] for s in trials if s.attrs["call"][0] is args]
+    assert bench.run_trial(*args, **kwargs).steady is recorded
