@@ -55,11 +55,11 @@ class TxKind(Enum):
 
 
 def check_rate(value: float, name: str = "rate") -> float:
-    """Validate a per-second rate: finite and non-negative."""
+    """Validate a per-second rate: finite and non-negative; -0.0 comes back as 0.0."""
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
         raise InputError(f"{name} must be a finite non-negative rate, got {value!r}")
-    return value
+    return abs(value)
 
 
 def check_seed(seed: int, name: str = "seed") -> None:
@@ -129,12 +129,11 @@ class UnitDraws:
     is ``S_j / lambda``: trials at one seed share one buffer of epochs and
     each divides a prefix of it by their own rate, the probes of a capacity
     search, which all use one seed, and a campaign's trials at one seed, one
-    per rate.  The generator is created at the first draw, and the epochs
-    grow, in stream order, when a call needs more than are held; the last
-    epoch held is added to the first new draw before the new draws' running
-    sum, so ``S_j`` is the same however they grew.  :meth:`reserve` sizes
-    the draws for a stream, so a caller that reserves for its fastest stream
-    before its first trial draws the seed's uniforms in one call.
+    per rate.  A take past the epochs held draws them all again, from the
+    seed's first uniform on a fresh generator, so ``S_j`` is one running sum
+    however many takes came before.  :meth:`reserve` sizes the draws for a
+    stream, so a caller that reserves for its fastest stream before its
+    first trial draws the seed's uniforms in one call.
 
     ``reuse`` hands this object the buffer of another seed's draws, which
     forgets its epochs, as :meth:`forget` does: this seed's epochs overwrite
@@ -155,28 +154,20 @@ class UnitDraws:
     def forget(self) -> None:
         """Drop the epochs and the buffer; a later take draws the seed's
         stream again from its first uniform, bit for bit."""
-        self._rng: np.random.Generator | None = None
         self._held = 0
         self._buffer = np.empty(0)
 
     def take(self, stop: int) -> np.ndarray:
         """Epochs ``0`` to ``stop`` of the stream, as a view of the buffer."""
-        held = self._held
-        if stop > held:
-            if self._rng is None:
-                self._rng = ArrivalProcess(ArrivalKind.POISSON, 0.0, self.seed).rng()
+        if stop > self._held:
             if stop > self._buffer.size:
-                grown = np.empty(stop)
-                grown[:held] = self._buffer[:held]
-                self._buffer = grown
-            more = self._buffer[held:stop]
-            self._rng.random(out=more)
-            np.negative(more, out=more)
-            np.log1p(more, out=more)
-            np.negative(more, out=more)
-            if held:
-                more[0] += self._buffer[held - 1]
-            np.cumsum(more, out=more)
+                self._buffer = np.empty(stop)
+            epochs = self._buffer[:stop]
+            ArrivalProcess(ArrivalKind.POISSON, 0.0, self.seed).rng().random(out=epochs)
+            np.negative(epochs, out=epochs)
+            np.log1p(epochs, out=epochs)
+            np.negative(epochs, out=epochs)
+            np.cumsum(epochs, out=epochs)
             self._held = stop
         return self._buffer[:stop]
 
@@ -184,9 +175,10 @@ class UnitDraws:
         """The epochs a stream at ``rate`` > 0 over ``horizon`` divides: the
         shortest prefix of whole chunks, each the stream's expected count
         plus ten standard deviations and 64 (at least 1024), whose last
-        epoch over ``rate`` lies past ``horizon``.  Epochs not yet held are
-        drawn, so a later call for a slower rate or a shorter horizon draws
-        nothing unless its stream outruns its own first chunk.
+        epoch over ``rate`` lies past ``horizon``.  If fewer are held, the
+        seed's uniforms are drawn again from the first, once per chunk that
+        the stream outruns, so a later call for a slower rate or a shorter
+        horizon draws nothing unless its stream outruns its own first chunk.
         """
         expected = rate * horizon
         chunk = max(1024, int(expected + 10.0 * math.sqrt(expected) + 64))
@@ -205,7 +197,8 @@ def generate_times(process: ArrivalProcess, horizon: float,
 
     Poisson timestamp ``j`` is the seed's unit-rate epoch ``S_j`` divided by
     the rate, for every epoch whose quotient is at most ``horizon``; the
-    epochs divided are those ``UnitDraws.reserve`` gives.  They come from
+    epochs divided are those ``UnitDraws.reserve`` gives, drawn again from
+    the seed's first uniform if too few are held.  They come from
     ``draws`` (one seed's :class:`UnitDraws`, which a capacity search shares
     across its probes and a campaign across its rates at that seed, each
     having reserved them for its fastest stream) or, without it, from epochs

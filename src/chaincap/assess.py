@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+from .arrival import check_rate
 from .bench import CapacityProfile
 from .errors import InputError
 from .scenarios import ScenarioSpec, workload_for
@@ -35,6 +36,7 @@ def methodology_report(scenario: ScenarioSpec, eta: float | None,
                 f"eta required: scenario {scenario.id!r} ships no default "
                 "concurrent-event rate; supply one explicitly")
         eta = scenario.default_eta
+    eta = check_rate(eta, "eta")
     lambda_read, lambda_write = workload_for(scenario, eta)
     max_read, max_write = capacity.max_lambda_read, capacity.max_lambda_write
     if not (math.isfinite(max_read) and math.isfinite(max_write)):

@@ -171,8 +171,15 @@ class TestUnitDraws:
         generate_times(ArrivalProcess(ArrivalKind.POISSON, 0.0, 3), 10.0, draws)
         assert made == []
         generate_times(ArrivalProcess(ArrivalKind.POISSON, 50.0, 3), 10.0, draws)
-        generate_times(ArrivalProcess(ArrivalKind.POISSON, 500.0, 3), 10.0, draws)
         assert made == [1]
+        # a slower stream divides a prefix of the epochs held
+        generate_times(ArrivalProcess(ArrivalKind.POISSON, 20.0, 3), 10.0, draws)
+        assert made == [1]
+        # a faster one outruns them, and a fresh generator draws them all again
+        generate_times(ArrivalProcess(ArrivalKind.POISSON, 500.0, 3), 10.0, draws)
+        assert made == [1, 1]
+        generate_times(ArrivalProcess(ArrivalKind.POISSON, 50.0, 3), 10.0, draws)
+        assert made == [1, 1]
 
     @pytest.mark.parametrize("stops", [[4000], [1, 2, 3, 4000], [10, 1034, 1035, 3000, 4000]])
     def test_epochs_do_not_depend_on_how_the_buffer_grew(self, stops):

@@ -630,13 +630,23 @@ class TestSharedDraws:
         monkeypatch.setattr(ArrivalProcess, "rng", lambda process: Recorded(make(process)))
         return sizes
 
-    def test_a_write_search_draws_once_for_its_largest_planned_probe(self, monkeypatch):
+    # a search that answers, one that exits 3 at its first probe and one that
+    # stops near 175/s: each draws once, so a seed whose search grows, and so
+    # draws again, its epochs fails here
+    @pytest.mark.parametrize("seed, answer", [(0, 1374.6265797506646), (5, None),
+                                              (306, 175.62521603732995)])
+    def test_a_write_search_draws_once_for_its_largest_planned_probe(self, monkeypatch,
+                                                                     seed, answer):
         sizes = self.record_uniforms(monkeypatch)
         queues = []
         fifo = chainsim._fifo_completions
         monkeypatch.setattr(chainsim, "_fifo_completions",
                             lambda *args: queues.append(args) or fifo(*args))
-        assert find_max_lambda(default_cluster()) == 1374.6265797506646
+        if answer is None:
+            with pytest.raises(CalibrationError, match="smallest probe rate 100.0;"):
+                find_max_lambda(default_cluster(), base_seed=seed)
+        else:
+            assert find_max_lambda(default_cluster(), base_seed=seed) == answer
         # the upper rung, 1416.5/s over 60 s: 84,990 expected events plus ten
         # standard deviations and 64, drawn before the first probe
         assert sizes == [87_969]
@@ -645,19 +655,23 @@ class TestSharedDraws:
         # 100/s, which reserves 6,000 events plus ten standard deviations and 64
         sizes.clear()
         with pytest.raises(CalibrationError, match="smallest probe rate 100.0;"):
-            find_max_lambda(load_cluster(SLOW_CLUSTER.read_text()))
+            find_max_lambda(load_cluster(SLOW_CLUSTER.read_text()), base_seed=seed)
         assert sizes == [6_838]
 
     def test_deterministic_search_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(ArrivalProcess, "rng", _no_generator)
         find_max_lambda(small_cluster(), ArrivalKind.DETERMINISTIC, duration_s=20.0)
 
-    def test_one_generator_per_campaign_seed(self, monkeypatch):
+    # perfbench's campaign-write operation, at base seeds whose searches
+    # answer, exit 3 and stop early: each seed's draws make one generator,
+    # as a take past the epochs held would make another
+    @pytest.mark.parametrize("base_seed", [0, 5, 306])
+    def test_one_generator_per_campaign_seed(self, monkeypatch, base_seed):
         seeds = self.count_generators(monkeypatch)
-        run_campaign(CampaignSpec(cluster=small_cluster(), kind=TxKind.WRITE,
-                                  rates=(40.0, 80.0, 60.0), trials=3, duration_s=20.0,
-                                  base_seed=2))
-        assert seeds == [2, 3, 4]
+        run_campaign(CampaignSpec(cluster=default_cluster(), kind=TxKind.WRITE,
+                                  rates=(400.0, 800.0, 1200.0, 1400.0, 2800.0),
+                                  trials=3, base_seed=base_seed))
+        assert seeds == [base_seed, base_seed + 1, base_seed + 2]
 
     def test_deterministic_campaign_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(ArrivalProcess, "rng", _no_generator)

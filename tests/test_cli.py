@@ -347,6 +347,21 @@ class TestAssessCommand:
         summary = (out / "summary.csv").read_text().strip().split("\n")
         assert len(summary) == 3  # header + public_key_mgmt + aaa
 
+    @pytest.mark.parametrize("via", ["flag", "override"])
+    def test_negative_zero_eta_writes_zero(self, tmp_path, capsys, via):
+        # -0.0 passes the rate check; the rates written are +0.0, as for --eta 0
+        argv = ["--eta", "-0.0"]
+        if via == "override":
+            path = tmp_path / "overrides.ini"
+            path.write_text("[config]\nschema_version = 1\n\n[scenario:aaa]\neta = -0.0\n")
+            argv = ["--overrides", str(path)]
+        out = tmp_path / "a"
+        assert main(["assess", "--scenario", "aaa", "--capacity", str(PAPER_CAPACITY_PATH),
+                     *argv, "--out", str(out)]) == 0
+        want = Path(__file__).parent / "golden" / "assess-zero-eta"
+        for name in ("verdict_aaa.json", "summary.csv"):
+            assert (out / name).read_bytes() == (want / name).read_bytes()
+
     @pytest.mark.parametrize("document", [
         "{not json",
         '{"schema_version": 1}',
